@@ -81,6 +81,17 @@ def _dims(text: str, what: str) -> tuple:
         raise ArgumentCheckError(f"{what} must look like WxH, got {text!r}")
 
 
+def _positive_int(text: str) -> int:
+    """argparse type for counts that must be at least 1; failures exit 2."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"must be an integer, got {text!r}")
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def _edge_params(args) -> EdgeParams:
     try:
         return EdgeParams(threshold_pct=args.threshold, strict_nms=args.strict_nms)
@@ -324,7 +335,7 @@ def _add_out_dir(p: argparse.ArgumentParser) -> None:
 def _add_map_mode(p: argparse.ArgumentParser) -> None:
     p.add_argument("--mode", choices=("fast", "naive"), default="fast",
                    help="map evaluator (default fast)")
-    p.add_argument("--workers", type=int, default=1,
+    p.add_argument("--workers", type=_positive_int, default=1,
                    help="concurrent row evaluation for the naive mode (default 1)")
 
 
@@ -387,7 +398,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_edge_flags(k)
     _add_force_flags(k)
     _add_map_mode(k)
-    k.add_argument("--max-steps", type=int, help="walk budget (default 4*W*H)")
+    k.add_argument("--max-steps", type=_positive_int,
+                   help="walk budget (default 4*W*H)")
     _add_out_dir(k)
     k.set_defaults(func=_cmd_classify)
 
@@ -396,7 +408,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_edge_flags(t)
     _add_force_flags(t)
     t.add_argument("--start", help="initial offset on the shift grid as DX,DY (default 0,0)")
-    t.add_argument("--max-steps", type=int, help="walk budget (default 4*W*H)")
+    t.add_argument("--max-steps", type=_positive_int,
+                   help="walk budget (default 4*W*H)")
     _add_out_dir(t)
     t.set_defaults(func=_cmd_match)
 
@@ -404,7 +417,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_pair_inputs(b)
     _add_edge_flags(b)
     _add_force_flags(b)
-    b.add_argument("--workers", type=int, default=1,
+    b.add_argument("--workers", type=_positive_int, default=1,
                    help="concurrent rows for the naive evaluator (default 1)")
     _add_out_dir(b)
     b.set_defaults(func=_cmd_bench)

@@ -16,8 +16,10 @@ Only the z component of B moves points in the image plane; the x and y
 components feed the (unused by matching) z force.  Pairs closer than min_r
 are skipped to avoid the singularity at zero separation.
 
-Summation always runs in element storage order, so repeated evaluations
-are bit-identical.
+Array evaluations share one kernel (Bz, guarded |r|^3 and the min_r mask at
+many query points) under two blocked sums, per-element force rows and
+per-point field sums; pair_force is the scalar reference.  Summation always
+runs in element storage order, so repeated evaluations are bit-identical.
 """
 
 from __future__ import annotations
@@ -58,6 +60,9 @@ class ForceParams:
     min_r: float = 1e-9
 
     def __post_init__(self):
+        for name in ("strength", "height_px", "min_r"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if self.strength <= 0.0:
             raise ValueError(f"strength must be positive, got {self.strength}")
         if self.height_px < 0.0:
@@ -119,8 +124,16 @@ def pair_force(t1: CurrentElement, t2: CurrentElement, shift1: Vec2,
                 (t1.tx * by - t1.ty * bx) / r3 * a)
 
 
-def _pair_geometry(c2: EdgeCurrent, px: float, py: float, params: ForceParams):
-    """Planar offsets, z-field numerators and guarded cubed distances to c2."""
+# Pair terms per block of the sums below.  Smaller blocks slow the field
+# lattice (4096: about 1.6x at 128 px); larger ones add peak memory.
+_BLOCK_TERMS = 1 << 14
+
+
+def _field_terms(c2: EdgeCurrent, px, py, params: ForceParams):
+    """Bz numerators, guarded cubed distances and the min_r mask of c2.
+
+    Query coordinates px, py broadcast against c2's element axis, the last.
+    """
     dx = px - c2._xf
     dy = py - c2._yf
     h = params.height_px
@@ -133,20 +146,45 @@ def _pair_geometry(c2: EdgeCurrent, px: float, py: float, params: ForceParams):
     return bz, r3, close
 
 
-def _element_sums(ex: float, ey: float, etx: float, ety: float, c2: EdgeCurrent,
-                  sx: float, sy: float, params: ForceParams) -> tuple[float, float, float]:
-    """Force sums of c2 on one element, without the strength factor."""
-    bz, r3, close = _pair_geometry(c2, ex + sx, ey + sy, params)
+def _blocks(n_rows: int, c2: EdgeCurrent):
+    """Row slices of about _BLOCK_TERMS pair terms against c2's elements."""
+    step = max(1, _BLOCK_TERMS // max(1, len(c2)))
+    return (slice(i, i + step) for i in range(0, n_rows, step))
+
+
+def _force_rows(xs: np.ndarray, ys: np.ndarray, txs: np.ndarray, tys: np.ndarray,
+                c2: EdgeCurrent, params: ForceParams) -> np.ndarray:
+    """Force sums of c2 on each query element, without the strength factor.
+
+    Column i of the (3, n) result holds the x, y and z sums over c2 in storage
+    order for the element at (xs[i], ys[i]) with tangent (txs[i], tys[i]).
+    """
+    out = np.empty((3, len(xs)), dtype=np.float64)
     h = params.height_px
-    fx = (ety * bz) / r3
-    fy = (-(etx * bz)) / r3
-    # Bx = t2y * h, By = -t2x * h
-    fz = (etx * (-(c2.tx) * h) - ety * (c2.ty * h)) / r3
-    if close.any():
-        fx = np.where(close, 0.0, fx)
-        fy = np.where(close, 0.0, fy)
-        fz = np.where(close, 0.0, fz)
-    return float(np.sum(fx)), float(np.sum(fy)), float(np.sum(fz))
+    for b in _blocks(len(xs), c2):
+        etx, ety = txs[b, None], tys[b, None]
+        bz, r3, close = _field_terms(c2, xs[b, None], ys[b, None], params)
+        # Bx = t2y * h, By = -t2x * h
+        for k, num in enumerate((ety * bz, -(etx * bz),
+                                 etx * (-(c2.tx) * h) - ety * (c2.ty * h))):
+            f = num / r3
+            if close.any():
+                f = np.where(close, 0.0, f)
+            out[k, b] = np.sum(f, axis=1)
+    return out
+
+
+def _field_sums(c2: EdgeCurrent, px: np.ndarray, py: np.ndarray,
+                params: ForceParams) -> np.ndarray:
+    """Vertical field of c2 without the strength factor at each point (px[i], py[i])."""
+    out = np.empty(len(px), dtype=np.float64)
+    for b in _blocks(len(px), c2):
+        bz, r3, close = _field_terms(c2, px[b, None], py[b, None], params)
+        term = bz / r3
+        if close.any():
+            term = np.where(close, 0.0, term)
+        out[b] = np.sum(term, axis=1)
+    return out
 
 
 def force_on_element(t1: CurrentElement, c2: EdgeCurrent, shift1: Vec2,
@@ -155,12 +193,10 @@ def force_on_element(t1: CurrentElement, c2: EdgeCurrent, shift1: Vec2,
 
     Equals the sum of pair_force over c2 in storage order.
     """
-    if len(c2) == 0:
-        return Vec3(0.0, 0.0, 0.0)
-    fx, fy, fz = _element_sums(t1.x, t1.y, t1.tx, t1.ty, c2,
-                               shift1.x, shift1.y, params)
+    fx, fy, fz = _force_rows(np.array([t1.x + shift1.x]), np.array([t1.y + shift1.y]),
+                             np.array([t1.tx]), np.array([t1.ty]), c2, params)[:, 0]
     a = params.strength
-    return Vec3(fx * a, fy * a, fz * a)
+    return Vec3(float(fx) * a, float(fy) * a, float(fz) * a)
 
 
 def bz_at(c2: EdgeCurrent, px: float, py: float,
@@ -170,13 +206,7 @@ def bz_at(c2: EdgeCurrent, px: float, py: float,
     The query point sits height_px above the current plane.  The in-plane
     force on an element T1 there is (t1y, -t1x) times this value.
     """
-    if len(c2) == 0:
-        return 0.0
-    bz, r3, close = _pair_geometry(c2, px, py, params)
-    term = bz / r3
-    if close.any():
-        term = np.where(close, 0.0, term)
-    return float(np.sum(term)) * params.strength
+    return float(_field_sums(c2, np.array([px]), np.array([py]), params)[0]) * params.strength
 
 
 def total_force(c1: EdgeCurrent, c2: EdgeCurrent, shift1: Vec2,
@@ -188,16 +218,12 @@ def total_force(c1: EdgeCurrent, c2: EdgeCurrent, shift1: Vec2,
     the result without disturbing its direction, even where the components
     nearly cancel.
     """
-    fx = fy = fz = 0.0
-    for i in range(len(c1)):
-        el = c1.element(i)
-        sx, sy, sz = _element_sums(el.x, el.y, el.tx, el.ty, c2,
-                                   shift1.x, shift1.y, params)
-        fx += sx
-        fy += sy
-        fz += sz
+    rows = _force_rows(c1._xf + shift1.x, c1._yf + shift1.y, c1.tx, c1.ty, c2, params)
+    # Fold the element sums left to right from +0.0, exactly as a running
+    # float total would; the leading zero turns an all -0.0 row into +0.0.
+    fx, fy, fz = np.cumsum(np.concatenate((np.zeros((3, 1)), rows), axis=1), axis=1)[:, -1]
     a = params.strength
-    return Vec3(fx * a, fy * a, fz * a)
+    return Vec3(float(fx) * a, float(fy) * a, float(fz) * a)
 
 
 def force_map(c1: EdgeCurrent, c2: EdgeCurrent,
@@ -232,32 +258,6 @@ def force_map(c1: EdgeCurrent, c2: EdgeCurrent,
     return ForceMap(w, h, ox, oy, fx, fy)
 
 
-def _bz_lattice(c2: EdgeCurrent, x_min: int, y_min: int, wl: int, hl: int,
-                params: ForceParams) -> np.ndarray:
-    """Unscaled vertical field of c2 on an integer lattice, chunked by rows."""
-    n = max(1, len(c2))
-    h = params.height_px
-    min_r2 = params.min_r * params.min_r
-    xs = (x_min + np.arange(wl, dtype=np.float64))[:, None]
-    out = np.empty((hl, wl), dtype=np.float64)
-    rows_per_chunk = max(1, int(4_000_000 // (wl * n)) or 1)
-    for y0 in range(0, hl, rows_per_chunk):
-        y1 = min(hl, y0 + rows_per_chunk)
-        pys = (y_min + np.arange(y0, y1, dtype=np.float64))[:, None, None]
-        dx = xs[None, :, :] - c2._xf[None, None, :]
-        dy = pys - c2._yf[None, None, :]
-        r2 = dx * dx + dy * dy + h * h
-        close = r2 < min_r2
-        r3 = r2 * np.sqrt(r2)
-        if close.any():
-            r3 = np.where(close, 1.0, r3)
-        term = (c2.tx * dy - c2.ty * dx) / r3
-        if close.any():
-            term = np.where(close, 0.0, term)
-        out[y0:y1] = np.sum(term, axis=2)
-    return out
-
-
 def force_map_fast(c1: EdgeCurrent, c2: EdgeCurrent,
                    params: ForceParams = ForceParams()) -> ForceMap:
     """force_map through a precomputed field lattice.
@@ -272,13 +272,13 @@ def force_map_fast(c1: EdgeCurrent, c2: EdgeCurrent,
         raise EmptyCurrentError("force_map_fast requires two non-empty currents")
     w, h = c2.width, c2.height
     ox, oy = w // 2, h // 2
-    x_min = int(c1.xs.min()) + (0 - ox)
-    x_max = int(c1.xs.max()) + (w - 1 - ox)
-    y_min = int(c1.ys.min()) + (0 - oy)
-    y_max = int(c1.ys.max()) + (h - 1 - oy)
-    wl = x_max - x_min + 1
-    hl = y_max - y_min + 1
-    lattice = _bz_lattice(c2, x_min, y_min, wl, hl, params)
+    x_min = int(c1.xs.min()) - ox
+    y_min = int(c1.ys.min()) - oy
+    xs = np.arange(x_min, int(c1.xs.max()) + w - ox, dtype=np.float64)
+    ys = np.arange(y_min, int(c1.ys.max()) + h - oy, dtype=np.float64)
+    # Unscaled vertical field of c2 on the lattice, one row per y.
+    lattice = _field_sums(c2, np.tile(xs, len(ys)), np.repeat(ys, len(xs)),
+                          params).reshape(len(ys), len(xs))
 
     fx = np.zeros((h, w), dtype=np.float64)
     fy = np.zeros((h, w), dtype=np.float64)

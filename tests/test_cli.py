@@ -241,6 +241,32 @@ def test_bad_strength_is_an_argument_error(shapes, capsys):
     assert "strength" in err
 
 
+@pytest.mark.parametrize("flag,value", [("--height", "nan"), ("--height", "inf"),
+                                        ("--strength", "nan"), ("--min-r", "nan"),
+                                        ("--strength", "-inf")])
+def test_non_finite_force_param_is_an_argument_error(shapes, tmp_path, capsys, flag, value):
+    out = tmp_path / "out"
+    code, _, err = run(capsys, "match", "--img1", str(shapes / "moved.pgm"),
+                       "--img2", str(shapes / "rect.pgm"), f"{flag}={value}",
+                       "--out-dir", str(out))
+    assert code == 2
+    assert "must be finite" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command,flag,value", [
+    ("match", "--max-steps", "0"), ("match", "--max-steps", "-3"),
+    ("classify", "--max-steps", "0"), ("map", "--workers", "0"),
+    ("classify", "--workers", "-1"), ("bench", "--workers", "0")])
+def test_count_below_one_is_an_argument_error(shapes, tmp_path, capsys, command, flag, value):
+    out = tmp_path / "out"
+    code, _, err = run(capsys, command, "--img1", str(shapes / "moved.pgm"),
+                       "--img2", str(shapes / "rect.pgm"), flag, value, "--out-dir", str(out))
+    assert code == 2
+    assert f"argument {flag}: must be at least 1" in err
+    assert not out.exists()  # rejected before any work
+
+
 def test_bench_reports_agreement(tmp_path, capsys):
     img = tmp_path / "sq.pgm"
     img.write_bytes(save_pgm(synth_shape("square", 16, 16, side=6)))

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from emmatch import (CurrentElement, EdgeCurrent, EmptyCurrentError, ForceMap,
                      ForceParams, Vec2, bz_at, force_map, force_map_fast,
                      force_map_tsv, force_on_element, pair_force, total_force)
+from emmatch.emforce import _BLOCK_TERMS
 from conftest import random_current
 
 T_EAST = CurrentElement(0, 0, 1.0, 0.0)
@@ -32,6 +33,13 @@ def test_force_params_validation():
         ForceParams(min_r=0.0)
     p = ForceParams()
     assert (p.strength, p.height_px, p.min_r) == (1.0, 0.0, 1e-9)
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("field", ["strength", "height_px", "min_r"])
+def test_force_params_reject_non_finite(field, value):
+    with pytest.raises(ValueError, match=f"{field} must be finite"):
+        ForceParams(**{field: value})
 
 
 def test_stacked_parallel_elements_attract_vertically():
@@ -133,20 +141,68 @@ def test_force_on_element_sums_pairs(seed):
     assert abs(got.z - fz) <= tol
 
 
-def test_total_force_accumulates_element_forces_exactly():
+def _small_case():
     rng = np.random.default_rng(7)
-    c1 = random_current(rng)
-    c2 = random_current(rng)
-    params = ForceParams(height_px=2.0)
-    shift = Vec2(3.0, -1.0)
-    total = total_force(c1, c2, shift, params)
-    fx = fy = fz = 0.0
-    for i in range(len(c1)):
-        f = force_on_element(c1.element(i), c2, shift, params)
-        fx += f.x
-        fy += f.y
-        fz += f.z
-    assert (total.x, total.y, total.z) == (fx, fy, fz)
+    return (random_current(rng), random_current(rng), Vec2(3.0, -1.0),
+            ForceParams(height_px=2.0))
+
+
+def _multi_block_case():
+    # 100 elements in c2 give blocks of _BLOCK_TERMS // 100 c1 rows; 401 c1
+    # elements span several blocks and leave a partial last one.
+    rng = np.random.default_rng(31)
+    c1 = random_current(rng, width=32, height=32, n=401)
+    c2 = random_current(rng, width=32, height=32, n=100)
+    assert len(c1) * len(c2) > 2 * _BLOCK_TERMS
+    assert len(c1) % (_BLOCK_TERMS // len(c2)) != 0
+    return c1, c2, Vec2(-2.0, 1.0), ForceParams(height_px=0.5)
+
+
+def _wide_c2_case():
+    # c2 alone exceeds a block, so every block holds a single c1 row.
+    rng = np.random.default_rng(37)
+    c2 = random_current(rng, width=140, height=140, n=_BLOCK_TERMS + 300)
+    return random_current(rng, n=5), c2, Vec2(40.0, 50.0), ForceParams()
+
+
+def _close_guard_case():
+    rng = np.random.default_rng(41)
+    c1, c2 = random_current(rng, n=40), random_current(rng, n=40)
+    shift, params = Vec2(1.0, 0.0), ForceParams(min_r=4.0)
+    d2 = ((c1.xs[:, None] + shift.x - c2.xs) ** 2
+          + (c1.ys[:, None] + shift.y - c2.ys) ** 2)
+    assert (d2 < params.min_r ** 2).any()
+    return c1, c2, shift, params
+
+
+def _negative_zero_case():
+    # Zero tangents with signs chosen so every x and y pair term is -0.0.
+    # Whatever sign the element sums carry, the running total starts at +0.0
+    # and must stay there.
+    c1 = EdgeCurrent(8, 8, np.array([1, 4, 6]), np.array([3, 5, 7]),
+                     np.array([0.0, 0.0, 0.0]), np.array([-0.0, -0.0, -0.0]))
+    c2 = single(2, 0, 1.0, 0.0)
+    params = ForceParams()
+    for el in c1:
+        f = pair_force(el, c2.element(0), Vec2(0.0, 0.0), params)
+        assert math.copysign(1.0, f.x) == math.copysign(1.0, f.y) == -1.0
+    return c1, c2, Vec2(0.0, 0.0), params
+
+
+def test_total_force_accumulates_element_forces_exactly():
+    for case in (_small_case, _multi_block_case, _wide_c2_case, _close_guard_case,
+                 _negative_zero_case):
+        c1, c2, shift, params = case()
+        total = total_force(c1, c2, shift, params)
+        fx = fy = fz = 0.0
+        for i in range(len(c1)):
+            f = force_on_element(c1.element(i), c2, shift, params)
+            fx += f.x
+            fy += f.y
+            fz += f.z
+        # Compare bytes, so the sign of a zero counts too.
+        got = np.array([total.x, total.y, total.z]).tobytes()
+        assert got == np.array([fx, fy, fz]).tobytes(), case.__name__
 
 
 def test_bz_at_drives_planar_force():
@@ -219,6 +275,24 @@ def test_fast_map_matches_naive_map():
     scale = max(float(np.abs(naive.fx).max()), float(np.abs(naive.fy).max()))
     assert float(np.abs(fast.fx - naive.fx).max()) <= 1e-9 * scale
     assert float(np.abs(fast.fy - naive.fy).max()) <= 1e-9 * scale
+
+
+def test_fast_map_folds_bz_at_over_first_current():
+    # A c2 of 200 elements makes the field lattice span several blocks.
+    rng = np.random.default_rng(29)
+    c1 = random_current(rng)
+    c2 = random_current(rng, width=20, height=20, n=200)
+    params = ForceParams(height_px=1.5)
+    fmap = force_map_fast(c1, c2, params)
+    for y in range(fmap.height):
+        for x in range(fmap.width):
+            fx = fy = 0.0
+            for i in range(len(c1)):
+                el = c1.element(i)
+                b = bz_at(c2, float(el.x + x - fmap.ox), float(el.y + y - fmap.oy), params)
+                fx += el.ty * b
+                fy += -el.tx * b
+            assert (float(fmap.fx[y, x]), float(fmap.fy[y, x])) == (fx, fy)
 
 
 @given(st.integers(0, 2 ** 32 - 1))
