@@ -16,10 +16,9 @@ Only the z component of B moves points in the image plane; the x and y
 components feed the (unused by matching) z force.  Pairs closer than min_r
 are skipped to avoid the singularity at zero separation.
 
-Array evaluations share one kernel (Bz, guarded |r|^3 and the min_r mask at
-many query points) under two blocked sums, per-element force rows and
-per-point field sums; pair_force is the scalar reference.  Summation always
-runs in element storage order, so repeated evaluations are bit-identical.
+Array evaluations share one in-place kernel (Bz, guarded |r|^3, min_r mask)
+under blocked force-row and field sums; pair_force is the scalar reference.
+Sums run in element storage order, so repeated evaluations are bit-identical.
 """
 
 from __future__ import annotations
@@ -124,9 +123,10 @@ def pair_force(t1: CurrentElement, t2: CurrentElement, shift1: Vec2,
                 (t1.tx * by - t1.ty * bx) / r3 * a)
 
 
-# Pair terms per block of the sums below.  Smaller blocks slow the field
-# lattice (4096: about 1.6x at 128 px); larger ones add peak memory.
-_BLOCK_TERMS = 1 << 14
+# Pair terms per block of the sums below.  With the in-place kernel a block's
+# few 64 KiB arrays stay below glibc's heap trim threshold, so no block faults
+# memory back in; smaller blocks slow the field lattice (1.3x at 4096).
+_BLOCK_TERMS = 1 << 13
 
 
 def _field_terms(c2: EdgeCurrent, px, py, params: ForceParams):
@@ -136,14 +136,22 @@ def _field_terms(c2: EdgeCurrent, px, py, params: ForceParams):
     """
     dx = px - c2._xf
     dy = py - c2._yf
-    h = params.height_px
-    r2 = dx * dx + dy * dy + h * h
-    close = r2 < params.min_r * params.min_r
-    r3 = r2 * np.sqrt(r2)
-    if close.any():
-        r3 = np.where(close, 1.0, r3)  # placeholder, the term is zeroed below
-    bz = c2.tx * dy - c2.ty * dx
-    return bz, r3, close
+    r3 = dx * dx
+    r3 += dy * dy
+    r3 += params.height_px * params.height_px  # r2, cubed in place below
+    close = r3 < params.min_r * params.min_r
+    r3 *= np.sqrt(r3)
+    np.copyto(r3, 1.0, where=close)  # placeholder, the term is zeroed later
+    dy *= c2.tx
+    dy -= np.multiply(dx, c2.ty, out=dx)  # Bz = t2x * dy - t2y * dx
+    return dy, r3, close
+
+
+def _row_sums(num: np.ndarray, r3: np.ndarray, close: np.ndarray) -> np.ndarray:
+    """Row sums of num / r3 without the close terms; num is overwritten."""
+    num /= r3
+    np.copyto(num, 0.0, where=close)
+    return np.sum(num, axis=1)
 
 
 def _blocks(n_rows: int, c2: EdgeCurrent):
@@ -160,17 +168,14 @@ def _force_rows(xs: np.ndarray, ys: np.ndarray, txs: np.ndarray, tys: np.ndarray
     order for the element at (xs[i], ys[i]) with tangent (txs[i], tys[i]).
     """
     out = np.empty((3, len(xs)), dtype=np.float64)
-    h = params.height_px
+    bx, by = c2.ty * params.height_px, -(c2.tx) * params.height_px
     for b in _blocks(len(xs), c2):
-        etx, ety = txs[b, None], tys[b, None]
         bz, r3, close = _field_terms(c2, xs[b, None], ys[b, None], params)
-        # Bx = t2y * h, By = -t2x * h
-        for k, num in enumerate((ety * bz, -(etx * bz),
-                                 etx * (-(c2.tx) * h) - ety * (c2.ty * h))):
-            f = num / r3
-            if close.any():
-                f = np.where(close, 0.0, f)
-            out[k, b] = np.sum(f, axis=1)
+        out[0, b] = _row_sums(tys[b, None] * bz, r3, close)
+        out[1, b] = _row_sums(-(txs[b, None]) * bz, r3, close)
+        fz = np.multiply(txs[b, None], by, out=bz)  # bz is no longer needed
+        fz -= tys[b, None] * bx
+        out[2, b] = _row_sums(fz, r3, close)
     return out
 
 
@@ -179,11 +184,7 @@ def _field_sums(c2: EdgeCurrent, px: np.ndarray, py: np.ndarray,
     """Vertical field of c2 without the strength factor at each point (px[i], py[i])."""
     out = np.empty(len(px), dtype=np.float64)
     for b in _blocks(len(px), c2):
-        bz, r3, close = _field_terms(c2, px[b, None], py[b, None], params)
-        term = bz / r3
-        if close.any():
-            term = np.where(close, 0.0, term)
-        out[b] = np.sum(term, axis=1)
+        out[b] = _row_sums(*_field_terms(c2, px[b, None], py[b, None], params))
     return out
 
 
@@ -276,7 +277,6 @@ def force_map_fast(c1: EdgeCurrent, c2: EdgeCurrent,
     y_min = int(c1.ys.min()) - oy
     xs = np.arange(x_min, int(c1.xs.max()) + w - ox, dtype=np.float64)
     ys = np.arange(y_min, int(c1.ys.max()) + h - oy, dtype=np.float64)
-    # Unscaled vertical field of c2 on the lattice, one row per y.
     lattice = _field_sums(c2, np.tile(xs, len(ys)), np.repeat(ys, len(xs)),
                           params).reshape(len(ys), len(xs))
 
