@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import time
 from pathlib import Path
@@ -24,8 +25,7 @@ from .emforce import (ForceMap, ForceParams, Vec2, force_map, force_map_fast,
 from .gradient import sobel_field
 from .matchmap import (ClassificationMap, Direction8, classification_rgb, classify_map,
                        match_images, match_result_json, summarize_map, _direction_of)
-from .raster import (GrayImage, PnmFormatError, load_pgm, save_pgm, save_ppm,
-                     shift_image, synth_shape)
+from .raster import GrayImage, load_pgm, save_pgm, save_ppm, shift_image, synth_shape
 
 GLYPHS = {
     Direction8.E: ">", Direction8.S: "v", Direction8.W: "<", Direction8.N: "^",
@@ -61,24 +61,17 @@ def render_classification_ppm(cls_map: ClassificationMap) -> bytes:
     return save_ppm(classification_rgb(cls_map))
 
 
-def _pair(text: str, what: str, cast) -> tuple:
-    parts = text.split(",")
-    if len(parts) != 2:
-        raise ArgumentCheckError(f"{what} must be two comma-separated numbers, got {text!r}")
+def _pair(text: str, what: str, cast, sep: str = ",") -> tuple:
+    """Parse two finite numbers joined by sep: "X,Y", or "WxH" with sep "x"."""
     try:
-        return (cast(parts[0]), cast(parts[1]))
+        values = tuple(cast(part) for part in text.lower().split(sep))
     except ValueError:
-        raise ArgumentCheckError(f"{what} must be two comma-separated numbers, got {text!r}")
-
-
-def _dims(text: str, what: str) -> tuple:
-    parts = text.lower().split("x")
-    if len(parts) != 2:
-        raise ArgumentCheckError(f"{what} must look like WxH, got {text!r}")
-    try:
-        return (float(parts[0]), float(parts[1]))
-    except ValueError:
-        raise ArgumentCheckError(f"{what} must look like WxH, got {text!r}")
+        values = ()
+    if len(values) != 2:
+        raise ArgumentCheckError(f"{what} must be two numbers joined by {sep!r}, got {text!r}")
+    if not all(math.isfinite(v) for v in values):
+        raise ArgumentCheckError(f"{what} must be finite, got {text!r}")
+    return values
 
 
 def _positive_int(text: str) -> int:
@@ -144,10 +137,10 @@ def _cmd_synth(args) -> int:
     if args.side is not None:
         kw["side"] = args.side
     if args.rect is not None:
-        rw, rh = _dims(args.rect, "--rect")
+        rw, rh = _pair(args.rect, "--rect", float, "x")
         kw["rect"] = (int(rw), int(rh))
     if args.semi_axes is not None:
-        kw["semi_axes"] = _dims(args.semi_axes, "--semi-axes")
+        kw["semi_axes"] = _pair(args.semi_axes, "--semi-axes", float, "x")
     if args.radius is not None:
         kw["radius"] = args.radius
     if args.length is not None:
@@ -225,7 +218,7 @@ def _build_map(args) -> ForceMap:
     c1, c2 = _currents_for(args)
     fp = _force_params(args)
     if args.mode == "naive":
-        return force_map(c1, c2, fp, workers=args.workers)
+        return force_map(c1, c2, fp)
     return force_map_fast(c1, c2, fp)
 
 
@@ -280,7 +273,7 @@ def _cmd_bench(args) -> int:
     c1, c2 = _currents_for(args)
     fp = _force_params(args)
     t0 = time.perf_counter()
-    naive = force_map(c1, c2, fp, workers=args.workers)
+    naive = force_map(c1, c2, fp)
     t1 = time.perf_counter()
     fast = force_map_fast(c1, c2, fp)
     t2 = time.perf_counter()
@@ -335,8 +328,6 @@ def _add_out_dir(p: argparse.ArgumentParser) -> None:
 def _add_map_mode(p: argparse.ArgumentParser) -> None:
     p.add_argument("--mode", choices=("fast", "naive"), default="fast",
                    help="map evaluator (default fast)")
-    p.add_argument("--workers", type=_positive_int, default=1,
-                   help="concurrent row evaluation for the naive mode (default 1)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -417,8 +408,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_pair_inputs(b)
     _add_edge_flags(b)
     _add_force_flags(b)
-    b.add_argument("--workers", type=_positive_int, default=1,
-                   help="concurrent rows for the naive evaluator (default 1)")
     _add_out_dir(b)
     b.set_defaults(func=_cmd_bench)
 
@@ -458,13 +447,7 @@ def main(argv=None) -> int:
     except ArgumentCheckError as e:
         print(f"emmatch: error: {e}", file=sys.stderr)
         return 2
-    except (PnmFormatError, EmptyCurrentError) as e:
-        print(f"emmatch: error: {e}", file=sys.stderr)
-        return 1
-    except ValueError as e:
-        print(f"emmatch: error: {e}", file=sys.stderr)
-        return 1
-    except OSError as e:
+    except (ValueError, OSError) as e:  # includes PnmFormatError, EmptyCurrentError
         print(f"emmatch: error: {e}", file=sys.stderr)
         return 1
 

@@ -17,14 +17,15 @@ components feed the (unused by matching) z force.  Pairs closer than min_r
 are skipped to avoid the singularity at zero separation.
 
 Array evaluations share one in-place kernel (Bz, guarded |r|^3, min_r mask)
-under blocked force-row and field sums; pair_force is the scalar reference.
-Sums run in element storage order, so repeated evaluations are bit-identical.
+under blocked force-row and field sums.  pair_force is the scalar reference
+for one pair, and force_map, one total_force call per shift, the reference for
+the map.  Sums run in element storage order, so repeated evaluations are
+bit-identical.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -228,14 +229,13 @@ def total_force(c1: EdgeCurrent, c2: EdgeCurrent, shift1: Vec2,
 
 
 def force_map(c1: EdgeCurrent, c2: EdgeCurrent,
-              params: ForceParams = ForceParams(),
-              workers: int = 1) -> ForceMap:
+              params: ForceParams = ForceParams()) -> ForceMap:
     """Evaluate the planar total force at every integer shift of c1.
 
     The grid covers x in [0, W) and y in [0, H) for the source dimensions
     W x H of c2; cell (x, y) maps to shift (x - ox, y - oy) with the origin
-    at (W // 2, H // 2).  Cells are independent; workers > 1 evaluates rows
-    concurrently with identical results.
+    at (W // 2, H // 2).  Each cell is one total_force call, evaluated in
+    row-major order.
     """
     if len(c1) == 0 or len(c2) == 0:
         raise EmptyCurrentError("force_map requires two non-empty currents")
@@ -243,19 +243,11 @@ def force_map(c1: EdgeCurrent, c2: EdgeCurrent,
     ox, oy = w // 2, h // 2
     fx = np.empty((h, w), dtype=np.float64)
     fy = np.empty((h, w), dtype=np.float64)
-
-    def fill_row(y: int) -> None:
+    for y in range(h):
         for x in range(w):
             f = total_force(c1, c2, Vec2(float(x - ox), float(y - oy)), params)
             fx[y, x] = f.x
             fy[y, x] = f.y
-
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(fill_row, range(h)))
-    else:
-        for y in range(h):
-            fill_row(y)
     return ForceMap(w, h, ox, oy, fx, fy)
 
 

@@ -198,6 +198,10 @@ def synth_shape(kind: str, width: int, height: int, *,
     """
     if width <= 0 or height <= 0:
         raise ValueError(f"image dimensions must be positive, got {width}x{height}")
+    # NaN fails every bounds comparison below, so it would draw an empty image.
+    for name, value in (("center", center), ("semi_axes", semi_axes), ("radius", radius)):
+        if value is not None and not np.all(np.isfinite(value)):
+            raise ValueError(f"{name} must be finite, got {value}")
     cx, cy = center if center is not None else (width / 2.0, height / 2.0)
     if kind == "square":
         s = side if side is not None else 3 * min(width, height) // 8

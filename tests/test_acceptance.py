@@ -186,10 +186,10 @@ def test_criterion_09_strength_invariance(rect_img, ellipse_img,
 def test_criterion_10_deterministic_reruns(rect_img):
     moved = shift_image(rect_img, 5, -4)
 
-    def pipeline(workers):
+    def pipeline():
         c1 = extract_current(moved)
         c2 = extract_current(rect_img)
-        naive = force_map(c1, c2, workers=workers)
+        naive = force_map(c1, c2)
         fast = force_map_fast(c1, c2)
         cls = classify_map(fast)
         result = match_images(moved, rect_img)
@@ -198,11 +198,9 @@ def test_criterion_10_deterministic_reruns(rect_img):
                 classification_rgb(cls).tobytes(),
                 json.dumps(match_result_json(result), sort_keys=True).encode())
 
-    first = pipeline(workers=1)
-    again = pipeline(workers=1)
-    parallel = pipeline(workers=4)
+    first = pipeline()
+    again = pipeline()
     assert first == again
-    assert first == parallel
 
 
 def test_criterion_11_constructed_map_outcomes():

@@ -171,7 +171,7 @@ def test_classify_naive_mode_agrees(tmp_path, capsys):
     assert run(capsys, "classify", "--img1", str(img), "--img2", str(img),
                "--out-dir", str(fast_dir))[0] == 0
     assert run(capsys, "classify", "--img1", str(img), "--img2", str(img),
-               "--mode", "naive", "--workers", "4", "--out-dir", str(naive_dir))[0] == 0
+               "--mode", "naive", "--out-dir", str(naive_dir))[0] == 0
     assert ((fast_dir / "classification.json").read_bytes()
             == (naive_dir / "classification.json").read_bytes())
 
@@ -254,10 +254,26 @@ def test_non_finite_force_param_is_an_argument_error(shapes, tmp_path, capsys, f
     assert not out.exists()
 
 
+@pytest.mark.parametrize("argv", [
+    ["force", "--shift", "nan,0"], ["force", "--shift", "inf,0"],
+    ["synth", "--kind", "circle", "--center", "nan,nan"],
+    ["synth", "--kind", "circle", "--radius", "nan"],
+    ["synth", "--kind", "ellipse", "--semi-axes", "nanx3"],
+    ["synth", "--kind", "rectangle", "--rect", "infx8"]],
+    ids=["shift-nan", "shift-inf", "center-nan", "radius-nan", "semi-axes-nan", "rect-inf"])
+def test_non_finite_geometry_is_an_argument_error(shapes, tmp_path, capsys, argv):
+    out = tmp_path / "x.pgm"
+    inputs = (["--img1", str(shapes / "rect.pgm"), "--img2", str(shapes / "rect.pgm")]
+              if argv[0] == "force" else ["--out", str(out)])
+    code, stdout, err = run(capsys, *argv, *inputs)
+    assert code == 2
+    assert "must be finite" in err
+    assert stdout == "" and not out.exists()
+
+
 @pytest.mark.parametrize("command,flag,value", [
     ("match", "--max-steps", "0"), ("match", "--max-steps", "-3"),
-    ("classify", "--max-steps", "0"), ("map", "--workers", "0"),
-    ("classify", "--workers", "-1"), ("bench", "--workers", "0")])
+    ("classify", "--max-steps", "0")])
 def test_count_below_one_is_an_argument_error(shapes, tmp_path, capsys, command, flag, value):
     out = tmp_path / "out"
     code, _, err = run(capsys, command, "--img1", str(shapes / "moved.pgm"),
@@ -265,6 +281,17 @@ def test_count_below_one_is_an_argument_error(shapes, tmp_path, capsys, command,
     assert code == 2
     assert f"argument {flag}: must be at least 1" in err
     assert not out.exists()  # rejected before any work
+
+
+@pytest.mark.parametrize("command", ["map", "classify", "bench"])
+def test_workers_flag_is_rejected(shapes, tmp_path, capsys, command):
+    out = tmp_path / "out"
+    code, _, err = run(capsys, command, "--img1", str(shapes / "moved.pgm"),
+                       "--img2", str(shapes / "rect.pgm"), "--workers", "2",
+                       "--out-dir", str(out))
+    assert code == 2
+    assert "unrecognized arguments: --workers 2" in err
+    assert not out.exists()
 
 
 def test_bench_reports_agreement(tmp_path, capsys):

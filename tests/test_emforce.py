@@ -254,16 +254,6 @@ def test_map_cells_hold_total_force():
         assert (got.x, got.y) == (want.x, want.y)
 
 
-def test_workers_do_not_change_results():
-    rng = np.random.default_rng(13)
-    c1 = random_current(rng)
-    c2 = random_current(rng)
-    one = force_map(c1, c2, workers=1)
-    four = force_map(c1, c2, workers=4)
-    assert np.array_equal(one.fx, four.fx)
-    assert np.array_equal(one.fy, four.fy)
-
-
 def test_fast_map_matches_naive_map():
     rng = np.random.default_rng(17)
     c1 = random_current(rng)

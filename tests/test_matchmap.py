@@ -240,7 +240,7 @@ class TestShapeBasins:
 
     def test_fast_and_reference_maps_classify_identically(self, rect_current):
         params = ForceParams(height_px=8.0)
-        a = classify_map(force_map(rect_current, rect_current, params, workers=4))
+        a = classify_map(force_map(rect_current, rect_current, params))
         b = classify_map(force_map_fast(rect_current, rect_current, params))
         assert np.array_equal(a.codes, b.codes)
 

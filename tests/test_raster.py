@@ -152,6 +152,13 @@ def test_shape_exceeding_bounds_rejected():
         synth_shape("ellipse", 16, 16, semi_axes=(10.0, 3.0))
     with pytest.raises(ValueError):
         synth_shape("square", 32, 32, side=8, center=(30.0, 16.0))
+    # NaN fails every bounds comparison; it must not draw an empty image.
+    nan, inf = float("nan"), float("inf")
+    for kind, kw in [("circle", {"radius": nan}), ("circle", {"radius": inf}),
+                     ("circle", {"center": (nan, nan)}), ("square", {"center": (inf, 16.0)}),
+                     ("ellipse", {"semi_axes": (nan, 3.0)})]:
+        with pytest.raises(ValueError, match="must be finite"):
+            synth_shape(kind, 32, 32, **kw)
 
 
 def test_unknown_kind_rejected():
