@@ -2,8 +2,9 @@
 
 Subcommands cover the full pipeline: synthesize test shapes, extract edge
 masks and currents, evaluate forces and force maps, classify the shift
-grid, match image pairs, and benchmark the two map evaluators.  Exit codes:
-0 success, 2 bad arguments or unreadable input, 1 processing failure.
+grid, and match image pairs.  Maps come from force_map_fast; the library's
+force_map is its reference.  Exit codes: 0 success, 2 bad arguments or
+unreadable input, 1 processing failure.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ import argparse
 import json
 import math
 import sys
-import time
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -20,8 +21,8 @@ import numpy as np
 from .edgecurrent import (EdgeCurrent, EdgeParams, EmptyCurrentError, build_current,
                           current_tsv, extract_current, mask_image, nms_mask,
                           threshold_mask)
-from .emforce import (ForceMap, ForceParams, Vec2, force_map, force_map_fast,
-                      force_map_tsv, total_force)
+from .emforce import (ForceMap, ForceParams, Vec2, force_map_fast, force_map_tsv,
+                      total_force)
 from .gradient import sobel_field
 from .matchmap import (ClassificationMap, Direction8, classification_rgb, classify_map,
                        match_images, match_result_json, summarize_map, _direction_of)
@@ -138,6 +139,8 @@ def _cmd_synth(args) -> int:
         kw["side"] = args.side
     if args.rect is not None:
         rw, rh = _pair(args.rect, "--rect", float, "x")
+        if not (rw.is_integer() and rh.is_integer()):
+            raise ArgumentCheckError(f"--rect sides must be whole numbers, got {args.rect!r}")
         kw["rect"] = (int(rw), int(rh))
     if args.semi_axes is not None:
         kw["semi_axes"] = _pair(args.semi_axes, "--semi-axes", float, "x")
@@ -214,16 +217,9 @@ def _cmd_force(args) -> int:
     return 0
 
 
-def _build_map(args) -> ForceMap:
-    c1, c2 = _currents_for(args)
-    fp = _force_params(args)
-    if args.mode == "naive":
-        return force_map(c1, c2, fp)
-    return force_map_fast(c1, c2, fp)
-
-
 def _cmd_map(args) -> int:
-    fmap = _build_map(args)
+    c1, c2 = _currents_for(args)
+    fmap = force_map_fast(c1, c2, _force_params(args))
     out = _out_dir(args)
     (out / "force_map.tsv").write_bytes(force_map_tsv(fmap).encode("utf-8"))
     (out / "force_map.txt").write_bytes(render_direction_glyphs(fmap).encode("utf-8"))
@@ -233,8 +229,11 @@ def _cmd_map(args) -> int:
 
 
 def _cmd_classify(args) -> int:
-    fmap = _build_map(args)
-    cls = classify_map(fmap, max_steps=args.max_steps)
+    c1, c2 = _currents_for(args)
+    # Labels carry no magnitudes; at unit strength the zero-force cutoff
+    # cannot turn a weakly scaled force into a balance.
+    fp = replace(_force_params(args), strength=1.0)
+    cls = classify_map(force_map_fast(c1, c2, fp), max_steps=args.max_steps)
     out = _out_dir(args)
     (out / "classification.ppm").write_bytes(render_classification_ppm(cls))
     summary = summarize_map(cls)
@@ -269,33 +268,6 @@ def _cmd_match(args) -> int:
     return 0
 
 
-def _cmd_bench(args) -> int:
-    c1, c2 = _currents_for(args)
-    fp = _force_params(args)
-    t0 = time.perf_counter()
-    naive = force_map(c1, c2, fp)
-    t1 = time.perf_counter()
-    fast = force_map_fast(c1, c2, fp)
-    t2 = time.perf_counter()
-    diff = max(float(np.max(np.abs(fast.fx - naive.fx))),
-               float(np.max(np.abs(fast.fy - naive.fy))))
-    scale = max(float(np.max(np.abs(naive.fx))), float(np.max(np.abs(naive.fy))))
-    report = {
-        "cells": naive.width * naive.height,
-        "elements": [len(c1), len(c2)],
-        "naive_seconds": t1 - t0,
-        "fast_seconds": t2 - t1,
-        "speedup": (t1 - t0) / (t2 - t1) if t2 > t1 else float("inf"),
-        "max_abs_difference": diff,
-        "max_abs_force": scale,
-    }
-    out = _out_dir(args)
-    _write_json(out / "bench.json", report)
-    print(f"naive {report['naive_seconds']:.4f}s, fast {report['fast_seconds']:.4f}s, "
-          f"speedup {report['speedup']:.1f}x, max diff {diff:.3e}")
-    return 0
-
-
 def _add_edge_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--threshold", type=float, default=0.20,
                    help="edge threshold as a fraction of the max gradient magnitude "
@@ -323,11 +295,6 @@ def _add_pair_inputs(p: argparse.ArgumentParser) -> None:
 
 def _add_out_dir(p: argparse.ArgumentParser) -> None:
     p.add_argument("--out-dir", default=".", help="directory for output files (default .)")
-
-
-def _add_map_mode(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--mode", choices=("fast", "naive"), default="fast",
-                   help="map evaluator (default fast)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -380,7 +347,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_pair_inputs(m)
     _add_edge_flags(m)
     _add_force_flags(m)
-    _add_map_mode(m)
     _add_out_dir(m)
     m.set_defaults(func=_cmd_map)
 
@@ -388,7 +354,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_pair_inputs(k)
     _add_edge_flags(k)
     _add_force_flags(k)
-    _add_map_mode(k)
     k.add_argument("--max-steps", type=_positive_int,
                    help="walk budget (default 4*W*H)")
     _add_out_dir(k)
@@ -403,13 +368,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="walk budget (default 4*W*H)")
     _add_out_dir(t)
     t.set_defaults(func=_cmd_match)
-
-    b = sub.add_parser("bench", help="time the naive and fast map evaluators")
-    _add_pair_inputs(b)
-    _add_edge_flags(b)
-    _add_force_flags(b)
-    _add_out_dir(b)
-    b.set_defaults(func=_cmd_bench)
 
     return p
 

@@ -69,6 +69,8 @@ class ForceParams:
             raise ValueError(f"height_px must be nonnegative, got {self.height_px}")
         if self.min_r <= 0.0:
             raise ValueError(f"min_r must be positive, got {self.min_r}")
+        if self.min_r * self.min_r == 0.0:  # the squared cutoff the kernels compare
+            raise ValueError(f"min_r must have a nonzero square, got {self.min_r}")
 
 
 @dataclass(frozen=True, eq=False)

@@ -12,7 +12,7 @@ same walk run on forces computed on the fly, starting from shift zero.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 from typing import Callable
 
@@ -314,7 +314,8 @@ def match_images(img1: GrayImage, img2: GrayImage,
     balance (no force, or a two-cell oscillation) is a match; the detected
     shift is the negated final offset.  Walking the translated center out
     of the second image's grid is Diverged; exceeding the step budget is
-    Trapped.
+    Trapped.  The walk uses unit strength, so the result does not depend on
+    force_params.strength.
     """
     c1 = extract_current(img1, edge_params, smooth=smooth)
     c2 = extract_current(img2, edge_params, smooth=smooth)
@@ -330,8 +331,10 @@ def match_images(img1: GrayImage, img2: GrayImage,
     if not (0 <= start[0] < w and 0 <= start[1] < h):
         raise ValueError(f"start offset {start_offset} leaves the {w}x{h} shift grid")
 
+    unit = replace(force_params, strength=1.0)
+
     def force_at(x: int, y: int) -> tuple[float, float]:
-        f = total_force(c1, c2, Vec2(float(x - ox), float(y - oy)), force_params)
+        f = total_force(c1, c2, Vec2(float(x - ox), float(y - oy)), unit)
         return f.x, f.y
 
     trace = _walk(force_at, start, w, h, (ox, oy), False, max_steps)

@@ -1,6 +1,8 @@
 import importlib.metadata
 import json
 import os
+import re
+import shlex
 import shutil
 import subprocess
 import sys
@@ -14,7 +16,7 @@ from emmatch import (EdgeParams, ForceParams, GrayImage, Vec2, classify_map,
                      current_tsv, extract_current, force_map_fast,
                      force_map_tsv, load_pgm, save_pgm, shift_image,
                      synth_shape, total_force)
-from emmatch.cli import main, render_classification_ppm
+from emmatch.cli import build_parser, main, render_classification_ppm
 
 GLYPH_SET = set(">v<^\\/`,.")
 
@@ -88,10 +90,12 @@ def test_synth_rejects_oversized_shape(tmp_path, capsys):
 
 
 def test_synth_rejects_malformed_rect(tmp_path, capsys):
-    code, _, err = run(capsys, "synth", "--kind", "rectangle", "--rect", "16by8",
-                       "--out", str(tmp_path / "x.pgm"))
-    assert code == 2
-    assert "--rect" in err
+    for rect in ("16by8", "2.5x3"):
+        code, stdout, err = run(capsys, "synth", "--kind", "rectangle", "--rect", rect,
+                                "--out", str(tmp_path / "x.pgm"))
+        assert code == 2
+        assert "--rect" in err
+        assert stdout == "" and not (tmp_path / "x.pgm").exists()
 
 
 def test_edges_outputs(shapes, tmp_path, capsys):
@@ -163,17 +167,14 @@ def test_classify_outputs(shapes, tmp_path, capsys):
     assert "convergence 999" in stdout
 
 
-def test_classify_naive_mode_agrees(tmp_path, capsys):
-    img = tmp_path / "sq.pgm"
-    img.write_bytes(save_pgm(synth_shape("square", 16, 16, side=6)))
-    fast_dir = tmp_path / "fast"
-    naive_dir = tmp_path / "naive"
-    assert run(capsys, "classify", "--img1", str(img), "--img2", str(img),
-               "--out-dir", str(fast_dir))[0] == 0
-    assert run(capsys, "classify", "--img1", str(img), "--img2", str(img),
-               "--mode", "naive", "--out-dir", str(naive_dir))[0] == 0
-    assert ((fast_dir / "classification.json").read_bytes()
-            == (naive_dir / "classification.json").read_bytes())
+def test_classify_ignores_strength(shapes, tmp_path, capsys):
+    dirs = [tmp_path / "default", tmp_path / "weak"]
+    for d, extra in zip(dirs, ([], ["--strength", "1e-20"])):
+        assert run(capsys, "classify", "--img1", str(shapes / "rect.pgm"),
+                   "--img2", str(shapes / "rect.pgm"), "--height", "8",
+                   *extra, "--out-dir", str(d))[0] == 0
+    for name in ("classification.json", "classification.ppm"):
+        assert (dirs[0] / name).read_bytes() == (dirs[1] / name).read_bytes()
 
 
 def test_match_outputs(shapes, tmp_path, capsys):
@@ -235,10 +236,14 @@ def test_bad_threshold_is_an_argument_error(shapes, tmp_path, capsys):
 
 
 def test_bad_strength_is_an_argument_error(shapes, capsys):
-    code, _, err = run(capsys, "force", "--img1", str(shapes / "rect.pgm"),
-                       "--img2", str(shapes / "rect.pgm"), "--strength", "0")
-    assert code == 2
-    assert "strength" in err
+    # A min_r whose square underflows to 0.0 would disable the close-pair guard.
+    for flag, value, message in (("--strength", "0", "strength"),
+                                 ("--min-r", "1e-200", "min_r must have a nonzero square")):
+        code, stdout, err = run(capsys, "force", "--img1", str(shapes / "rect.pgm"),
+                                "--img2", str(shapes / "rect.pgm"), flag, value)
+        assert code == 2
+        assert message in err
+        assert stdout == ""
 
 
 @pytest.mark.parametrize("flag,value", [("--height", "nan"), ("--height", "inf"),
@@ -283,7 +288,7 @@ def test_count_below_one_is_an_argument_error(shapes, tmp_path, capsys, command,
     assert not out.exists()  # rejected before any work
 
 
-@pytest.mark.parametrize("command", ["map", "classify", "bench"])
+@pytest.mark.parametrize("command", ["map", "classify"])
 def test_workers_flag_is_rejected(shapes, tmp_path, capsys, command):
     out = tmp_path / "out"
     code, _, err = run(capsys, command, "--img1", str(shapes / "moved.pgm"),
@@ -294,17 +299,18 @@ def test_workers_flag_is_rejected(shapes, tmp_path, capsys, command):
     assert not out.exists()
 
 
-def test_bench_reports_agreement(tmp_path, capsys):
-    img = tmp_path / "sq.pgm"
-    img.write_bytes(save_pgm(synth_shape("square", 16, 16, side=6)))
-    code, stdout, _ = run(capsys, "bench", "--img1", str(img), "--img2", str(img),
-                          "--out-dir", str(tmp_path))
-    assert code == 0
-    doc = json.loads((tmp_path / "bench.json").read_text())
-    assert doc["cells"] == 256
-    assert doc["naive_seconds"] > 0 and doc["fast_seconds"] > 0
-    assert doc["max_abs_difference"] <= 1e-9 * max(doc["max_abs_force"], 1.0)
-    assert "speedup" in stdout
+@pytest.mark.parametrize("argv,message", [
+    (["bench"], "invalid choice: 'bench'"),
+    (["map", "--mode", "naive"], "unrecognized arguments: --mode naive"),
+    (["classify", "--mode", "naive"], "unrecognized arguments: --mode naive")],
+    ids=["bench", "map-mode", "classify-mode"])
+def test_map_evaluator_selection_is_gone(shapes, tmp_path, capsys, argv, message):
+    out = tmp_path / "out"
+    code, stdout, err = run(capsys, *argv, "--img1", str(shapes / "moved.pgm"),
+                            "--img2", str(shapes / "rect.pgm"), "--out-dir", str(out))
+    assert code == 2
+    assert message in err
+    assert stdout == "" and not out.exists()
 
 
 def test_reruns_are_byte_identical(shapes, tmp_path, capsys):
@@ -318,7 +324,9 @@ def test_reruns_are_byte_identical(shapes, tmp_path, capsys):
         assert (dirs[0] / name).read_bytes() == (dirs[1] / name).read_bytes()
 
 
-PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
+ROOT = Path(__file__).resolve().parents[1]
+PYPROJECT = ROOT / "pyproject.toml"
+README = ROOT / "README.md"
 
 
 def declared_console_script(name):
@@ -330,6 +338,18 @@ def declared_console_script(name):
     return scripts[name]
 
 
+def run_python(code, argv=(), cwd=None):
+    """Run `code` in a fresh interpreter that imports this process's emmatch."""
+    # Lead the child's path with the directory this process imported emmatch
+    # from, so it runs the same code as the in-process tests.
+    package_root = str(Path(emmatch.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [package_root] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    return subprocess.run([sys.executable, "-c", code, *argv], cwd=cwd, env=env,
+                          capture_output=True, text=True)
+
+
 def run_console_script(target, argv, cwd):
     """Run `target` in a fresh interpreter the way pip's console-script wrapper does."""
     module, _, attr = target.partition(":")
@@ -337,14 +357,7 @@ def run_console_script(target, argv, cwd):
                f"from {module} import {attr}\n"
                f"sys.argv[0] = 'emmatch'\n"
                f"sys.exit({attr}())\n")
-    # Lead the child's path with the directory this process imported emmatch
-    # from, so it runs the same code as the in-process tests.
-    package_root = str(Path(emmatch.__file__).resolve().parents[1])
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        [package_root] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
-    return subprocess.run([sys.executable, "-c", wrapper, *argv], cwd=cwd, env=env,
-                          capture_output=True, text=True)
+    return run_python(wrapper, argv, cwd)
 
 
 def test_console_entry_point(tmp_path):
@@ -375,3 +388,34 @@ def test_help_exits_cleanly(capsys):
     code, stdout, _ = run(capsys, "--help")
     assert code == 0
     assert "synth" in stdout and "match" in stdout
+
+
+def test_cli_imports_no_undeclared_dependency():
+    # numpy is the only declared runtime dependency; scipy merely happens to
+    # be installed, and the retired map thread pool used concurrent.futures.
+    proc = run_python("import sys, emmatch.cli\n"
+                      "print(','.join(m for m in ('scipy', 'concurrent.futures')"
+                      " if m in sys.modules))")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == ""
+
+
+def test_readme_documents_the_cli(tmp_path, monkeypatch, capsys):
+    text = README.read_text(encoding="utf-8")
+    table = text.split("Subcommands:", 1)[1].split("Common flags", 1)[0]
+    documented = re.findall(r"^\| `([a-z]+)` ", table, re.M)
+    (subparsers,) = [a for a in build_parser()._actions if a.choices and a.dest == "command"]
+    assert documented == list(subparsers.choices)
+
+    round_trip = re.search(r"round trip.*?```sh\n(.*?)```", text, re.S).group(1)
+    monkeypatch.chdir(tmp_path)
+    for line in round_trip.splitlines():
+        prog, *argv = shlex.split(line)
+        assert prog == "emmatch"
+        code, stdout, err = run(capsys, *argv)
+        assert code == 0, err
+    shown = re.search(r"```json\n(.*?)\n```", text, re.S).group(1)
+    want = json.loads(shown.split(', "path"', 1)[0] + "}")
+    assert set(want) == {"detected_shift", "status", "steps"}
+    got = json.loads(stdout)
+    assert {key: got[key] for key in want} == want

@@ -31,6 +31,8 @@ def test_force_params_validation():
         ForceParams(height_px=-1.0)
     with pytest.raises(ValueError):
         ForceParams(min_r=0.0)
+    with pytest.raises(ValueError, match="nonzero square"):
+        ForceParams(min_r=1e-200)  # squares to 0.0, which no distance is below
     p = ForceParams()
     assert (p.strength, p.height_px, p.min_r) == (1.0, 0.0, 1e-9)
 

@@ -2,13 +2,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from emmatch import (ClassificationMap, Direction8, EmptyCurrentError,
                      ForceMap, ForceParams, GrayImage, Label, MatchStatus,
                      PathStatus, Vec2, classification_rgb, classify_map,
-                     discretize8, follow_path, force_map, force_map_fast,
-                     match_images, match_result_json, shift_image,
-                     summarize_map, synth_shape)
+                     discretize8, extract_current, follow_path, force_map,
+                     force_map_fast, match_images, match_result_json,
+                     shift_image, summarize_map, synth_shape)
 from emmatch.matchmap import ZERO_FORCE_EPS
 
 C = math.cos(math.radians(22.5))
@@ -239,10 +241,12 @@ class TestShapeBasins:
                                       "locally_trapped": 0}
 
     def test_fast_and_reference_maps_classify_identically(self, rect_current):
-        params = ForceParams(height_px=8.0)
-        a = classify_map(force_map(rect_current, rect_current, params))
-        b = classify_map(force_map_fast(rect_current, rect_current, params))
-        assert np.array_equal(a.codes, b.codes)
+        square = extract_current(synth_shape("square", 16, 16, side=6))
+        for current, params in ((rect_current, ForceParams(height_px=8.0)),
+                                (square, ForceParams())):
+            a = classify_map(force_map(current, current, params))
+            b = classify_map(force_map_fast(current, current, params))
+            assert np.array_equal(a.codes, b.codes)
 
 
 class TestRendering:
@@ -287,11 +291,24 @@ class TestMatchImages:
     def test_walk_equals_reference_map_walk(self, rect_img):
         moved = shift_image(rect_img, 5, -4)
         result = match_images(moved, rect_img)
-        from emmatch import extract_current
         fmap = force_map(extract_current(moved), extract_current(rect_img))
         trace = follow_path(fmap, fmap.origin, stop_at_origin=False)
         assert trace.positions == result.path.positions
         assert trace.terminal == result.path.terminal
+
+    @given(st.floats(-30.0, 30.0))
+    @example(-30.0)
+    @example(-20.0)
+    @example(-12.0)
+    @example(30.0)
+    @settings(max_examples=20, deadline=None)
+    def test_result_does_not_depend_on_strength(self, rect_img, exponent):
+        moved = shift_image(rect_img, 5, -4)
+        for h in (0.0, 8.0):
+            base = match_images(moved, rect_img, force_params=ForceParams(height_px=h))
+            scaled = match_images(moved, rect_img, force_params=ForceParams(
+                strength=10.0 ** exponent, height_px=h))
+            assert scaled == base
 
     def test_divergent_start_reports_diverged(self, rect_img):
         result = match_images(rect_img, rect_img,
