@@ -219,10 +219,14 @@ def _cmd_force(args) -> int:
 
 def _cmd_map(args) -> int:
     c1, c2 = _currents_for(args)
-    fmap = force_map_fast(c1, c2, _force_params(args))
+    fp = _force_params(args)
+    # Glyphs come from the unit-strength map, as classify's labels do, so the
+    # zero-force cutoff cannot turn a weakly scaled force into a balance.
+    unit = force_map_fast(c1, c2, replace(fp, strength=1.0))
+    fmap = unit.scaled(fp.strength)  # force_map_fast's own last step
     out = _out_dir(args)
     (out / "force_map.tsv").write_bytes(force_map_tsv(fmap).encode("utf-8"))
-    (out / "force_map.txt").write_bytes(render_direction_glyphs(fmap).encode("utf-8"))
+    (out / "force_map.txt").write_bytes(render_direction_glyphs(unit).encode("utf-8"))
     print(f"wrote {out / 'force_map.tsv'} and {out / 'force_map.txt'} "
           f"({fmap.width}x{fmap.height}, origin {fmap.origin})")
     return 0
@@ -305,6 +309,8 @@ def build_parser() -> argparse.ArgumentParser:
         epilog="Direction glyphs in text outputs: > v < ^ east south west north, "
                "\\ southeast, / southwest, ` northeast, , northwest, . balanced.")
     sub = p.add_subparsers(dest="command", required=True)
+    max_steps_help = ("walk budget; a spent budget or a cycle of 3+ cells is trapped "
+                      "(default none: every walk ends by its first revisited cell)")
 
     s = sub.add_parser("synth", help="rasterize a synthetic test shape to PGM")
     s.add_argument("--kind", required=True,
@@ -354,8 +360,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_pair_inputs(k)
     _add_edge_flags(k)
     _add_force_flags(k)
-    k.add_argument("--max-steps", type=_positive_int,
-                   help="walk budget (default 4*W*H)")
+    k.add_argument("--max-steps", type=_positive_int, help=max_steps_help)
     _add_out_dir(k)
     k.set_defaults(func=_cmd_classify)
 
@@ -364,8 +369,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_edge_flags(t)
     _add_force_flags(t)
     t.add_argument("--start", help="initial offset on the shift grid as DX,DY (default 0,0)")
-    t.add_argument("--max-steps", type=_positive_int,
-                   help="walk budget (default 4*W*H)")
+    t.add_argument("--max-steps", type=_positive_int, help=max_steps_help)
     _add_out_dir(t)
     t.set_defaults(func=_cmd_match)
 

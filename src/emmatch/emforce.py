@@ -78,7 +78,8 @@ class ForceMap:
     """Planar total force for every integer shift of the first current.
 
     Cell (x, y) holds the in-plane force at shift (x - ox, y - oy); the
-    origin cell (ox, oy) is the zero-shift configuration.
+    origin cell (ox, oy) is the zero-shift configuration.  Every cell must
+    be finite.
     """
 
     width: int
@@ -94,12 +95,20 @@ class ForceMap:
             if arr.shape != (self.height, self.width):
                 raise ValueError(f"{name} shape {arr.shape} does not match "
                                  f"({self.height}, {self.width})")
+            if not np.isfinite(arr).all():
+                raise ValueError(f"force map {name} is not finite in every cell")
             arr.flags.writeable = False
             object.__setattr__(self, name, arr)
 
     @property
     def origin(self) -> tuple[int, int]:
         return (self.ox, self.oy)
+
+    def scaled(self, factor: float) -> ForceMap:
+        """This map with every force multiplied by factor."""
+        with np.errstate(over="ignore"):  # an overflow fails the finite check
+            return ForceMap(self.width, self.height, self.ox, self.oy,
+                            self.fx * factor, self.fy * factor)
 
     def cell(self, x: int, y: int) -> Vec2:
         if not (0 <= x < self.width and 0 <= y < self.height):
@@ -220,14 +229,17 @@ def total_force(c1: EdgeCurrent, c2: EdgeCurrent, shift1: Vec2,
     Accumulates element contributions over c1 in storage order.  The
     strength factor multiplies the final sums once, so changing it scales
     the result without disturbing its direction, even where the components
-    nearly cancel.
+    nearly cancel.  A scaled result that is not finite raises ValueError.
     """
     rows = _force_rows(c1._xf + shift1.x, c1._yf + shift1.y, c1.tx, c1.ty, c2, params)
     # Fold the element sums left to right from +0.0, exactly as a running
     # float total would; the leading zero turns an all -0.0 row into +0.0.
     fx, fy, fz = np.cumsum(np.concatenate((np.zeros((3, 1)), rows), axis=1), axis=1)[:, -1]
     a = params.strength
-    return Vec3(float(fx) * a, float(fy) * a, float(fz) * a)
+    f = Vec3(float(fx) * a, float(fy) * a, float(fz) * a)
+    if not (math.isfinite(f.x) and math.isfinite(f.y) and math.isfinite(f.z)):
+        raise ValueError(f"total force {f} is not finite at strength {a!r}")
+    return f
 
 
 def force_map(c1: EdgeCurrent, c2: EdgeCurrent,
@@ -284,7 +296,7 @@ def force_map_fast(c1: EdgeCurrent, c2: EdgeCurrent,
         fx += float(c1.ty[i]) * win
         fy += (-float(c1.tx[i])) * win
     # Strength scales the final sums once, as in total_force.
-    return ForceMap(w, h, ox, oy, fx * params.strength, fy * params.strength)
+    return ForceMap(w, h, ox, oy, fx, fy).scaled(params.strength)
 
 
 def force_map_tsv(fmap: ForceMap) -> str:

@@ -3,7 +3,8 @@
 A planar force picks one of eight neighbor moves (or none, at balance).
 Following those moves from a start cell traces a path that ends in one of
 four ways: it reaches the zero-shift origin, it oscillates around a balance
-point, it walks off the grid, or it exhausts the step budget.  Classifying
+point, it walks off the grid, or it hits the step limit: an optional budget
+is spent, or the walk closes a cycle of three or more cells.  Classifying
 every cell by its path outcome splits the grid into a convergence basin,
 divergent cells, and locally trapped cells.  Matching two images is the
 same walk run on forces computed on the fly, starting from shift zero.
@@ -102,7 +103,9 @@ class PathTrace:
 
     For a balance oscillation the terminal is the oscillating cell with the
     smaller force magnitude (ties keep the earlier-visited one), which may
-    differ from the last path position.
+    differ from the last path position.  STEP_LIMIT means the budget was
+    spent or the next move would close a cycle of three or more cells; the
+    path then holds no repeated cell, and the terminal is its last one.
     """
 
     positions: tuple[tuple[int, int], ...]
@@ -117,44 +120,43 @@ class PathTrace:
 def _walk(force_at: Callable[[int, int], tuple[float, float]],
           start: tuple[int, int], width: int, height: int,
           origin: tuple[int, int], stop_at_origin: bool,
-          max_steps: int) -> PathTrace:
-    """Shared stepping engine for map walks and on-the-fly matching."""
+          max_steps: int | None) -> PathTrace:
+    """Shared stepping engine for map walks and on-the-fly matching.
+
+    A move depends only on the cell, so the walk ends at its first move onto
+    a visited cell: a bounce, or a cycle of three or more cells.
+    """
+    if max_steps is not None and max_steps < 1:
+        raise ValueError(f"max_steps must be at least 1, got {max_steps}")
     positions = [start]
+    visited = {start}
     px, py = start
     fx, fy = force_at(px, py)
-    steps = 0
     while True:
         d = _direction_of(fx, fy)
         if d is None:
             return PathTrace(tuple(positions), PathStatus.BALANCE_OSCILLATION, (px, py))
-        if steps >= max_steps:
+        if max_steps is not None and len(positions) > max_steps:
             return PathTrace(tuple(positions), PathStatus.STEP_LIMIT, (px, py))
         dx, dy = d.step
         nx, ny = px + dx, py + dy
-        steps += 1
         if not (0 <= nx < width and 0 <= ny < height):
             return PathTrace(tuple(positions), PathStatus.OUT_OF_BOUNDS, (px, py))
         if stop_at_origin and (nx, ny) == origin:
             positions.append((nx, ny))
             return PathTrace(tuple(positions), PathStatus.ARRIVED_AT_ORIGIN, (nx, ny))
-        if len(positions) >= 2 and (nx, ny) == positions[-2]:
-            # Bounced straight back: the walk has settled into a two-cell
-            # oscillation around a balance point between the cells.
-            gx, gy = force_at(nx, ny)
-            m_new = math.hypot(gx, gy)
-            m_cur = math.hypot(fx, fy)
+        if (nx, ny) in visited:
+            if (nx, ny) != positions[-2]:
+                return PathTrace(tuple(positions), PathStatus.STEP_LIMIT, (px, py))
+            # Bounced straight back: a balance point lies between the two
+            # cells.  Each was entered once, so a tie keeps the earlier one.
             positions.append((nx, ny))
-            if m_new < m_cur:
-                terminal = (nx, ny)
-            elif m_cur < m_new:
-                terminal = (px, py)
-            else:
-                first_new = positions.index((nx, ny))
-                first_cur = positions.index((px, py))
-                terminal = (nx, ny) if first_new < first_cur else (px, py)
+            terminal = (px, py) if math.hypot(fx, fy) < math.hypot(gx, gy) else (nx, ny)
             return PathTrace(tuple(positions), PathStatus.BALANCE_OSCILLATION, terminal)
         positions.append((nx, ny))
+        visited.add((nx, ny))
         px, py = nx, ny
+        gx, gy = fx, fy  # force on the previous cell
         fx, fy = force_at(px, py)
 
 
@@ -165,15 +167,12 @@ def follow_path(fmap: ForceMap, start: tuple[int, int],
 
     Each step moves to the 8-neighbor selected by the current cell's force.
     Stepping onto the origin ends the walk immediately when stop_at_origin
-    is set.  max_steps defaults to 4 * width * height.
+    is set.  A move back onto a visited cell ends it too, so every walk ends
+    within width * height moves; max_steps, when given, is a tighter budget.
     """
     sx, sy = start
     if not (0 <= sx < fmap.width and 0 <= sy < fmap.height):
         raise ValueError(f"start {start} outside {fmap.width}x{fmap.height} map")
-    if max_steps is None:
-        max_steps = 4 * fmap.width * fmap.height
-    if max_steps < 1:
-        raise ValueError(f"max_steps must be at least 1, got {max_steps}")
     fx_arr, fy_arr = fmap.fx, fmap.fy
 
     def force_at(x: int, y: int) -> tuple[float, float]:
@@ -234,7 +233,7 @@ def classify_map(fmap: ForceMap, max_steps: int | None = None) -> Classification
 
     Arriving at the origin, or oscillating with the balance terminal on the
     origin, is Convergence.  Leaving the grid is Divergence.  Any other
-    balance, or running out of steps, is LocallyTrapped.
+    balance, or a step limit (budget or cycle), is LocallyTrapped.
     """
     codes = np.empty((fmap.height, fmap.width), dtype=np.uint8)
     origin = fmap.origin
@@ -313,9 +312,10 @@ def match_images(img1: GrayImage, img2: GrayImage,
     and steps the offset along the discretized direction.  Settling into a
     balance (no force, or a two-cell oscillation) is a match; the detected
     shift is the negated final offset.  Walking the translated center out
-    of the second image's grid is Diverged; exceeding the step budget is
-    Trapped.  The walk uses unit strength, so the result does not depend on
-    force_params.strength.
+    of the second image's grid is Diverged.  Spending max_steps (no budget
+    when None), or a move that would close a cycle of three or more cells,
+    is Trapped.  The walk uses unit strength, so the result does not depend
+    on force_params.strength.
     """
     c1 = extract_current(img1, edge_params, smooth=smooth)
     c2 = extract_current(img2, edge_params, smooth=smooth)
@@ -323,10 +323,6 @@ def match_images(img1: GrayImage, img2: GrayImage,
         raise EmptyCurrentError("matching requires edge points in both images")
     w, h = img2.width, img2.height
     ox, oy = w // 2, h // 2
-    if max_steps is None:
-        max_steps = 4 * w * h
-    if max_steps < 1:
-        raise ValueError(f"max_steps must be at least 1, got {max_steps}")
     start = (ox + start_offset[0], oy + start_offset[1])
     if not (0 <= start[0] < w and 0 <= start[1] < h):
         raise ValueError(f"start offset {start_offset} leaves the {w}x{h} shift grid")

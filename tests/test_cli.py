@@ -6,6 +6,7 @@ import shlex
 import shutil
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -175,6 +176,34 @@ def test_classify_ignores_strength(shapes, tmp_path, capsys):
                    *extra, "--out-dir", str(d))[0] == 0
     for name in ("classification.json", "classification.ppm"):
         assert (dirs[0] / name).read_bytes() == (dirs[1] / name).read_bytes()
+
+
+def test_map_glyphs_ignore_strength(shapes, tmp_path, capsys):
+    dirs = [tmp_path / "default", tmp_path / "weak"]
+    for d, extra in zip(dirs, ([], ["--strength", "1e-20"])):
+        assert run(capsys, "map", "--img1", str(shapes / "rect.pgm"),
+                   "--img2", str(shapes / "rect.pgm"), "--height", "8",
+                   *extra, "--out-dir", str(d))[0] == 0
+    glyphs = (dirs[0] / "force_map.txt").read_bytes()
+    assert (dirs[1] / "force_map.txt").read_bytes() == glyphs
+    assert set(glyphs.decode()) - set(".\n")  # not every cell drawn as a balance
+    c = extract_current(synth_shape("rectangle", 32, 32))
+    weak = force_map_fast(c, c, ForceParams(strength=1e-20, height_px=8.0))
+    assert (dirs[1] / "force_map.tsv").read_text() == force_map_tsv(weak)
+
+
+@pytest.mark.parametrize("command", ["force", "map"])
+def test_overflowing_strength_is_a_processing_error(shapes, tmp_path, capsys, command):
+    out = tmp_path / "out"
+    extra = ["--out-dir", str(out)] if command == "map" else []
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # an overflow must not surface as a numpy warning
+        code, stdout, err = run(capsys, command, "--img1", str(shapes / "rect.pgm"),
+                                "--img2", str(shapes / "moved.pgm"),
+                                "--strength", "1e308", *extra)
+    assert code == 1
+    assert "not finite" in err
+    assert stdout == "" and not out.exists()
 
 
 def test_match_outputs(shapes, tmp_path, capsys):

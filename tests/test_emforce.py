@@ -313,6 +313,26 @@ def test_force_map_shape_validation():
         ForceMap(4, 4, 2, 2, np.zeros((4, 3)), np.zeros((4, 4)))
 
 
+def test_force_map_rejects_non_finite_cells():
+    fx = np.zeros((3, 3))
+    fx[1, 2] = math.nan
+    with pytest.raises(ValueError, match="fx is not finite"):
+        ForceMap(3, 3, 1, 1, fx, np.zeros((3, 3)))
+    fy = np.zeros((3, 3))
+    fy[0, 0] = -math.inf
+    with pytest.raises(ValueError, match="fy is not finite"):
+        ForceMap(3, 3, 1, 1, np.zeros((3, 3)), fy)
+
+
+def test_overflowing_strength_is_rejected(rect_current):
+    # The unit-strength forces exceed 1, so 1e308 overflows to infinity.
+    huge = ForceParams(strength=1e308)
+    with pytest.raises(ValueError, match="not finite"):
+        total_force(rect_current, rect_current, Vec2(5.0, -4.0), huge)
+    with pytest.raises(ValueError, match="not finite"):
+        force_map_fast(rect_current, rect_current, huge)
+
+
 def test_force_map_tsv_layout():
     rng = np.random.default_rng(23)
     fmap = force_map_fast(random_current(rng, n=5), random_current(rng, n=5))

@@ -7,10 +7,11 @@ from hypothesis import strategies as st
 
 from emmatch import (ClassificationMap, Direction8, EmptyCurrentError,
                      ForceMap, ForceParams, GrayImage, Label, MatchStatus,
-                     PathStatus, Vec2, classification_rgb, classify_map,
-                     discretize8, extract_current, follow_path, force_map,
-                     force_map_fast, match_images, match_result_json,
-                     shift_image, summarize_map, synth_shape)
+                     PathStatus, PathTrace, Vec2, classification_rgb,
+                     classify_map, discretize8, extract_current, follow_path,
+                     force_map, force_map_fast, match_images, match_result_json,
+                     shift_image, summarize_map, synth_shape, total_force)
+from emmatch import matchmap
 from emmatch.matchmap import ZERO_FORCE_EPS
 
 C = math.cos(math.radians(22.5))
@@ -25,6 +26,16 @@ def manual_map(fx, fy):
 
 def uniform_east(w=5, h=5):
     return manual_map(np.ones((h, w)), np.zeros((h, w)))
+
+
+def rotor_map():
+    """A four-cell clockwise cycle in the top-left corner, balance elsewhere."""
+    fx = np.zeros((5, 5)); fy = np.zeros((5, 5))
+    fx[0, 0] = 1.0   # E
+    fy[0, 1] = 1.0   # S
+    fx[1, 1] = -1.0  # W
+    fy[1, 0] = -1.0  # N
+    return manual_map(fx, fy)
 
 
 def radial_inward(w=5, h=5):
@@ -147,22 +158,27 @@ class TestFollowPath:
         assert follow_path(fmap, (2, 1)).terminal == (2, 1)
 
     def test_longer_cycle_hits_step_limit(self):
-        fx = np.zeros((5, 5)); fy = np.zeros((5, 5))
-        fx[0, 0] = 1.0   # E
-        fy[0, 1] = 1.0   # S
-        fx[1, 1] = -1.0  # W
-        fy[1, 0] = -1.0  # N
-        trace = follow_path(manual_map(fx, fy), (0, 0), max_steps=8)
+        rotor = rotor_map()
+        # closing the four-cycle ends the walk before the budget of 8 does
+        trace = follow_path(rotor, (0, 0), max_steps=8)
         assert trace.status is PathStatus.STEP_LIMIT
-        assert trace.steps == 8
-        assert trace.terminal == (0, 0)  # two full laps of the four-cycle
+        assert trace.positions == ((0, 0), (1, 0), (1, 1), (0, 1))
+        assert trace.terminal == (0, 1)
+        # a budget shorter than the cycle ends it first
+        trace = follow_path(rotor, (0, 0), max_steps=2)
+        assert trace.status is PathStatus.STEP_LIMIT
+        assert trace.positions == ((0, 0), (1, 0), (1, 1))
+        assert trace.terminal == (1, 1)
 
-    def test_default_budget_scales_with_map(self):
-        fx = np.zeros((5, 5)); fy = np.zeros((5, 5))
-        fx[0, 0] = 1.0; fy[0, 1] = 1.0; fx[1, 1] = -1.0; fy[1, 0] = -1.0
-        trace = follow_path(manual_map(fx, fy), (0, 0))
-        assert trace.status is PathStatus.STEP_LIMIT
-        assert trace.steps == 4 * 5 * 5
+    def test_rotor_stops_at_first_revisit(self):
+        # criterion 11's rotor: with no budget, each walk traces the four
+        # cells once and stops before re-entering its start
+        cycle = [(0, 0), (1, 0), (1, 1), (0, 1)]
+        for i, start in enumerate(cycle):
+            trace = follow_path(rotor_map(), start)
+            assert trace.status is PathStatus.STEP_LIMIT
+            assert trace.positions == tuple(cycle[i:] + cycle[:i])
+            assert trace.terminal == trace.positions[-1]
 
     def test_start_and_budget_validation(self):
         fmap = uniform_east()
@@ -170,6 +186,108 @@ class TestFollowPath:
             follow_path(fmap, (5, 0))
         with pytest.raises(ValueError):
             follow_path(fmap, (0, 0), max_steps=0)
+
+
+def reference_walk(fmap, start, stop_at_origin=True, max_steps=None):
+    """The stepping loop from before walks ended at their first revisit.
+
+    Only a bounce straight back ends a revisiting walk here, after a second
+    force evaluation of the cell bounced to.  A longer cycle runs on until
+    the budget, 4 * width * height by default, is spent.
+    """
+    if max_steps is None:
+        max_steps = 4 * fmap.width * fmap.height
+
+    def force_at(x, y):
+        return float(fmap.fx[y, x]), float(fmap.fy[y, x])
+
+    positions = [start]
+    px, py = start
+    fx, fy = force_at(px, py)
+    steps = 0
+    while True:
+        d = discretize8(Vec2(fx, fy))
+        if d is None:
+            return PathTrace(tuple(positions), PathStatus.BALANCE_OSCILLATION, (px, py))
+        if steps >= max_steps:
+            return PathTrace(tuple(positions), PathStatus.STEP_LIMIT, (px, py))
+        dx, dy = d.step
+        nx, ny = px + dx, py + dy
+        steps += 1
+        if not (0 <= nx < fmap.width and 0 <= ny < fmap.height):
+            return PathTrace(tuple(positions), PathStatus.OUT_OF_BOUNDS, (px, py))
+        if stop_at_origin and (nx, ny) == fmap.origin:
+            positions.append((nx, ny))
+            return PathTrace(tuple(positions), PathStatus.ARRIVED_AT_ORIGIN, (nx, ny))
+        if len(positions) >= 2 and (nx, ny) == positions[-2]:
+            gx, gy = force_at(nx, ny)
+            m_new = math.hypot(gx, gy)
+            m_cur = math.hypot(fx, fy)
+            positions.append((nx, ny))
+            if m_new < m_cur:
+                terminal = (nx, ny)
+            elif m_cur < m_new:
+                terminal = (px, py)
+            else:
+                first_new = positions.index((nx, ny))
+                first_cur = positions.index((px, py))
+                terminal = (nx, ny) if first_new < first_cur else (px, py)
+            return PathTrace(tuple(positions), PathStatus.BALANCE_OSCILLATION, terminal)
+        positions.append((nx, ny))
+        px, py = nx, ny
+        fx, fy = force_at(px, py)
+
+
+def reference_label(trace, origin):
+    if trace.status is PathStatus.ARRIVED_AT_ORIGIN:
+        return Label.CONVERGENCE
+    if trace.status is PathStatus.BALANCE_OSCILLATION:
+        return Label.CONVERGENCE if trace.terminal == origin else Label.LOCALLY_TRAPPED
+    if trace.status is PathStatus.OUT_OF_BOUNDS:
+        return Label.DIVERGENCE
+    return Label.LOCALLY_TRAPPED
+
+
+# Cell forces for constructed maps: random vectors, vectors exactly on a
+# sector boundary, exact zeros, and equal magnitudes that tie a bounce.
+CELL_FORCES = st.one_of(
+    st.tuples(st.floats(-10.0, 10.0), st.floats(-10.0, 10.0)),
+    st.sampled_from([(C, S), (-S, C), (-C, -S), (S, -C)]),
+    st.just((0.0, 0.0)),
+    st.sampled_from([(1.0, 0.0), (-1.0, 0.0), (0.0, 1.0), (0.0, -1.0),
+                     (1.0, 1.0), (-1.0, -1.0), (1.0, -1.0), (-1.0, 1.0)]),
+)
+
+
+@st.composite
+def constructed_maps(draw):
+    w, h = draw(st.integers(1, 8)), draw(st.integers(1, 8))
+    cells = draw(st.lists(CELL_FORCES, min_size=w * h, max_size=w * h))
+    forces = np.array(cells, dtype=np.float64).reshape(h, w, 2)
+    return manual_map(forces[..., 0], forces[..., 1])
+
+
+@given(constructed_maps())
+@settings(max_examples=100, deadline=None)
+def test_walks_agree_with_reference_loop(fmap):
+    for max_steps in (None, 1, 2, 5):
+        want_labels = {}
+        for stop_at_origin in (True, False):
+            for y in range(fmap.height):
+                for x in range(fmap.width):
+                    got = follow_path(fmap, (x, y), stop_at_origin, max_steps)
+                    want = reference_walk(fmap, (x, y), stop_at_origin, max_steps)
+                    if stop_at_origin:
+                        want_labels[x, y] = reference_label(want, fmap.origin)
+                    if want.status is not PathStatus.STEP_LIMIT:
+                        assert got == want
+                        continue
+                    # a cycle of three or more cells now ends at its first revisit
+                    assert got.status is PathStatus.STEP_LIMIT
+                    assert want.positions[:len(got.positions)] == got.positions
+                    assert got.terminal == got.positions[-1]
+        cls = classify_map(fmap, max_steps=max_steps)
+        assert {cell: cls.label(*cell) for cell in want_labels} == want_labels
 
 
 class TestClassifyMap:
@@ -309,6 +427,40 @@ class TestMatchImages:
             scaled = match_images(moved, rect_img, force_params=ForceParams(
                 strength=10.0 ** exponent, height_px=h))
             assert scaled == base
+
+    def test_force_evaluated_once_per_distinct_cell(self, rect_img, monkeypatch):
+        shifts = []
+        real = matchmap.total_force
+
+        def counting(c1, c2, shift1, params):
+            shifts.append(shift1)
+            return real(c1, c2, shift1, params)
+
+        monkeypatch.setattr(matchmap, "total_force", counting)
+        moved = shift_image(rect_img, 5, -4)
+        # README's round trip at h 8, then the walk of test_recovers_rectangle_shift;
+        # both end in a bounce, which revisits a cell without evaluating it again
+        for h, cells in ((8.0, 7), (0.0, 11)):
+            shifts.clear()
+            result = match_images(moved, rect_img, force_params=ForceParams(height_px=h))
+            assert result.status is MatchStatus.MATCHED
+            assert result.steps == cells
+            assert len(shifts) == len(set(shifts)) == len(set(result.path.positions)) == cells
+
+    def test_trapped_walk_stops_in_its_cycle(self, ellipse_img):
+        moved = shift_image(ellipse_img, 3, -2)
+        result = match_images(moved, ellipse_img)
+        assert result.status is MatchStatus.TRAPPED
+        path = result.path.positions
+        assert result.steps <= 8
+        assert len(set(path)) == len(path)
+        assert result.path.terminal == path[-1]
+        # the next move would re-enter the path: a cycle, not a spent budget
+        x, y = path[-1]
+        f = total_force(extract_current(moved), extract_current(ellipse_img),
+                        Vec2(float(x - 16), float(y - 16)))
+        dx, dy = discretize8(Vec2(f.x, f.y)).step
+        assert (x + dx, y + dy) in path[:-2]
 
     def test_divergent_start_reports_diverged(self, rect_img):
         result = match_images(rect_img, rect_img,
