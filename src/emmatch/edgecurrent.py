@@ -13,7 +13,7 @@ from typing import Iterator
 import numpy as np
 
 from .gradient import VectorField, sobel_field
-from .raster import GrayImage
+from .raster import GrayImage, _frozen_copy
 
 
 class EmptyCurrentError(ValueError):
@@ -40,18 +40,15 @@ class EdgeParams:
 
 @dataclass(frozen=True, eq=False)
 class EdgeMask:
-    """Boolean per-pixel mask of significant edge points."""
+    """Boolean per-pixel mask of edge points, stored as a read-only copy; non-bool raises."""
 
     width: int
     height: int
     mask: np.ndarray  # (height, width) bool
 
     def __post_init__(self):
-        m = np.ascontiguousarray(self.mask, dtype=bool)
-        if m.shape != (self.height, self.width):
-            raise ValueError(f"mask shape {m.shape} does not match ({self.height}, {self.width})")
-        m.flags.writeable = False
-        object.__setattr__(self, "mask", m)
+        object.__setattr__(self, "mask",
+                           _frozen_copy(self.mask, bool, (self.height, self.width), "mask"))
 
     @property
     def count(self) -> int:
@@ -111,7 +108,9 @@ class EdgeCurrent:
 
     Elements are stored in row-major pixel order (the extraction order),
     which fixes the summation order of every force computation downstream.
-    dropped counts masked pixels discarded for having a zero gradient.
+    dropped counts masked pixels discarded for having a zero gradient.  The
+    arrays are stored as read-only copies; float positions, complex tangents
+    and positions off the width x height grid raise ValueError.
     """
 
     width: int
@@ -123,23 +122,16 @@ class EdgeCurrent:
     dropped: int = 0
 
     def __post_init__(self):
-        n = None
+        shape = (np.size(self.xs),)
         for name, dtype in (("xs", np.int64), ("ys", np.int64),
                             ("tx", np.float64), ("ty", np.float64)):
-            arr = np.ascontiguousarray(getattr(self, name), dtype=dtype)
-            if arr.ndim != 1:
-                raise ValueError(f"{name} must be one-dimensional")
-            if n is None:
-                n = arr.shape[0]
-            elif arr.shape[0] != n:
-                raise ValueError("element arrays must share one length")
-            arr.flags.writeable = False
-            object.__setattr__(self, name, arr)
+            object.__setattr__(self, name, _frozen_copy(getattr(self, name), dtype, shape, name))
+        inside = (0 <= self.xs) & (self.xs < self.width) & (0 <= self.ys) & (self.ys < self.height)
+        if not inside.all():
+            raise ValueError(f"element positions must lie on the {self.width}x{self.height} grid")
         # Float copies of the positions, so force kernels skip the cast.
-        for name, src in (("_xf", self.xs), ("_yf", self.ys)):
-            arr = src.astype(np.float64)
-            arr.flags.writeable = False
-            object.__setattr__(self, name, arr)
+        object.__setattr__(self, "_xf", _frozen_copy(self.xs, np.float64, shape, "xs"))
+        object.__setattr__(self, "_yf", _frozen_copy(self.ys, np.float64, shape, "ys"))
 
     def __len__(self) -> int:
         return int(self.xs.shape[0])

@@ -31,6 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .edgecurrent import CurrentElement, EdgeCurrent, EmptyCurrentError
+from .raster import _frozen_copy
 
 
 @dataclass(frozen=True)
@@ -73,13 +74,22 @@ class ForceParams:
             raise ValueError(f"min_r must have a nonzero square, got {self.min_r}")
 
 
+def _scaled(values, strength: float) -> np.ndarray:
+    """values times strength; ValueError unless every product is finite."""
+    with np.errstate(over="ignore"):
+        out = np.multiply(values, strength)
+    if not np.isfinite(out).all():
+        raise ValueError(f"force is not finite at strength {strength!r}")
+    return out
+
+
 @dataclass(frozen=True, eq=False)
 class ForceMap:
     """Planar total force for every integer shift of the first current.
 
     Cell (x, y) holds the in-plane force at shift (x - ox, y - oy); the
-    origin cell (ox, oy) is the zero-shift configuration.  Every cell must
-    be finite.
+    origin cell (ox, oy) is the zero-shift configuration.  fx and fy are
+    stored as read-only float64 copies, and every cell must be finite.
     """
 
     width: int
@@ -91,13 +101,9 @@ class ForceMap:
 
     def __post_init__(self):
         for name in ("fx", "fy"):
-            arr = np.ascontiguousarray(getattr(self, name), dtype=np.float64)
-            if arr.shape != (self.height, self.width):
-                raise ValueError(f"{name} shape {arr.shape} does not match "
-                                 f"({self.height}, {self.width})")
+            arr = _frozen_copy(getattr(self, name), np.float64, (self.height, self.width), name)
             if not np.isfinite(arr).all():
                 raise ValueError(f"force map {name} is not finite in every cell")
-            arr.flags.writeable = False
             object.__setattr__(self, name, arr)
 
     @property
@@ -106,9 +112,8 @@ class ForceMap:
 
     def scaled(self, factor: float) -> ForceMap:
         """This map with every force multiplied by factor."""
-        with np.errstate(over="ignore"):  # an overflow fails the finite check
-            return ForceMap(self.width, self.height, self.ox, self.oy,
-                            self.fx * factor, self.fy * factor)
+        return ForceMap(self.width, self.height, self.ox, self.oy,
+                        _scaled(self.fx, factor), _scaled(self.fy, factor))
 
     def cell(self, x: int, y: int) -> Vec2:
         if not (0 <= x < self.width and 0 <= y < self.height):
@@ -206,10 +211,9 @@ def force_on_element(t1: CurrentElement, c2: EdgeCurrent, shift1: Vec2,
 
     Equals the sum of pair_force over c2 in storage order.
     """
-    fx, fy, fz = _force_rows(np.array([t1.x + shift1.x]), np.array([t1.y + shift1.y]),
-                             np.array([t1.tx]), np.array([t1.ty]), c2, params)[:, 0]
-    a = params.strength
-    return Vec3(float(fx) * a, float(fy) * a, float(fz) * a)
+    f = _force_rows(np.array([t1.x + shift1.x]), np.array([t1.y + shift1.y]),
+                    np.array([t1.tx]), np.array([t1.ty]), c2, params)[:, 0]
+    return Vec3(*map(float, _scaled(f, params.strength)))
 
 
 def bz_at(c2: EdgeCurrent, px: float, py: float,
@@ -219,7 +223,8 @@ def bz_at(c2: EdgeCurrent, px: float, py: float,
     The query point sits height_px above the current plane.  The in-plane
     force on an element T1 there is (t1y, -t1x) times this value.
     """
-    return float(_field_sums(c2, np.array([px]), np.array([py]), params)[0]) * params.strength
+    bz = _field_sums(c2, np.array([px]), np.array([py]), params)
+    return float(_scaled(bz, params.strength)[0])
 
 
 def total_force(c1: EdgeCurrent, c2: EdgeCurrent, shift1: Vec2,
@@ -234,12 +239,8 @@ def total_force(c1: EdgeCurrent, c2: EdgeCurrent, shift1: Vec2,
     rows = _force_rows(c1._xf + shift1.x, c1._yf + shift1.y, c1.tx, c1.ty, c2, params)
     # Fold the element sums left to right from +0.0, exactly as a running
     # float total would; the leading zero turns an all -0.0 row into +0.0.
-    fx, fy, fz = np.cumsum(np.concatenate((np.zeros((3, 1)), rows), axis=1), axis=1)[:, -1]
-    a = params.strength
-    f = Vec3(float(fx) * a, float(fy) * a, float(fz) * a)
-    if not (math.isfinite(f.x) and math.isfinite(f.y) and math.isfinite(f.z)):
-        raise ValueError(f"total force {f} is not finite at strength {a!r}")
-    return f
+    f = np.cumsum(np.concatenate((np.zeros((3, 1)), rows), axis=1), axis=1)[:, -1]
+    return Vec3(*map(float, _scaled(f, params.strength)))
 
 
 def force_map(c1: EdgeCurrent, c2: EdgeCurrent,

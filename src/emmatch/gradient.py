@@ -7,7 +7,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .raster import GrayImage
+from .raster import GrayImage, _frozen_copy
 
 # Horizontal kernel; the vertical one is its transpose.  Applied as a
 # correlation, so gx is positive where intensity increases to the right
@@ -20,7 +20,7 @@ SOBEL_Y = SOBEL_X.T
 
 @dataclass(frozen=True, eq=False)
 class VectorField:
-    """Per-pixel 2D gradient vectors, same grid as the source image."""
+    """Per-pixel 2D gradient vectors on the source image grid, as read-only float64 copies."""
 
     width: int
     height: int
@@ -29,19 +29,13 @@ class VectorField:
 
     def __post_init__(self):
         for name in ("gx", "gy"):
-            arr = np.ascontiguousarray(getattr(self, name), dtype=np.float64)
-            if arr.shape != (self.height, self.width):
-                raise ValueError(f"{name} shape {arr.shape} does not match "
-                                 f"({self.height}, {self.width})")
-            arr.flags.writeable = False
+            arr = _frozen_copy(getattr(self, name), np.float64, (self.height, self.width), name)
             object.__setattr__(self, name, arr)
 
     @cached_property
     def magnitude(self) -> np.ndarray:
         """Euclidean vector length per pixel; zero exactly where gx == gy == 0."""
-        m = np.hypot(self.gx, self.gy)
-        m.flags.writeable = False
-        return m
+        return _frozen_copy(np.hypot(self.gx, self.gy), np.float64, self.gx.shape, "magnitude")
 
 
 def _binomial3(f: np.ndarray) -> np.ndarray:

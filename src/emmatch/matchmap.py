@@ -21,7 +21,7 @@ import numpy as np
 
 from .edgecurrent import EdgeCurrent, EdgeParams, EmptyCurrentError, extract_current
 from .emforce import ForceMap, ForceParams, Vec2, total_force
-from .raster import GrayImage
+from .raster import GrayImage, _frozen_copy
 
 # Below this magnitude a force vector counts as no force at all.
 ZERO_FORCE_EPS = 1e-12
@@ -87,6 +87,8 @@ def _direction_of(x: float, y: float) -> Direction8 | None:
 
 def discretize8(v: Vec2) -> Direction8 | None:
     """Quantize a planar force into one of eight moves, None when balanced."""
+    if not (math.isfinite(v.x) and math.isfinite(v.y)):
+        raise ValueError(f"force {v} is not finite, so it has no direction")
     return _direction_of(v.x, v.y)
 
 
@@ -202,7 +204,7 @@ ORIGIN_COLOR = (64, 64, 64)
 
 @dataclass(frozen=True, eq=False)
 class ClassificationMap:
-    """Per-cell path outcome for a whole force map."""
+    """Per-cell path outcome for a whole force map, as a read-only copy of codes 0, 1, 2."""
 
     width: int
     height: int
@@ -211,12 +213,10 @@ class ClassificationMap:
     codes: np.ndarray  # (height, width) uint8 of label codes
 
     def __post_init__(self):
-        arr = np.ascontiguousarray(self.codes, dtype=np.uint8)
-        if arr.shape != (self.height, self.width):
-            raise ValueError(f"codes shape {arr.shape} does not match "
-                             f"({self.height}, {self.width})")
-        arr.flags.writeable = False
-        object.__setattr__(self, "codes", arr)
+        codes = _frozen_copy(self.codes, np.uint8, (self.height, self.width), "codes")
+        if not np.isin(self.codes, list(_CODE_LABELS)).all():  # the cast wraps 256 to 0
+            raise ValueError("codes must be label codes 0, 1 or 2")
+        object.__setattr__(self, "codes", codes)
 
     @property
     def origin(self) -> tuple[int, int]:

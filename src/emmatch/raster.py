@@ -21,9 +21,25 @@ class PnmFormatError(ValueError):
         self.offset = offset
 
 
+def _frozen_copy(value, dtype, shape: tuple[int, ...], name: str) -> np.ndarray:
+    """Read-only C-contiguous copy of value as dtype, never a view of the caller's array.
+
+    ValueError on another shape, or on a cast numpy's same_kind rule forbids.
+    """
+    arr = np.asarray(value)
+    if arr.shape != shape:
+        raise ValueError(f"{name} shape {arr.shape} does not match {shape}")
+    if not np.can_cast(arr.dtype, dtype, "same_kind"):
+        raise ValueError(f"{name} dtype {arr.dtype} does not cast to {np.dtype(dtype)} "
+                         "under numpy's same_kind rule")
+    arr = np.array(arr, dtype=dtype, order="C")
+    arr.flags.writeable = False
+    return arr
+
+
 @dataclass(frozen=True, eq=False)
 class GrayImage:
-    """Immutable 8-bit grayscale raster."""
+    """Immutable 8-bit grayscale raster: a read-only uint8 copy of integers in [0, 255]."""
 
     width: int
     height: int
@@ -33,18 +49,12 @@ class GrayImage:
         if self.width <= 0 or self.height <= 0:
             raise ValueError(f"image dimensions must be positive, got {self.width}x{self.height}")
         px = np.asarray(self.pixels)
-        if px.shape != (self.height, self.width):
-            raise ValueError(f"pixel array shape {px.shape} does not match height x width "
-                             f"({self.height}, {self.width})")
-        if px.dtype != np.uint8:
-            if not np.issubdtype(px.dtype, np.integer):
-                raise ValueError(f"pixel dtype must be integral, got {px.dtype}")
-            if px.size and (px.min() < 0 or px.max() > 255):
-                raise ValueError("intensities must lie in [0, 255]")
-            px = px.astype(np.uint8)
-        else:
-            px = px.copy()
-        px.flags.writeable = False
+        if not np.issubdtype(px.dtype, np.integer):
+            raise ValueError(f"pixel dtype must be integral, got {px.dtype}")
+        if px.size and (px.min() < 0 or px.max() > 255):
+            raise ValueError("intensities must lie in [0, 255]")
+        px = _frozen_copy(px.astype(np.uint8, copy=False),  # lossless after the range check
+                          np.uint8, (self.height, self.width), "pixels")
         object.__setattr__(self, "pixels", px)
 
     def __eq__(self, other):

@@ -331,6 +331,10 @@ def test_overflowing_strength_is_rejected(rect_current):
         total_force(rect_current, rect_current, Vec2(5.0, -4.0), huge)
     with pytest.raises(ValueError, match="not finite"):
         force_map_fast(rect_current, rect_current, huge)
+    with pytest.raises(ValueError, match="not finite"):
+        force_on_element(rect_current.element(0), rect_current, Vec2(5.0, -4.0), huge)
+    with pytest.raises(ValueError, match="not finite"):
+        bz_at(rect_current, 3.0, 3.0, huge)
 
 
 def test_force_map_tsv_layout():

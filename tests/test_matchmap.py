@@ -103,6 +103,12 @@ class TestDiscretize8:
             assert discretize8(Vec2(4.0 * x, 4.0 * y)) is d
             assert discretize8(Vec2(0.25 * x, 0.25 * y)) is d
 
+    @pytest.mark.parametrize("x, y", [(math.nan, 0.0), (0.0, math.nan), (math.inf, 0.0),
+                                      (1.0, -math.inf), (math.nan, math.inf)])
+    def test_non_finite_force_has_no_direction(self, x, y):
+        with pytest.raises(ValueError, match="not finite"):
+            discretize8(Vec2(x, y))
+
 
 class TestFollowPath:
     def test_arrives_at_origin(self):
