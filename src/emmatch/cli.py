@@ -3,8 +3,9 @@
 Subcommands cover the full pipeline: synthesize test shapes, extract edge
 masks and currents, evaluate forces and force maps, classify the shift
 grid, and match image pairs.  Maps come from force_map_fast; the library's
-force_map is its reference.  Exit codes: 0 success, 2 bad arguments or
-unreadable input, 1 processing failure.
+force_map is its reference.  The text renderings of a map's forces and a
+current's tangents draw through one glyph grid.  Exit codes: 0 success,
+2 bad arguments or unreadable input, 1 processing failure.
 """
 
 from __future__ import annotations
@@ -39,22 +40,25 @@ class ArgumentCheckError(ValueError):
     """Bad command-line value detected after argparse."""
 
 
+def _glyph_grid(width: int, height: int, xs: list, ys: list, vx: list, vy: list) -> str:
+    """Character grid with the glyph of (vx[i], vy[i]) at cell (xs[i], ys[i]), '.' elsewhere."""
+    grid = [["."] * width for _ in range(height)]
+    for x, y, gx, gy in zip(xs, ys, vx, vy):
+        grid[y][x] = GLYPHS[_direction_of(gx, gy)]
+    return "\n".join(map("".join, grid)) + "\n"
+
+
 def render_direction_glyphs(fmap: ForceMap) -> str:
     """Character grid of the map's discretized force directions."""
-    rows = []
-    for y in range(fmap.height):
-        rows.append("".join(GLYPHS[_direction_of(float(fmap.fx[y, x]), float(fmap.fy[y, x]))]
-                            for x in range(fmap.width)))
-    return "\n".join(rows) + "\n"
+    ys, xs = np.indices(fmap.fx.shape).reshape(2, -1).tolist()
+    return _glyph_grid(fmap.width, fmap.height, xs, ys,
+                       fmap.fx.ravel().tolist(), fmap.fy.ravel().tolist())
 
 
 def render_current_glyphs(current: EdgeCurrent) -> str:
     """Character grid of element tangent directions, '.' where no element."""
-    grid = [["."] * current.width for _ in range(current.height)]
-    for i in range(len(current)):
-        d = _direction_of(float(current.tx[i]), float(current.ty[i]))
-        grid[int(current.ys[i])][int(current.xs[i])] = GLYPHS[d]
-    return "\n".join("".join(row) for row in grid) + "\n"
+    return _glyph_grid(current.width, current.height, current.xs.tolist(),
+                       current.ys.tolist(), current.tx.tolist(), current.ty.tolist())
 
 
 def render_classification_ppm(cls_map: ClassificationMap) -> bytes:

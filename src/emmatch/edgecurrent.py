@@ -13,7 +13,7 @@ from typing import Iterator
 import numpy as np
 
 from .gradient import VectorField, sobel_field
-from .raster import GrayImage, _frozen_copy
+from .raster import GrayImage, _frozen_copy, _tsv
 
 
 class EmptyCurrentError(ValueError):
@@ -179,8 +179,5 @@ def mask_image(mask: EdgeMask) -> GrayImage:
 
 def current_tsv(current: EdgeCurrent) -> str:
     """Tab-separated element dump, one row per element in storage order."""
-    lines = ["x\ty\ttx\tty"]
-    for i in range(len(current)):
-        lines.append(f"{int(current.xs[i])}\t{int(current.ys[i])}"
-                     f"\t{float(current.tx[i])!r}\t{float(current.ty[i])!r}")
-    return "\n".join(lines) + "\n"
+    return _tsv("x y tx ty", current.xs.tolist(), current.ys.tolist(),
+                current.tx.tolist(), current.ty.tolist())

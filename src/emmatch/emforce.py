@@ -31,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .edgecurrent import CurrentElement, EdgeCurrent, EmptyCurrentError
-from .raster import _frozen_copy
+from .raster import _frozen_copy, _tsv
 
 
 @dataclass(frozen=True)
@@ -88,8 +88,9 @@ class ForceMap:
     """Planar total force for every integer shift of the first current.
 
     Cell (x, y) holds the in-plane force at shift (x - ox, y - oy); the
-    origin cell (ox, oy) is the zero-shift configuration.  fx and fy are
-    stored as read-only float64 copies, and every cell must be finite.
+    origin cell (ox, oy), which must lie on the grid, is the zero-shift
+    configuration.  fx and fy are stored as read-only float64 copies, and
+    every cell must be finite.
     """
 
     width: int
@@ -100,6 +101,8 @@ class ForceMap:
     fy: np.ndarray
 
     def __post_init__(self):
+        if not (0 <= self.ox < self.width and 0 <= self.oy < self.height):
+            raise ValueError(f"origin {self.origin} outside {self.width}x{self.height} map")
         for name in ("fx", "fy"):
             arr = _frozen_copy(getattr(self, name), np.float64, (self.height, self.width), name)
             if not np.isfinite(arr).all():
@@ -302,8 +305,5 @@ def force_map_fast(c1: EdgeCurrent, c2: EdgeCurrent,
 
 def force_map_tsv(fmap: ForceMap) -> str:
     """Tab-separated map dump, one row per cell in row-major order."""
-    lines = ["x\ty\tfx\tfy"]
-    for y in range(fmap.height):
-        for x in range(fmap.width):
-            lines.append(f"{x}\t{y}\t{float(fmap.fx[y, x])!r}\t{float(fmap.fy[y, x])!r}")
-    return "\n".join(lines) + "\n"
+    ys, xs = np.indices(fmap.fx.shape).reshape(2, -1).tolist()
+    return _tsv("x y fx fy", xs, ys, fmap.fx.ravel().tolist(), fmap.fy.ravel().tolist())

@@ -204,7 +204,10 @@ ORIGIN_COLOR = (64, 64, 64)
 
 @dataclass(frozen=True, eq=False)
 class ClassificationMap:
-    """Per-cell path outcome for a whole force map, as a read-only copy of codes 0, 1, 2."""
+    """Per-cell path outcome for a whole force map, as a read-only copy of codes 0, 1, 2.
+
+    The origin (ox, oy) must lie on the grid, as a ForceMap's does.
+    """
 
     width: int
     height: int
@@ -213,6 +216,8 @@ class ClassificationMap:
     codes: np.ndarray  # (height, width) uint8 of label codes
 
     def __post_init__(self):
+        if not (0 <= self.ox < self.width and 0 <= self.oy < self.height):
+            raise ValueError(f"origin {self.origin} outside {self.width}x{self.height} map")
         codes = _frozen_copy(self.codes, np.uint8, (self.height, self.width), "codes")
         if not np.isin(self.codes, list(_CODE_LABELS)).all():  # the cast wraps 256 to 0
             raise ValueError("codes must be label codes 0, 1 or 2")

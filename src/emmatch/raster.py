@@ -1,16 +1,24 @@
 """Grayscale raster type, PGM/PPM serialization, and synthetic test shapes.
 
+A PGM header and a plain (P2) raster are read through one token regex, so
+a '#' comment may stand wherever whitespace may.  The package's TSV dumps
+share one writer, _tsv.
+
 Screen coordinates throughout: x grows to the right, y grows downward,
 pixel (0, 0) is the top-left corner.
 """
 
 from __future__ import annotations
 
+import itertools
+import re
 from dataclasses import dataclass
 
 import numpy as np
 
-_WS = frozenset(b" \t\n\r\x0b\x0c")
+# A PGM token (group 1) is a run of bytes that are neither whitespace nor '#';
+# a '#' comment runs to the end of its line and is skipped like whitespace.
+_TOKEN = re.compile(rb"#[^\r\n]*|([^\s#]+)")
 
 
 class PnmFormatError(ValueError):
@@ -35,6 +43,13 @@ def _frozen_copy(value, dtype, shape: tuple[int, ...], name: str) -> np.ndarray:
     arr = np.array(arr, dtype=dtype, order="C")
     arr.flags.writeable = False
     return arr
+
+
+def _tsv(names: str, *columns: list) -> str:
+    """Header of space-separated names, then one tab-separated line per row of tolist() columns."""
+    rows = ["\t".join(names.split())]
+    rows += ["\t".join(map(repr, row)) for row in zip(*columns)]
+    return "\n".join(rows) + "\n"
 
 
 @dataclass(frozen=True, eq=False)
@@ -66,81 +81,56 @@ class GrayImage:
     __hash__ = None
 
 
-def _next_token(data: bytes, pos: int) -> tuple[bytes, int]:
-    """Return the next whitespace-delimited header token and the offset past it.
-
-    Comment lines (from '#' to end of line) are skipped like whitespace.
-    """
-    n = len(data)
-    while pos < n:
-        c = data[pos]
-        if c == 0x23:  # '#'
-            while pos < n and data[pos] not in (0x0A, 0x0D):
-                pos += 1
-        elif c in _WS:
-            pos += 1
-        else:
-            break
-    if pos >= n:
-        raise PnmFormatError("unexpected end of data in header", pos)
-    start = pos
-    while pos < n and data[pos] not in _WS and data[pos] != 0x23:
-        pos += 1
-    return data[start:pos], pos
-
-
-def _header_int(data: bytes, pos: int, what: str, upper: int | None = None) -> tuple[int, int]:
-    tok, end = _next_token(data, pos)
+def _header_int(token: tuple, what: str, upper: int | None = None) -> tuple[int, int]:
+    tok, at = token
+    if tok is None:
+        raise PnmFormatError("unexpected end of data in header", at)
     if not tok.isdigit():
-        raise PnmFormatError(f"expected unsigned integer for {what}, got {tok!r}",
-                             end - len(tok))
+        raise PnmFormatError(f"expected unsigned integer for {what}, got {tok!r}", at)
     value = int(tok)
     if value <= 0:
-        raise PnmFormatError(f"{what} must be positive, got {value}", end - len(tok))
+        raise PnmFormatError(f"{what} must be positive, got {value}", at)
     if upper is not None and value > upper:
-        raise PnmFormatError(f"{what} {value} exceeds supported maximum {upper}", end - len(tok))
-    return value, end
+        raise PnmFormatError(f"{what} {value} exceeds supported maximum {upper}", at)
+    return value, at + len(tok)
 
 
 def load_pgm(data: bytes) -> GrayImage:
-    """Parse a binary (P5) or ASCII (P2) PGM stream with maxval up to 255."""
+    """Parse a binary (P5) or plain (P2) PGM stream with maxval up to 255."""
     data = bytes(data)
-    magic, pos = _next_token(data, 0)
+    # Each header or plain-raster token with its byte offset, then (None, len(data)).
+    tokens = itertools.chain(((m[1], m.start()) for m in _TOKEN.finditer(data) if m[1]),
+                             [(None, len(data))])
+    magic, end = next(tokens)
+    if magic is None:
+        raise PnmFormatError("unexpected end of data in header", end)
     if magic == b"P6":
         raise PnmFormatError("P6 is a color PPM, expected grayscale PGM (P5 or P2)", 0)
     if magic not in (b"P5", b"P2"):
         raise PnmFormatError(f"not a PGM stream, magic {magic!r}", 0)
-    width, pos = _header_int(data, pos, "width")
-    height, pos = _header_int(data, pos, "height")
-    maxval, pos = _header_int(data, pos, "maxval", upper=255)
-
+    width, _ = _header_int(next(tokens), "width")
+    height, _ = _header_int(next(tokens), "height")
+    maxval, pos = _header_int(next(tokens), "maxval", upper=255)
+    need = width * height
     if magic == b"P5":
-        if pos >= len(data) or data[pos] not in _WS:
+        if not data[pos:pos + 1].isspace():
             raise PnmFormatError("expected single whitespace byte after maxval", pos)
-        pos += 1
-        need = width * height
-        payload = data[pos:pos + need]
+        payload = data[pos + 1:pos + 1 + need]
         if len(payload) < need:
             raise PnmFormatError(f"truncated raster, expected {need} bytes, got {len(payload)}",
                                  len(data))
-        px = np.frombuffer(payload, dtype=np.uint8).reshape(height, width)
-        return GrayImage(width, height, px)
+        return GrayImage(width, height, np.frombuffer(payload, np.uint8).reshape(height, width))
 
-    values = np.empty(width * height, dtype=np.uint8)
-    for i in range(width * height):
-        value, pos = _header_int_sample(data, pos, maxval)
-        values[i] = value
-    return GrayImage(width, height, values.reshape(height, width))
-
-
-def _header_int_sample(data: bytes, pos: int, maxval: int) -> tuple[int, int]:
-    tok, end = _next_token(data, pos)
-    if not tok.isdigit():
-        raise PnmFormatError(f"expected ASCII sample, got {tok!r}", end - len(tok))
-    value = int(tok)
-    if value > maxval:
-        raise PnmFormatError(f"sample {value} exceeds maxval {maxval}", end - len(tok))
-    return value, end
+    px = []
+    for tok, at in itertools.islice(tokens, need):
+        if tok is None:
+            raise PnmFormatError(f"truncated raster, expected {need} samples, got {len(px)}", at)
+        if not tok.isdigit():
+            raise PnmFormatError(f"expected ASCII sample, got {tok!r}", at)
+        px.append(int(tok))
+        if px[-1] > maxval:
+            raise PnmFormatError(f"sample {px[-1]} exceeds maxval {maxval}", at)
+    return GrayImage(width, height, np.array(px, np.uint8).reshape(height, width))
 
 
 def save_pgm(img: GrayImage) -> bytes:

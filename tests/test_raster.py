@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -85,6 +87,175 @@ def test_malformed_streams_report_byte_offset(raw, offset_at_least):
         load_pgm(raw)
     assert exc.value.offset >= offset_at_least
     assert "byte offset" in str(exc.value)
+
+
+@pytest.mark.parametrize("raw, message, offset", [
+    (b"P2\n2 1\n255\n0 x\n", "expected ASCII sample, got b'x'", 13),
+    (b"P2\n2 1\n100\n101 0\n", "sample 101 exceeds maxval 100", 11),
+    (b"P5\n1 1\n255#c\n\x00", "expected single whitespace byte after maxval", 10),
+    (b"P5\n2 2\n255\n\x00\x00", "truncated raster, expected 4 bytes, got 2", 13),
+    # A plain raster that ends early says so, as a binary one does.
+    (b"P2\n2 1\n255\n0\n", "truncated raster, expected 2 samples, got 1", 13),
+])
+def test_malformed_streams_report_message_and_offset(raw, message, offset):
+    with pytest.raises(PnmFormatError) as exc:
+        load_pgm(raw)
+    assert str(exc.value) == f"{message} (byte offset {offset})"
+    assert exc.value.offset == offset
+
+
+def test_plain_sample_may_touch_a_comment():
+    assert load_pgm(b"P2\n2 1\n255\n1#c\n2").pixels.tolist() == [[1, 2]]
+    assert load_pgm(b"P2#c\n2#c\r1#c\n255#\n1#c\n2#c").pixels.tolist() == [[1, 2]]
+
+
+_WS = frozenset(b" \t\n\r\x0b\x0c")
+
+
+def reference_load_pgm(data):
+    """The byte-at-a-time reader from before the token regex.
+
+    It reports a plain raster that ends early as "unexpected end of data in
+    header", at the offset where the regex reader reports "truncated raster".
+    """
+    def next_token(pos):
+        n = len(data)
+        while pos < n:
+            c = data[pos]
+            if c == 0x23:  # '#'
+                while pos < n and data[pos] not in (0x0A, 0x0D):
+                    pos += 1
+            elif c in _WS:
+                pos += 1
+            else:
+                break
+        if pos >= n:
+            raise PnmFormatError("unexpected end of data in header", pos)
+        start = pos
+        while pos < n and data[pos] not in _WS and data[pos] != 0x23:
+            pos += 1
+        return data[start:pos], pos
+
+    def header_int(pos, what, upper=None):
+        tok, end = next_token(pos)
+        if not tok.isdigit():
+            raise PnmFormatError(f"expected unsigned integer for {what}, got {tok!r}",
+                                 end - len(tok))
+        value = int(tok)
+        if value <= 0:
+            raise PnmFormatError(f"{what} must be positive, got {value}", end - len(tok))
+        if upper is not None and value > upper:
+            raise PnmFormatError(f"{what} {value} exceeds supported maximum {upper}",
+                                 end - len(tok))
+        return value, end
+
+    def header_int_sample(pos, maxval):
+        tok, end = next_token(pos)
+        if not tok.isdigit():
+            raise PnmFormatError(f"expected ASCII sample, got {tok!r}", end - len(tok))
+        value = int(tok)
+        if value > maxval:
+            raise PnmFormatError(f"sample {value} exceeds maxval {maxval}", end - len(tok))
+        return value, end
+
+    data = bytes(data)
+    magic, pos = next_token(0)
+    if magic == b"P6":
+        raise PnmFormatError("P6 is a color PPM, expected grayscale PGM (P5 or P2)", 0)
+    if magic not in (b"P5", b"P2"):
+        raise PnmFormatError(f"not a PGM stream, magic {magic!r}", 0)
+    width, pos = header_int(pos, "width")
+    height, pos = header_int(pos, "height")
+    maxval, pos = header_int(pos, "maxval", upper=255)
+
+    if magic == b"P5":
+        if pos >= len(data) or data[pos] not in _WS:
+            raise PnmFormatError("expected single whitespace byte after maxval", pos)
+        pos += 1
+        need = width * height
+        payload = data[pos:pos + need]
+        if len(payload) < need:
+            raise PnmFormatError(f"truncated raster, expected {need} bytes, got {len(payload)}",
+                                 len(data))
+        px = np.frombuffer(payload, dtype=np.uint8).reshape(height, width)
+        return GrayImage(width, height, px)
+
+    values = np.empty(width * height, dtype=np.uint8)
+    for i in range(width * height):
+        value, pos = header_int_sample(pos, maxval)
+        values[i] = value
+    return GrayImage(width, height, values.reshape(height, width))
+
+
+def outcome(load, data):
+    """The image a reader returns for data, or its error's offset and message."""
+    try:
+        return load(data)
+    except PnmFormatError as e:
+        return e.offset, str(e)
+
+
+def assert_reads_as_reference(data):
+    got, want = outcome(load_pgm, data), outcome(reference_load_pgm, data)
+    if isinstance(got, tuple) and re.match(r"truncated raster, expected \d+ samples", got[1]):
+        assert want == (got[0], f"unexpected end of data in header (byte offset {got[0]})")
+    else:
+        assert got == want
+
+
+# Whitespace between tokens: whitespace bytes and '#' comments, each comment
+# ended by a line break.
+WHITESPACE = st.sampled_from([bytes([c]) for c in b" \t\n\r\x0b\x0c"])
+COMMENT = st.builds(lambda text, eol: b"#" + text + eol,
+                    st.binary(max_size=4).map(lambda t: t.replace(b"\n", b"").replace(b"\r", b"")),
+                    st.sampled_from([b"\n", b"\r"]))
+SEPARATOR = st.lists(st.one_of(WHITESPACE, COMMENT), min_size=1, max_size=3).map(b"".join)
+
+
+@st.composite
+def pgm_streams(draw):
+    """A valid P5 or P2 stream with comments wherever whitespace may go, and its image."""
+    w, h, maxval = draw(st.integers(1, 4)), draw(st.integers(1, 4)), draw(st.integers(1, 255))
+    px = draw(st.lists(st.integers(0, maxval), min_size=w * h, max_size=w * h))
+    magic = draw(st.sampled_from([b"P5", b"P2"]))
+    data = draw(st.one_of(st.just(b""), SEPARATOR)) + magic
+    for field in (w, h, maxval):
+        data += draw(SEPARATOR) + str(field).encode()
+    if magic == b"P5":
+        data += draw(WHITESPACE) + bytes(px)
+    else:
+        data += b"".join(draw(SEPARATOR) + str(v).encode() for v in px)
+    data += draw(st.one_of(st.just(b""), SEPARATOR))
+    return data, GrayImage(w, h, np.array(px).reshape(h, w))
+
+
+@given(pgm_streams())
+@settings(max_examples=100, deadline=None)
+def test_reader_reads_valid_streams_as_reference(stream):
+    data, img = stream
+    assert load_pgm(data) == img
+    assert reference_load_pgm(data) == img
+
+
+MUTATION = st.tuples(st.sampled_from(["replace", "insert", "delete", "cut"]),
+                     st.integers(0, 10 ** 6), st.sampled_from(b"0123456789 \t\n\r\x0b#P25-x\x00\xff"))
+
+
+@given(pgm_streams(), st.lists(MUTATION, min_size=1, max_size=3))
+@settings(max_examples=250, deadline=None)
+def test_reader_matches_reference_on_mutated_streams(stream, mutations):
+    data = bytearray(stream[0])
+    for op, where, byte in mutations:
+        i = where % (len(data) + 1)
+        if op == "insert":
+            data.insert(i, byte)
+        elif op == "cut":
+            del data[i:]
+        elif data and op == "replace":
+            data[min(i, len(data) - 1)] = byte
+        elif data:
+            del data[min(i, len(data) - 1)]
+    assert_reads_as_reference(bytes(data))
 
 
 @given(st.integers(1, 8), st.integers(1, 8), st.integers(0, 2 ** 32 - 1))

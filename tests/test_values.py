@@ -97,3 +97,10 @@ def test_classification_map_rejects_non_label_codes(code, dtype):
     codes[1, 2] = code
     with pytest.raises(ValueError, match="codes"):
         ClassificationMap(3, 2, 1, 1, codes)
+
+
+@pytest.mark.parametrize("cls", [ForceMap, ClassificationMap], ids=lambda cls: cls.__name__)
+@pytest.mark.parametrize("ox, oy", [(7, 7), (3, 1), (1, 2), (-1, 1), (1, -1)])
+def test_map_rejects_an_origin_off_the_grid(cls, ox, oy):
+    with pytest.raises(ValueError, match=rf"origin \({ox}, {oy}\) outside 3x2 map"):
+        cls(3, 2, ox, oy, **ARRAYS[cls]())
