@@ -3,8 +3,8 @@
 Subcommands cover the full pipeline: synthesize test shapes, extract edge
 masks and currents, evaluate forces and force maps, classify the shift
 grid, and match image pairs.  Maps come from force_map_fast; the library's
-force_map is its reference.  The text renderings of a map's forces and a
-current's tangents draw through one glyph grid.  Exit codes: 0 success,
+force_map is its reference.  Glyphs draw through one grid, and files go
+through one writer once a command's result exists.  Exit codes: 0 success,
 2 bad arguments or unreadable input, 1 processing failure.
 """
 
@@ -121,8 +121,17 @@ def _out_dir(args) -> Path:
     return out
 
 
-def _write_json(path: Path, payload: dict) -> None:
-    path.write_bytes((json.dumps(payload, indent=2, sort_keys=True) + "\n").encode("utf-8"))
+def _json(payload: dict) -> bytes:
+    return (json.dumps(payload, indent=2, sort_keys=True) + "\n").encode("utf-8")
+
+
+def _emit(args, files: dict, detail: str) -> int:
+    """Create --out-dir, write each named file in order, and report them."""
+    out = _out_dir(args)
+    for name, data in files.items():
+        (out / name).write_bytes(data)
+    print(f"wrote {' and '.join(str(out / name) for name in files)} ({detail})")
+    return 0
 
 
 def _currents_for(args) -> tuple[EdgeCurrent, EdgeCurrent]:
@@ -138,30 +147,23 @@ def _currents_for(args) -> tuple[EdgeCurrent, EdgeCurrent]:
 
 
 def _cmd_synth(args) -> int:
-    kw = {}
-    if args.side is not None:
-        kw["side"] = args.side
+    rect = semi_axes = center = None
     if args.rect is not None:
         rw, rh = _pair(args.rect, "--rect", float, "x")
         if not (rw.is_integer() and rh.is_integer()):
             raise ArgumentCheckError(f"--rect sides must be whole numbers, got {args.rect!r}")
-        kw["rect"] = (int(rw), int(rh))
+        rect = (int(rw), int(rh))
     if args.semi_axes is not None:
-        kw["semi_axes"] = _pair(args.semi_axes, "--semi-axes", float, "x")
-    if args.radius is not None:
-        kw["radius"] = args.radius
-    if args.length is not None:
-        kw["length"] = args.length
-    if args.thickness != 1:
-        kw["thickness"] = args.thickness
-    if args.vertical:
-        kw["horizontal"] = False
+        semi_axes = _pair(args.semi_axes, "--semi-axes", float, "x")
     if args.center is not None:
-        kw["center"] = _pair(args.center, "--center", float)
+        center = _pair(args.center, "--center", float)
     width = args.width if args.width is not None else args.size
     height = args.height if args.height is not None else args.size
     try:
-        img = synth_shape(args.kind, width, height, **kw)
+        img = synth_shape(args.kind, width, height, side=args.side, rect=rect,
+                          semi_axes=semi_axes, radius=args.radius, length=args.length,
+                          thickness=args.thickness, horizontal=not args.vertical,
+                          center=center)
     except ValueError as e:
         raise ArgumentCheckError(str(e))
     if args.shift is not None:
@@ -179,13 +181,11 @@ def _cmd_synth(args) -> int:
 def _cmd_edges(args) -> int:
     img = _load_image(args.image)
     ep = _edge_params(args)
-    out = _out_dir(args)
     field = sobel_field(img, smooth=args.smooth)
     coarse = threshold_mask(field, ep)
     mask = nms_mask(field, coarse, ep)
     current = build_current(field, mask)
-    (out / "edges.pgm").write_bytes(save_pgm(mask_image(mask)))
-    _write_json(out / "edges.json", {
+    return _emit(args, {"edges.pgm": save_pgm(mask_image(mask)), "edges.json": _json({
         "width": img.width,
         "height": img.height,
         "max_magnitude": float(field.magnitude.max()),
@@ -194,22 +194,15 @@ def _cmd_edges(args) -> int:
         "edge_points": mask.count,
         "elements": len(current),
         "dropped_zero_gradient": current.dropped,
-    })
-    print(f"wrote {out / 'edges.pgm'} and {out / 'edges.json'} "
-          f"({mask.count} edge points)")
-    return 0
+    })}, f"{mask.count} edge points")
 
 
 def _cmd_current(args) -> int:
     img = _load_image(args.image)
-    ep = _edge_params(args)
-    out = _out_dir(args)
-    current = extract_current(img, ep, smooth=args.smooth)
-    (out / "current.tsv").write_bytes(current_tsv(current).encode("utf-8"))
-    (out / "current.txt").write_bytes(render_current_glyphs(current).encode("utf-8"))
-    print(f"wrote {out / 'current.tsv'} and {out / 'current.txt'} "
-          f"({len(current)} elements, {current.dropped} dropped)")
-    return 0
+    current = extract_current(img, _edge_params(args), smooth=args.smooth)
+    return _emit(args, {"current.tsv": current_tsv(current).encode("utf-8"),
+                        "current.txt": render_current_glyphs(current).encode("utf-8")},
+                 f"{len(current)} elements, {current.dropped} dropped")
 
 
 def _cmd_force(args) -> int:
@@ -228,12 +221,9 @@ def _cmd_map(args) -> int:
     # zero-force cutoff cannot turn a weakly scaled force into a balance.
     unit = force_map_fast(c1, c2, replace(fp, strength=1.0))
     fmap = unit.scaled(fp.strength)  # force_map_fast's own last step
-    out = _out_dir(args)
-    (out / "force_map.tsv").write_bytes(force_map_tsv(fmap).encode("utf-8"))
-    (out / "force_map.txt").write_bytes(render_direction_glyphs(unit).encode("utf-8"))
-    print(f"wrote {out / 'force_map.tsv'} and {out / 'force_map.txt'} "
-          f"({fmap.width}x{fmap.height}, origin {fmap.origin})")
-    return 0
+    return _emit(args, {"force_map.tsv": force_map_tsv(fmap).encode("utf-8"),
+                        "force_map.txt": render_direction_glyphs(unit).encode("utf-8")},
+                 f"{fmap.width}x{fmap.height}, origin {fmap.origin}")
 
 
 def _cmd_classify(args) -> int:
@@ -242,19 +232,16 @@ def _cmd_classify(args) -> int:
     # cannot turn a weakly scaled force into a balance.
     fp = replace(_force_params(args), strength=1.0)
     cls = classify_map(force_map_fast(c1, c2, fp), max_steps=args.max_steps)
-    out = _out_dir(args)
-    (out / "classification.ppm").write_bytes(render_classification_ppm(cls))
     summary = summarize_map(cls)
-    _write_json(out / "classification.json", {
+    report = _json({
         "width": cls.width,
         "height": cls.height,
         "origin": [cls.ox, cls.oy],
         "counts": summary,
     })
-    print(f"wrote {out / 'classification.ppm'} and {out / 'classification.json'} "
-          f"(convergence {summary['convergence']}, divergence {summary['divergence']}, "
-          f"locally_trapped {summary['locally_trapped']})")
-    return 0
+    return _emit(args, {"classification.ppm": render_classification_ppm(cls),
+                        "classification.json": report},
+                 ", ".join(f"{label} {n}" for label, n in summary.items()))
 
 
 def _cmd_match(args) -> int:
@@ -270,8 +257,7 @@ def _cmd_match(args) -> int:
     result = match_images(img1, img2, ep, fp, start_offset=start,
                           max_steps=args.max_steps, smooth=args.smooth)
     payload = match_result_json(result)
-    out = _out_dir(args)
-    _write_json(out / "match.json", payload)
+    (_out_dir(args) / "match.json").write_bytes(_json(payload))
     print(json.dumps(payload, sort_keys=True))
     return 0
 
@@ -387,16 +373,12 @@ _PAIR_FLAGS = ("--shift", "--start", "--center")
 
 def _fuse_negative_pairs(argv: list) -> list:
     out = []
-    i = 0
-    while i < len(argv):
-        tok = argv[i]
-        nxt = argv[i + 1] if i + 1 < len(argv) else ""
-        if tok in _PAIR_FLAGS and len(nxt) >= 2 and nxt[0] == "-" and nxt[1] in "0123456789.":
-            out.append(f"{tok}={nxt}")
-            i += 2
+    for tok in argv:
+        negative = len(tok) >= 2 and tok[0] == "-" and tok[1] in "0123456789."
+        if negative and out and out[-1] in _PAIR_FLAGS:
+            out[-1] = f"{out[-1]}={tok}"
         else:
             out.append(tok)
-            i += 1
     return out
 
 

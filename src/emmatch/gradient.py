@@ -1,4 +1,8 @@
-"""Sobel gradient estimation for grayscale images."""
+"""Sobel gradient estimation for grayscale images.
+
+The Sobel kernels and the optional binomial blur run through one 3x3
+correlation with edge replication.
+"""
 
 from __future__ import annotations
 
@@ -16,6 +20,7 @@ SOBEL_X = np.array([[-1, 0, 1],
                     [-2, 0, 2],
                     [-1, 0, 1]], dtype=np.float64)
 SOBEL_Y = SOBEL_X.T
+_BINOMIAL = np.outer([1.0, 2.0, 1.0], [1.0, 2.0, 1.0]) / 16.0
 
 
 @dataclass(frozen=True, eq=False)
@@ -38,11 +43,15 @@ class VectorField:
         return _frozen_copy(np.hypot(self.gx, self.gy), np.float64, self.gx.shape, "magnitude")
 
 
-def _binomial3(f: np.ndarray) -> np.ndarray:
-    """3x3 binomial blur ([1,2,1] outer [1,2,1] / 16) with replicated edges."""
+def _correlate3(f: np.ndarray, kernel: np.ndarray) -> np.ndarray:
+    """3x3 correlation of f with kernel over f's edge-replicated border.
+
+    Every weight and input is a multiple of 1/16 below 2**53, so the sum over
+    the non-zero weights is exact in any order.
+    """
     p = np.pad(f, 1, mode="edge")
-    rows = (p[:-2, :] + 2.0 * p[1:-1, :] + p[2:, :]) / 4.0
-    return (rows[:, :-2] + 2.0 * rows[:, 1:-1] + rows[:, 2:]) / 4.0
+    h, w = f.shape
+    return sum(kernel[i, j] * p[i:i + h, j:j + w] for i, j in zip(*np.nonzero(kernel)))
 
 
 def sobel_field(img: GrayImage, smooth: bool = False) -> VectorField:
@@ -55,12 +64,5 @@ def sobel_field(img: GrayImage, smooth: bool = False) -> VectorField:
         raise ValueError(f"image must be at least 3x3 for Sobel, got {img.width}x{img.height}")
     f = img.pixels.astype(np.float64)
     if smooth:
-        f = _binomial3(f)
-    p = np.pad(f, 1, mode="edge")
-    gx = ((p[:-2, 2:] - p[:-2, :-2])
-          + 2.0 * (p[1:-1, 2:] - p[1:-1, :-2])
-          + (p[2:, 2:] - p[2:, :-2]))
-    gy = ((p[2:, :-2] - p[:-2, :-2])
-          + 2.0 * (p[2:, 1:-1] - p[:-2, 1:-1])
-          + (p[2:, 2:] - p[:-2, 2:]))
-    return VectorField(img.width, img.height, gx, gy)
+        f = _correlate3(f, _BINOMIAL)
+    return VectorField(img.width, img.height, _correlate3(f, SOBEL_X), _correlate3(f, SOBEL_Y))

@@ -19,7 +19,7 @@ from typing import Callable
 
 import numpy as np
 
-from .edgecurrent import EdgeCurrent, EdgeParams, EmptyCurrentError, extract_current
+from .edgecurrent import EdgeParams, EmptyCurrentError, extract_current
 from .emforce import ForceMap, ForceParams, Vec2, total_force
 from .raster import GrayImage, _frozen_copy
 

@@ -81,17 +81,31 @@ class GrayImage:
     __hash__ = None
 
 
-def _header_int(token: tuple, what: str, upper: int | None = None) -> tuple[int, int]:
+# No numpy array is longer than _MAX_SIDE along one axis: it bounds a width
+# or height, and so every number in a PGM stream.
+_MAX_SIDE = int(np.iinfo(np.intp).max)
+_MAX_DIGITS = len(str(_MAX_SIDE))
+
+
+def _digits_value(tok: bytes) -> tuple[int, str]:
+    """Value of a digit token of any length, and how a message shows it."""
+    digits = tok.lstrip(b"0") or b"0"
+    if len(digits) > _MAX_DIGITS:  # above every bound, and maybe too long for int()
+        return _MAX_SIDE + 1, f"of {len(digits)} digits"
+    return int(digits), digits.decode()
+
+
+def _header_int(token: tuple, what: str, upper: int = _MAX_SIDE) -> tuple[int, int]:
     tok, at = token
     if tok is None:
         raise PnmFormatError("unexpected end of data in header", at)
     if not tok.isdigit():
         raise PnmFormatError(f"expected unsigned integer for {what}, got {tok!r}", at)
-    value = int(tok)
+    value, shown = _digits_value(tok)
     if value <= 0:
         raise PnmFormatError(f"{what} must be positive, got {value}", at)
-    if upper is not None and value > upper:
-        raise PnmFormatError(f"{what} {value} exceeds supported maximum {upper}", at)
+    if value > upper:
+        raise PnmFormatError(f"{what} {shown} exceeds supported maximum {upper}", at)
     return value, at + len(tok)
 
 
@@ -127,9 +141,10 @@ def load_pgm(data: bytes) -> GrayImage:
             raise PnmFormatError(f"truncated raster, expected {need} samples, got {len(px)}", at)
         if not tok.isdigit():
             raise PnmFormatError(f"expected ASCII sample, got {tok!r}", at)
-        px.append(int(tok))
-        if px[-1] > maxval:
-            raise PnmFormatError(f"sample {px[-1]} exceeds maxval {maxval}", at)
+        value = int(tok) if len(tok) <= _MAX_DIGITS else _digits_value(tok)[0]
+        if value > maxval:
+            raise PnmFormatError(f"sample {_digits_value(tok)[1]} exceeds maxval {maxval}", at)
+        px.append(value)
     return GrayImage(width, height, np.array(px, np.uint8).reshape(height, width))
 
 

@@ -15,8 +15,8 @@ import pytest
 import emmatch
 from emmatch import (EdgeParams, ForceParams, GrayImage, Vec2, classify_map,
                      current_tsv, extract_current, force_map_fast,
-                     force_map_tsv, load_pgm, save_pgm, shift_image,
-                     synth_shape, total_force)
+                     force_map_tsv, load_pgm, match_images, match_result_json,
+                     save_pgm, shift_image, synth_shape, total_force)
 from emmatch.cli import build_parser, main, render_classification_ppm
 
 GLYPH_SET = set(">v<^\\/`,.")
@@ -127,6 +127,17 @@ def test_current_outputs(shapes, tmp_path, capsys):
     assert drawn == len(current)
 
 
+def test_current_smooth_writes_the_smoothed_current(shapes, tmp_path, capsys):
+    for name, extra in (("raw", []), ("smooth", ["--smooth"])):
+        code, _, _ = run(capsys, "current", str(shapes / "rect.pgm"), *extra,
+                         "--out-dir", str(tmp_path / name))
+        assert code == 0
+    smooth = (tmp_path / "smooth" / "current.tsv").read_text()
+    rect = synth_shape("rectangle", 32, 32)
+    assert smooth == current_tsv(extract_current(rect, EdgeParams(), smooth=True))
+    assert smooth != (tmp_path / "raw" / "current.tsv").read_text()
+
+
 def test_force_reports_restoring_pull(shapes, capsys):
     code, stdout, _ = run(capsys, "force", "--img1", str(shapes / "rect.pgm"),
                           "--img2", str(shapes / "rect.pgm"), "--shift", "5,-4")
@@ -218,6 +229,16 @@ def test_match_outputs(shapes, tmp_path, capsys):
     assert doc["path"][0] == [16, 16]
 
 
+def test_match_smooth_equals_the_library_match(shapes, tmp_path, capsys):
+    code, stdout, _ = run(capsys, "match", "--img1", str(shapes / "moved.pgm"),
+                          "--img2", str(shapes / "rect.pgm"), "--smooth",
+                          "--out-dir", str(tmp_path))
+    assert code == 0
+    rect = synth_shape("rectangle", 32, 32)
+    want = match_images(shift_image(rect, 5, -4), rect, smooth=True)
+    assert stdout == json.dumps(match_result_json(want), sort_keys=True) + "\n"
+
+
 def test_match_accepts_negative_start(shapes, tmp_path, capsys):
     code, stdout, _ = run(capsys, "match", "--img1", str(shapes / "rect.pgm"),
                           "--img2", str(shapes / "rect.pgm"), "--start", "-2,-2",
@@ -246,6 +267,17 @@ def test_malformed_image_is_a_processing_error(shapes, tmp_path, capsys):
                        "--out-dir", str(tmp_path))
     assert code == 1
     assert "byte offset" in err
+
+
+@pytest.mark.parametrize("command", ["edges", "current"])
+def test_failed_command_leaves_no_out_dir(tmp_path, capsys, command):
+    tiny = tmp_path / "tiny.pgm"
+    tiny.write_bytes(save_pgm(GrayImage(2, 2, np.zeros((2, 2), dtype=np.uint8))))
+    out = tmp_path / "out"
+    code, stdout, err = run(capsys, command, str(tiny), "--out-dir", str(out))
+    assert code == 1
+    assert "at least 3x3" in err
+    assert stdout == "" and not out.exists()
 
 
 def test_blank_image_is_a_processing_error(shapes, tmp_path, capsys):

@@ -6,19 +6,25 @@ from hypothesis import strategies as st
 from emmatch import SOBEL_X, SOBEL_Y, GrayImage, VectorField, sobel_field, synth_shape
 
 
-def brute_sobel(pixels):
-    """Direct correlation with edge replication, one pixel at a time."""
-    f = pixels.astype(np.float64)
+BINOMIAL = np.array([[1, 2, 1],
+                     [2, 4, 2],
+                     [1, 2, 1]], dtype=np.float64) / 16.0
+
+
+def brute_correlate(f, kernel):
+    """Direct 3x3 correlation with edge replication, one pixel at a time."""
     p = np.pad(f, 1, mode="edge")
-    h, w = f.shape
-    gx = np.zeros((h, w))
-    gy = np.zeros((h, w))
-    for y in range(h):
-        for x in range(w):
-            win = p[y:y + 3, x:x + 3]
-            gx[y, x] = float(np.sum(win * SOBEL_X))
-            gy[y, x] = float(np.sum(win * SOBEL_Y))
-    return gx, gy
+    out = np.zeros(f.shape)
+    for y, x in np.ndindex(f.shape):
+        out[y, x] = float(np.sum(p[y:y + 3, x:x + 3] * kernel))
+    return out
+
+
+def brute_sobel(pixels, smooth=False):
+    f = pixels.astype(np.float64)
+    if smooth:
+        f = brute_correlate(f, BINOMIAL)
+    return brute_correlate(f, SOBEL_X), brute_correlate(f, SOBEL_Y)
 
 
 def test_kernels_are_transposes():
@@ -63,15 +69,18 @@ def test_single_bright_pixel_matches_brute_force():
     assert np.array_equal(field.gy, gy)
 
 
-@given(st.integers(3, 9), st.integers(3, 9), st.integers(0, 2 ** 32 - 1))
-@settings(max_examples=40, deadline=None)
-def test_matches_brute_force_on_random_images(w, h, seed):
+@given(st.integers(3, 9), st.integers(3, 9), st.integers(0, 2 ** 32 - 1), st.booleans())
+@settings(max_examples=80, deadline=None)
+def test_matches_brute_force_on_random_images(w, h, seed, smooth):
+    # Every term is a multiple of 1/16, so both sums are exact: the bytes,
+    # sign of zero included, must agree, with smoothing or without.
     rng = np.random.default_rng(seed)
     px = rng.integers(0, 256, size=(h, w), dtype=np.uint8)
-    field = sobel_field(GrayImage(w, h, px))
-    gx, gy = brute_sobel(px)
-    assert np.array_equal(field.gx, gx)
-    assert np.array_equal(field.gy, gy)
+    px[rng.random((h, w)) < 0.3] = 0  # zero regions, where a -0.0 could appear
+    field = sobel_field(GrayImage(w, h, px), smooth=smooth)
+    gx, gy = brute_sobel(px, smooth)
+    assert field.gx.tobytes() == gx.tobytes()
+    assert field.gy.tobytes() == gy.tobytes()
 
 
 @given(st.integers(3, 9), st.integers(3, 9), st.integers(0, 2 ** 32 - 1))

@@ -104,6 +104,24 @@ def test_malformed_streams_report_message_and_offset(raw, message, offset):
     assert exc.value.offset == offset
 
 
+@pytest.mark.parametrize("raw, message, offset", [
+    # A number too long for int() is reported at its token like any other.
+    (b"P2\n" + b"1" * 5000 + b" 1\n255\n0\n",
+     f"width of 5000 digits exceeds supported maximum {np.iinfo(np.intp).max}", 3),
+    (b"P2\n2 1\n255\n0 " + b"7" * 5000 + b"\n", "sample of 5000 digits exceeds maxval 255", 13),
+    (b"P2\n1 1\n" + b"0" * 5000 + b"256\n0\n", "maxval 256 exceeds supported maximum 255", 7),
+], ids=["width", "sample", "zero-padded maxval"])
+def test_overlong_numbers_report_their_offset(raw, message, offset):
+    with pytest.raises(PnmFormatError) as exc:
+        load_pgm(raw)
+    assert str(exc.value) == f"{message} (byte offset {offset})"
+    assert exc.value.offset == offset
+
+
+def test_leading_zeros_keep_their_value_at_any_length():
+    assert load_pgm(b"P2\n2 1\n255\n007 " + b"0" * 5000 + b"\n").pixels.tolist() == [[7, 0]]
+
+
 def test_plain_sample_may_touch_a_comment():
     assert load_pgm(b"P2\n2 1\n255\n1#c\n2").pixels.tolist() == [[1, 2]]
     assert load_pgm(b"P2#c\n2#c\r1#c\n255#\n1#c\n2#c").pixels.tolist() == [[1, 2]]
