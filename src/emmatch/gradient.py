@@ -16,11 +16,12 @@ from .raster import GrayImage, _frozen_copy
 # Horizontal kernel; the vertical one is its transpose.  Applied as a
 # correlation, so gx is positive where intensity increases to the right
 # and gy is positive where intensity increases downward (y grows down).
-SOBEL_X = np.array([[-1, 0, 1],
-                    [-2, 0, 2],
-                    [-1, 0, 1]], dtype=np.float64)
+# Both are read-only, since every gradient reads them.
+SOBEL_X = _frozen_copy([[-1, 0, 1],
+                        [-2, 0, 2],
+                        [-1, 0, 1]], np.float64, (3, 3), "SOBEL_X")
 SOBEL_Y = SOBEL_X.T
-_BINOMIAL = np.outer([1.0, 2.0, 1.0], [1.0, 2.0, 1.0]) / 16.0
+_BINOMIAL = _frozen_copy(np.outer([1, 2, 1], [1, 2, 1]) / 16.0, np.float64, (3, 3), "_BINOMIAL")
 
 
 @dataclass(frozen=True, eq=False)

@@ -141,9 +141,9 @@ def load_pgm(data: bytes) -> GrayImage:
             raise PnmFormatError(f"truncated raster, expected {need} samples, got {len(px)}", at)
         if not tok.isdigit():
             raise PnmFormatError(f"expected ASCII sample, got {tok!r}", at)
-        value = int(tok) if len(tok) <= _MAX_DIGITS else _digits_value(tok)[0]
+        value, shown = _digits_value(tok)
         if value > maxval:
-            raise PnmFormatError(f"sample {_digits_value(tok)[1]} exceeds maxval {maxval}", at)
+            raise PnmFormatError(f"sample {shown} exceeds maxval {maxval}", at)
         px.append(value)
     return GrayImage(width, height, np.array(px, np.uint8).reshape(height, width))
 

@@ -30,6 +30,9 @@ def brute_sobel(pixels, smooth=False):
 def test_kernels_are_transposes():
     assert np.array_equal(SOBEL_Y, SOBEL_X.T)
     assert SOBEL_X[1, 2] == 2.0 and SOBEL_X[1, 0] == -2.0
+    for kernel in (SOBEL_X, SOBEL_Y):
+        with pytest.raises(ValueError):
+            kernel[0, 0] = 5.0
 
 
 def test_constant_image_has_zero_gradient():
