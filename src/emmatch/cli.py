@@ -79,17 +79,6 @@ def _pair(text: str, what: str, cast, sep: str = ",") -> tuple:
     return values
 
 
-def _positive_int(text: str) -> int:
-    """argparse type for counts that must be at least 1; failures exit 2."""
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"must be an integer, got {text!r}")
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
-    return value
-
-
 def _edge_params(args) -> EdgeParams:
     try:
         return EdgeParams(threshold_pct=args.threshold, strict_nms=args.strict_nms)
@@ -112,8 +101,9 @@ def _load_image(path: str) -> GrayImage:
     return load_pgm(data)
 
 
-def _out_dir(args) -> Path:
-    out = Path(args.out_dir)
+def _out_dir(path) -> Path:
+    """path as a directory, created with its parents; a failure exits 2."""
+    out = Path(path)
     try:
         out.mkdir(parents=True, exist_ok=True)
     except OSError as e:
@@ -127,7 +117,7 @@ def _json(payload: dict) -> bytes:
 
 def _emit(args, files: dict, detail: str) -> int:
     """Create --out-dir, write each named file in order, and report them."""
-    out = _out_dir(args)
+    out = _out_dir(args.out_dir)
     for name, data in files.items():
         (out / name).write_bytes(data)
     print(f"wrote {' and '.join(str(out / name) for name in files)} ({detail})")
@@ -170,8 +160,7 @@ def _cmd_synth(args) -> int:
         dx, dy = _pair(args.shift, "--shift", int)
         img = shift_image(img, dx, dy)
     out = Path(args.out)
-    if out.parent and not out.parent.exists():
-        out.parent.mkdir(parents=True, exist_ok=True)
+    _out_dir(out.parent)
     out.write_bytes(save_pgm(img))
     print(f"wrote {out} ({img.width}x{img.height}, "
           f"{int(np.count_nonzero(img.pixels))} foreground px)")
@@ -231,7 +220,7 @@ def _cmd_classify(args) -> int:
     # Labels carry no magnitudes; at unit strength the zero-force cutoff
     # cannot turn a weakly scaled force into a balance.
     fp = replace(_force_params(args), strength=1.0)
-    cls = classify_map(force_map_fast(c1, c2, fp), max_steps=args.max_steps)
+    cls = classify_map(force_map_fast(c1, c2, fp))
     summary = summarize_map(cls)
     report = _json({
         "width": cls.width,
@@ -254,10 +243,9 @@ def _cmd_match(args) -> int:
     if not (0 <= ox + start[0] < img2.width and 0 <= oy + start[1] < img2.height):
         raise ArgumentCheckError(f"--start {start} leaves the "
                                  f"{img2.width}x{img2.height} shift grid")
-    result = match_images(img1, img2, ep, fp, start_offset=start,
-                          max_steps=args.max_steps, smooth=args.smooth)
+    result = match_images(img1, img2, ep, fp, start_offset=start, smooth=args.smooth)
     payload = match_result_json(result)
-    (_out_dir(args) / "match.json").write_bytes(_json(payload))
+    (_out_dir(args.out_dir) / "match.json").write_bytes(_json(payload))
     print(json.dumps(payload, sort_keys=True))
     return 0
 
@@ -299,8 +287,6 @@ def build_parser() -> argparse.ArgumentParser:
         epilog="Direction glyphs in text outputs: > v < ^ east south west north, "
                "\\ southeast, / southwest, ` northeast, , northwest, . balanced.")
     sub = p.add_subparsers(dest="command", required=True)
-    max_steps_help = ("walk budget; a spent budget or a cycle of 3+ cells is trapped "
-                      "(default none: every walk ends by its first revisited cell)")
 
     s = sub.add_parser("synth", help="rasterize a synthetic test shape to PGM")
     s.add_argument("--kind", required=True,
@@ -350,7 +336,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_pair_inputs(k)
     _add_edge_flags(k)
     _add_force_flags(k)
-    k.add_argument("--max-steps", type=_positive_int, help=max_steps_help)
     _add_out_dir(k)
     k.set_defaults(func=_cmd_classify)
 
@@ -359,7 +344,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_edge_flags(t)
     _add_force_flags(t)
     t.add_argument("--start", help="initial offset on the shift grid as DX,DY (default 0,0)")
-    t.add_argument("--max-steps", type=_positive_int, help=max_steps_help)
     _add_out_dir(t)
     t.set_defaults(func=_cmd_match)
 

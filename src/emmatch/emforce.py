@@ -31,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .edgecurrent import CurrentElement, EdgeCurrent, EmptyCurrentError
-from .raster import _frozen_copy, _tsv
+from .raster import _frozen_copy, _grid_cell, _tsv
 
 
 @dataclass(frozen=True)
@@ -88,7 +88,7 @@ class ForceMap:
     """Planar total force for every integer shift of the first current.
 
     Cell (x, y) holds the in-plane force at shift (x - ox, y - oy); the
-    origin cell (ox, oy), which must lie on the grid, is the zero-shift
+    origin cell (ox, oy), an integer cell on the grid, is the zero-shift
     configuration.  fx and fy are stored as read-only float64 copies, and
     every cell must be finite.
     """
@@ -101,8 +101,9 @@ class ForceMap:
     fy: np.ndarray
 
     def __post_init__(self):
-        if not (0 <= self.ox < self.width and 0 <= self.oy < self.height):
-            raise ValueError(f"origin {self.origin} outside {self.width}x{self.height} map")
+        ox, oy = _grid_cell((self.ox, self.oy), self.width, self.height, "origin")
+        object.__setattr__(self, "ox", ox)
+        object.__setattr__(self, "oy", oy)
         for name in ("fx", "fy"):
             arr = _frozen_copy(getattr(self, name), np.float64, (self.height, self.width), name)
             if not np.isfinite(arr).all():
@@ -119,8 +120,7 @@ class ForceMap:
                         _scaled(self.fx, factor), _scaled(self.fy, factor))
 
     def cell(self, x: int, y: int) -> Vec2:
-        if not (0 <= x < self.width and 0 <= y < self.height):
-            raise ValueError(f"cell ({x}, {y}) outside {self.width}x{self.height} map")
+        x, y = _grid_cell((x, y), self.width, self.height, "cell")
         return Vec2(float(self.fx[y, x]), float(self.fy[y, x]))
 
 

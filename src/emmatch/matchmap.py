@@ -3,10 +3,10 @@
 A planar force picks one of eight neighbor moves (or none, at balance).
 Following those moves from a start cell traces a path that ends in one of
 four ways: it reaches the zero-shift origin, it oscillates around a balance
-point, it walks off the grid, or it hits the step limit: an optional budget
-is spent, or the walk closes a cycle of three or more cells.  Classifying
-every cell by its path outcome splits the grid into a convergence basin,
-divergent cells, and locally trapped cells.  Matching two images is the
+point, it walks off the grid, or it hits the step limit: its next move
+would close a cycle of three or more cells.  Classifying every cell by its
+path outcome splits the grid into a convergence basin, divergent cells,
+and locally trapped cells.  Matching two images is the
 same walk run on forces computed on the fly, starting from shift zero.
 """
 
@@ -21,7 +21,7 @@ import numpy as np
 
 from .edgecurrent import EdgeParams, EmptyCurrentError, extract_current
 from .emforce import ForceMap, ForceParams, Vec2, total_force
-from .raster import GrayImage, _frozen_copy
+from .raster import GrayImage, _frozen_copy, _grid_cell
 
 # Below this magnitude a force vector counts as no force at all.
 ZERO_FORCE_EPS = 1e-12
@@ -105,9 +105,9 @@ class PathTrace:
 
     For a balance oscillation the terminal is the oscillating cell with the
     smaller force magnitude (ties keep the earlier-visited one), which may
-    differ from the last path position.  STEP_LIMIT means the budget was
-    spent or the next move would close a cycle of three or more cells; the
-    path then holds no repeated cell, and the terminal is its last one.
+    differ from the last path position.  STEP_LIMIT means the next move
+    would close a cycle of three or more cells; the path then holds no
+    repeated cell, and the terminal is its last one.
     """
 
     positions: tuple[tuple[int, int], ...]
@@ -121,15 +121,13 @@ class PathTrace:
 
 def _walk(force_at: Callable[[int, int], tuple[float, float]],
           start: tuple[int, int], width: int, height: int,
-          origin: tuple[int, int], stop_at_origin: bool,
-          max_steps: int | None) -> PathTrace:
+          origin: tuple[int, int], stop_at_origin: bool) -> PathTrace:
     """Shared stepping engine for map walks and on-the-fly matching.
 
     A move depends only on the cell, so the walk ends at its first move onto
-    a visited cell: a bounce, or a cycle of three or more cells.
+    a visited cell: a bounce, or a cycle of three or more cells.  Every walk
+    therefore ends within width * height moves.
     """
-    if max_steps is not None and max_steps < 1:
-        raise ValueError(f"max_steps must be at least 1, got {max_steps}")
     positions = [start]
     visited = {start}
     px, py = start
@@ -138,8 +136,6 @@ def _walk(force_at: Callable[[int, int], tuple[float, float]],
         d = _direction_of(fx, fy)
         if d is None:
             return PathTrace(tuple(positions), PathStatus.BALANCE_OSCILLATION, (px, py))
-        if max_steps is not None and len(positions) > max_steps:
-            return PathTrace(tuple(positions), PathStatus.STEP_LIMIT, (px, py))
         dx, dy = d.step
         nx, ny = px + dx, py + dy
         if not (0 <= nx < width and 0 <= ny < height):
@@ -163,25 +159,21 @@ def _walk(force_at: Callable[[int, int], tuple[float, float]],
 
 
 def follow_path(fmap: ForceMap, start: tuple[int, int],
-                stop_at_origin: bool = True,
-                max_steps: int | None = None) -> PathTrace:
+                stop_at_origin: bool = True) -> PathTrace:
     """Walk the force map from a start cell until a terminal condition.
 
     Each step moves to the 8-neighbor selected by the current cell's force.
     Stepping onto the origin ends the walk immediately when stop_at_origin
     is set.  A move back onto a visited cell ends it too, so every walk ends
-    within width * height moves; max_steps, when given, is a tighter budget.
+    within width * height moves.
     """
-    sx, sy = start
-    if not (0 <= sx < fmap.width and 0 <= sy < fmap.height):
-        raise ValueError(f"start {start} outside {fmap.width}x{fmap.height} map")
+    start = _grid_cell(start, fmap.width, fmap.height, "start")
     fx_arr, fy_arr = fmap.fx, fmap.fy
 
     def force_at(x: int, y: int) -> tuple[float, float]:
         return float(fx_arr[y, x]), float(fy_arr[y, x])
 
-    return _walk(force_at, (sx, sy), fmap.width, fmap.height,
-                 fmap.origin, stop_at_origin, max_steps)
+    return _walk(force_at, start, fmap.width, fmap.height, fmap.origin, stop_at_origin)
 
 
 class Label(Enum):
@@ -206,7 +198,7 @@ ORIGIN_COLOR = (64, 64, 64)
 class ClassificationMap:
     """Per-cell path outcome for a whole force map, as a read-only copy of codes 0, 1, 2.
 
-    The origin (ox, oy) must lie on the grid, as a ForceMap's does.
+    The origin (ox, oy) must be an integer cell on the grid, as a ForceMap's is.
     """
 
     width: int
@@ -216,8 +208,9 @@ class ClassificationMap:
     codes: np.ndarray  # (height, width) uint8 of label codes
 
     def __post_init__(self):
-        if not (0 <= self.ox < self.width and 0 <= self.oy < self.height):
-            raise ValueError(f"origin {self.origin} outside {self.width}x{self.height} map")
+        ox, oy = _grid_cell((self.ox, self.oy), self.width, self.height, "origin")
+        object.__setattr__(self, "ox", ox)
+        object.__setattr__(self, "oy", oy)
         codes = _frozen_copy(self.codes, np.uint8, (self.height, self.width), "codes")
         if not np.isin(self.codes, list(_CODE_LABELS)).all():  # the cast wraps 256 to 0
             raise ValueError("codes must be label codes 0, 1 or 2")
@@ -228,23 +221,23 @@ class ClassificationMap:
         return (self.ox, self.oy)
 
     def label(self, x: int, y: int) -> Label:
-        if not (0 <= x < self.width and 0 <= y < self.height):
-            raise ValueError(f"cell ({x}, {y}) outside {self.width}x{self.height} map")
+        x, y = _grid_cell((x, y), self.width, self.height, "cell")
         return _CODE_LABELS[int(self.codes[y, x])]
 
 
-def classify_map(fmap: ForceMap, max_steps: int | None = None) -> ClassificationMap:
+def classify_map(fmap: ForceMap) -> ClassificationMap:
     """Label every cell by the outcome of its force-guided walk.
 
     Arriving at the origin, or oscillating with the balance terminal on the
     origin, is Convergence.  Leaving the grid is Divergence.  Any other
-    balance, or a step limit (budget or cycle), is LocallyTrapped.
+    balance, or a step limit (a cycle of three or more cells), is
+    LocallyTrapped.
     """
     codes = np.empty((fmap.height, fmap.width), dtype=np.uint8)
     origin = fmap.origin
     for y in range(fmap.height):
         for x in range(fmap.width):
-            trace = follow_path(fmap, (x, y), stop_at_origin=True, max_steps=max_steps)
+            trace = follow_path(fmap, (x, y), stop_at_origin=True)
             if trace.status is PathStatus.ARRIVED_AT_ORIGIN:
                 label = Label.CONVERGENCE
             elif trace.status is PathStatus.BALANCE_OSCILLATION:
@@ -308,7 +301,6 @@ def match_images(img1: GrayImage, img2: GrayImage,
                  edge_params: EdgeParams = EdgeParams(),
                  force_params: ForceParams = ForceParams(),
                  start_offset: tuple[int, int] = (0, 0),
-                 max_steps: int | None = None,
                  smooth: bool = False) -> MatchResult:
     """Estimate the integer shift between two images by following forces.
 
@@ -317,10 +309,10 @@ def match_images(img1: GrayImage, img2: GrayImage,
     and steps the offset along the discretized direction.  Settling into a
     balance (no force, or a two-cell oscillation) is a match; the detected
     shift is the negated final offset.  Walking the translated center out
-    of the second image's grid is Diverged.  Spending max_steps (no budget
-    when None), or a move that would close a cycle of three or more cells,
-    is Trapped.  The walk uses unit strength, so the result does not depend
-    on force_params.strength.
+    of the second image's grid is Diverged.  A move that would close a cycle
+    of three or more cells is Trapped.  start_offset must be a pair of
+    integers that keeps the start on the grid.  The walk uses unit
+    strength, so the result does not depend on force_params.strength.
     """
     c1 = extract_current(img1, edge_params, smooth=smooth)
     c2 = extract_current(img2, edge_params, smooth=smooth)
@@ -328,9 +320,7 @@ def match_images(img1: GrayImage, img2: GrayImage,
         raise EmptyCurrentError("matching requires edge points in both images")
     w, h = img2.width, img2.height
     ox, oy = w // 2, h // 2
-    start = (ox + start_offset[0], oy + start_offset[1])
-    if not (0 <= start[0] < w and 0 <= start[1] < h):
-        raise ValueError(f"start offset {start_offset} leaves the {w}x{h} shift grid")
+    start = _grid_cell((ox + start_offset[0], oy + start_offset[1]), w, h, "start")
 
     unit = replace(force_params, strength=1.0)
 
@@ -338,7 +328,7 @@ def match_images(img1: GrayImage, img2: GrayImage,
         f = total_force(c1, c2, Vec2(float(x - ox), float(y - oy)), unit)
         return f.x, f.y
 
-    trace = _walk(force_at, start, w, h, (ox, oy), False, max_steps)
+    trace = _walk(force_at, start, w, h, (ox, oy), False)
     if trace.status is PathStatus.BALANCE_OSCILLATION:
         status = MatchStatus.MATCHED
     elif trace.status is PathStatus.OUT_OF_BOUNDS:

@@ -11,6 +11,7 @@ pixel (0, 0) is the top-left corner.
 from __future__ import annotations
 
 import itertools
+import operator
 import re
 from dataclasses import dataclass
 
@@ -43,6 +44,18 @@ def _frozen_copy(value, dtype, shape: tuple[int, ...], name: str) -> np.ndarray:
     arr = np.array(arr, dtype=dtype, order="C")
     arr.flags.writeable = False
     return arr
+
+
+def _grid_cell(cell: tuple, width: int, height: int, name: str) -> tuple[int, int]:
+    """cell as two Python ints; ValueError unless both are integers on the width x height grid."""
+    x, y = cell
+    try:
+        x, y = operator.index(x), operator.index(y)
+    except TypeError:
+        raise ValueError(f"{name} ({x}, {y}) must be a pair of integers") from None
+    if not (0 <= x < width and 0 <= y < height):
+        raise ValueError(f"{name} ({x}, {y}) outside {width}x{height} map")
+    return x, y
 
 
 def _tsv(names: str, *columns: list) -> str:
@@ -133,7 +146,12 @@ def load_pgm(data: bytes) -> GrayImage:
         if len(payload) < need:
             raise PnmFormatError(f"truncated raster, expected {need} bytes, got {len(payload)}",
                                  len(data))
-        return GrayImage(width, height, np.frombuffer(payload, np.uint8).reshape(height, width))
+        px = np.frombuffer(payload, np.uint8)
+        over = np.flatnonzero(px > maxval)
+        if over.size:
+            raise PnmFormatError(f"sample {px[over[0]]} exceeds maxval {maxval}",
+                                 pos + 1 + int(over[0]))
+        return GrayImage(width, height, px.reshape(height, width))
 
     px = []
     for tok, at in itertools.islice(tokens, need):

@@ -245,7 +245,7 @@ def test_criterion_11_constructed_map_outcomes():
     # a force-free origin is its own balance point: convergence
     assert cls.label(2, 2) is Label.CONVERGENCE
 
-    # four-cell rotor never balances: budget runs out, trapped
+    # four-cell rotor never balances: its walks would close the cycle, trapped
     fx = np.zeros((5, 5)); fy = np.zeros((5, 5))
     fx[0, 0] = 1.0; fy[0, 1] = 1.0; fx[1, 1] = -1.0; fy[1, 0] = -1.0
     rotor = manual(fx, fy)

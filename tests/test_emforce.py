@@ -306,6 +306,9 @@ def test_force_map_cell_bounds():
         fmap.cell(-1, 0)
     with pytest.raises(ValueError):
         fmap.cell(0, 16)
+    with pytest.raises(ValueError, match=r"cell \(1.0, 0\) must be a pair of integers"):
+        fmap.cell(1.0, 0)
+    assert fmap.cell(np.int64(1), 0) == fmap.cell(1, 0)
 
 
 def test_force_map_shape_validation():

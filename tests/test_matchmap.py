@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -139,11 +140,6 @@ class TestFollowPath:
         assert trace.terminal == (0, 2)
         assert trace.steps == 0
 
-    def test_balance_wins_over_exhausted_budget(self):
-        fx = np.zeros((5, 5))
-        trace = follow_path(manual_map(fx, fx), (1, 1), max_steps=1)
-        assert trace.status is PathStatus.BALANCE_OSCILLATION
-
     def test_oscillation_terminal_has_smaller_force(self):
         fx = np.zeros((5, 5))
         fx[1, 1] = 2.0   # east, strong
@@ -164,17 +160,11 @@ class TestFollowPath:
         assert follow_path(fmap, (2, 1)).terminal == (2, 1)
 
     def test_longer_cycle_hits_step_limit(self):
-        rotor = rotor_map()
-        # closing the four-cycle ends the walk before the budget of 8 does
-        trace = follow_path(rotor, (0, 0), max_steps=8)
+        # the move that would close the four-cycle ends the walk
+        trace = follow_path(rotor_map(), (0, 0))
         assert trace.status is PathStatus.STEP_LIMIT
         assert trace.positions == ((0, 0), (1, 0), (1, 1), (0, 1))
         assert trace.terminal == (0, 1)
-        # a budget shorter than the cycle ends it first
-        trace = follow_path(rotor, (0, 0), max_steps=2)
-        assert trace.status is PathStatus.STEP_LIMIT
-        assert trace.positions == ((0, 0), (1, 0), (1, 1))
-        assert trace.terminal == (1, 1)
 
     def test_rotor_stops_at_first_revisit(self):
         # criterion 11's rotor: with no budget, each walk traces the four
@@ -188,21 +178,25 @@ class TestFollowPath:
 
     def test_start_and_budget_validation(self):
         fmap = uniform_east()
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"start \(5, 0\) outside 5x5 map"):
             follow_path(fmap, (5, 0))
-        with pytest.raises(ValueError):
-            follow_path(fmap, (0, 0), max_steps=0)
+        with pytest.raises(ValueError, match=r"start \(1.5, 2\) must be a pair of integers"):
+            follow_path(fmap, (1.5, 2))
+
+    def test_numpy_integer_start_walks_in_python_ints(self):
+        trace = follow_path(uniform_east(), (np.int64(0), np.int64(2)))
+        assert trace == follow_path(uniform_east(), (0, 2))
+        assert all(type(v) is int for cell in trace.positions for v in cell)
 
 
-def reference_walk(fmap, start, stop_at_origin=True, max_steps=None):
+def reference_walk(fmap, start, stop_at_origin=True):
     """The stepping loop from before walks ended at their first revisit.
 
     Only a bounce straight back ends a revisiting walk here, after a second
     force evaluation of the cell bounced to.  A longer cycle runs on until
-    the budget, 4 * width * height by default, is spent.
+    a budget of 4 * width * height steps is spent.
     """
-    if max_steps is None:
-        max_steps = 4 * fmap.width * fmap.height
+    max_steps = 4 * fmap.width * fmap.height
 
     def force_at(x, y):
         return float(fmap.fx[y, x]), float(fmap.fy[y, x])
@@ -276,24 +270,23 @@ def constructed_maps(draw):
 @given(constructed_maps())
 @settings(max_examples=100, deadline=None)
 def test_walks_agree_with_reference_loop(fmap):
-    for max_steps in (None, 1, 2, 5):
-        want_labels = {}
-        for stop_at_origin in (True, False):
-            for y in range(fmap.height):
-                for x in range(fmap.width):
-                    got = follow_path(fmap, (x, y), stop_at_origin, max_steps)
-                    want = reference_walk(fmap, (x, y), stop_at_origin, max_steps)
-                    if stop_at_origin:
-                        want_labels[x, y] = reference_label(want, fmap.origin)
-                    if want.status is not PathStatus.STEP_LIMIT:
-                        assert got == want
-                        continue
-                    # a cycle of three or more cells now ends at its first revisit
-                    assert got.status is PathStatus.STEP_LIMIT
-                    assert want.positions[:len(got.positions)] == got.positions
-                    assert got.terminal == got.positions[-1]
-        cls = classify_map(fmap, max_steps=max_steps)
-        assert {cell: cls.label(*cell) for cell in want_labels} == want_labels
+    want_labels = {}
+    for stop_at_origin in (True, False):
+        for y in range(fmap.height):
+            for x in range(fmap.width):
+                got = follow_path(fmap, (x, y), stop_at_origin)
+                want = reference_walk(fmap, (x, y), stop_at_origin)
+                if stop_at_origin:
+                    want_labels[x, y] = reference_label(want, fmap.origin)
+                if want.status is not PathStatus.STEP_LIMIT:
+                    assert got == want
+                    continue
+                # a cycle of three or more cells now ends at its first revisit
+                assert got.status is PathStatus.STEP_LIMIT
+                assert want.positions[:len(got.positions)] == got.positions
+                assert got.terminal == got.positions[-1]
+    cls = classify_map(fmap)
+    assert {cell: cls.label(*cell) for cell in want_labels} == want_labels
 
 
 class TestClassifyMap:
@@ -326,16 +319,33 @@ class TestClassifyMap:
                                       "locally_trapped": 24}
 
     def test_exhausted_budget_counts_as_trapped(self):
+        # with no budget to spend, the four-cycle's cells are trapped
+        # because each of their walks would close the cycle
         fx = np.zeros((5, 5)); fy = np.zeros((5, 5))
         fx[0, 0] = 1.0; fy[0, 1] = 1.0; fx[1, 1] = -1.0; fy[1, 0] = -1.0
-        cls = classify_map(manual_map(fx, fy), max_steps=10)
+        cls = classify_map(manual_map(fx, fy))
         for cell in [(0, 0), (1, 0), (1, 1), (0, 1)]:
             assert cls.label(*cell) is Label.LOCALLY_TRAPPED
 
     def test_label_bounds_checked(self):
         cls = classify_map(uniform_east())
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"cell \(0, 5\) outside 5x5 map"):
             cls.label(0, 5)
+        with pytest.raises(ValueError, match="must be a pair of integers"):
+            cls.label(1.0, 0)
+        assert cls.label(np.int64(0), np.uint8(2)) is Label.CONVERGENCE
+
+    def test_fractional_origin_is_rejected(self):
+        # a fractional origin is no cell: every walk would miss it and the
+        # whole map would read as trapped
+        zeros = np.zeros((3, 3))
+        with pytest.raises(ValueError, match=r"origin \(1.5, 1\) must be a pair of integers"):
+            ForceMap(3, 3, 1.5, 1, zeros, zeros)
+        with pytest.raises(ValueError, match=r"origin \(1.5, 1\) must be a pair of integers"):
+            ClassificationMap(3, 3, 1.5, 1, np.zeros((3, 3), np.uint8))
+        fmap = ForceMap(3, 3, np.int64(1), np.int64(1), zeros, zeros)
+        assert type(fmap.ox) is int and type(fmap.oy) is int
+        assert summarize_map(classify_map(fmap))["convergence"] == 1
 
     def test_codes_validation_and_freeze(self):
         with pytest.raises(ValueError):
@@ -474,15 +484,21 @@ class TestMatchImages:
                               start_offset=(-16, -16))
         assert result.status is MatchStatus.DIVERGED
 
-    def test_tiny_budget_reports_trapped(self, rect_img):
-        moved = shift_image(rect_img, 5, -4)
-        result = match_images(moved, rect_img, max_steps=1)
-        assert result.status is MatchStatus.TRAPPED
-        assert result.steps == 1
-
     def test_start_offset_must_stay_on_grid(self, rect_img):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"start \(32, 16\) outside 32x32 map"):
             match_images(rect_img, rect_img, start_offset=(16, 0))
+
+    def test_fractional_start_offset_is_rejected(self, rect_img):
+        # evaluating forces at fractional shifts used to report Matched (4.5, -4)
+        moved = shift_image(rect_img, 5, -4)
+        with pytest.raises(ValueError, match=r"start \(16.5, 16\) must be a pair of integers"):
+            match_images(moved, rect_img, start_offset=(0.5, 0))
+
+    def test_numpy_integer_start_offset_gives_json_ready_result(self, rect_img):
+        moved = shift_image(rect_img, 5, -4)
+        result = match_images(moved, rect_img, start_offset=(np.int64(2), 1))
+        assert result == match_images(moved, rect_img, start_offset=(2, 1))
+        json.dumps(match_result_json(result))
 
     def test_blank_image_has_no_current(self, rect_img):
         blank = GrayImage(32, 32, np.zeros((32, 32), dtype=np.uint8))

@@ -92,6 +92,9 @@ def test_malformed_streams_report_byte_offset(raw, offset_at_least):
 @pytest.mark.parametrize("raw, message, offset", [
     (b"P2\n2 1\n255\n0 x\n", "expected ASCII sample, got b'x'", 13),
     (b"P2\n2 1\n100\n101 0\n", "sample 101 exceeds maxval 100", 11),
+    # A binary sample above maxval is rejected at its byte, as a plain one is.
+    (b"P5\n2 1\n100\n" + bytes([200, 50]), "sample 200 exceeds maxval 100", 11),
+    (b"P5\n3 1\n100\n" + bytes([0, 101, 255]), "sample 101 exceeds maxval 100", 12),
     (b"P5\n1 1\n255#c\n\x00", "expected single whitespace byte after maxval", 10),
     (b"P5\n2 2\n255\n\x00\x00", "truncated raster, expected 4 bytes, got 2", 13),
     # A plain raster that ends early says so, as a binary one does.
@@ -215,8 +218,19 @@ def outcome(load, data):
 
 def assert_reads_as_reference(data):
     got, want = outcome(load_pgm, data), outcome(reference_load_pgm, data)
-    if isinstance(got, tuple) and re.match(r"truncated raster, expected \d+ samples", got[1]):
+    failed = isinstance(got, tuple)
+    over = failed and re.match(r"sample (\d+) exceeds maxval (\d+) ", got[1])
+    if failed and re.match(r"truncated raster, expected \d+ samples", got[1]):
         assert want == (got[0], f"unexpected end of data in header (byte offset {got[0]})")
+    elif over and isinstance(want, GrayImage):
+        # The reference accepts a binary sample above maxval; the reader rejects
+        # the first one, at its byte in the raster the reference read.
+        sample, maxval = int(over[1]), int(over[2])
+        flat = want.pixels.ravel()
+        first = int(np.argmax(flat > maxval))
+        assert flat[first] == sample > maxval
+        start = got[0] - first
+        assert data[start:start + flat.size] == flat.tobytes()
     else:
         assert got == want
 
