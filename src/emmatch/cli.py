@@ -25,40 +25,33 @@ from .edgecurrent import (EdgeCurrent, EdgeParams, EmptyCurrentError, build_curr
 from .emforce import (ForceMap, ForceParams, Vec2, force_map_fast, force_map_tsv,
                       total_force)
 from .gradient import sobel_field
-from .matchmap import (ClassificationMap, Direction8, classification_rgb, classify_map,
-                       match_images, match_result_json, summarize_map, _direction_of)
+from .matchmap import (ClassificationMap, classification_rgb, classify_map, match_images,
+                       match_result_json, summarize_map, _BALANCED, _sectors)
 from .raster import GrayImage, load_pgm, save_pgm, save_ppm, shift_image, synth_shape
 
-GLYPHS = {
-    Direction8.E: ">", Direction8.S: "v", Direction8.W: "<", Direction8.N: "^",
-    Direction8.SE: "\\", Direction8.SW: "/", Direction8.NE: "`", Direction8.NW: ",",
-    None: ".",
-}
+# Glyph per matchmap._sectors index: the eight directions clockwise from east, then balanced.
+_GLYPHS = np.array(list(">\\v/<,^`."))
 
 
 class ArgumentCheckError(ValueError):
     """Bad command-line value detected after argparse."""
 
 
-def _glyph_grid(width: int, height: int, xs: list, ys: list, vx: list, vy: list) -> str:
-    """Character grid with the glyph of (vx[i], vy[i]) at cell (xs[i], ys[i]), '.' elsewhere."""
-    grid = [["."] * width for _ in range(height)]
-    for x, y, gx, gy in zip(xs, ys, vx, vy):
-        grid[y][x] = GLYPHS[_direction_of(gx, gy)]
-    return "\n".join(map("".join, grid)) + "\n"
+def _glyph_grid(sectors: np.ndarray) -> str:
+    """One line of glyphs per row of a (height, width) array of sector indices."""
+    return "".join("".join(row) + "\n" for row in _GLYPHS[sectors].tolist())
 
 
 def render_direction_glyphs(fmap: ForceMap) -> str:
     """Character grid of the map's discretized force directions."""
-    ys, xs = np.indices(fmap.fx.shape).reshape(2, -1).tolist()
-    return _glyph_grid(fmap.width, fmap.height, xs, ys,
-                       fmap.fx.ravel().tolist(), fmap.fy.ravel().tolist())
+    return _glyph_grid(_sectors(fmap.fx, fmap.fy))
 
 
 def render_current_glyphs(current: EdgeCurrent) -> str:
     """Character grid of element tangent directions, '.' where no element."""
-    return _glyph_grid(current.width, current.height, current.xs.tolist(),
-                       current.ys.tolist(), current.tx.tolist(), current.ty.tolist())
+    sectors = np.full((current.height, current.width), _BALANCED)
+    sectors[current.ys, current.xs] = _sectors(current.tx, current.ty)
+    return _glyph_grid(sectors)
 
 
 def render_classification_ppm(cls_map: ClassificationMap) -> bytes:
@@ -111,16 +104,24 @@ def _out_dir(path) -> Path:
     return out
 
 
+def _out_file(path: Path) -> Path:
+    """path, unless a directory takes its name; that exits 2, as an unusable --out-dir does."""
+    if path.is_dir():
+        raise ArgumentCheckError(f"cannot write {path}: it is a directory")
+    return path
+
+
 def _json(payload: dict) -> bytes:
     return (json.dumps(payload, indent=2, sort_keys=True) + "\n").encode("utf-8")
 
 
 def _emit(args, files: dict, detail: str) -> int:
-    """Create --out-dir, write each named file in order, and report them."""
+    """Create --out-dir, check every named file's path, write them in order, and report them."""
     out = _out_dir(args.out_dir)
-    for name, data in files.items():
-        (out / name).write_bytes(data)
-    print(f"wrote {' and '.join(str(out / name) for name in files)} ({detail})")
+    paths = {_out_file(out / name): data for name, data in files.items()}
+    for path, data in paths.items():
+        path.write_bytes(data)
+    print(f"wrote {' and '.join(map(str, paths))} ({detail})")
     return 0
 
 
@@ -159,7 +160,7 @@ def _cmd_synth(args) -> int:
     if args.shift is not None:
         dx, dy = _pair(args.shift, "--shift", int)
         img = shift_image(img, dx, dy)
-    out = Path(args.out)
+    out = _out_file(Path(args.out))
     _out_dir(out.parent)
     out.write_bytes(save_pgm(img))
     print(f"wrote {out} ({img.width}x{img.height}, "
@@ -245,7 +246,7 @@ def _cmd_match(args) -> int:
                                  f"{img2.width}x{img2.height} shift grid")
     result = match_images(img1, img2, ep, fp, start_offset=start, smooth=args.smooth)
     payload = match_result_json(result)
-    (_out_dir(args.out_dir) / "match.json").write_bytes(_json(payload))
+    _out_file(_out_dir(args.out_dir) / "match.json").write_bytes(_json(payload))
     print(json.dumps(payload, sort_keys=True))
     return 0
 

@@ -13,7 +13,7 @@ from typing import Iterator
 import numpy as np
 
 from .gradient import VectorField, sobel_field
-from .raster import GrayImage, _frozen_copy, _tsv
+from .raster import GrayImage, _frozen_copy, _store_grid_size, _tsv
 
 
 class EmptyCurrentError(ValueError):
@@ -47,6 +47,7 @@ class EdgeMask:
     mask: np.ndarray  # (height, width) bool
 
     def __post_init__(self):
+        _store_grid_size(self)
         object.__setattr__(self, "mask",
                            _frozen_copy(self.mask, bool, (self.height, self.width), "mask"))
 
@@ -122,6 +123,7 @@ class EdgeCurrent:
     dropped: int = 0
 
     def __post_init__(self):
+        _store_grid_size(self)
         shape = (np.size(self.xs),)
         for name, dtype in (("xs", np.int64), ("ys", np.int64),
                             ("tx", np.float64), ("ty", np.float64)):

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .edgecurrent import CurrentElement, EdgeCurrent, EmptyCurrentError
-from .raster import _frozen_copy, _grid_cell, _tsv
+from .raster import _frozen_copy, _grid_cell, _store_grid_size, _tsv
 
 
 @dataclass(frozen=True)
@@ -101,6 +101,7 @@ class ForceMap:
     fy: np.ndarray
 
     def __post_init__(self):
+        _store_grid_size(self)
         ox, oy = _grid_cell((self.ox, self.oy), self.width, self.height, "origin")
         object.__setattr__(self, "ox", ox)
         object.__setattr__(self, "oy", oy)

@@ -11,7 +11,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .raster import GrayImage, _frozen_copy
+from .raster import GrayImage, _frozen_copy, _store_grid_size
 
 # Horizontal kernel; the vertical one is its transpose.  Applied as a
 # correlation, so gx is positive where intensity increases to the right
@@ -34,6 +34,7 @@ class VectorField:
     gy: np.ndarray
 
     def __post_init__(self):
+        _store_grid_size(self)
         for name in ("gx", "gy"):
             arr = _frozen_copy(getattr(self, name), np.float64, (self.height, self.width), name)
             object.__setattr__(self, name, arr)

@@ -1,13 +1,16 @@
 """Force-guided movement on the shift grid: classification and matching.
 
 A planar force picks one of eight neighbor moves (or none, at balance).
+One array rule, _sectors, picks the move for every cell or glyph.
 Following those moves from a start cell traces a path that ends in one of
 four ways: it reaches the zero-shift origin, it oscillates around a balance
 point, it walks off the grid, or it hits the step limit: its next move
-would close a cycle of three or more cells.  Classifying every cell by its
-path outcome splits the grid into a convergence basin, divergent cells,
-and locally trapped cells.  Matching two images is the
-same walk run on forces computed on the fly, starting from shift zero.
+would close a cycle of three or more cells.  A move depends only on the
+cell, so the outcome is a function of the successor graph, and
+classification labels every cell from that graph in one array pass: the
+grid splits into a convergence basin, divergent cells, and locally trapped
+cells.  Matching two images is the same walk run on forces computed on the
+fly, starting from shift zero.
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ import numpy as np
 
 from .edgecurrent import EdgeParams, EmptyCurrentError, extract_current
 from .emforce import ForceMap, ForceParams, Vec2, total_force
-from .raster import GrayImage, _frozen_copy, _grid_cell
+from .raster import GrayImage, _frozen_copy, _grid_cell, _store_grid_size
 
 # Below this magnitude a force vector counts as no force at all.
 ZERO_FORCE_EPS = 1e-12
@@ -51,45 +54,41 @@ class Direction8(Enum):
 _SECTORS = (Direction8.E, Direction8.SE, Direction8.S, Direction8.SW,
             Direction8.W, Direction8.NW, Direction8.N, Direction8.NE)
 
+# _sectors' index for a (near) zero vector, after the eight of _SECTORS.
+_BALANCED = 8
 
-def _direction_of(x: float, y: float) -> Direction8 | None:
-    """Nearest of eight directions, or None for a (near) zero vector.
+# Move per _sectors index; a balanced cell stays put.
+_MOVES = np.array([d.step for d in _SECTORS] + [(0, 0)])
+
+
+def _sectors(fx, fy) -> np.ndarray:
+    """Index into _SECTORS of the nearest of eight directions, or _BALANCED, per vector.
 
     Sectors are 45 degrees wide and half-open: east covers angles in
     [-22.5, 22.5) degrees, and a boundary angle belongs to the sector it
-    opens.  Implemented by rotating the vector so the east/southeast
+    opens.  Implemented by rotating the vectors so the east/southeast
     boundary lands on angle zero, then reading the octant off sign and
     ordering comparisons; a vector exactly on that boundary rotates onto
     wy == 0.0 with no rounding error.
     """
-    if math.hypot(x, y) < ZERO_FORCE_EPS:
-        return None
-    wx = x * _COS + y * _SIN
-    wy = y * _COS - x * _SIN
-    if wy > 0.0:
-        if wx > wy:
-            k = 0
-        elif wx > 0.0:
-            k = 1
-        elif -wx < wy:
-            k = 2
-        else:
-            k = 3
-    elif wy == 0.0:
-        k = 0 if wx > 0.0 else 4
-    else:
-        if wx >= 0.0:
-            k = 7 if wx >= -wy else 6
-        else:
-            k = 4 if wx < wy else 5
-    return _SECTORS[(k + 1) % 8]
+    with np.errstate(over="ignore", invalid="ignore"):  # inf and nan as in float arithmetic
+        wx = np.multiply(fx, _COS) + np.multiply(fy, _SIN)
+        wy = np.multiply(fy, _COS) - np.multiply(fx, _SIN)
+        balanced = np.hypot(fx, fy) < ZERO_FORCE_EPS
+    k = np.where(wy > 0.0,
+                 np.where(wx > wy, 0, np.where(wx > 0.0, 1, np.where(-wx < wy, 2, 3))),
+                 np.where(wy == 0.0, np.where(wx > 0.0, 0, 4),
+                          np.where(wx >= 0.0, np.where(wx >= -wy, 7, 6),
+                                   np.where(wx < wy, 4, 5))))
+    return np.where(balanced, _BALANCED, (k + 1) % 8)
 
 
 def discretize8(v: Vec2) -> Direction8 | None:
     """Quantize a planar force into one of eight moves, None when balanced."""
     if not (math.isfinite(v.x) and math.isfinite(v.y)):
         raise ValueError(f"force {v} is not finite, so it has no direction")
-    return _direction_of(v.x, v.y)
+    k = int(_sectors(v.x, v.y))
+    return None if k == _BALANCED else _SECTORS[k]
 
 
 class PathStatus(Enum):
@@ -133,10 +132,10 @@ def _walk(force_at: Callable[[int, int], tuple[float, float]],
     px, py = start
     fx, fy = force_at(px, py)
     while True:
-        d = _direction_of(fx, fy)
-        if d is None:
+        k = int(_sectors(fx, fy))
+        if k == _BALANCED:
             return PathTrace(tuple(positions), PathStatus.BALANCE_OSCILLATION, (px, py))
-        dx, dy = d.step
+        dx, dy = _SECTORS[k].step
         nx, ny = px + dx, py + dy
         if not (0 <= nx < width and 0 <= ny < height):
             return PathTrace(tuple(positions), PathStatus.OUT_OF_BOUNDS, (px, py))
@@ -208,6 +207,7 @@ class ClassificationMap:
     codes: np.ndarray  # (height, width) uint8 of label codes
 
     def __post_init__(self):
+        _store_grid_size(self)
         ox, oy = _grid_cell((self.ox, self.oy), self.width, self.height, "origin")
         object.__setattr__(self, "ox", ox)
         object.__setattr__(self, "oy", oy)
@@ -226,28 +226,29 @@ class ClassificationMap:
 
 
 def classify_map(fmap: ForceMap) -> ClassificationMap:
-    """Label every cell by the outcome of its force-guided walk.
+    """Label every cell by the outcome of its force-guided walk (follow_path's).
 
-    Arriving at the origin, or oscillating with the balance terminal on the
-    origin, is Convergence.  Leaving the grid is Divergence.  Any other
-    balance, or a step limit (a cycle of three or more cells), is
-    LocallyTrapped.
+    Each cell points at its successor: an off-grid sink for a move off the
+    grid (Divergence), a home sink for a move onto the origin or a balanced
+    origin (Convergence), else the cell its force moves to.  Pointer jumping
+    (nxt = nxt[nxt]) finds every cell's sink at once.  A cell that reaches
+    neither balances off the origin, bounces, or feeds a cycle: LocallyTrapped.
     """
-    codes = np.empty((fmap.height, fmap.width), dtype=np.uint8)
-    origin = fmap.origin
-    for y in range(fmap.height):
-        for x in range(fmap.width):
-            trace = follow_path(fmap, (x, y), stop_at_origin=True)
-            if trace.status is PathStatus.ARRIVED_AT_ORIGIN:
-                label = Label.CONVERGENCE
-            elif trace.status is PathStatus.BALANCE_OSCILLATION:
-                label = Label.CONVERGENCE if trace.terminal == origin else Label.LOCALLY_TRAPPED
-            elif trace.status is PathStatus.OUT_OF_BOUNDS:
-                label = Label.DIVERGENCE
-            else:
-                label = Label.LOCALLY_TRAPPED
-            codes[y, x] = _LABEL_CODES[label]
-    return ClassificationMap(fmap.width, fmap.height, fmap.ox, fmap.oy, codes)
+    w, h = fmap.width, fmap.height
+    n = w * h
+    off, home = n, n + 1
+    ys, xs = np.indices((h, w))
+    move = _MOVES[_sectors(fmap.fx, fmap.fy)]
+    nx, ny = xs + move[..., 0], ys + move[..., 1]
+    nxt = np.where((0 <= nx) & (nx < w) & (0 <= ny) & (ny < h), ny * w + nx, off).ravel()
+    nxt[nxt == fmap.oy * w + fmap.ox] = home
+    nxt = np.append(nxt, [off, home])
+    for _ in range(n.bit_length() + 1):  # 2**rounds > n moves, the longest path to a sink
+        nxt = nxt[nxt]
+    codes = np.full(n, _LABEL_CODES[Label.LOCALLY_TRAPPED])
+    codes[nxt[:n] == off] = _LABEL_CODES[Label.DIVERGENCE]
+    codes[nxt[:n] == home] = _LABEL_CODES[Label.CONVERGENCE]
+    return ClassificationMap(w, h, fmap.ox, fmap.oy, codes.reshape(h, w).astype(np.uint8))
 
 
 def summarize_map(cls_map: ClassificationMap) -> dict[str, int]:

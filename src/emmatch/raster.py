@@ -58,6 +58,20 @@ def _grid_cell(cell: tuple, width: int, height: int, name: str) -> tuple[int, in
     return x, y
 
 
+def _store_grid_size(value) -> None:
+    """Store value's width and height as Python ints; ValueError unless both are integers >= 1."""
+    w, h = value.width, value.height
+    message = f"{type(value).__name__} size {w}x{h} must be two integers of at least 1"
+    try:
+        size = operator.index(w), operator.index(h)
+    except TypeError:
+        raise ValueError(message) from None
+    if min(size) < 1:
+        raise ValueError(message)
+    object.__setattr__(value, "width", size[0])
+    object.__setattr__(value, "height", size[1])
+
+
 def _tsv(names: str, *columns: list) -> str:
     """Header of space-separated names, then one tab-separated line per row of tolist() columns."""
     rows = ["\t".join(names.split())]
@@ -74,8 +88,7 @@ class GrayImage:
     pixels: np.ndarray  # shape (height, width), dtype uint8, row-major
 
     def __post_init__(self):
-        if self.width <= 0 or self.height <= 0:
-            raise ValueError(f"image dimensions must be positive, got {self.width}x{self.height}")
+        _store_grid_size(self)
         px = np.asarray(self.pixels)
         if not np.issubdtype(px.dtype, np.integer):
             raise ValueError(f"pixel dtype must be integral, got {px.dtype}")

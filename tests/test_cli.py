@@ -283,6 +283,25 @@ def test_output_directory_under_a_file_is_an_argument_error(tmp_path, capsys, mo
     assert stdout == "" and (tmp_path / "afile").read_bytes() == b""
 
 
+@pytest.mark.parametrize("argv, taken", [
+    (["synth", "--kind", "circle", "--out", "taken"], "taken"),
+    (["classify", "--img1", "c.pgm", "--img2", "c.pgm", "--out-dir", "d"],
+     os.path.join("d", "classification.ppm")),
+    (["match", "--img1", "c.pgm", "--img2", "c.pgm", "--out-dir", "d"],
+     os.path.join("d", "match.json"))], ids=["synth", "classify", "match"])
+def test_output_file_taken_by_a_directory_is_an_argument_error(tmp_path, capsys, monkeypatch,
+                                                               argv, taken):
+    # a bad output argument, like an unusable --out-dir: checked before any write
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "c.pgm").write_bytes(save_pgm(synth_shape("circle", 32, 32)))
+    (tmp_path / taken).mkdir(parents=True)
+    before = sorted(tmp_path.rglob("*"))
+    code, stdout, err = run(capsys, *argv)
+    assert code == 2
+    assert err == f"emmatch: error: cannot write {taken}: it is a directory\n"
+    assert stdout == "" and sorted(tmp_path.rglob("*")) == before
+
+
 @pytest.mark.parametrize("command", ["edges", "current"])
 def test_failed_command_leaves_no_out_dir(tmp_path, capsys, command):
     tiny = tmp_path / "tiny.pgm"

@@ -13,6 +13,7 @@ from emmatch import (ClassificationMap, Direction8, EmptyCurrentError,
                      force_map, force_map_fast, match_images, match_result_json,
                      shift_image, summarize_map, synth_shape, total_force)
 from emmatch import matchmap
+from emmatch.cli import render_direction_glyphs
 from emmatch.matchmap import ZERO_FORCE_EPS
 
 C = math.cos(math.radians(22.5))
@@ -249,11 +250,13 @@ def reference_label(trace, origin):
 
 
 # Cell forces for constructed maps: random vectors, vectors exactly on a
-# sector boundary, exact zeros, and equal magnitudes that tie a bounce.
+# sector boundary, exact zeros, vectors at the balance threshold, and equal
+# magnitudes that tie a bounce.
 CELL_FORCES = st.one_of(
     st.tuples(st.floats(-10.0, 10.0), st.floats(-10.0, 10.0)),
     st.sampled_from([(C, S), (-S, C), (-C, -S), (S, -C)]),
     st.just((0.0, 0.0)),
+    st.sampled_from([(1e-12, 0.0), (5e-13, -5e-13)]),
     st.sampled_from([(1.0, 0.0), (-1.0, 0.0), (0.0, 1.0), (0.0, -1.0),
                      (1.0, 1.0), (-1.0, -1.0), (1.0, -1.0), (-1.0, 1.0)]),
 )
@@ -264,7 +267,13 @@ def constructed_maps(draw):
     w, h = draw(st.integers(1, 8)), draw(st.integers(1, 8))
     cells = draw(st.lists(CELL_FORCES, min_size=w * h, max_size=w * h))
     forces = np.array(cells, dtype=np.float64).reshape(h, w, 2)
-    return manual_map(forces[..., 0], forces[..., 1])
+    ox, oy = draw(st.integers(0, w - 1)), draw(st.integers(0, h - 1))
+    return ForceMap(w, h, ox, oy, forces[..., 0], forces[..., 1])
+
+
+GLYPHS = {Direction8.E: ">", Direction8.SE: "\\", Direction8.S: "v", Direction8.SW: "/",
+          Direction8.W: "<", Direction8.NW: ",", Direction8.N: "^", Direction8.NE: "`",
+          None: "."}
 
 
 @given(constructed_maps())
@@ -285,8 +294,12 @@ def test_walks_agree_with_reference_loop(fmap):
                 assert got.status is PathStatus.STEP_LIMIT
                 assert want.positions[:len(got.positions)] == got.positions
                 assert got.terminal == got.positions[-1]
+    # classify_map reads the labels off the successor graph, not from walks
     cls = classify_map(fmap)
     assert {cell: cls.label(*cell) for cell in want_labels} == want_labels
+    assert render_direction_glyphs(fmap) == "".join(
+        "".join(GLYPHS[discretize8(fmap.cell(x, y))] for x in range(fmap.width)) + "\n"
+        for y in range(fmap.height))
 
 
 class TestClassifyMap:
@@ -326,6 +339,22 @@ class TestClassifyMap:
         cls = classify_map(manual_map(fx, fy))
         for cell in [(0, 0), (1, 0), (1, 1), (0, 1)]:
             assert cls.label(*cell) is Label.LOCALLY_TRAPPED
+
+    def test_path_through_every_cell_converges(self):
+        # a serpentine path of W*H - 1 moves into the origin in its last
+        # cell: the longest path a label can depend on
+        w, h = 7, 6
+        fx = np.where(np.arange(h)[:, None] % 2 == 0, 1.0, -1.0).repeat(w, axis=1)
+        fy = np.zeros((h, w))
+        for y in range(h - 1):
+            x = w - 1 if y % 2 == 0 else 0
+            fx[y, x], fy[y, x] = 0.0, 1.0
+        ox = 0 if h % 2 == 0 else w - 1
+        fx[h - 1, ox] = 0.0  # a balanced origin converges
+        fmap = ForceMap(w, h, ox, h - 1, fx, fy)
+        assert follow_path(fmap, (0, 0)).steps == w * h - 1
+        assert summarize_map(classify_map(fmap)) == {"convergence": w * h, "divergence": 0,
+                                                     "locally_trapped": 0}
 
     def test_label_bounds_checked(self):
         cls = classify_map(uniform_east())

@@ -104,3 +104,15 @@ def test_classification_map_rejects_non_label_codes(code, dtype):
 def test_map_rejects_an_origin_off_the_grid(cls, ox, oy):
     with pytest.raises(ValueError, match=rf"origin \({ox}, {oy}\) outside 3x2 map"):
         cls(3, 2, ox, oy, **ARRAYS[cls]())
+
+
+@pytest.mark.parametrize("cls", list(ARRAYS), ids=lambda cls: cls.__name__)
+def test_size_must_be_integers_of_at_least_one(cls):
+    # (2, 3.0) == (2, 3), so the shape check alone lets a float size through
+    # to save_pgm's header and classify_map's grid.
+    width, height, *origin = GRID[cls]
+    for bad in ((float(width), height), (width, height + 0.5), (width, 0), (-width, height)):
+        with pytest.raises(ValueError, match=rf"{cls.__name__} size .* must be two integers"):
+            cls(*bad, *origin, **ARRAYS[cls]())
+    value = cls(np.int64(width), np.uint8(height), *origin, **ARRAYS[cls]())
+    assert type(value.width) is int and type(value.height) is int
