@@ -44,7 +44,7 @@ def _glyph_grid(sectors: np.ndarray) -> str:
 
 def render_direction_glyphs(fmap: ForceMap) -> str:
     """Character grid of the map's discretized force directions."""
-    return _glyph_grid(_sectors(fmap.fx, fmap.fy))
+    return _glyph_grid(_sectors(fmap.fx, fmap.fy, fmap.g))
 
 
 def render_current_glyphs(current: EdgeCurrent) -> str:
@@ -208,7 +208,7 @@ def _cmd_map(args) -> int:
     c1, c2 = _currents_for(args)
     fp = _force_params(args)
     # Glyphs come from the unit-strength map, as classify's labels do, so the
-    # zero-force cutoff cannot turn a weakly scaled force into a balance.
+    # rounding or underflow of scaled forces cannot move one.
     unit = force_map_fast(c1, c2, replace(fp, strength=1.0))
     fmap = unit.scaled(fp.strength)  # force_map_fast's own last step
     return _emit(args, {"force_map.tsv": force_map_tsv(fmap).encode("utf-8"),
@@ -218,8 +218,8 @@ def _cmd_map(args) -> int:
 
 def _cmd_classify(args) -> int:
     c1, c2 = _currents_for(args)
-    # Labels carry no magnitudes; at unit strength the zero-force cutoff
-    # cannot turn a weakly scaled force into a balance.
+    # Labels carry no magnitudes; at unit strength the rounding or underflow
+    # of scaled forces cannot change one.
     fp = replace(_force_params(args), strength=1.0)
     cls = classify_map(force_map_fast(c1, c2, fp))
     summary = summarize_map(cls)

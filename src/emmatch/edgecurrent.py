@@ -110,8 +110,9 @@ class EdgeCurrent:
     Elements are stored in row-major pixel order (the extraction order),
     which fixes the summation order of every force computation downstream.
     dropped counts masked pixels discarded for having a zero gradient.  The
-    arrays are stored as read-only copies; float positions, complex tangents
-    and positions off the width x height grid raise ValueError.
+    arrays are stored as read-only copies; float positions, complex or
+    non-finite tangents and positions off the width x height grid raise
+    ValueError.
     """
 
     width: int
@@ -131,6 +132,8 @@ class EdgeCurrent:
         inside = (0 <= self.xs) & (self.xs < self.width) & (0 <= self.ys) & (self.ys < self.height)
         if not inside.all():
             raise ValueError(f"element positions must lie on the {self.width}x{self.height} grid")
+        if not (np.isfinite(self.tx).all() and np.isfinite(self.ty).all()):
+            raise ValueError("element tangents tx and ty must be finite")
         # Float copies of the positions, so force kernels skip the cast.
         object.__setattr__(self, "_xf", _frozen_copy(self.xs, np.float64, shape, "xs"))
         object.__setattr__(self, "_yf", _frozen_copy(self.ys, np.float64, shape, "ys"))

@@ -18,9 +18,21 @@ are skipped to avoid the singularity at zero separation.
 
 Array evaluations share one in-place kernel (Bz, guarded |r|^3, min_r mask)
 under blocked force-row and field sums.  pair_force is the scalar reference
-for one pair, and force_map, one total_force call per shift, the reference for
+for one pair, and force_map, one total_force sum per shift, the reference for
 the map.  Sums run in element storage order, so repeated evaluations are
 bit-identical.
+
+Map shifts and element positions are integers, so every shifted element of
+the first current lands on one small lattice of points; _FieldLattice holds
+the second current's field there, evaluating each point once, when first
+needed.  force_map_fast fills the whole lattice; match_images walks it and
+fills only the points its path reaches, so its forces equal the fast map's
+bit for bit.  Every map also carries, per cell, the gross sum G of the
+magnitudes its force summed, which sets the scale of its rounding residue.
+
+Finite inputs can still overflow a sum.  The public evaluations run with
+numpy's overflow and invalid-value warnings off, and report a sum that is
+not finite with ValueError instead.
 """
 
 from __future__ import annotations
@@ -91,6 +103,13 @@ class ForceMap:
     origin cell (ox, oy), an integer cell on the grid, is the zero-shift
     configuration.  fx and fy are stored as read-only float64 copies, and
     every cell must be finite.
+
+    g, when given, holds per cell the gross sum G of the magnitudes that
+    cell's force summed, at the same scale as fx and fy; walks then treat a
+    force with |F| <= 1e-12 * G as balanced, since it is rounding residue of
+    that sum.  The maps force_map and force_map_fast build carry g.  A map
+    made from forces alone has g None and keeps the absolute cutoff.  g must
+    be finite and nonnegative in every cell.
     """
 
     width: int
@@ -99,26 +118,33 @@ class ForceMap:
     oy: int
     fx: np.ndarray  # (height, width) float64
     fy: np.ndarray
+    g: np.ndarray | None = None
 
     def __post_init__(self):
         _store_grid_size(self)
         ox, oy = _grid_cell((self.ox, self.oy), self.width, self.height, "origin")
         object.__setattr__(self, "ox", ox)
         object.__setattr__(self, "oy", oy)
-        for name in ("fx", "fy"):
-            arr = _frozen_copy(getattr(self, name), np.float64, (self.height, self.width), name)
+        for name in ("fx", "fy", "g"):
+            value = getattr(self, name)
+            if name == "g" and value is None:
+                continue
+            arr = _frozen_copy(value, np.float64, (self.height, self.width), name)
             if not np.isfinite(arr).all():
                 raise ValueError(f"force map {name} is not finite in every cell")
             object.__setattr__(self, name, arr)
+        if self.g is not None and (self.g < 0.0).any():
+            raise ValueError("force map g is negative in some cell")
 
     @property
     def origin(self) -> tuple[int, int]:
         return (self.ox, self.oy)
 
     def scaled(self, factor: float) -> ForceMap:
-        """This map with every force multiplied by factor."""
+        """This map with every force, and G, multiplied by factor."""
+        g = None if self.g is None else _scaled(self.g, factor)
         return ForceMap(self.width, self.height, self.ox, self.oy,
-                        _scaled(self.fx, factor), _scaled(self.fy, factor))
+                        _scaled(self.fx, factor), _scaled(self.fy, factor), g)
 
     def cell(self, x: int, y: int) -> Vec2:
         x, y = _grid_cell((x, y), self.width, self.height, "cell")
@@ -143,6 +169,10 @@ def pair_force(t1: CurrentElement, t2: CurrentElement, shift1: Vec2,
                 (-(t1.tx * bz)) / r3 * a,
                 (t1.tx * by - t1.ty * bx) / r3 * a)
 
+
+# The evaluations' numpy error state: an overflowing sum is reported by the
+# finite check that follows it, not by a warning.
+_UNCHECKED = dict(over="ignore", invalid="ignore")
 
 # Pair terms per block of the sums below.  With the in-place kernel a block's
 # few 64 KiB arrays stay below glibc's heap trim threshold, so no block faults
@@ -209,6 +239,7 @@ def _field_sums(c2: EdgeCurrent, px: np.ndarray, py: np.ndarray,
     return out
 
 
+@np.errstate(**_UNCHECKED)
 def force_on_element(t1: CurrentElement, c2: EdgeCurrent, shift1: Vec2,
                      params: ForceParams = ForceParams()) -> Vec3:
     """Total force of current c2 on one element t1 shifted by shift1.
@@ -220,6 +251,7 @@ def force_on_element(t1: CurrentElement, c2: EdgeCurrent, shift1: Vec2,
     return Vec3(*map(float, _scaled(f, params.strength)))
 
 
+@np.errstate(**_UNCHECKED)
 def bz_at(c2: EdgeCurrent, px: float, py: float,
           params: ForceParams = ForceParams()) -> float:
     """Vertical field component of current c2 at planar point (px, py).
@@ -231,6 +263,22 @@ def bz_at(c2: EdgeCurrent, px: float, py: float,
     return float(_scaled(bz, params.strength)[0])
 
 
+def _shifted_rows(c1: EdgeCurrent, c2: EdgeCurrent, shift1: Vec2,
+                  params: ForceParams) -> np.ndarray:
+    """_force_rows for every element of c1 translated by shift1."""
+    return _force_rows(c1._xf + shift1.x, c1._yf + shift1.y, c1.tx, c1.ty, c2, params)
+
+
+def _fold(terms: np.ndarray) -> np.ndarray:
+    """Sums of each row of terms, added left to right from +0.0.
+
+    This is exactly what a running float total gives; the leading zero turns
+    an all -0.0 row into +0.0.
+    """
+    return np.cumsum(np.concatenate((np.zeros((len(terms), 1)), terms), axis=1), axis=1)[:, -1]
+
+
+@np.errstate(**_UNCHECKED)
 def total_force(c1: EdgeCurrent, c2: EdgeCurrent, shift1: Vec2,
                 params: ForceParams = ForceParams()) -> Vec3:
     """Whole-current force of c2 on c1 with c1 translated by shift1.
@@ -240,68 +288,129 @@ def total_force(c1: EdgeCurrent, c2: EdgeCurrent, shift1: Vec2,
     the result without disturbing its direction, even where the components
     nearly cancel.  A scaled result that is not finite raises ValueError.
     """
-    rows = _force_rows(c1._xf + shift1.x, c1._yf + shift1.y, c1.tx, c1.ty, c2, params)
-    # Fold the element sums left to right from +0.0, exactly as a running
-    # float total would; the leading zero turns an all -0.0 row into +0.0.
-    f = np.cumsum(np.concatenate((np.zeros((3, 1)), rows), axis=1), axis=1)[:, -1]
+    f = _fold(_shifted_rows(c1, c2, shift1, params))
     return Vec3(*map(float, _scaled(f, params.strength)))
 
 
+@np.errstate(**_UNCHECKED)
 def force_map(c1: EdgeCurrent, c2: EdgeCurrent,
               params: ForceParams = ForceParams()) -> ForceMap:
     """Evaluate the planar total force at every integer shift of c1.
 
     The grid covers x in [0, W) and y in [0, H) for the source dimensions
     W x H of c2; cell (x, y) maps to shift (x - ox, y - oy) with the origin
-    at (W // 2, H // 2).  Each cell is one total_force call, evaluated in
-    row-major order.
+    at (W // 2, H // 2).  Each cell is total_force's sum, evaluated in
+    row-major order; its G adds the magnitudes of the x and y element sums.
     """
     if len(c1) == 0 or len(c2) == 0:
         raise EmptyCurrentError("force_map requires two non-empty currents")
     w, h = c2.width, c2.height
     ox, oy = w // 2, h // 2
-    fx = np.empty((h, w), dtype=np.float64)
-    fy = np.empty((h, w), dtype=np.float64)
+    f = np.empty((3, h, w), dtype=np.float64)  # fx, fy, g
     for y in range(h):
         for x in range(w):
-            f = total_force(c1, c2, Vec2(float(x - ox), float(y - oy)), params)
-            fx[y, x] = f.x
-            fy[y, x] = f.y
-    return ForceMap(w, h, ox, oy, fx, fy)
+            rows = _shifted_rows(c1, c2, Vec2(float(x - ox), float(y - oy)), params)[:2]
+            f[:2, y, x] = _fold(rows)
+            f[2, y, x] = np.abs(rows).sum()
+    # Strength scales the final sums once, as in total_force.
+    return ForceMap(w, h, ox, oy, *f).scaled(params.strength)
+
+
+class _FieldLattice:
+    """c2's vertical field on every integer point a shifted c1 element reaches.
+
+    On c2's W x H shift grid, with origin (W // 2, H // 2), element i of c1
+    at cell (x, y) sits on lattice point (xs_i - min(xs) + x, ys_i - min(ys)
+    + y): the lattice is c1's element box widened by the grid.  A point is
+    evaluated with _field_sums when a cell first needs it, and only then.
+    Without the strength factor, a cell's force is (sum t1y_i L_i,
+    -sum t1x_i L_i) over its lattice values L_i, and its gross sum is
+    G = sum (|t1y_i| + |t1x_i|) |L_i|, each added left to right in element
+    storage order, so one cell reads the same whether the whole map or a
+    single walk computes it.
+    """
+
+    @np.errstate(**_UNCHECKED)
+    def __init__(self, c1: EdgeCurrent, c2: EdgeCurrent, params: ForceParams):
+        self.c2, self.params = c2, params
+        self.width, self.height = c2.width, c2.height
+        x_lo, y_lo = int(c1.xs.min()), int(c1.ys.min())
+        # Planar point of lattice column 0 and row 0.
+        self._x0 = x_lo - self.width // 2
+        self._y0 = y_lo - self.height // 2
+        # Lattice column and row of each element at cell (0, 0), its row-major
+        # index, and the distinct indices: elements on one point share it.
+        self._cols = c1.xs - x_lo
+        self._rows = c1.ys - y_lo
+        shape = (int(c1.ys.max()) - y_lo + self.height, int(c1.xs.max()) - x_lo + self.width)
+        self._flat = self._rows * shape[1] + self._cols
+        self._points = np.array(list(dict.fromkeys(self._flat.tolist())), dtype=np.int64)
+        self.values = np.empty(shape, dtype=np.float64)
+        self._filled = np.zeros(shape, dtype=bool)
+        # Per-element weights of fx, fy and G; |w * L| = w * |L| for w >= 0.
+        self._weights = np.stack((c1.ty, -c1.tx, np.abs(c1.ty) + np.abs(c1.tx)))
+
+    @np.errstate(**_UNCHECKED)
+    def cell(self, x: int, y: int) -> tuple[float, float, float]:
+        """Unscaled fx, fy and G of cell (x, y), filling the points it reads.
+
+        ValueError when one of them is not finite.
+        """
+        shift = y * self.values.shape[1] + x
+        points = self._points + shift
+        todo = points[~self._filled.ravel()[points]]
+        if todo.size:
+            rows, cols = np.divmod(todo, self.values.shape[1])
+            self.values.ravel()[todo] = _field_sums(self.c2, (self._x0 + cols).astype(np.float64),
+                                                    (self._y0 + rows).astype(np.float64),
+                                                    self.params)
+            self._filled.ravel()[todo] = True
+        terms = self._weights * self.values.ravel()[self._flat + shift]
+        np.abs(terms[2], out=terms[2])
+        sums = _fold(terms)
+        if not np.isfinite(sums).all():
+            raise ValueError(f"force at cell ({x}, {y}) is not finite")
+        fx, fy, g = sums.tolist()
+        return fx, fy, g
+
+    @np.errstate(**_UNCHECKED)
+    def force_map(self) -> ForceMap:
+        """The unscaled map of every cell, from the whole lattice.
+
+        Each element adds its weighted window of lattice values to all cells
+        at once; the cells' sums run in element order, as cell()'s do.
+        """
+        lh, lw = self.values.shape
+        xs = np.arange(self._x0, self._x0 + lw, dtype=np.float64)
+        ys = np.arange(self._y0, self._y0 + lh, dtype=np.float64)
+        self.values[:] = _field_sums(self.c2, np.tile(xs, lh), np.repeat(ys, lw),
+                                     self.params).reshape(lh, lw)
+        self._filled[:] = True
+        h, w = self.height, self.width
+        magnitudes = np.abs(self.values)
+        f = np.zeros((3, h, w), dtype=np.float64)  # fx, fy, g
+        for r, c, (wx, wy, wg) in zip(self._rows.tolist(), self._cols.tolist(),
+                                      self._weights.T.tolist()):
+            win = self.values[r:r + h, c:c + w]
+            f[0] += wx * win
+            f[1] += wy * win
+            f[2] += wg * magnitudes[r:r + h, c:c + w]
+        return ForceMap(w, h, w // 2, h // 2, *f)
 
 
 def force_map_fast(c1: EdgeCurrent, c2: EdgeCurrent,
                    params: ForceParams = ForceParams()) -> ForceMap:
-    """force_map through a precomputed field lattice.
+    """force_map through a field lattice (_FieldLattice).
 
-    Since map shifts and element positions are integers, every shifted c1
-    element lands on a small integer lattice.  The vertical field of c2 is
-    evaluated once per lattice point (cost lattice_size * len(c2)), then each
-    map cell reduces to len(c1) lattice lookups instead of a fresh double
-    sum.  Cells match the naive map up to floating-point regrouping.
+    The vertical field of c2 is evaluated once per lattice point (cost
+    lattice_size * len(c2)), then each map cell reduces to len(c1) lattice
+    lookups instead of a fresh double sum.  Cells match the naive map up to
+    floating-point regrouping.
     """
     if len(c1) == 0 or len(c2) == 0:
         raise EmptyCurrentError("force_map_fast requires two non-empty currents")
-    w, h = c2.width, c2.height
-    ox, oy = w // 2, h // 2
-    x_min = int(c1.xs.min()) - ox
-    y_min = int(c1.ys.min()) - oy
-    xs = np.arange(x_min, int(c1.xs.max()) + w - ox, dtype=np.float64)
-    ys = np.arange(y_min, int(c1.ys.max()) + h - oy, dtype=np.float64)
-    lattice = _field_sums(c2, np.tile(xs, len(ys)), np.repeat(ys, len(xs)),
-                          params).reshape(len(ys), len(xs))
-
-    fx = np.zeros((h, w), dtype=np.float64)
-    fy = np.zeros((h, w), dtype=np.float64)
-    for i in range(len(c1)):
-        # Window of lattice values this element sees across all map shifts.
-        x0 = int(c1.xs[i]) - ox - x_min
-        y0 = int(c1.ys[i]) - oy - y_min
-        win = lattice[y0:y0 + h, x0:x0 + w]
-        fx += float(c1.ty[i]) * win
-        fy += (-float(c1.tx[i])) * win
     # Strength scales the final sums once, as in total_force.
-    return ForceMap(w, h, ox, oy, fx, fy).scaled(params.strength)
+    return _FieldLattice(c1, c2, params).force_map().scaled(params.strength)
 
 
 def force_map_tsv(fmap: ForceMap) -> str:

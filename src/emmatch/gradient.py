@@ -6,8 +6,7 @@ correlation with edge replication.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import cached_property
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -26,23 +25,29 @@ _BINOMIAL = _frozen_copy(np.outer([1, 2, 1], [1, 2, 1]) / 16.0, np.float64, (3, 
 
 @dataclass(frozen=True, eq=False)
 class VectorField:
-    """Per-pixel 2D gradient vectors on the source image grid, as read-only float64 copies."""
+    """Per-pixel 2D gradient vectors on the source image grid, as read-only float64 copies.
+
+    magnitude is each vector's Euclidean length, zero exactly where
+    gx == gy == 0.  Every vector and its length must be finite.
+    """
 
     width: int
     height: int
     gx: np.ndarray  # (height, width) float64
     gy: np.ndarray
+    magnitude: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         _store_grid_size(self)
         for name in ("gx", "gy"):
             arr = _frozen_copy(getattr(self, name), np.float64, (self.height, self.width), name)
             object.__setattr__(self, name, arr)
-
-    @cached_property
-    def magnitude(self) -> np.ndarray:
-        """Euclidean vector length per pixel; zero exactly where gx == gy == 0."""
-        return _frozen_copy(np.hypot(self.gx, self.gy), np.float64, self.gx.shape, "magnitude")
+        with np.errstate(over="ignore", invalid="ignore"):
+            length = np.hypot(self.gx, self.gy)
+        if not np.isfinite(length).all():
+            raise ValueError("gradient vectors and their lengths must be finite")
+        object.__setattr__(self, "magnitude",
+                           _frozen_copy(length, np.float64, length.shape, "magnitude"))
 
 
 def _correlate3(f: np.ndarray, kernel: np.ndarray) -> np.ndarray:

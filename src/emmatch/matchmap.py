@@ -1,7 +1,12 @@
 """Force-guided movement on the shift grid: classification and matching.
 
 A planar force picks one of eight neighbor moves (or none, at balance).
-One array rule, _sectors, picks the move for every cell or glyph.
+One array rule, _sectors, picks the move for every cell or glyph.  A force
+counts as balanced when it is rounding residue of what was summed: on a
+computed map, |F| <= 1e-12 * G, where G is the cell's gross sum of
+magnitudes; a map made from forces alone, or a lone vector, has no G and
+keeps the absolute cutoff |F| < 1e-12.
+
 Following those moves from a start cell traces a path that ends in one of
 four ways: it reaches the zero-shift origin, it oscillates around a balance
 point, it walks off the grid, or it hits the step limit: its next move
@@ -9,25 +14,35 @@ would close a cycle of three or more cells.  A move depends only on the
 cell, so the outcome is a function of the successor graph, and
 classification labels every cell from that graph in one array pass: the
 grid splits into a convergence basin, divergent cells, and locally trapped
-cells.  Matching two images is the same walk run on forces computed on the
-fly, starting from shift zero.
+cells.  Matching two images is the same walk, from shift zero, on the field
+lattice of force_map_fast, filled only where the walk goes; it equals the
+walk on the fast map.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 from typing import Callable
 
 import numpy as np
 
 from .edgecurrent import EdgeParams, EmptyCurrentError, extract_current
-from .emforce import ForceMap, ForceParams, Vec2, total_force
+from .emforce import ForceMap, ForceParams, Vec2, _FieldLattice, total_force
 from .raster import GrayImage, _frozen_copy, _grid_cell, _store_grid_size
 
-# Below this magnitude a force vector counts as no force at all.
+# Matching no longer calls total_force, but the name stays readable here:
+# perfbench's tracer patches emmatch.matchmap.total_force by that name.
+_REEXPORTED = (total_force,)
+
+# Below this magnitude a force with no G (see ForceMap) counts as no force at all.
 ZERO_FORCE_EPS = 1e-12
+
+# A force with gross sum G is balanced when |F| <= BALANCE_RTOL * G.  Summing
+# n terms leaves a residue of order n * 2**-53 * G (Higham, Accuracy and
+# Stability of Numerical Algorithms, ch. 4), far below this for any current.
+BALANCE_RTOL = 1e-12
 
 _COS = math.cos(math.radians(22.5))
 _SIN = math.sin(math.radians(22.5))
@@ -61,12 +76,13 @@ _BALANCED = 8
 _MOVES = np.array([d.step for d in _SECTORS] + [(0, 0)])
 
 
-def _sectors(fx, fy) -> np.ndarray:
+def _sectors(fx, fy, g=None) -> np.ndarray:
     """Index into _SECTORS of the nearest of eight directions, or _BALANCED, per vector.
 
-    Sectors are 45 degrees wide and half-open: east covers angles in
-    [-22.5, 22.5) degrees, and a boundary angle belongs to the sector it
-    opens.  Implemented by rotating the vectors so the east/southeast
+    A vector is balanced when |F| <= BALANCE_RTOL * g, or without g, when
+    |F| < ZERO_FORCE_EPS.  Sectors are 45 degrees wide and half-open: east
+    covers angles in [-22.5, 22.5) degrees, and a boundary angle belongs to
+    the sector it opens.  Implemented by rotating the vectors so the east/southeast
     boundary lands on angle zero, then reading the octant off sign and
     ordering comparisons; a vector exactly on that boundary rotates onto
     wy == 0.0 with no rounding error.
@@ -74,7 +90,9 @@ def _sectors(fx, fy) -> np.ndarray:
     with np.errstate(over="ignore", invalid="ignore"):  # inf and nan as in float arithmetic
         wx = np.multiply(fx, _COS) + np.multiply(fy, _SIN)
         wy = np.multiply(fy, _COS) - np.multiply(fx, _SIN)
-        balanced = np.hypot(fx, fy) < ZERO_FORCE_EPS
+        magnitude = np.hypot(fx, fy)
+        balanced = (magnitude < ZERO_FORCE_EPS if g is None
+                    else magnitude <= np.multiply(BALANCE_RTOL, g))
     k = np.where(wy > 0.0,
                  np.where(wx > wy, 0, np.where(wx > 0.0, 1, np.where(-wx < wy, 2, 3))),
                  np.where(wy == 0.0, np.where(wx > 0.0, 0, 4),
@@ -118,21 +136,22 @@ class PathTrace:
         return len(self.positions) - 1
 
 
-def _walk(force_at: Callable[[int, int], tuple[float, float]],
+def _walk(force_at: Callable[[int, int], tuple[float, float, float | None]],
           start: tuple[int, int], width: int, height: int,
           origin: tuple[int, int], stop_at_origin: bool) -> PathTrace:
-    """Shared stepping engine for map walks and on-the-fly matching.
+    """Shared stepping engine for map walks and matching.
 
-    A move depends only on the cell, so the walk ends at its first move onto
-    a visited cell: a bounce, or a cycle of three or more cells.  Every walk
-    therefore ends within width * height moves.
+    force_at gives a cell's fx, fy and G (None for none).  A move depends
+    only on the cell, so the walk ends at its first move onto a visited
+    cell: a bounce, or a cycle of three or more cells.  Every walk therefore
+    ends within width * height moves.
     """
     positions = [start]
     visited = {start}
     px, py = start
-    fx, fy = force_at(px, py)
+    fx, fy, g = force_at(px, py)
     while True:
-        k = int(_sectors(fx, fy))
+        k = int(_sectors(fx, fy, g))
         if k == _BALANCED:
             return PathTrace(tuple(positions), PathStatus.BALANCE_OSCILLATION, (px, py))
         dx, dy = _SECTORS[k].step
@@ -154,7 +173,7 @@ def _walk(force_at: Callable[[int, int], tuple[float, float]],
         visited.add((nx, ny))
         px, py = nx, ny
         gx, gy = fx, fy  # force on the previous cell
-        fx, fy = force_at(px, py)
+        fx, fy, g = force_at(px, py)
 
 
 def follow_path(fmap: ForceMap, start: tuple[int, int],
@@ -167,10 +186,11 @@ def follow_path(fmap: ForceMap, start: tuple[int, int],
     within width * height moves.
     """
     start = _grid_cell(start, fmap.width, fmap.height, "start")
-    fx_arr, fy_arr = fmap.fx, fmap.fy
+    fx_arr, fy_arr, g_arr = fmap.fx, fmap.fy, fmap.g
 
-    def force_at(x: int, y: int) -> tuple[float, float]:
-        return float(fx_arr[y, x]), float(fy_arr[y, x])
+    def force_at(x: int, y: int) -> tuple[float, float, float | None]:
+        g = None if g_arr is None else float(g_arr[y, x])
+        return float(fx_arr[y, x]), float(fy_arr[y, x]), g
 
     return _walk(force_at, start, fmap.width, fmap.height, fmap.origin, stop_at_origin)
 
@@ -238,7 +258,7 @@ def classify_map(fmap: ForceMap) -> ClassificationMap:
     n = w * h
     off, home = n, n + 1
     ys, xs = np.indices((h, w))
-    move = _MOVES[_sectors(fmap.fx, fmap.fy)]
+    move = _MOVES[_sectors(fmap.fx, fmap.fy, fmap.g)]
     nx, ny = xs + move[..., 0], ys + move[..., 1]
     nxt = np.where((0 <= nx) & (nx < w) & (0 <= ny) & (ny < h), ny * w + nx, off).ravel()
     nxt[nxt == fmap.oy * w + fmap.ox] = home
@@ -306,8 +326,11 @@ def match_images(img1: GrayImage, img2: GrayImage,
     """Estimate the integer shift between two images by following forces.
 
     Extracts both edge currents once, then repeatedly translates the first
-    current by a cumulative offset, computes the planar total force on it,
-    and steps the offset along the discretized direction.  Settling into a
+    current by a cumulative offset, reads the planar total force on it off
+    force_map_fast's field lattice, evaluating each lattice point the walk
+    needs once, and steps the offset along the discretized direction.  The
+    path therefore equals follow_path(force_map_fast(c1, c2),
+    origin, stop_at_origin=False) at unit strength.  Settling into a
     balance (no force, or a two-cell oscillation) is a match; the detected
     shift is the negated final offset.  Walking the translated center out
     of the second image's grid is Diverged.  A move that would close a cycle
@@ -322,14 +345,8 @@ def match_images(img1: GrayImage, img2: GrayImage,
     w, h = img2.width, img2.height
     ox, oy = w // 2, h // 2
     start = _grid_cell((ox + start_offset[0], oy + start_offset[1]), w, h, "start")
-
-    unit = replace(force_params, strength=1.0)
-
-    def force_at(x: int, y: int) -> tuple[float, float]:
-        f = total_force(c1, c2, Vec2(float(x - ox), float(y - oy)), unit)
-        return f.x, f.y
-
-    trace = _walk(force_at, start, w, h, (ox, oy), False)
+    # The lattice leaves out the strength factor, so the walk runs at unit strength.
+    trace = _walk(_FieldLattice(c1, c2, force_params).cell, start, w, h, (ox, oy), False)
     if trace.status is PathStatus.BALANCE_OSCILLATION:
         status = MatchStatus.MATCHED
     elif trace.status is PathStatus.OUT_OF_BOUNDS:

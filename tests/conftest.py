@@ -1,7 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from emmatch import EdgeCurrent, extract_current, synth_shape
+
+# `pytest --hypothesis-profile=ci` (the CI run): the same examples on every
+# run, and a failing one printed as a blob that @reproduce_failure replays.
+settings.register_profile("ci", derandomize=True, print_blob=True)
 
 
 @pytest.fixture(scope="session")

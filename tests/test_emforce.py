@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from emmatch import (CurrentElement, EdgeCurrent, EmptyCurrentError, ForceMap,
                      ForceParams, Vec2, bz_at, force_map, force_map_fast,
                      force_map_tsv, force_on_element, pair_force, total_force)
+from emmatch import emforce
 from emmatch.emforce import _BLOCK_TERMS
 from conftest import random_current
 
@@ -254,6 +255,8 @@ def test_map_cells_hold_total_force():
         want = total_force(c1, c2, Vec2(float(x - 5), float(y - 5)), params)
         got = fmap.cell(x, y)
         assert (got.x, got.y) == (want.x, want.y)
+        # G adds the magnitudes of the element sums, so it bounds |F|
+        assert fmap.g[y, x] >= math.hypot(got.x, got.y) > 0.0
 
 
 def test_fast_map_matches_naive_map():
@@ -278,13 +281,40 @@ def test_fast_map_folds_bz_at_over_first_current():
     fmap = force_map_fast(c1, c2, params)
     for y in range(fmap.height):
         for x in range(fmap.width):
-            fx = fy = 0.0
+            fx = fy = g = 0.0
             for i in range(len(c1)):
                 el = c1.element(i)
                 b = bz_at(c2, float(el.x + x - fmap.ox), float(el.y + y - fmap.oy), params)
                 fx += el.ty * b
                 fy += -el.tx * b
-            assert (float(fmap.fx[y, x]), float(fmap.fy[y, x])) == (fx, fy)
+                g += (abs(el.ty) + abs(el.tx)) * abs(b)
+            assert (float(fmap.fx[y, x]), float(fmap.fy[y, x]), float(fmap.g[y, x])) == (fx, fy, g)
+
+
+def test_lattice_cells_equal_the_fast_map(monkeypatch):
+    # Cells read one at a time, in any order, fill only the lattice points
+    # they need, each once, even where two elements of c1 share a point.
+    rng = np.random.default_rng(31)
+    c = random_current(rng)
+    c1 = EdgeCurrent(c.width, c.height, np.append(c.xs, c.xs[3]), np.append(c.ys, c.ys[3]),
+                     np.append(c.tx, 2.5), np.append(c.ty, -1.0))
+    c2 = random_current(rng, width=12, height=10)
+    params = ForceParams(height_px=2.0)
+    fmap = force_map_fast(c1, c2, params)
+    points = []
+    real = emforce._field_sums
+
+    def recording(c2, px, py, params):
+        points.extend(zip(px.tolist(), py.tolist()))
+        return real(c2, px, py, params)
+
+    monkeypatch.setattr(emforce, "_field_sums", recording)
+    lattice = emforce._FieldLattice(c1, c2, params)
+    cells = [(x, y) for y in range(fmap.height) for x in range(fmap.width)]
+    for k in rng.permutation(len(cells)):
+        x, y = cells[k]
+        assert lattice.cell(x, y) == (fmap.fx[y, x], fmap.fy[y, x], fmap.g[y, x])
+        assert len(points) == len(set(points))
 
 
 @given(st.integers(0, 2 ** 32 - 1))
@@ -297,6 +327,7 @@ def test_strength_scales_whole_maps(seed):
     scaled = force_map_fast(c1, c2, ForceParams(strength=4.0))
     assert np.array_equal(scaled.fx, 4.0 * base.fx)
     assert np.array_equal(scaled.fy, 4.0 * base.fy)
+    assert np.array_equal(scaled.g, 4.0 * base.g)
 
 
 def test_force_map_cell_bounds():
@@ -325,6 +356,15 @@ def test_force_map_rejects_non_finite_cells():
     fy[0, 0] = -math.inf
     with pytest.raises(ValueError, match="fy is not finite"):
         ForceMap(3, 3, 1, 1, np.zeros((3, 3)), fy)
+    with pytest.raises(ValueError, match="g is not finite"):
+        ForceMap(3, 3, 1, 1, np.zeros((3, 3)), np.zeros((3, 3)), fy)
+
+
+def test_force_map_rejects_negative_g():
+    g = np.ones((3, 3))
+    g[2, 1] = -1e-300
+    with pytest.raises(ValueError, match="g is negative"):
+        ForceMap(3, 3, 1, 1, np.zeros((3, 3)), np.zeros((3, 3)), g)
 
 
 def test_overflowing_strength_is_rejected(rect_current):

@@ -11,10 +11,13 @@ from emmatch import (ClassificationMap, Direction8, EmptyCurrentError,
                      PathStatus, PathTrace, Vec2, classification_rgb,
                      classify_map, discretize8, extract_current, follow_path,
                      force_map, force_map_fast, match_images, match_result_json,
-                     shift_image, summarize_map, synth_shape, total_force)
-from emmatch import matchmap
+                     shift_image, summarize_map, synth_shape)
+from emmatch import emforce
 from emmatch.cli import render_direction_glyphs
-from emmatch.matchmap import ZERO_FORCE_EPS
+from emmatch.matchmap import BALANCE_RTOL, ZERO_FORCE_EPS
+
+# The shapes the matching tests use, as perfbench's workloads do.
+KINDS = ("rectangle", "square", "ellipse", "circle")
 
 C = math.cos(math.radians(22.5))
 S = math.sin(math.radians(22.5))
@@ -70,6 +73,18 @@ class TestDiscretize8:
         assert discretize8(Vec2(5e-13, -5e-13)) is None
         assert discretize8(Vec2(1e-12, 0.0)) is Direction8.E  # at eps: a force
         assert ZERO_FORCE_EPS == 1e-12
+
+    def test_balance_is_relative_to_g(self):
+        # with G, a force is balanced at |F| <= 1e-12 * G, whatever its size
+        fx = np.array([[1e-13, 1e-6, 2e-6, 0.0]])
+        g = np.array([[1e-3, 1e6, 1e6, 0.0]])
+        fmap = ForceMap(4, 1, 0, 0, fx, np.zeros((1, 4)), g)
+        assert BALANCE_RTOL == 1e-12
+        assert render_direction_glyphs(fmap) == ">.>.\n"
+        assert render_direction_glyphs(ForceMap(4, 1, 0, 0, fx, np.zeros((1, 4)))) == ".>>.\n"
+        assert follow_path(fmap, (1, 0)).status is PathStatus.BALANCE_OSCILLATION
+        for factor in (1e-200, 1e200):  # scale-free: G scales with the force
+            assert render_direction_glyphs(fmap.scaled(factor)) == ">.>.\n"
 
     def test_sector_boundaries_open_clockwise(self):
         # vectors exactly on a boundary belong to the sector the boundary
@@ -190,6 +205,18 @@ class TestFollowPath:
         assert all(type(v) is int for cell in trace.positions for v in cell)
 
 
+def reference_direction(fmap, x, y):
+    """discretize8 of cell (x, y), balanced at |F| <= 1e-12 * G when the map has G."""
+    f = fmap.cell(x, y)
+    if fmap.g is None:
+        return discretize8(f)
+    if math.hypot(f.x, f.y) <= 1e-12 * float(fmap.g[y, x]):
+        return None
+    # an exact power-of-two scale to |F| near 1 keeps the angle and clears the absolute cutoff
+    e = math.frexp(max(abs(f.x), abs(f.y)))[1]
+    return discretize8(Vec2(math.ldexp(f.x, -e), math.ldexp(f.y, -e)))
+
+
 def reference_walk(fmap, start, stop_at_origin=True):
     """The stepping loop from before walks ended at their first revisit.
 
@@ -207,7 +234,7 @@ def reference_walk(fmap, start, stop_at_origin=True):
     fx, fy = force_at(px, py)
     steps = 0
     while True:
-        d = discretize8(Vec2(fx, fy))
+        d = reference_direction(fmap, px, py)
         if d is None:
             return PathTrace(tuple(positions), PathStatus.BALANCE_OSCILLATION, (px, py))
         if steps >= max_steps:
@@ -262,13 +289,20 @@ CELL_FORCES = st.one_of(
 )
 
 
+# G per cell, when a map has one: zero, values that put the cells above on
+# the relative threshold exactly (1e-12 * 1.0 == 1e-12), and random scales.
+CELL_GROSS = st.one_of(st.just(0.0), st.just(1.0), st.floats(0.0, 1e13))
+
+
 @st.composite
 def constructed_maps(draw):
     w, h = draw(st.integers(1, 8)), draw(st.integers(1, 8))
     cells = draw(st.lists(CELL_FORCES, min_size=w * h, max_size=w * h))
     forces = np.array(cells, dtype=np.float64).reshape(h, w, 2)
     ox, oy = draw(st.integers(0, w - 1)), draw(st.integers(0, h - 1))
-    return ForceMap(w, h, ox, oy, forces[..., 0], forces[..., 1])
+    g = draw(st.none() | st.lists(CELL_GROSS, min_size=w * h, max_size=w * h))
+    g = None if g is None else np.reshape(g, (h, w))
+    return ForceMap(w, h, ox, oy, forces[..., 0], forces[..., 1], g)
 
 
 GLYPHS = {Direction8.E: ">", Direction8.SE: "\\", Direction8.S: "v", Direction8.SW: "/",
@@ -298,7 +332,7 @@ def test_walks_agree_with_reference_loop(fmap):
     cls = classify_map(fmap)
     assert {cell: cls.label(*cell) for cell in want_labels} == want_labels
     assert render_direction_glyphs(fmap) == "".join(
-        "".join(GLYPHS[discretize8(fmap.cell(x, y))] for x in range(fmap.width)) + "\n"
+        "".join(GLYPHS[reference_direction(fmap, x, y)] for x in range(fmap.width)) + "\n"
         for y in range(fmap.height))
 
 
@@ -411,6 +445,16 @@ class TestShapeBasins:
             b = classify_map(force_map_fast(current, current, params))
             assert np.array_equal(a.codes, b.codes)
 
+    @pytest.mark.parametrize("h", [0.0, 8.0])
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_fast_and_reference_maps_discretize_identically(self, kind, h):
+        c = extract_current(synth_shape(kind, 32, 32))
+        params = ForceParams(height_px=h)
+        glyphs = render_direction_glyphs(force_map_fast(c, c, params))
+        assert render_direction_glyphs(force_map(c, c, params)) == glyphs
+        # the self-pair match is rounding residue of both sums: a balance
+        assert glyphs.splitlines()[16][16] == "."
+
 
 class TestRendering:
     def test_radial_map_renders_black_with_marked_origin(self):
@@ -439,17 +483,18 @@ class TestMatchImages:
         result = match_images(moved, rect_img)
         assert result.status is MatchStatus.MATCHED
         assert result.detected_shift == (5, -4)
-        assert result.steps == 11
+        # the walk stops on the match cell, where the force is rounding residue
+        assert result.steps == 9
         assert result.path.positions == (
             (16, 16), (16, 17), (16, 18), (16, 19), (16, 20), (15, 20),
-            (14, 20), (13, 20), (12, 20), (11, 20), (11, 19), (11, 20))
+            (14, 20), (13, 20), (12, 20), (11, 20))
         assert result.path.terminal == (11, 20)
 
     def test_identity_match_settles_at_zero(self, rect_img):
         result = match_images(rect_img, rect_img)
         assert result.status is MatchStatus.MATCHED
         assert result.detected_shift == (0, 0)
-        assert result.steps == 2
+        assert result.steps == 0
 
     def test_walk_equals_reference_map_walk(self, rect_img):
         moved = shift_image(rect_img, 5, -4)
@@ -458,6 +503,29 @@ class TestMatchImages:
         trace = follow_path(fmap, fmap.origin, stop_at_origin=False)
         assert trace.positions == result.path.positions
         assert trace.terminal == result.path.terminal
+
+    @pytest.mark.parametrize("h", [0.0, 8.0])
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_walk_equals_fast_map_walk(self, kind, h):
+        # match reads force_map_fast's lattice, so it walks the fast map exactly
+        img = synth_shape(kind, 32, 32)
+        params = ForceParams(height_px=h)
+        for shift, start in (((5, -4), (0, 0)), ((-6, -6), (0, 0)), ((3, -2), (0, 0)),
+                             ((0, 0), (0, 0)), ((2, 1), (-9, 7))):
+            moved = shift_image(img, *shift)
+            result = match_images(moved, img, force_params=params, start_offset=start)
+            fmap = force_map_fast(extract_current(moved), extract_current(img), params)
+            ox, oy = fmap.origin
+            trace = follow_path(fmap, (ox + start[0], oy + start[1]), stop_at_origin=False)
+            assert result.path == trace
+
+    def test_ellipse_recovers_every_small_shift(self, ellipse_img):
+        # at h 0 every walk used to bounce on rounding noise around the match
+        for dy in range(-4, 5):
+            for dx in range(-4, 5):
+                result = match_images(shift_image(ellipse_img, dx, dy), ellipse_img)
+                assert result.status is MatchStatus.MATCHED, (dx, dy)
+                assert result.detected_shift == (dx, dy)
 
     @given(st.floats(-30.0, 30.0))
     @example(-30.0)
@@ -473,38 +541,39 @@ class TestMatchImages:
                 strength=10.0 ** exponent, height_px=h))
             assert scaled == base
 
-    def test_force_evaluated_once_per_distinct_cell(self, rect_img, monkeypatch):
-        shifts = []
-        real = matchmap.total_force
+    def test_no_lattice_point_evaluated_twice(self, rect_img, monkeypatch):
+        points = []
+        real = emforce._field_sums
 
-        def counting(c1, c2, shift1, params):
-            shifts.append(shift1)
-            return real(c1, c2, shift1, params)
+        def recording(c2, px, py, params):
+            points.extend(zip(px.tolist(), py.tolist()))
+            return real(c2, px, py, params)
 
-        monkeypatch.setattr(matchmap, "total_force", counting)
+        monkeypatch.setattr(emforce, "_field_sums", recording)
         moved = shift_image(rect_img, 5, -4)
-        # README's round trip at h 8, then the walk of test_recovers_rectangle_shift;
-        # both end in a bounce, which revisits a cell without evaluating it again
-        for h, cells in ((8.0, 7), (0.0, 11)):
-            shifts.clear()
+        n = len(extract_current(moved))
+        # README's round trip at h 8, then the walk of test_recovers_rectangle_shift
+        for h, steps in ((8.0, 5), (0.0, 9)):
+            points.clear()
             result = match_images(moved, rect_img, force_params=ForceParams(height_px=h))
             assert result.status is MatchStatus.MATCHED
-            assert result.steps == cells
-            assert len(shifts) == len(set(shifts)) == len(set(result.path.positions)) == cells
+            assert result.steps == steps
+            assert len(points) == len(set(points))
+            # the first cell reads n points; a step never needs more than n new ones
+            assert n <= len(points) <= n * len(result.path.positions)
 
-    def test_trapped_walk_stops_in_its_cycle(self, ellipse_img):
-        moved = shift_image(ellipse_img, 3, -2)
-        result = match_images(moved, ellipse_img)
+    def test_trapped_walk_stops_in_its_cycle(self):
+        line, square = synth_shape("line", 32, 32), synth_shape("square", 32, 32)
+        result = match_images(line, square, start_offset=(-3, -6))
         assert result.status is MatchStatus.TRAPPED
         path = result.path.positions
-        assert result.steps <= 8
+        assert path == ((13, 10), (13, 11), (14, 11), (15, 12), (15, 11), (14, 12))
         assert len(set(path)) == len(path)
         assert result.path.terminal == path[-1]
         # the next move would re-enter the path: a cycle, not a spent budget
+        fmap = force_map_fast(extract_current(line), extract_current(square))
         x, y = path[-1]
-        f = total_force(extract_current(moved), extract_current(ellipse_img),
-                        Vec2(float(x - 16), float(y - 16)))
-        dx, dy = discretize8(Vec2(f.x, f.y)).step
+        dx, dy = discretize8(fmap.cell(x, y)).step
         assert (x + dx, y + dy) in path[:-2]
 
     def test_divergent_start_reports_diverged(self, rect_img):
@@ -539,6 +608,6 @@ class TestMatchImages:
         doc = match_result_json(match_images(moved, rect_img))
         assert doc["detected_shift"] == [5, -4]
         assert doc["status"] == "Matched"
-        assert doc["steps"] == 11
+        assert doc["steps"] == 9
         assert doc["path"][0] == [16, 16]
         assert len(doc["path"]) == doc["steps"] + 1
