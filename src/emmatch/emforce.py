@@ -30,6 +30,17 @@ fills only the points its path reaches, so its forces equal the fast map's
 bit for bit.  Every map also carries, per cell, the gross sum G of the
 magnitudes its force summed, which sets the scale of its rounding residue.
 
+The lattice computes r^2 - h^2 and the Bz numerators as two small matrix
+products, X^2 + Y^2 - 2 X x - 2 Y y + (x^2 + y^2) and
+Y t2x - X t2y + (t2y x - t2x y), instead of elementwise passes.  With
+integer points and positions within 2**24 and tangents that are multiples
+of 1/16 within 2**20, as every image current's are, each product and partial
+sum is exact, so every lattice value equals the direct kernel's; only a
+zero may change sign, which the lattice's folds from +0.0, window sums and
+|L| all ignore.  A lattice outside these bounds, and every other
+evaluation (bz_at, force_on_element, total_force, force_map), runs the
+direct kernel.
+
 Finite inputs can still overflow a sum.  The public evaluations run with
 numpy's overflow and invalid-value warnings off, and report a sum that is
 not finite with ValueError instead.
@@ -87,7 +98,13 @@ class ForceParams:
 
 
 def _scaled(values, strength: float) -> np.ndarray:
-    """values times strength; ValueError unless every product is finite."""
+    """values times strength; ValueError unless every product is finite.
+
+    The error names the force sum when a value is already not finite, and
+    the strength only when the scaling overflows.
+    """
+    if not np.isfinite(values).all():
+        raise ValueError("force sum is not finite")
     with np.errstate(over="ignore"):
         out = np.multiply(values, strength)
     if not np.isfinite(out).all():
@@ -202,12 +219,17 @@ def _row_sums(num: np.ndarray, r3: np.ndarray, close: np.ndarray) -> np.ndarray:
     """Row sums of num / r3 without the close terms; num is overwritten."""
     num /= r3
     np.copyto(num, 0.0, where=close)
-    return np.sum(num, axis=1)
+    return np.add.reduce(num, axis=1)
+
+
+def _block_rows(c2: EdgeCurrent) -> int:
+    """Query rows per block: about _BLOCK_TERMS pair terms against c2's elements."""
+    return max(1, _BLOCK_TERMS // max(1, len(c2)))
 
 
 def _blocks(n_rows: int, c2: EdgeCurrent):
-    """Row slices of about _BLOCK_TERMS pair terms against c2's elements."""
-    step = max(1, _BLOCK_TERMS // max(1, len(c2)))
+    """Row slices of _block_rows(c2) rows each, the last one possibly shorter."""
+    step = _block_rows(c2)
     return (slice(i, i + step) for i in range(0, n_rows, step))
 
 
@@ -231,11 +253,88 @@ def _force_rows(xs: np.ndarray, ys: np.ndarray, txs: np.ndarray, tys: np.ndarray
 
 
 def _field_sums(c2: EdgeCurrent, px: np.ndarray, py: np.ndarray,
-                params: ForceParams) -> np.ndarray:
-    """Vertical field of c2 without the strength factor at each point (px[i], py[i])."""
+                params: ForceParams, operands=None) -> np.ndarray:
+    """Vertical field of c2 without the strength factor at each point (px[i], py[i]).
+
+    operands, when given, are c2's _product_operands, and every point must be
+    an integer within _EXACT_COORD; the sums then run as _product_sums.
+    """
+    if operands is not None:
+        return _product_sums(c2, px, py, params, operands)
     out = np.empty(len(px), dtype=np.float64)
     for b in _blocks(len(px), c2):
         out[b] = _row_sums(*_field_terms(c2, px[b, None], py[b, None], params))
+    return out
+
+
+# Bounds under which the product form below is exact: integer positions of
+# magnitude at most _EXACT_COORD, and tangents that are multiples of
+# _EXACT_QUANTUM of magnitude at most _EXACT_TANGENT.  Every product and
+# partial sum is then exact, in either form and in any order: those of
+# r^2 - h^2 are integers below 2**52, those of the Bz numerator multiples of
+# 1/16 below 2**47.  Image tangents qualify: Sobel of 8-bit pixels is
+# integral, and the binomial blur makes sixteenths.
+_EXACT_COORD = 2.0 ** 24
+_EXACT_TANGENT = 2.0 ** 20
+_EXACT_QUANTUM = 1.0 / 16.0
+
+
+def _is_exact(values, bound: float, quantum: float = 1.0) -> bool:
+    """Whether every value is a multiple of quantum of magnitude at most bound."""
+    values = np.asarray(values, dtype=np.float64)
+    if not (np.abs(values) <= bound).all():
+        return False
+    units = values / quantum
+    return bool((units == np.floor(units)).all())
+
+
+def _product_operands(c2: EdgeCurrent):
+    """c2's element rows of the product form, or None where it would not be exact.
+
+    Points (X, Y, 1, X^2 + Y^2) times the first rows give r^2 - h^2 =
+    X^2 + Y^2 - 2 X x - 2 Y y + (x^2 + y^2); (X, Y, 1) times the second give
+    the Bz numerator Y t2x - X t2y + (t2y x - t2x y).
+    """
+    if not (_is_exact(c2.xs, _EXACT_COORD) and _is_exact(c2.ys, _EXACT_COORD)
+            and _is_exact(c2.tx, _EXACT_TANGENT, _EXACT_QUANTUM)
+            and _is_exact(c2.ty, _EXACT_TANGENT, _EXACT_QUANTUM)):
+        return None
+    x, y = c2._xf, c2._yf
+    return (np.stack((-2.0 * x, -2.0 * y, x * x + y * y, np.ones_like(x))),
+            np.stack((-c2.ty, c2.tx, c2.ty * x - c2.tx * y)))
+
+
+def _product_sums(c2: EdgeCurrent, px: np.ndarray, py: np.ndarray,
+                  params: ForceParams, operands) -> np.ndarray:
+    """_field_sums with r^2 - h^2 and the Bz numerators as two matrix products.
+
+    Both are exact under _product_operands' bounds, so they equal
+    _field_terms' values, except that a zero numerator may take the other
+    sign; every later step is _field_terms' and _row_sums'.
+    """
+    r2_rows, num_rows = operands
+    h2, cut = params.height_px * params.height_px, params.min_r * params.min_r
+    rows, m = min(len(px), _block_rows(c2)), len(c2)
+    # Block buffers, reused: points (X, Y, 1, X^2 + Y^2), r^2 turned r^3, its
+    # root, the Bz numerators and the min_r mask.
+    points = np.ones((rows, 4))
+    r3, root, num = np.empty((rows, m)), np.empty((rows, m)), np.empty((rows, m))
+    close = np.empty((rows, m), dtype=bool)
+    out = np.empty(len(px), dtype=np.float64)
+    for b in _blocks(len(px), c2):
+        x, y = px[b], py[b]
+        k = len(x)
+        q, r3k, numk, closek = points[:k], r3[:k], num[:k], close[:k]
+        q[:, 0], q[:, 1] = x, y
+        np.multiply(x, x, out=q[:, 3])
+        q[:, 3] += y * y
+        np.matmul(q, r2_rows, out=r3k)
+        r3k += h2  # r2, cubed in place below
+        np.less(r3k, cut, out=closek)
+        r3k *= np.sqrt(r3k, out=root[:k])
+        np.copyto(r3k, 1.0, where=closek)  # placeholder, the term is zeroed later
+        np.matmul(q[:, :3], num_rows, out=numk)
+        out[b] = _row_sums(numk, r3k, closek)
     return out
 
 
@@ -347,6 +446,9 @@ class _FieldLattice:
         self._points = np.array(list(dict.fromkeys(self._flat.tolist())), dtype=np.int64)
         self.values = np.empty(shape, dtype=np.float64)
         self._filled = np.zeros(shape, dtype=bool)
+        # The product form where every lattice point and c2 keep it exact.
+        corners = (self._x0, self._y0, self._x0 + shape[1] - 1, self._y0 + shape[0] - 1)
+        self._operands = _product_operands(c2) if _is_exact(corners, _EXACT_COORD) else None
         # Per-element weights of fx, fy and G; |w * L| = w * |L| for w >= 0.
         self._weights = np.stack((c1.ty, -c1.tx, np.abs(c1.ty) + np.abs(c1.tx)))
 
@@ -363,7 +465,7 @@ class _FieldLattice:
             rows, cols = np.divmod(todo, self.values.shape[1])
             self.values.ravel()[todo] = _field_sums(self.c2, (self._x0 + cols).astype(np.float64),
                                                     (self._y0 + rows).astype(np.float64),
-                                                    self.params)
+                                                    self.params, self._operands)
             self._filled.ravel()[todo] = True
         terms = self._weights * self.values.ravel()[self._flat + shift]
         np.abs(terms[2], out=terms[2])
@@ -384,7 +486,7 @@ class _FieldLattice:
         xs = np.arange(self._x0, self._x0 + lw, dtype=np.float64)
         ys = np.arange(self._y0, self._y0 + lh, dtype=np.float64)
         self.values[:] = _field_sums(self.c2, np.tile(xs, lh), np.repeat(ys, lw),
-                                     self.params).reshape(lh, lw)
+                                     self.params, self._operands).reshape(lh, lw)
         self._filled[:] = True
         h, w = self.height, self.width
         magnitudes = np.abs(self.values)

@@ -1,7 +1,8 @@
 """Sobel gradient estimation for grayscale images.
 
-The Sobel kernels and the optional binomial blur run through one 3x3
-correlation with edge replication.
+The Sobel kernels and the optional binomial blur are separable: each runs
+through one 3x3 correlation, a 3-tap pass along rows and then one along
+columns, over the image's edge-replicated border.
 """
 
 from __future__ import annotations
@@ -12,15 +13,20 @@ import numpy as np
 
 from .raster import GrayImage, _frozen_copy, _store_grid_size
 
-# Horizontal kernel; the vertical one is its transpose.  Applied as a
-# correlation, so gx is positive where intensity increases to the right
-# and gy is positive where intensity increases downward (y grows down).
-# Both are read-only, since every gradient reads them.
-SOBEL_X = _frozen_copy([[-1, 0, 1],
-                        [-2, 0, 2],
-                        [-1, 0, 1]], np.float64, (3, 3), "SOBEL_X")
+# The 3-tap factors of the kernels: a smoothing and a central difference,
+# and the blur's binomial weights.
+_SMOOTH = (1.0, 2.0, 1.0)
+_DIFF = (-1.0, 0.0, 1.0)
+_BLUR = (0.25, 0.5, 0.25)
+
+# Horizontal kernel, outer(_SMOOTH, _DIFF); the vertical one is its
+# transpose.  Applied as a correlation, so gx is positive where intensity
+# increases to the right and gy is positive where intensity increases
+# downward (y grows down).  Both are read-only, since every gradient reads
+# them.
+SOBEL_X = _frozen_copy(np.outer(_SMOOTH, _DIFF), np.float64, (3, 3), "SOBEL_X")
 SOBEL_Y = SOBEL_X.T
-_BINOMIAL = _frozen_copy(np.outer([1, 2, 1], [1, 2, 1]) / 16.0, np.float64, (3, 3), "_BINOMIAL")
+_BINOMIAL = _frozen_copy(np.outer(_BLUR, _BLUR), np.float64, (3, 3), "_BINOMIAL")
 
 
 @dataclass(frozen=True, eq=False)
@@ -50,15 +56,29 @@ class VectorField:
                            _frozen_copy(length, np.float64, length.shape, "magnitude"))
 
 
-def _correlate3(f: np.ndarray, kernel: np.ndarray) -> np.ndarray:
-    """3x3 correlation of f with kernel over f's edge-replicated border.
+def _taps(a: np.ndarray, b: np.ndarray, c: np.ndarray, taps) -> np.ndarray:
+    """taps[0] a + taps[1] b + taps[2] c, for outer taps equal or opposite."""
+    left, middle, right = taps
+    total = np.add(a, c) if left == right else np.subtract(c, a)
+    if right != 1.0:
+        total *= right
+    if middle:
+        total += middle * b
+    return total
 
-    Every weight and input is a multiple of 1/16 below 2**53, so the sum over
-    the non-zero weights is exact in any order.
+
+def _correlate3(p: np.ndarray, col, row) -> np.ndarray:
+    """3x3 correlation with kernel outer(col, row) of the image that p pads.
+
+    p is the image with a one-pixel border (np.pad's "edge" mode); the row
+    taps run along x, then the col taps along y.  Every weight and input is
+    a multiple of 1/16 below 2**53, so every partial sum is exact, and the
+    result equals the 2-D correlation's.  Zeros agree too: pixels are never
+    -0.0, and no pass makes one.
     """
-    p = np.pad(f, 1, mode="edge")
-    h, w = f.shape
-    return sum(kernel[i, j] * p[i:i + h, j:j + w] for i, j in zip(*np.nonzero(kernel)))
+    h, w = p.shape[0] - 2, p.shape[1] - 2
+    across = _taps(p[:, :w], p[:, 1:w + 1], p[:, 2:], row)
+    return _taps(across[:h], across[1:h + 1], across[2:], col)
 
 
 def sobel_field(img: GrayImage, smooth: bool = False) -> VectorField:
@@ -71,5 +91,7 @@ def sobel_field(img: GrayImage, smooth: bool = False) -> VectorField:
         raise ValueError(f"image must be at least 3x3 for Sobel, got {img.width}x{img.height}")
     f = img.pixels.astype(np.float64)
     if smooth:
-        f = _correlate3(f, _BINOMIAL)
-    return VectorField(img.width, img.height, _correlate3(f, SOBEL_X), _correlate3(f, SOBEL_Y))
+        f = _correlate3(np.pad(f, 1, mode="edge"), _BLUR, _BLUR)
+    p = np.pad(f, 1, mode="edge")
+    return VectorField(img.width, img.height, _correlate3(p, _SMOOTH, _DIFF),
+                       _correlate3(p, _DIFF, _SMOOTH))

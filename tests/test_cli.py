@@ -484,6 +484,33 @@ def test_cli_imports_no_undeclared_dependency():
     assert proc.stdout.strip() == ""
 
 
+# Runs match and map on a 32 px pair, then names each watched module that
+# they loaded on top of the imports.
+HEAVY_MODULE_PROBE = """\
+import sys
+from emmatch.cli import main
+watched = ('numpy.ma', 'numpy.fft')
+loaded = {m for m in watched if m in sys.modules}
+args = ['--img1', 'moved.pgm', '--img2', 'ref.pgm']
+for argv in (['synth', '--kind', 'rectangle', '--out', 'ref.pgm'],
+             ['synth', '--kind', 'rectangle', '--shift', '3,-2', '--out', 'moved.pgm'],
+             ['match', *args, '--out-dir', 'match'],
+             ['map', *args, '--out-dir', 'map']):
+    assert main(argv) == 0, argv
+print('new modules:', ','.join(m for m in watched if m in sys.modules and m not in loaded))
+"""
+
+
+def test_match_and_map_load_no_heavy_numpy_module(tmp_path):
+    # numpy.ma (which np.unique imports) alone adds 1.7 MiB of peak RSS, and
+    # numpy.fft more.  numpy before 2.0 imports both with numpy itself, so only
+    # a module the commands load on top of their imports counts.
+    proc = run_python(HEAVY_MODULE_PROBE, cwd=tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "new modules: "
+    assert (tmp_path / "match" / "match.json").is_file() and any((tmp_path / "map").iterdir())
+
+
 def test_readme_documents_the_cli(tmp_path, monkeypatch, capsys):
     text = README.read_text(encoding="utf-8")
     table = text.split("Subcommands:", 1)[1].split("Common flags", 1)[0]

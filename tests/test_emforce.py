@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from emmatch import (CurrentElement, EdgeCurrent, EmptyCurrentError, ForceMap,
@@ -293,28 +293,107 @@ def test_fast_map_folds_bz_at_over_first_current():
 
 def test_lattice_cells_equal_the_fast_map(monkeypatch):
     # Cells read one at a time, in any order, fill only the lattice points
-    # they need, each once, even where two elements of c1 share a point.
+    # they need, each once, even where two elements of c1 share a point;
+    # c2's tangents in sixteenths, as image currents have, take the product form.
     rng = np.random.default_rng(31)
     c = random_current(rng)
     c1 = EdgeCurrent(c.width, c.height, np.append(c.xs, c.xs[3]), np.append(c.ys, c.ys[3]),
                      np.append(c.tx, 2.5), np.append(c.ty, -1.0))
     c2 = random_current(rng, width=12, height=10)
+    sixteenths = EdgeCurrent(12, 10, c2.xs, c2.ys, np.round(16 * c2.tx) / 16,
+                             np.round(16 * c2.ty) / 16)
     params = ForceParams(height_px=2.0)
-    fmap = force_map_fast(c1, c2, params)
-    points = []
+    points, products = [], []
     real = emforce._field_sums
 
-    def recording(c2, px, py, params):
+    def recording(c2, px, py, params, operands=None):
+        products.append(operands is not None)
         points.extend(zip(px.tolist(), py.tolist()))
-        return real(c2, px, py, params)
+        return real(c2, px, py, params, operands)
 
-    monkeypatch.setattr(emforce, "_field_sums", recording)
-    lattice = emforce._FieldLattice(c1, c2, params)
-    cells = [(x, y) for y in range(fmap.height) for x in range(fmap.width)]
-    for k in rng.permutation(len(cells)):
-        x, y = cells[k]
-        assert lattice.cell(x, y) == (fmap.fx[y, x], fmap.fy[y, x], fmap.g[y, x])
-        assert len(points) == len(set(points))
+    for current, product in ((c2, False), (sixteenths, True)):
+        fmap = force_map_fast(c1, current, params)
+        points.clear()
+        products.clear()
+        with monkeypatch.context() as m:
+            m.setattr(emforce, "_field_sums", recording)
+            lattice = emforce._FieldLattice(c1, current, params)
+            cells = [(x, y) for y in range(fmap.height) for x in range(fmap.width)]
+            for k in rng.permutation(len(cells)):
+                x, y = cells[k]
+                assert lattice.cell(x, y) == (fmap.fx[y, x], fmap.fy[y, x], fmap.g[y, x])
+                assert len(points) == len(set(points))
+        assert products and set(products) == {product}
+
+
+@st.composite
+def dyadic_currents(draw, width, height):
+    """Up to 8 elements on a small grid, so positions repeat, with tangent
+    components in sixteenths up to 2**20, zero and negative ones included."""
+    n = draw(st.integers(1, 8))
+    cells = st.lists(st.integers(0, width * height - 1), min_size=n, max_size=n)
+    sixteenths = st.lists(st.one_of(st.integers(-64, 64), st.integers(-2 ** 24, 2 ** 24))
+                          .map(lambda k: k / 16), min_size=n, max_size=n)
+    xs, ys = np.divmod(np.array(draw(cells), dtype=np.int64), height)
+    return EdgeCurrent(width, height, xs, ys, np.array(draw(sixteenths)),
+                       np.array(draw(sixteenths)))
+
+
+def _byte_tuple(values):
+    return np.array(values, dtype=np.float64).tobytes()
+
+
+@given(dyadic_currents(7, 6), dyadic_currents(6, 5), st.sampled_from([0.0, 0.3, 8.0]),
+       st.sampled_from([1e-9, 2.5]))
+# a zero numerator that the two forms sign differently
+@example(single(2, 1, 0.5, 0.0), single(3, 2, -1.0, 0.0, 6, 5), 0.0, 1e-9)
+@settings(max_examples=60, deadline=None)
+def test_product_form_equals_the_direct_kernel(c1, c2, h, min_r):
+    params = ForceParams(height_px=h, min_r=min_r)
+
+    def lattice(product):
+        built = emforce._FieldLattice(c1, c2, params)
+        assert built._operands is not None
+        if not product:
+            built._operands = None
+        return built
+
+    product, direct = lattice(True), lattice(False)
+    fast, reference = product.force_map(), direct.force_map()
+    # Equal lattice values; where the bytes differ, both are zeros.
+    assert np.array_equal(product.values, direct.values)
+    differ = product.values.view(np.int64) != direct.values.view(np.int64)
+    assert not product.values[differ].any()
+    for name in ("fx", "fy", "g"):
+        assert getattr(fast, name).tobytes() == getattr(reference, name).tobytes()
+    assert force_map_fast(c1, c2, params).fx.tobytes() == reference.fx.tobytes()
+    product, direct = lattice(True), lattice(False)
+    for y in range(fast.height):
+        for x in range(fast.width):
+            assert _byte_tuple(product.cell(x, y)) == _byte_tuple(direct.cell(x, y))
+
+
+def test_product_form_guard():
+    coord, tangent, quantum = emforce._EXACT_COORD, emforce._EXACT_TANGENT, emforce._EXACT_QUANTUM
+    assert emforce._is_exact([-2 ** 24, 0, 2 ** 24], coord)
+    assert not emforce._is_exact([2 ** 24 + 1], coord)
+    assert not emforce._is_exact([-2 ** 24 - 1], coord)
+    assert not emforce._is_exact([3.5], coord)
+    assert emforce._is_exact([-2.0 ** 20, 2.0 ** 20, 1 / 16, -0.0], tangent, quantum)
+    assert not emforce._is_exact([1 / 32], tangent, quantum)
+    assert not emforce._is_exact([2.0 ** 21], tangent, quantum)
+    assert not emforce._is_exact([1e308], tangent, quantum)
+
+    def current(x, tx, width=8):
+        return EdgeCurrent(width, 8, np.array([1, x]), np.array([2, 5]),
+                           np.array([1.0, tx]), np.array([-0.5, 3.0]))
+
+    assert emforce._product_operands(current(3, 2.0 ** 20)) is not None
+    # a 1/32 quantum, |t| = 2**21 and a coordinate past 2**24 keep the direct kernel
+    for c in (current(3, 1 / 32), current(3, 2.0 ** 21), current(2 ** 24 + 1, 1.0, 2 ** 24 + 2)):
+        assert emforce._product_operands(c) is None
+    lattice = emforce._FieldLattice(current(3, 1 / 32), current(4, 1 / 32), ForceParams())
+    assert lattice._operands is None
 
 
 @given(st.integers(0, 2 ** 32 - 1))
@@ -368,16 +447,29 @@ def test_force_map_rejects_negative_g():
 
 
 def test_overflowing_strength_is_rejected(rect_current):
-    # The unit-strength forces exceed 1, so 1e308 overflows to infinity.
+    # The unit-strength forces exceed 1, so 1e308 overflows to infinity, and
+    # the error names the strength that did it.
     huge = ForceParams(strength=1e308)
-    with pytest.raises(ValueError, match="not finite"):
+    blames_strength = r"^force is not finite at strength 1e\+308$"
+    with pytest.raises(ValueError, match=blames_strength):
         total_force(rect_current, rect_current, Vec2(5.0, -4.0), huge)
-    with pytest.raises(ValueError, match="not finite"):
+    with pytest.raises(ValueError, match=blames_strength):
         force_map_fast(rect_current, rect_current, huge)
-    with pytest.raises(ValueError, match="not finite"):
+    with pytest.raises(ValueError, match=blames_strength):
         force_on_element(rect_current.element(0), rect_current, Vec2(5.0, -4.0), huge)
-    with pytest.raises(ValueError, match="not finite"):
+    with pytest.raises(ValueError, match=blames_strength):
         bz_at(rect_current, 3.0, 3.0, huge)
+
+
+def test_overflowing_force_sum_is_named():
+    # Tangents near 1e300 overflow the unscaled sums; the default strength
+    # plays no part, so the error does not name it.
+    c = EdgeCurrent(8, 8, np.array([1, 4]), np.array([2, 5]),
+                    np.array([1e300, 1.0]), np.array([0.0, 1e300]))
+    for evaluate in (lambda: total_force(c, c, Vec2(1.0, -1.0)),
+                     lambda: force_on_element(c.element(1), c, Vec2(1.0, -1.0))):
+        with pytest.raises(ValueError, match="^force sum is not finite$"):
+            evaluate()
 
 
 def test_force_map_tsv_layout():

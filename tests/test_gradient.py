@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from emmatch import SOBEL_X, SOBEL_Y, GrayImage, VectorField, sobel_field, synth_shape
+from emmatch import gradient
 
 
 BINOMIAL = np.array([[1, 2, 1],
@@ -84,6 +85,39 @@ def test_matches_brute_force_on_random_images(w, h, seed, smooth):
     gx, gy = brute_sobel(px, smooth)
     assert field.gx.tobytes() == gx.tobytes()
     assert field.gy.tobytes() == gy.tobytes()
+
+
+def correlate_2d(f, kernel):
+    """3x3 correlation over f's edge-replicated border, all nine taps at once."""
+    p = np.pad(f, 1, mode="edge")
+    h, w = f.shape
+    return np.sum([kernel[i, j] * p[i:i + h, j:j + w] for i in range(3) for j in range(3)],
+                  axis=0)
+
+
+def test_separable_passes_equal_the_2d_correlation():
+    # The kernels are outer products of their 3-tap factors, read-only.
+    assert np.array_equal(gradient._BINOMIAL, BINOMIAL)
+    for kernel in (SOBEL_X, SOBEL_Y, gradient._BINOMIAL):
+        assert np.linalg.matrix_rank(kernel) == 1
+        with pytest.raises(ValueError):
+            kernel[1, 1] = 3.0
+    images = [synth_shape(kind, n, n).pixels
+              for kind in ("square", "rectangle", "ellipse", "circle", "line") for n in (32, 64)]
+    rng = np.random.default_rng(5)
+    for _ in range(20):
+        h, w = rng.integers(3, 65, size=2)
+        px = rng.integers(0, 256, size=(h, w), dtype=np.uint8)
+        px[rng.random((h, w)) < 0.3] = 0
+        images.append(px)
+    for px in images:
+        for smooth in (False, True):
+            f = px.astype(np.float64)
+            if smooth:
+                f = correlate_2d(f, BINOMIAL)
+            field = sobel_field(GrayImage(px.shape[1], px.shape[0], px), smooth=smooth)
+            assert field.gx.tobytes() == correlate_2d(f, SOBEL_X).tobytes()
+            assert field.gy.tobytes() == correlate_2d(f, SOBEL_Y).tobytes()
 
 
 @given(st.integers(3, 9), st.integers(3, 9), st.integers(0, 2 ** 32 - 1))

@@ -545,9 +545,11 @@ class TestMatchImages:
         points = []
         real = emforce._field_sums
 
-        def recording(c2, px, py, params):
+        def recording(c2, px, py, params, operands=None):
+            # image currents take the product form, which this records too
+            assert operands is not None
             points.extend(zip(px.tolist(), py.tolist()))
-            return real(c2, px, py, params)
+            return real(c2, px, py, params, operands)
 
         monkeypatch.setattr(emforce, "_field_sums", recording)
         moved = shift_image(rect_img, 5, -4)
