@@ -16,11 +16,13 @@ Only the z component of B moves points in the image plane; the x and y
 components feed the (unused by matching) z force.  Pairs closer than min_r
 are skipped to avoid the singularity at zero separation.
 
-Array evaluations share one in-place kernel (Bz, guarded |r|^3, min_r mask)
-under blocked force-row and field sums.  pair_force is the scalar reference
-for one pair, and force_map, one total_force sum per shift, the reference for
-the map.  Sums run in element storage order, so repeated evaluations are
-bit-identical.
+Array evaluations share one blocked evaluator, _terms: for each block of
+query points it yields the Bz numerators, guarded |r|^3 and the min_r mask
+against the second current's elements, in buffers reused from block to
+block, and the force-row and field sums add its output.  pair_force is the
+scalar reference for one pair, and force_map, one total_force sum per shift,
+the reference for the map.  Sums run in element storage order, so repeated
+evaluations are bit-identical.
 
 Map shifts and element positions are integers, so every shifted element of
 the first current lands on one small lattice of points; _FieldLattice holds
@@ -30,16 +32,17 @@ fills only the points its path reaches, so its forces equal the fast map's
 bit for bit.  Every map also carries, per cell, the gross sum G of the
 magnitudes its force summed, which sets the scale of its rounding residue.
 
-The lattice computes r^2 - h^2 and the Bz numerators as two small matrix
-products, X^2 + Y^2 - 2 X x - 2 Y y + (x^2 + y^2) and
-Y t2x - X t2y + (t2y x - t2x y), instead of elementwise passes.  With
-integer points and positions within 2**24 and tangents that are multiples
-of 1/16 within 2**20, as every image current's are, each product and partial
-sum is exact, so every lattice value equals the direct kernel's; only a
-zero may change sign, which the lattice's folds from +0.0, window sums and
-|L| all ignore.  A lattice outside these bounds, and every other
-evaluation (bz_at, force_on_element, total_force, force_map), runs the
-direct kernel.
+The evaluator's first step, r^2 - h^2 and the Bz numerators, has two
+forms; the rest is shared.  The direct form subtracts coordinates
+elementwise.  The product form, which the lattice uses, computes both as
+two small matrix products, X^2 + Y^2 - 2 X x - 2 Y y + (x^2 + y^2) and
+Y t2x - X t2y + (t2y x - t2x y).  With integer points and positions within
+2**24 and tangents that are multiples of 1/16 within 2**20, as every image
+current's are, each product and partial sum is exact, so every lattice
+value equals the direct form's; only a zero may change sign, which the
+lattice's folds from +0.0, window sums and |L| all ignore.  A lattice
+outside these bounds, and every other evaluation (bz_at, force_on_element,
+total_force, force_map), runs the direct form.
 
 Finite inputs can still overflow a sum.  The public evaluations run with
 numpy's overflow and invalid-value warnings off, and report a sum that is
@@ -191,84 +194,14 @@ def pair_force(t1: CurrentElement, t2: CurrentElement, shift1: Vec2,
 # finite check that follows it, not by a warning.
 _UNCHECKED = dict(over="ignore", invalid="ignore")
 
-# Pair terms per block of the sums below.  With the in-place kernel a block's
-# few 64 KiB arrays stay below glibc's heap trim threshold, so no block faults
-# memory back in; smaller blocks slow the field lattice (1.3x at 4096).
+# Pair terms per block of _terms.  A block's few 64 KiB buffers stay below
+# glibc's heap trim threshold and are reused by every block of a call, so no
+# block faults memory back in; smaller blocks slow the field lattice (1.3x at
+# 4096).
 _BLOCK_TERMS = 1 << 13
 
-
-def _field_terms(c2: EdgeCurrent, px, py, params: ForceParams):
-    """Bz numerators, guarded cubed distances and the min_r mask of c2.
-
-    Query coordinates px, py broadcast against c2's element axis, the last.
-    """
-    dx = px - c2._xf
-    dy = py - c2._yf
-    r3 = dx * dx
-    r3 += dy * dy
-    r3 += params.height_px * params.height_px  # r2, cubed in place below
-    close = r3 < params.min_r * params.min_r
-    r3 *= np.sqrt(r3)
-    np.copyto(r3, 1.0, where=close)  # placeholder, the term is zeroed later
-    dy *= c2.tx
-    dy -= np.multiply(dx, c2.ty, out=dx)  # Bz = t2x * dy - t2y * dx
-    return dy, r3, close
-
-
-def _row_sums(num: np.ndarray, r3: np.ndarray, close: np.ndarray) -> np.ndarray:
-    """Row sums of num / r3 without the close terms; num is overwritten."""
-    num /= r3
-    np.copyto(num, 0.0, where=close)
-    return np.add.reduce(num, axis=1)
-
-
-def _block_rows(c2: EdgeCurrent) -> int:
-    """Query rows per block: about _BLOCK_TERMS pair terms against c2's elements."""
-    return max(1, _BLOCK_TERMS // max(1, len(c2)))
-
-
-def _blocks(n_rows: int, c2: EdgeCurrent):
-    """Row slices of _block_rows(c2) rows each, the last one possibly shorter."""
-    step = _block_rows(c2)
-    return (slice(i, i + step) for i in range(0, n_rows, step))
-
-
-def _force_rows(xs: np.ndarray, ys: np.ndarray, txs: np.ndarray, tys: np.ndarray,
-                c2: EdgeCurrent, params: ForceParams) -> np.ndarray:
-    """Force sums of c2 on each query element, without the strength factor.
-
-    Column i of the (3, n) result holds the x, y and z sums over c2 in storage
-    order for the element at (xs[i], ys[i]) with tangent (txs[i], tys[i]).
-    """
-    out = np.empty((3, len(xs)), dtype=np.float64)
-    bx, by = c2.ty * params.height_px, -(c2.tx) * params.height_px
-    for b in _blocks(len(xs), c2):
-        bz, r3, close = _field_terms(c2, xs[b, None], ys[b, None], params)
-        out[0, b] = _row_sums(tys[b, None] * bz, r3, close)
-        out[1, b] = _row_sums(-(txs[b, None]) * bz, r3, close)
-        fz = np.multiply(txs[b, None], by, out=bz)  # bz is no longer needed
-        fz -= tys[b, None] * bx
-        out[2, b] = _row_sums(fz, r3, close)
-    return out
-
-
-def _field_sums(c2: EdgeCurrent, px: np.ndarray, py: np.ndarray,
-                params: ForceParams, operands=None) -> np.ndarray:
-    """Vertical field of c2 without the strength factor at each point (px[i], py[i]).
-
-    operands, when given, are c2's _product_operands, and every point must be
-    an integer within _EXACT_COORD; the sums then run as _product_sums.
-    """
-    if operands is not None:
-        return _product_sums(c2, px, py, params, operands)
-    out = np.empty(len(px), dtype=np.float64)
-    for b in _blocks(len(px), c2):
-        out[b] = _row_sums(*_field_terms(c2, px[b, None], py[b, None], params))
-    return out
-
-
-# Bounds under which the product form below is exact: integer positions of
-# magnitude at most _EXACT_COORD, and tangents that are multiples of
+# Bounds under which the product form of _terms is exact: integer positions
+# of magnitude at most _EXACT_COORD, and tangents that are multiples of
 # _EXACT_QUANTUM of magnitude at most _EXACT_TANGENT.  Every product and
 # partial sum is then exact, in either form and in any order: those of
 # r^2 - h^2 are integers below 2**52, those of the Bz numerator multiples of
@@ -304,37 +237,87 @@ def _product_operands(c2: EdgeCurrent):
             np.stack((-c2.ty, c2.tx, c2.ty * x - c2.tx * y)))
 
 
-def _product_sums(c2: EdgeCurrent, px: np.ndarray, py: np.ndarray,
-                  params: ForceParams, operands) -> np.ndarray:
-    """_field_sums with r^2 - h^2 and the Bz numerators as two matrix products.
+def _terms(c2: EdgeCurrent, px: np.ndarray, py: np.ndarray, params: ForceParams,
+           operands=None):
+    """Bz numerators, guarded cubed distances and the min_r mask of c2, by blocks.
 
-    Both are exact under _product_operands' bounds, so they equal
-    _field_terms' values, except that a zero numerator may take the other
-    sign; every later step is _field_terms' and _row_sums'.
+    Yields (b, num, r3, close) for consecutive slices b of the query points
+    (px[i], py[i]), each of about _BLOCK_TERMS pair terms, the last possibly
+    shorter; row i of the arrays is point b.start + i against c2's elements
+    in storage order.  The arrays are views of buffers that the next block
+    overwrites.  operands, when given, are c2's _product_operands, and every
+    point must then be an integer within _EXACT_COORD: r^2 - h^2 and the
+    numerators come from two matrix products, equal to the direct
+    differences except that a zero numerator may take the other sign.
     """
-    r2_rows, num_rows = operands
-    h2, cut = params.height_px * params.height_px, params.min_r * params.min_r
-    rows, m = min(len(px), _block_rows(c2)), len(c2)
-    # Block buffers, reused: points (X, Y, 1, X^2 + Y^2), r^2 turned r^3, its
-    # root, the Bz numerators and the min_r mask.
-    points = np.ones((rows, 4))
+    m = len(c2)
+    step = max(1, _BLOCK_TERMS // max(1, m))
+    rows = min(len(px), step)
     r3, root, num = np.empty((rows, m)), np.empty((rows, m)), np.empty((rows, m))
     close = np.empty((rows, m), dtype=bool)
-    out = np.empty(len(px), dtype=np.float64)
-    for b in _blocks(len(px), c2):
+    # (X, Y, 1, X^2 + Y^2) of the product form
+    points = None if operands is None else np.ones((rows, 4))
+    h2, cut = params.height_px * params.height_px, params.min_r * params.min_r
+    for i in range(0, len(px), step):
+        b = slice(i, i + step)
         x, y = px[b], py[b]
         k = len(x)
-        q, r3k, numk, closek = points[:k], r3[:k], num[:k], close[:k]
-        q[:, 0], q[:, 1] = x, y
-        np.multiply(x, x, out=q[:, 3])
-        q[:, 3] += y * y
-        np.matmul(q, r2_rows, out=r3k)
+        r3k, numk, closek = r3[:k], num[:k], close[:k]
+        if operands is None:
+            dx = np.subtract(x[:, None], c2._xf, out=root[:k])
+            dy = np.subtract(y[:, None], c2._yf, out=numk)
+            np.multiply(dx, dx, out=r3k)
+            r3k += dy * dy
+            dy *= c2.tx
+            dy -= np.multiply(dx, c2.ty, out=dx)  # Bz = t2x * dy - t2y * dx
+        else:
+            q = points[:k]
+            q[:, 0], q[:, 1] = x, y
+            np.multiply(x, x, out=q[:, 3])
+            q[:, 3] += y * y
+            np.matmul(q, operands[0], out=r3k)
+            np.matmul(q[:, :3], operands[1], out=numk)
         r3k += h2  # r2, cubed in place below
         np.less(r3k, cut, out=closek)
         r3k *= np.sqrt(r3k, out=root[:k])
         np.copyto(r3k, 1.0, where=closek)  # placeholder, the term is zeroed later
-        np.matmul(q[:, :3], num_rows, out=numk)
-        out[b] = _row_sums(numk, r3k, closek)
+        yield b, numk, r3k, closek
+
+
+def _row_sums(num: np.ndarray, r3: np.ndarray, close: np.ndarray) -> np.ndarray:
+    """Row sums of num / r3 without the close terms; num is overwritten."""
+    num /= r3
+    np.copyto(num, 0.0, where=close)
+    return np.add.reduce(num, axis=1)
+
+
+def _force_rows(xs: np.ndarray, ys: np.ndarray, txs: np.ndarray, tys: np.ndarray,
+                c2: EdgeCurrent, params: ForceParams) -> np.ndarray:
+    """Force sums of c2 on each query element, without the strength factor.
+
+    Column i of the (3, n) result holds the x, y and z sums over c2 in storage
+    order for the element at (xs[i], ys[i]) with tangent (txs[i], tys[i]).
+    """
+    out = np.empty((3, len(xs)), dtype=np.float64)
+    bx, by = c2.ty * params.height_px, -(c2.tx) * params.height_px
+    for b, bz, r3, close in _terms(c2, xs, ys, params):
+        out[0, b] = _row_sums(tys[b, None] * bz, r3, close)
+        out[1, b] = _row_sums(-(txs[b, None]) * bz, r3, close)
+        fz = np.multiply(txs[b, None], by, out=bz)  # bz is no longer needed
+        fz -= tys[b, None] * bx
+        out[2, b] = _row_sums(fz, r3, close)
+    return out
+
+
+def _field_sums(c2: EdgeCurrent, px: np.ndarray, py: np.ndarray,
+                params: ForceParams, operands=None) -> np.ndarray:
+    """Vertical field of c2 without the strength factor at each point (px[i], py[i]).
+
+    operands, when given, select _terms' product form under its conditions.
+    """
+    out = np.empty(len(px), dtype=np.float64)
+    for b, num, r3, close in _terms(c2, px, py, params, operands):
+        out[b] = _row_sums(num, r3, close)
     return out
 
 

@@ -26,7 +26,6 @@ _BLUR = (0.25, 0.5, 0.25)
 # them.
 SOBEL_X = _frozen_copy(np.outer(_SMOOTH, _DIFF), np.float64, (3, 3), "SOBEL_X")
 SOBEL_Y = SOBEL_X.T
-_BINOMIAL = _frozen_copy(np.outer(_BLUR, _BLUR), np.float64, (3, 3), "_BINOMIAL")
 
 
 @dataclass(frozen=True, eq=False)

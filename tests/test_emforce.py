@@ -339,6 +339,18 @@ def dyadic_currents(draw, width, height):
                        np.array(draw(sixteenths)))
 
 
+def dyadic_current(rng, width, height, n):
+    """n elements anywhere on the grid, positions repeating, with tangent
+    components in sixteenths up to 2**20."""
+    tx, ty = rng.integers(-2 ** 24, 2 ** 24, size=(2, n)) / 16
+    return EdgeCurrent(width, height, rng.integers(0, width, n), rng.integers(0, height, n),
+                       tx, ty)
+
+
+# 1000 elements of c2 make blocks of 8 lattice points, so lattices span blocks
+MANY = dyadic_current(np.random.default_rng(43), 6, 5, 1000)
+
+
 def _byte_tuple(values):
     return np.array(values, dtype=np.float64).tobytes()
 
@@ -347,6 +359,7 @@ def _byte_tuple(values):
        st.sampled_from([1e-9, 2.5]))
 # a zero numerator that the two forms sign differently
 @example(single(2, 1, 0.5, 0.0), single(3, 2, -1.0, 0.0, 6, 5), 0.0, 1e-9)
+@example(dyadic_current(np.random.default_rng(53), 7, 6, 5), MANY, 0.3, 2.5)
 @settings(max_examples=60, deadline=None)
 def test_product_form_equals_the_direct_kernel(c1, c2, h, min_r):
     params = ForceParams(height_px=h, min_r=min_r)
@@ -394,6 +407,41 @@ def test_product_form_guard():
         assert emforce._product_operands(c) is None
     lattice = emforce._FieldLattice(current(3, 1 / 32), current(4, 1 / 32), ForceParams())
     assert lattice._operands is None
+    # An exact c2 keeps the direct form where the lattice reaches past 2**24:
+    # at x = 2**27 the product form rounds r^2 otherwise.
+    c2, params = current(3, 2.0 ** 20), ForceParams(height_px=0.3)
+    lattice = emforce._FieldLattice(single(2 ** 27, 1, 1.0, 0.5, 2 ** 27 + 1, 4), c2, params)
+    assert lattice._operands is None
+    lattice.force_map()
+    lh, lw = lattice.values.shape
+    want = [[bz_at(c2, float(lattice._x0 + col), float(lattice._y0 + row), params)
+             for col in range(lw)] for row in range(lh)]
+    assert lattice.values.tobytes() == np.array(want).tobytes()
+
+
+@pytest.mark.parametrize("h, min_r", [(0.3, 1.5), (8.0, 1e-9)])
+def test_blocks_share_no_state(h, min_r):
+    # About 1000 elements of c2 make blocks of 8 points, and 43 points leave a
+    # shorter last block; with min_r 1.5 some blocks hold close terms and
+    # others none.  Every point must read as if evaluated alone.
+    rng = np.random.default_rng(47)
+    c2 = dyadic_current(rng, 40, 40, 1000)
+    n = 43
+    assert _BLOCK_TERMS // len(c2) == 8 and n % 8
+    px, py = rng.integers(-5, 45, size=(2, n)).astype(np.float64)
+    txs, tys = rng.normal(size=(2, n))
+    params = ForceParams(height_px=h, min_r=min_r)
+    operands = emforce._product_operands(c2)
+    assert operands is not None
+    for form in (None, operands):
+        alone = [emforce._field_sums(c2, px[i:i + 1], py[i:i + 1], params, form)
+                 for i in range(n)]
+        assert emforce._field_sums(c2, px, py, params, form).tobytes() == \
+            np.concatenate(alone).tobytes()
+    alone = [emforce._force_rows(px[i:i + 1], py[i:i + 1], txs[i:i + 1], tys[i:i + 1], c2, params)
+             for i in range(n)]
+    assert emforce._force_rows(px, py, txs, tys, c2, params).tobytes() == \
+        np.concatenate(alone, axis=1).tobytes()
 
 
 @given(st.integers(0, 2 ** 32 - 1))
