@@ -19,7 +19,11 @@ are skipped to avoid the singularity at zero separation.
 Array evaluations share one blocked evaluator, _terms: for each block of
 query points it yields the Bz numerators, guarded |r|^3 and the min_r mask
 against the second current's elements, in buffers reused from block to
-block, and the force-row and field sums add its output.  pair_force is the
+block, and the force-row and field sums add its output.  A one-off
+evaluation allocates those buffers per call, for blocks of _BLOCK_TERMS
+pair terms; a _FieldLattice allocates its own once, for blocks of
+_LATTICE_TERMS, and every step of a walk reuses them.  Where h^2 >= min_r^2
+no pair is closer than min_r, and the mask is skipped.  pair_force is the
 scalar reference for one pair, and force_map, one total_force sum per shift,
 the reference for the map.  Sums run in element storage order, so repeated
 evaluations are bit-identical.
@@ -194,11 +198,19 @@ def pair_force(t1: CurrentElement, t2: CurrentElement, shift1: Vec2,
 # finite check that follows it, not by a warning.
 _UNCHECKED = dict(over="ignore", invalid="ignore")
 
-# Pair terms per block of _terms.  A block's few 64 KiB buffers stay below
-# glibc's heap trim threshold and are reused by every block of a call, so no
-# block faults memory back in; smaller blocks slow the field lattice (1.3x at
-# 4096).
+# Pair terms per block of a one-off evaluation (_force_rows, bz_at, force_map
+# and a whole-lattice fill), which allocates its _terms buffers per call.  A
+# block's few 64 KiB buffers stay below glibc's heap trim threshold and are
+# reused by every block of the call, so no block faults memory back in.
 _BLOCK_TERMS = 1 << 13
+
+# Pair terms per block of a _FieldLattice's cells, whose buffers the lattice
+# allocates once and keeps for every step of a walk, so that a step's new
+# points fit in one or two blocks and pay one block's call overhead.  Peak
+# RSS bounds the size: over perfbench's match_walk cases, 32,768-term blocks
+# added about 0.2 MiB of peak RSS to 8,192-term ones and 65,536-term blocks
+# about 1 MiB, for no further speed.
+_LATTICE_TERMS = 1 << 15
 
 # Bounds under which the product form of _terms is exact: integer positions
 # of magnitude at most _EXACT_COORD, and tangents that are multiples of
@@ -237,32 +249,47 @@ def _product_operands(c2: EdgeCurrent):
             np.stack((-c2.ty, c2.tx, c2.ty * x - c2.tx * y)))
 
 
+def _term_buffers(rows: int, m: int, params: ForceParams):
+    """Work buffers for _terms' blocks of up to rows query points against m elements.
+
+    The min_r mask buffer is None where h^2 >= min_r^2: every pair is then
+    at least h apart, in the direct and the product form alike, so no pair
+    is masked.
+    """
+    masked = params.height_px * params.height_px < params.min_r * params.min_r
+    return (np.empty((rows, m)), np.empty((rows, m)), np.empty((rows, m)),
+            np.empty((rows, m), dtype=bool) if masked else None,
+            np.ones((rows, 4)))  # (X, Y, 1, X^2 + Y^2) of the product form
+
+
 def _terms(c2: EdgeCurrent, px: np.ndarray, py: np.ndarray, params: ForceParams,
-           operands=None):
+           operands=None, buffers=None):
     """Bz numerators, guarded cubed distances and the min_r mask of c2, by blocks.
 
     Yields (b, num, r3, close) for consecutive slices b of the query points
-    (px[i], py[i]), each of about _BLOCK_TERMS pair terms, the last possibly
-    shorter; row i of the arrays is point b.start + i against c2's elements
-    in storage order.  The arrays are views of buffers that the next block
-    overwrites.  operands, when given, are c2's _product_operands, and every
-    point must then be an integer within _EXACT_COORD: r^2 - h^2 and the
-    numerators come from two matrix products, equal to the direct
-    differences except that a zero numerator may take the other sign.
+    (px[i], py[i]); row i of the arrays is point b.start + i against c2's
+    elements in storage order.  close is None where the buffers carry no
+    mask, since no pair is then closer than min_r.  The arrays are views of
+    buffers that the next block overwrites.  buffers, when given, are
+    _term_buffers for c2 and params, kept by the caller from call to call,
+    and a block is as many points as they have rows; without them, this call
+    allocates buffers for blocks of about _BLOCK_TERMS pair terms.  operands,
+    when given, are c2's _product_operands, and every point must then be an
+    integer within _EXACT_COORD: r^2 - h^2 and the numerators come from two
+    matrix products, equal to the direct differences except that a zero
+    numerator may take the other sign.
     """
     m = len(c2)
-    step = max(1, _BLOCK_TERMS // max(1, m))
-    rows = min(len(px), step)
-    r3, root, num = np.empty((rows, m)), np.empty((rows, m)), np.empty((rows, m))
-    close = np.empty((rows, m), dtype=bool)
-    # (X, Y, 1, X^2 + Y^2) of the product form
-    points = None if operands is None else np.ones((rows, 4))
+    if buffers is None:
+        buffers = _term_buffers(min(len(px), max(1, _BLOCK_TERMS // max(1, m))), m, params)
+    r3, root, num, close, points = buffers
+    step = max(1, len(r3))
     h2, cut = params.height_px * params.height_px, params.min_r * params.min_r
     for i in range(0, len(px), step):
         b = slice(i, i + step)
         x, y = px[b], py[b]
         k = len(x)
-        r3k, numk, closek = r3[:k], num[:k], close[:k]
+        r3k, numk = r3[:k], num[:k]
         if operands is None:
             dx = np.subtract(x[:, None], c2._xf, out=root[:k])
             dy = np.subtract(y[:, None], c2._yf, out=numk)
@@ -278,17 +305,19 @@ def _terms(c2: EdgeCurrent, px: np.ndarray, py: np.ndarray, params: ForceParams,
             np.matmul(q, operands[0], out=r3k)
             np.matmul(q[:, :3], operands[1], out=numk)
         r3k += h2  # r2, cubed in place below
-        np.less(r3k, cut, out=closek)
+        closek = None if close is None else np.less(r3k, cut, out=close[:k])
         r3k *= np.sqrt(r3k, out=root[:k])
-        np.copyto(r3k, 1.0, where=closek)  # placeholder, the term is zeroed later
+        if closek is not None:
+            np.copyto(r3k, 1.0, where=closek)  # placeholder, the term is zeroed later
         yield b, numk, r3k, closek
 
 
-def _row_sums(num: np.ndarray, r3: np.ndarray, close: np.ndarray) -> np.ndarray:
-    """Row sums of num / r3 without the close terms; num is overwritten."""
+def _row_sums(num: np.ndarray, r3: np.ndarray, close, out: np.ndarray) -> None:
+    """Row sums of num / r3 into out, without the close terms; num is overwritten."""
     num /= r3
-    np.copyto(num, 0.0, where=close)
-    return np.add.reduce(num, axis=1)
+    if close is not None:
+        np.copyto(num, 0.0, where=close)
+    np.add.reduce(num, axis=1, out=out)
 
 
 def _force_rows(xs: np.ndarray, ys: np.ndarray, txs: np.ndarray, tys: np.ndarray,
@@ -301,23 +330,24 @@ def _force_rows(xs: np.ndarray, ys: np.ndarray, txs: np.ndarray, tys: np.ndarray
     out = np.empty((3, len(xs)), dtype=np.float64)
     bx, by = c2.ty * params.height_px, -(c2.tx) * params.height_px
     for b, bz, r3, close in _terms(c2, xs, ys, params):
-        out[0, b] = _row_sums(tys[b, None] * bz, r3, close)
-        out[1, b] = _row_sums(-(txs[b, None]) * bz, r3, close)
+        _row_sums(tys[b, None] * bz, r3, close, out[0, b])
+        _row_sums(-(txs[b, None]) * bz, r3, close, out[1, b])
         fz = np.multiply(txs[b, None], by, out=bz)  # bz is no longer needed
         fz -= tys[b, None] * bx
-        out[2, b] = _row_sums(fz, r3, close)
+        _row_sums(fz, r3, close, out[2, b])
     return out
 
 
 def _field_sums(c2: EdgeCurrent, px: np.ndarray, py: np.ndarray,
-                params: ForceParams, operands=None) -> np.ndarray:
+                params: ForceParams, operands=None, buffers=None) -> np.ndarray:
     """Vertical field of c2 without the strength factor at each point (px[i], py[i]).
 
-    operands, when given, select _terms' product form under its conditions.
+    operands, when given, select _terms' product form under its conditions;
+    buffers, when given, are the caller's _term_buffers.
     """
     out = np.empty(len(px), dtype=np.float64)
-    for b, num, r3, close in _terms(c2, px, py, params, operands):
-        out[b] = _row_sums(num, r3, close)
+    for b, num, r3, close in _terms(c2, px, py, params, operands, buffers):
+        _row_sums(num, r3, close, out[b])
     return out
 
 
@@ -409,7 +439,12 @@ class _FieldLattice:
     -sum t1x_i L_i) over its lattice values L_i, and its gross sum is
     G = sum (|t1y_i| + |t1x_i|) |L_i|, each added left to right in element
     storage order, so one cell reads the same whether the whole map or a
-    single walk computes it.
+    single walk computes it.  Cells evaluate and fold in buffers the
+    lattice owns, allocated once: _term_buffers for blocks of about
+    _LATTICE_TERMS pair terms, and the (3, n + 1) fold terms, whose first
+    column stays +0.0.  force_map fills every point in one call, in that
+    call's own _BLOCK_TERMS buffers, so that a whole map touches no more
+    memory than a smaller block needs.
     """
 
     @np.errstate(**_UNCHECKED)
@@ -434,6 +469,10 @@ class _FieldLattice:
         self._operands = _product_operands(c2) if _is_exact(corners, _EXACT_COORD) else None
         # Per-element weights of fx, fy and G; |w * L| = w * |L| for w >= 0.
         self._weights = np.stack((c1.ty, -c1.tx, np.abs(c1.ty) + np.abs(c1.tx)))
+        # A cell reads at most len(self._points) new points.
+        rows = min(len(self._points), max(1, _LATTICE_TERMS // len(c2)))
+        self._buffers = _term_buffers(rows, len(c2), params)
+        self._fold_terms = np.zeros((3, len(c1) + 1))
 
     @np.errstate(**_UNCHECKED)
     def cell(self, x: int, y: int) -> tuple[float, float, float]:
@@ -441,21 +480,24 @@ class _FieldLattice:
 
         ValueError when one of them is not finite.
         """
-        shift = y * self.values.shape[1] + x
+        lw = self.values.shape[1]
+        values, filled = self.values.ravel(), self._filled.ravel()  # views
+        shift = y * lw + x
         points = self._points + shift
-        todo = points[~self._filled.ravel()[points]]
+        todo = points[~filled[points]]
         if todo.size:
-            rows, cols = np.divmod(todo, self.values.shape[1])
-            self.values.ravel()[todo] = _field_sums(self.c2, (self._x0 + cols).astype(np.float64),
-                                                    (self._y0 + rows).astype(np.float64),
-                                                    self.params, self._operands)
-            self._filled.ravel()[todo] = True
-        terms = self._weights * self.values.ravel()[self._flat + shift]
+            rows, cols = np.divmod(todo, lw)
+            values[todo] = _field_sums(self.c2, (self._x0 + cols).astype(np.float64),
+                                       (self._y0 + rows).astype(np.float64),
+                                       self.params, self._operands, self._buffers)
+            filled[todo] = True
+        terms = self._fold_terms[:, 1:]
+        np.multiply(self._weights, values[self._flat + shift], out=terms)
         np.abs(terms[2], out=terms[2])
-        sums = _fold(terms)
-        if not np.isfinite(sums).all():
+        # Left to right from the +0.0 column, as _fold adds.
+        fx, fy, g = np.add.accumulate(self._fold_terms, axis=1)[:, -1].tolist()
+        if not (math.isfinite(fx) and math.isfinite(fy) and math.isfinite(g)):
             raise ValueError(f"force at cell ({x}, {y}) is not finite")
-        fx, fy, g = sums.tolist()
         return fx, fy, g
 
     @np.errstate(**_UNCHECKED)

@@ -76,29 +76,35 @@ _BALANCED = 8
 _MOVES = np.array([d.step for d in _SECTORS] + [(0, 0)])
 
 
-def _sectors(fx, fy, g=None) -> np.ndarray:
+def _sectors(fx, fy, g=None):
     """Index into _SECTORS of the nearest of eight directions, or _BALANCED, per vector.
 
     A vector is balanced when |F| <= BALANCE_RTOL * g, or without g, when
     |F| < ZERO_FORCE_EPS.  Sectors are 45 degrees wide and half-open: east
     covers angles in [-22.5, 22.5) degrees, and a boundary angle belongs to
-    the sector it opens.  Implemented by rotating the vectors so the east/southeast
-    boundary lands on angle zero, then reading the octant off sign and
-    ordering comparisons; a vector exactly on that boundary rotates onto
-    wy == 0.0 with no rounding error.
+    the sector it opens.  The vector is rotated by 22.5 degrees, so that the
+    east/southeast boundary lands on angle zero, and the octant of the
+    rotated (wx, wy) is counted off the boundaries it has passed: above the
+    axis (wy > 0), the count of wx <= wy, wx <= 0 and wx <= -wy; below it,
+    4 plus the count of wx >= wy, wx >= 0 and wx >= -wy; on it, 0 for
+    wx > 0, else 4.  The count starts at southeast, so the index is the
+    count plus one, mod 8.  A vector exactly on that boundary rotates onto
+    wy == 0.0 with no rounding error.  The rule is comparisons and integer
+    arithmetic only, so it reads Python floats and arrays alike: a walk
+    calls it on one vector, and a map on every cell at once.
     """
     with np.errstate(over="ignore", invalid="ignore"):  # inf and nan as in float arithmetic
-        wx = np.multiply(fx, _COS) + np.multiply(fy, _SIN)
-        wy = np.multiply(fy, _COS) - np.multiply(fx, _SIN)
+        wx = fx * _COS + fy * _SIN
+        wy = fy * _COS - fx * _SIN
         magnitude = np.hypot(fx, fy)
-        balanced = (magnitude < ZERO_FORCE_EPS if g is None
-                    else magnitude <= np.multiply(BALANCE_RTOL, g))
-    k = np.where(wy > 0.0,
-                 np.where(wx > wy, 0, np.where(wx > 0.0, 1, np.where(-wx < wy, 2, 3))),
-                 np.where(wy == 0.0, np.where(wx > 0.0, 0, 4),
-                          np.where(wx >= 0.0, np.where(wx >= -wy, 7, 6),
-                                   np.where(wx < wy, 4, 5))))
-    return np.where(balanced, _BALANCED, (k + 1) % 8)
+    balanced = (magnitude < ZERO_FORCE_EPS if g is None
+                else magnitude <= BALANCE_RTOL * g)
+    # 0 + ... counts bools as integers, also where numpy's bool + bool is a logical or.
+    above = 0 + (wx <= wy) + (wx <= 0.0) + (wx <= -wy)
+    below = 4 + (wx >= wy) + (wx >= 0.0) + (wx >= -wy)
+    k = (wy > 0.0) * above + (wy < 0.0) * below + (wy == 0.0) * 4 * (wx <= 0.0)
+    k = (k + 1) % 8
+    return k + balanced * (_BALANCED - k)
 
 
 def discretize8(v: Vec2) -> Direction8 | None:
@@ -337,6 +343,9 @@ def match_images(img1: GrayImage, img2: GrayImage,
     of three or more cells is Trapped.  start_offset must be a pair of
     integers that keeps the start on the grid.  The walk uses unit
     strength, so the result does not depend on force_params.strength.
+    ValueError when the start cell's gross sum G is 0, so that it has no
+    force to follow: every element pair lies within min_r, or |r|^3
+    overflows and every term is 0.
     """
     c1 = extract_current(img1, edge_params, smooth=smooth)
     c2 = extract_current(img2, edge_params, smooth=smooth)
@@ -346,7 +355,11 @@ def match_images(img1: GrayImage, img2: GrayImage,
     ox, oy = w // 2, h // 2
     start = _grid_cell((ox + start_offset[0], oy + start_offset[1]), w, h, "start")
     # The lattice leaves out the strength factor, so the walk runs at unit strength.
-    trace = _walk(_FieldLattice(c1, c2, force_params).cell, start, w, h, (ox, oy), False)
+    lattice = _FieldLattice(c1, c2, force_params)
+    if lattice.cell(*start)[2] == 0.0:
+        raise ValueError("the force model sums nothing at the start shift: every element "
+                         "pair lies within min_r, or its distance cubed overflows")
+    trace = _walk(lattice.cell, start, w, h, (ox, oy), False)
     if trace.status is PathStatus.BALANCE_OSCILLATION:
         status = MatchStatus.MATCHED
     elif trace.status is PathStatus.OUT_OF_BOUNDS:

@@ -248,6 +248,19 @@ def test_match_accepts_negative_start(shapes, tmp_path, capsys):
     assert doc["path"][0] == [14, 14]
 
 
+@pytest.mark.parametrize("flags", [["--min-r", "1000"], ["--height", "1e200"]])
+def test_match_with_a_force_model_that_sums_nothing_fails(tmp_path, capsys, flags):
+    rect = synth_shape("rectangle", 32, 32)
+    (tmp_path / "rect.pgm").write_bytes(save_pgm(rect))
+    (tmp_path / "moved.pgm").write_bytes(save_pgm(shift_image(rect, 3, -2)))
+    out = tmp_path / "out"
+    code, stdout, err = run(capsys, "match", "--img1", str(tmp_path / "moved.pgm"),
+                            "--img2", str(tmp_path / "rect.pgm"), "--out-dir", str(out), *flags)
+    assert code == 1
+    assert "sums nothing at the start shift" in err
+    assert stdout == "" and not out.exists()
+
+
 def test_match_start_must_stay_on_grid(shapes, capsys):
     code, _, err = run(capsys, "match", "--img1", str(shapes / "rect.pgm"),
                        "--img2", str(shapes / "rect.pgm"), "--start", "40,0")

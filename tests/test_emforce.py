@@ -6,7 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from emmatch import (CurrentElement, EdgeCurrent, EmptyCurrentError, ForceMap,
-                     ForceParams, Vec2, bz_at, force_map, force_map_fast,
+                     ForceParams, Vec2, Vec3, bz_at, force_map, force_map_fast,
                      force_map_tsv, force_on_element, pair_force, total_force)
 from emmatch import emforce
 from emmatch.emforce import _BLOCK_TERMS
@@ -306,10 +306,11 @@ def test_lattice_cells_equal_the_fast_map(monkeypatch):
     points, products = [], []
     real = emforce._field_sums
 
-    def recording(c2, px, py, params, operands=None):
+    def recording(c2, px, py, params, operands=None, buffers=None):
         products.append(operands is not None)
         points.extend(zip(px.tolist(), py.tolist()))
-        return real(c2, px, py, params, operands)
+        assert buffers is lattice._buffers  # every cell evaluates in the lattice's own
+        return real(c2, px, py, params, operands, buffers)
 
     for current, product in ((c2, False), (sixteenths, True)):
         fmap = force_map_fast(c1, current, params)
@@ -442,6 +443,73 @@ def test_blocks_share_no_state(h, min_r):
              for i in range(n)]
     assert emforce._force_rows(px, py, txs, tys, c2, params).tobytes() == \
         np.concatenate(alone, axis=1).tobytes()
+
+
+@pytest.mark.parametrize("h, masked", [(1.0, True), (2.0, False)])
+def test_min_r_mask_on_both_sides_of_the_height(h, masked):
+    # min_r 2: at h 1 a pair 1 apart in the plane is masked (r^2 = 2 < 4); at
+    # h 2 no pair is (r^2 >= h^2 = 4), so the mask is skipped, and a pair at
+    # planar distance 0 sits exactly on r^2 = min_r^2 and counts.  With t1y = 1
+    # and power-of-two tangents, every sum below is exactly the pair_force sum.
+    params = ForceParams(height_px=h, min_r=2.0)
+    assert (emforce._term_buffers(1, 2, params)[3] is None) is not masked
+    c1 = single(3, 3, -0.5, 1.0)
+    c2 = EdgeCurrent(8, 8, np.array([4, 3]), np.array([3, 5]),
+                     np.array([1.0, 0.5]), np.array([0.25, -1.0]))
+    t1, pair = c1.element(0), (c2.element(0), c2.element(1))
+    assert (pair_force(t1, pair[0], Vec2(0.0, 0.0), params) == Vec3(0.0, 0.0, 0.0)) is masked
+
+    def want(sx, sy):
+        a, b = (pair_force(t1, t2, Vec2(float(sx), float(sy)), params) for t2 in pair)
+        return a.x + b.x, a.y + b.y, a.z + b.z
+
+    walked = emforce._FieldLattice(c1, c2, params)
+    whole = emforce._FieldLattice(c1, c2, params).force_map()
+    for y in range(8):
+        for x in range(8):
+            fx, fy, fz = want(x - 4, y - 4)
+            assert bz_at(c2, float(x - 1), float(y - 1), params) == fx  # t1 at 3 + (x - 4)
+            assert total_force(c1, c2, Vec2(float(x - 4), float(y - 4)), params) == \
+                Vec3(fx, fy, fz)
+            cell = (fx, fy, 1.5 * abs(fx))  # L = fx, G = (|t1y| + |t1x|) |L|
+            assert walked.cell(x, y) == cell
+            assert (whole.fx[y, x], whole.fy[y, x], whole.g[y, x]) == cell
+
+
+@pytest.mark.parametrize("h, min_r", [(0.0, 1e-9), (8.0, 1e-9), (1.0, 2.0)])
+def test_lattice_buffers_carry_no_state_between_cells(h, min_r, monkeypatch):
+    # 2000 elements of c2 give lattice blocks of 16 points.  Walking every
+    # cell in row-major order, the first cell evaluates all of c1's points
+    # across several blocks and later ones fewer; the lattice's reused
+    # evaluation and fold buffers must leave each value as a fresh whole-map
+    # fill, with its per-call buffers, computes it.
+    rng = np.random.default_rng(59)
+    c1, c2 = dyadic_current(rng, 12, 10, 80), dyadic_current(rng, 9, 7, 2000)
+    params = ForceParams(height_px=h, min_r=min_r)
+    sizes = []
+    real = emforce._field_sums
+
+    def recording(c2, px, py, params, operands=None, buffers=None):
+        sizes.append(len(px))
+        return real(c2, px, py, params, operands, buffers)
+
+    for product in (True, False):
+        walked, fresh = (emforce._FieldLattice(c1, c2, params) for _ in range(2))
+        if not product:
+            walked._operands = fresh._operands = None
+        fmap = fresh.force_map()
+        rows = len(walked._buffers[0])
+        sizes.clear()
+        with monkeypatch.context() as m:
+            m.setattr(emforce, "_field_sums", recording)
+            for y in range(c2.height):
+                for x in range(c2.width):
+                    assert _byte_tuple(walked.cell(x, y)) == \
+                        _byte_tuple((fmap.fx[y, x], fmap.fy[y, x], fmap.g[y, x]))
+        assert rows == 16 and max(sizes) > 2 * rows and len(set(sizes)) > 2
+        filled = walked._filled
+        assert filled.any()
+        assert walked.values[filled].tobytes() == fresh.values[filled].tobytes()
 
 
 @given(st.integers(0, 2 ** 32 - 1))

@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -14,7 +15,7 @@ from emmatch import (ClassificationMap, Direction8, EmptyCurrentError,
                      shift_image, summarize_map, synth_shape)
 from emmatch import emforce
 from emmatch.cli import render_direction_glyphs
-from emmatch.matchmap import BALANCE_RTOL, ZERO_FORCE_EPS
+from emmatch.matchmap import BALANCE_RTOL, ZERO_FORCE_EPS, _sectors
 
 # The shapes the matching tests use, as perfbench's workloads do.
 KINDS = ("rectangle", "square", "ellipse", "circle")
@@ -125,6 +126,88 @@ class TestDiscretize8:
     def test_non_finite_force_has_no_direction(self, x, y):
         with pytest.raises(ValueError, match="not finite"):
             discretize8(Vec2(x, y))
+
+
+def nested_where_sectors(fx, fy, g=None):
+    """The sector rule _sectors replaced: nested np.where over the rotated vector."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        wx = np.multiply(fx, C) + np.multiply(fy, S)
+        wy = np.multiply(fy, C) - np.multiply(fx, S)
+        magnitude = np.hypot(fx, fy)
+        balanced = (magnitude < ZERO_FORCE_EPS if g is None
+                    else magnitude <= np.multiply(BALANCE_RTOL, g))
+    k = np.where(wy > 0.0,
+                 np.where(wx > wy, 0, np.where(wx > 0.0, 1, np.where(-wx < wy, 2, 3))),
+                 np.where(wy == 0.0, np.where(wx > 0.0, 0, 4),
+                          np.where(wx >= 0.0, np.where(wx >= -wy, 7, 6),
+                                   np.where(wx < wy, 4, 5))))
+    return np.where(balanced, 8, (k + 1) % 8)
+
+
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+# The eight sector boundaries; the first four rotate exactly onto an axis.
+BOUNDARIES = [(C, S), (-S, C), (-C, -S), (S, -C), (S, C), (-C, S), (-S, -C), (C, -S)]
+
+
+def rotated_tie(angle, sign, scale):
+    """A vector near a boundary angle whose rotation (wx, wy) has wx == sign * wy.
+
+    No vector lies on the other four boundaries exactly, but within a few
+    hundred ulps of one, most scales give a vector that rotates onto the tie;
+    without one, the vector at the angle is returned.
+    """
+    fx = scale * math.cos(math.radians(angle))
+    fy = scale * math.sin(math.radians(angle))
+    for d in range(-300, 301):
+        near = fy + d * math.ulp(fy)
+        if fx * C + near * S == sign * (near * C - fx * S):
+            return fx, near
+    return fx, fy
+
+
+@st.composite
+def sector_vectors(draw):
+    """(fx, fy, g): random, boundary, tie, axis, zero, threshold or huge vectors."""
+    g = draw(st.sampled_from([0.0, 1.0, 1e300]) | st.floats(0.0, 1e300))
+    kind = draw(st.sampled_from(["random", "boundary", "tie", "axis", "threshold", "huge"]))
+    if kind == "random":
+        return draw(FINITE), draw(FINITE), g
+    if kind == "tie":
+        angle, sign = draw(st.sampled_from([(67.5, 1.0), (157.5, -1.0), (-112.5, 1.0), (-22.5, -1.0)]))
+        return (*rotated_tie(angle, sign, draw(st.floats(2.0 ** -40, 2.0 ** 40))), g)
+    if kind == "boundary":  # power-of-two scales keep the rotation exact
+        scale = draw(st.sampled_from([2.0 ** e for e in (-1000, -40, 0, 1, 40, 1000)]))
+        fx, fy = draw(st.sampled_from(BOUNDARIES))
+        return scale * fx, scale * fy, g
+    if kind == "axis":
+        a = draw(st.sampled_from([0.0, -0.0]) | FINITE)
+        zero = draw(st.sampled_from([0.0, -0.0]))
+        return (*draw(st.sampled_from([(a, zero), (zero, a)])), g)
+    if kind == "threshold":  # |F| at, just below and just above either cutoff
+        t = draw(st.sampled_from([ZERO_FORCE_EPS, BALANCE_RTOL * g]))
+        t = draw(st.sampled_from([t, math.nextafter(t, 0.0), math.nextafter(t, math.inf)]))
+        ux, uy = draw(st.sampled_from([(1.0, 0.0), (0.0, -1.0), (-1.0, 0.0), (C, S), (-S, -C)]))
+        return t * ux, t * uy, g
+    huge = st.floats(1e299, 1.7976931348623157e308)
+    sign = st.sampled_from([1.0, -1.0])
+    return draw(sign) * draw(huge), draw(sign) * draw(huge | FINITE), g
+
+
+@given(st.lists(sector_vectors(), min_size=1, max_size=16), st.booleans())
+@settings(max_examples=300, deadline=None)
+def test_sectors_equal_the_nested_where_rule(vectors, with_g):
+    # One rule for Python floats, as a walk passes, and arrays, as a map does.
+    fx, fy, g = (np.array(column) for column in zip(*vectors))
+    g = g if with_g else None
+    want = nested_where_sectors(fx, fy, g)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert np.array_equal(_sectors(fx, fy, g), want)
+        assert np.array_equal(_sectors(fx[None, :], fy[None, :], None if g is None else g[None, :]),
+                              want[None, :])
+        for i, (x, y, gi) in enumerate(vectors):
+            k = _sectors(x, y, gi if with_g else None)
+            assert int(k) == k == want[i]
 
 
 class TestFollowPath:
@@ -542,14 +625,17 @@ class TestMatchImages:
             assert scaled == base
 
     def test_no_lattice_point_evaluated_twice(self, rect_img, monkeypatch):
-        points = []
+        points, buffers_seen = [], set()
         real = emforce._field_sums
 
-        def recording(c2, px, py, params, operands=None):
+        def recording(c2, px, py, params, operands=None, buffers=None):
             # image currents take the product form, which this records too
             assert operands is not None
+            # and every step evaluates in the one lattice's buffers
+            assert buffers is not None
+            buffers_seen.add(id(buffers))
             points.extend(zip(px.tolist(), py.tolist()))
-            return real(c2, px, py, params, operands)
+            return real(c2, px, py, params, operands, buffers)
 
         monkeypatch.setattr(emforce, "_field_sums", recording)
         moved = shift_image(rect_img, 5, -4)
@@ -557,7 +643,9 @@ class TestMatchImages:
         # README's round trip at h 8, then the walk of test_recovers_rectangle_shift
         for h, steps in ((8.0, 5), (0.0, 9)):
             points.clear()
+            buffers_seen.clear()
             result = match_images(moved, rect_img, force_params=ForceParams(height_px=h))
+            assert len(buffers_seen) == 1
             assert result.status is MatchStatus.MATCHED
             assert result.steps == steps
             assert len(points) == len(set(points))
@@ -599,6 +687,15 @@ class TestMatchImages:
         result = match_images(moved, rect_img, start_offset=(np.int64(2), 1))
         assert result == match_images(moved, rect_img, start_offset=(2, 1))
         json.dumps(match_result_json(result))
+
+    @pytest.mark.parametrize("params", [ForceParams(min_r=1000.0), ForceParams(height_px=1e200)])
+    def test_a_force_model_that_sums_nothing_is_an_error(self, rect_img, params):
+        # Every pair lies within min_r, or |r|^3 overflows: the start cell has
+        # F = G = 0, which must not read as a balance at shift zero.
+        moved = shift_image(rect_img, 3, -2)
+        assert match_images(moved, rect_img).detected_shift == (3, -2)
+        with pytest.raises(ValueError, match="sums nothing at the start shift"):
+            match_images(moved, rect_img, force_params=params)
 
     def test_blank_image_has_no_current(self, rect_img):
         blank = GrayImage(32, 32, np.zeros((32, 32), dtype=np.uint8))
