@@ -3,6 +3,8 @@
 An edge pixel with gradient (gx, gy) carries a tangential current vector
 (tx, ty) = (gy, -gx), the gradient rotated a quarter turn counterclockwise.
 The rotation keeps the magnitude, so strong edges carry strong currents.
+Thinning and building a current read only the pixels a mask keeps, by
+their row-major indices, rather than comparing whole images.
 """
 
 from __future__ import annotations
@@ -70,27 +72,29 @@ def nms_mask(field: VectorField, mask: EdgeMask,
              params: EdgeParams = EdgeParams()) -> EdgeMask:
     """Thin a thresholded mask by a directionless non-maximum rule.
 
-    Each pixel is compared against its neighbors along four opposite pairs:
-    west/east, north/south, northwest/southeast, and northeast/southwest.
-    A masked pixel survives when it beats both neighbors of at least two
+    Each masked pixel is compared against its neighbors along four opposite
+    pairs: west/east, north/south, northwest/southeast, and northeast/
+    southwest.  It survives when it beats both neighbors of at least two
     pairs.  Beating means >= by default, > under strict_nms.  Neighbors
-    outside the image count as magnitude zero.
+    outside the image count as magnitude zero.  Only the masked pixels are
+    compared, each through flat offsets into one zero-bordered copy of the
+    magnitudes.
     """
-    m = field.magnitude
-    p = np.pad(m, 1, mode="constant")
-    c = p[1:-1, 1:-1]
-
-    def beats(n: np.ndarray) -> np.ndarray:
-        return c > n if params.strict_nms else c >= n
-
-    pairs = (
-        beats(p[1:-1, :-2]) & beats(p[1:-1, 2:]),   # west / east
-        beats(p[:-2, 1:-1]) & beats(p[2:, 1:-1]),   # north / south
-        beats(p[:-2, :-2]) & beats(p[2:, 2:]),      # northwest / southeast
-        beats(p[:-2, 2:]) & beats(p[2:, :-2]),      # northeast / southwest
-    )
-    wins = sum(pair.astype(np.uint8) for pair in pairs)
-    return EdgeMask(field.width, field.height, mask.mask & (wins >= 2))
+    w, h = field.width, field.height
+    stride = w + 2
+    border = np.zeros((h + 2, stride))
+    border[1:-1, 1:-1] = field.magnitude
+    flat = border.ravel()
+    k = np.flatnonzero(mask.mask)  # row-major candidate indices
+    at = k + 2 * (k // w) + (stride + 1)  # and their indices into flat
+    c = flat[at]
+    beats = np.greater if params.strict_nms else np.greater_equal
+    wins = np.zeros(len(at), dtype=np.uint8)
+    for offset in (1, stride, stride + 1, stride - 1):  # W/E, N/S, NW/SE, NE/SW
+        wins += beats(c, flat[at - offset]) & beats(c, flat[at + offset])
+    out = np.zeros(h * w, dtype=bool)
+    out[k[wins >= 2]] = True
+    return EdgeMask(w, h, out.reshape(h, w))
 
 
 @dataclass(frozen=True)
@@ -159,13 +163,13 @@ def build_current(field: VectorField, mask: EdgeMask) -> EdgeCurrent:
     """
     if (field.width, field.height) != (mask.width, mask.height):
         raise ValueError("field and mask dimensions differ")
-    ys, xs = np.nonzero(mask.mask)  # row-major order
-    gx = field.gx[ys, xs]
-    gy = field.gy[ys, xs]
+    k = np.flatnonzero(mask.mask)  # row-major order
+    gx = field.gx.ravel()[k]
+    gy = field.gy.ravel()[k]
     zero = (gx == 0.0) & (gy == 0.0)
     keep = ~zero
-    return EdgeCurrent(field.width, field.height,
-                       xs[keep].astype(np.int64), ys[keep].astype(np.int64),
+    ys, xs = np.divmod(k[keep], field.width)
+    return EdgeCurrent(field.width, field.height, xs, ys,
                        gy[keep], -gx[keep], dropped=int(zero.sum()))
 
 

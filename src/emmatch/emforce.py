@@ -23,9 +23,10 @@ block, and the force-row and field sums add its output.  A one-off
 evaluation allocates those buffers per call, for blocks of _BLOCK_TERMS
 pair terms; a _FieldLattice allocates its own once, for blocks of
 _LATTICE_TERMS, and every step of a walk reuses them.  Where h^2 >= min_r^2
-no pair is closer than min_r, and the mask is skipped.  pair_force is the
-scalar reference for one pair, and force_map, one total_force sum per shift,
-the reference for the map.  Sums run in element storage order, so repeated
+no pair is closer than min_r, and the mask is skipped; the lattice also
+skips it where only coincident pairs can be closer (see _terms).
+pair_force is the scalar reference for one pair, and force_map, one
+total_force sum per shift, the reference for the map.  Sums run in element storage order, so repeated
 evaluations are bit-identical.
 
 Map shifts and element positions are integers, so every shifted element of
@@ -40,13 +41,15 @@ The evaluator's first step, r^2 - h^2 and the Bz numerators, has two
 forms; the rest is shared.  The direct form subtracts coordinates
 elementwise.  The product form, which the lattice uses, computes both as
 two small matrix products, X^2 + Y^2 - 2 X x - 2 Y y + (x^2 + y^2) and
-Y t2x - X t2y + (t2y x - t2x y).  With integer points and positions within
-2**24 and tangents that are multiples of 1/16 within 2**20, as every image
-current's are, each product and partial sum is exact, so every lattice
-value equals the direct form's; only a zero may change sign, which the
-lattice's folds from +0.0, window sums and |L| all ignore.  A lattice
-outside these bounds, and every other evaluation (bz_at, force_on_element,
-total_force, force_map), runs the direct form.
+Y t2x - X t2y + (t2y x - t2x y); an integer h^2 below 2**50 joins the
+constant x^2 + y^2, which saves the pass that adds it to every term.  With
+integer points and positions within 2**24 and tangents that are multiples
+of 1/16 within 2**20, as every image current's are, each product and
+partial sum is exact, so every lattice value equals the direct form's;
+only a zero may change sign, which the lattice's folds from +0.0, window
+sums and |L| all ignore.  A lattice outside these bounds, and every other
+evaluation (bz_at, force_on_element, total_force, force_map), runs the
+direct form.
 
 Finite inputs can still overflow a sum.  The public evaluations run with
 numpy's overflow and invalid-value warnings off, and report a sum that is
@@ -215,13 +218,15 @@ _LATTICE_TERMS = 1 << 15
 # Bounds under which the product form of _terms is exact: integer positions
 # of magnitude at most _EXACT_COORD, and tangents that are multiples of
 # _EXACT_QUANTUM of magnitude at most _EXACT_TANGENT.  Every product and
-# partial sum is then exact, in either form and in any order: those of
-# r^2 - h^2 are integers below 2**52, those of the Bz numerator multiples of
-# 1/16 below 2**47.  Image tangents qualify: Sobel of 8-bit pixels is
-# integral, and the binomial blur makes sixteenths.
+# partial sum is then exact, in either form and in any order: those of r^2,
+# with an integer h^2 below _EXACT_H2 or without h^2, are integers below
+# 2**53, those of the Bz numerator multiples of 1/16 below 2**47.  Image
+# tangents qualify: Sobel of 8-bit pixels is integral, and the binomial blur
+# makes sixteenths.
 _EXACT_COORD = 2.0 ** 24
 _EXACT_TANGENT = 2.0 ** 20
 _EXACT_QUANTUM = 1.0 / 16.0
+_EXACT_H2 = 2.0 ** 50
 
 
 def _is_exact(values, bound: float, quantum: float = 1.0) -> bool:
@@ -233,20 +238,25 @@ def _is_exact(values, bound: float, quantum: float = 1.0) -> bool:
     return bool((units == np.floor(units)).all())
 
 
-def _product_operands(c2: EdgeCurrent):
-    """c2's element rows of the product form, or None where it would not be exact.
+def _product_operands(c2: EdgeCurrent, height_px: float = 0.0):
+    """c2's element rows of the product form and the h^2 they hold, or None where not exact.
 
-    Points (X, Y, 1, X^2 + Y^2) times the first rows give r^2 - h^2 =
-    X^2 + Y^2 - 2 X x - 2 Y y + (x^2 + y^2); (X, Y, 1) times the second give
-    the Bz numerator Y t2x - X t2y + (t2y x - t2x y).
+    Points (X, Y, 1, X^2 + Y^2) times the first rows give X^2 + Y^2 - 2 X x
+    - 2 Y y + (x^2 + y^2 + h2), which is r^2 where h2, the third item, is
+    height_px^2: the rows hold h^2 where it is an integer below _EXACT_H2,
+    and h2 is 0.0 otherwise.  (X, Y, 1) times the second rows give the Bz
+    numerator Y t2x - X t2y + (t2y x - t2x y).
     """
-    if not (_is_exact(c2.xs, _EXACT_COORD) and _is_exact(c2.ys, _EXACT_COORD)
-            and _is_exact(c2.tx, _EXACT_TANGENT, _EXACT_QUANTUM)
-            and _is_exact(c2.ty, _EXACT_TANGENT, _EXACT_QUANTUM)):
+    # Positions are integers on the grid, so within _EXACT_COORD where its sides are.
+    if not (max(c2.width, c2.height) - 1 <= _EXACT_COORD
+            and _is_exact(np.concatenate((c2.tx, c2.ty)), _EXACT_TANGENT, _EXACT_QUANTUM)):
         return None
     x, y = c2._xf, c2._yf
-    return (np.stack((-2.0 * x, -2.0 * y, x * x + y * y, np.ones_like(x))),
-            np.stack((-c2.ty, c2.tx, c2.ty * x - c2.tx * y)))
+    h2 = height_px * height_px
+    if not (h2 < _EXACT_H2 and h2 == math.floor(h2)):
+        h2 = 0.0
+    return (np.stack((-2.0 * x, -2.0 * y, x * x + y * y + h2, np.ones_like(x))),
+            np.stack((-c2.ty, c2.tx, c2.ty * x - c2.tx * y)), h2)
 
 
 def _term_buffers(rows: int, m: int, params: ForceParams):
@@ -254,7 +264,7 @@ def _term_buffers(rows: int, m: int, params: ForceParams):
 
     The min_r mask buffer is None where h^2 >= min_r^2: every pair is then
     at least h apart, in the direct and the product form alike, so no pair
-    is masked.
+    is masked.  Otherwise the buffers carry one, whichever form uses them.
     """
     masked = params.height_px * params.height_px < params.min_r * params.min_r
     return (np.empty((rows, m)), np.empty((rows, m)), np.empty((rows, m)),
@@ -268,16 +278,23 @@ def _terms(c2: EdgeCurrent, px: np.ndarray, py: np.ndarray, params: ForceParams,
 
     Yields (b, num, r3, close) for consecutive slices b of the query points
     (px[i], py[i]); row i of the arrays is point b.start + i against c2's
-    elements in storage order.  close is None where the buffers carry no
-    mask, since no pair is then closer than min_r.  The arrays are views of
-    buffers that the next block overwrites.  buffers, when given, are
-    _term_buffers for c2 and params, kept by the caller from call to call,
-    and a block is as many points as they have rows; without them, this call
-    allocates buffers for blocks of about _BLOCK_TERMS pair terms.  operands,
-    when given, are c2's _product_operands, and every point must then be an
-    integer within _EXACT_COORD: r^2 - h^2 and the numerators come from two
-    matrix products, equal to the direct differences except that a zero
-    numerator may take the other sign.
+    elements in storage order.  close is None where no term needs the mask
+    (see below).  The arrays are views of buffers that the next block
+    overwrites.  buffers, when given, are _term_buffers for c2 and params,
+    kept by the caller from call to call, and a block is as many points as
+    they have rows; without them, this call allocates buffers for blocks of
+    about _BLOCK_TERMS pair terms.  operands, when given, are c2's
+    _product_operands for params.height_px or for height 0, and every point
+    must then be an integer within _EXACT_COORD: r^2 and the numerators come
+    from two matrix products, equal to the direct differences except that a
+    zero numerator may take the other sign.
+
+    No pair is closer than min_r where h^2 >= min_r^2.  Where the operands'
+    rows hold h^2, r^2 is the exact integer d^2 + h^2 of a planar distance
+    d, so where also min_r^2 <= h^2 + 1 only coincident pairs are closer,
+    and the product form gives each of them a numerator of +-0: at h 0 a
+    floor of 1 under r^2 keeps its 0 / 0 out, and above h 0 its term is
+    +-0 as it stands, where the mask makes +0.0.  Every other case masks.
     """
     m = len(c2)
     if buffers is None:
@@ -285,6 +302,9 @@ def _terms(c2: EdgeCurrent, px: np.ndarray, py: np.ndarray, params: ForceParams,
     r3, root, num, close, points = buffers
     step = max(1, len(r3))
     h2, cut = params.height_px * params.height_px, params.min_r * params.min_r
+    exact = operands is not None and operands[2] == h2  # the rows hold h^2
+    coincident = exact and cut <= h2 + 1.0  # the only close pairs, if any
+    masked, floor = h2 < cut and not coincident, coincident and h2 == 0.0
     for i in range(0, len(px), step):
         b = slice(i, i + step)
         x, y = px[b], py[b]
@@ -304,8 +324,11 @@ def _terms(c2: EdgeCurrent, px: np.ndarray, py: np.ndarray, params: ForceParams,
             q[:, 3] += y * y
             np.matmul(q, operands[0], out=r3k)
             np.matmul(q[:, :3], operands[1], out=numk)
-        r3k += h2  # r2, cubed in place below
-        closek = None if close is None else np.less(r3k, cut, out=close[:k])
+        if h2 and not exact:
+            r3k += h2  # r^2, cubed in place below
+        if floor:
+            np.maximum(r3k, 1.0, out=r3k)
+        closek = np.less(r3k, cut, out=close[:k]) if masked else None
         r3k *= np.sqrt(r3k, out=root[:k])
         if closek is not None:
             np.copyto(r3k, 1.0, where=closek)  # placeholder, the term is zeroed later
@@ -462,11 +485,16 @@ class _FieldLattice:
         shape = (int(c1.ys.max()) - y_lo + self.height, int(c1.xs.max()) - x_lo + self.width)
         self._flat = self._rows * shape[1] + self._cols
         self._points = np.array(list(dict.fromkeys(self._flat.tolist())), dtype=np.int64)
+        # Planar x and y of each distinct point at cell (0, 0); cell (x, y) adds x and y.
+        rows, cols = np.divmod(self._points, shape[1])
+        self._px = (self._x0 + cols).astype(np.float64)
+        self._py = (self._y0 + rows).astype(np.float64)
         self.values = np.empty(shape, dtype=np.float64)
         self._filled = np.zeros(shape, dtype=bool)
         # The product form where every lattice point and c2 keep it exact.
         corners = (self._x0, self._y0, self._x0 + shape[1] - 1, self._y0 + shape[0] - 1)
-        self._operands = _product_operands(c2) if _is_exact(corners, _EXACT_COORD) else None
+        self._operands = (_product_operands(c2, params.height_px)
+                          if _is_exact(corners, _EXACT_COORD) else None)
         # Per-element weights of fx, fy and G; |w * L| = w * |L| for w >= 0.
         self._weights = np.stack((c1.ty, -c1.tx, np.abs(c1.ty) + np.abs(c1.tx)))
         # A cell reads at most len(self._points) new points.
@@ -484,11 +512,10 @@ class _FieldLattice:
         values, filled = self.values.ravel(), self._filled.ravel()  # views
         shift = y * lw + x
         points = self._points + shift
-        todo = points[~filled[points]]
+        need = ~filled[points]
+        todo = points[need]
         if todo.size:
-            rows, cols = np.divmod(todo, lw)
-            values[todo] = _field_sums(self.c2, (self._x0 + cols).astype(np.float64),
-                                       (self._y0 + rows).astype(np.float64),
+            values[todo] = _field_sums(self.c2, self._px[need] + x, self._py[need] + y,
                                        self.params, self._operands, self._buffers)
             filled[todo] = True
         terms = self._fold_terms[:, 1:]
@@ -532,12 +559,18 @@ def force_map_fast(c1: EdgeCurrent, c2: EdgeCurrent,
     The vertical field of c2 is evaluated once per lattice point (cost
     lattice_size * len(c2)), then each map cell reduces to len(c1) lattice
     lookups instead of a fresh double sum.  Cells match the naive map up to
-    floating-point regrouping.
+    floating-point regrouping.  ValueError when every cell's G is 0, so that
+    no cell has a force: at every shift, every element pair lies within
+    min_r, or its distance cubed overflows.
     """
     if len(c1) == 0 or len(c2) == 0:
         raise EmptyCurrentError("force_map_fast requires two non-empty currents")
+    fmap = _FieldLattice(c1, c2, params).force_map()
+    if not fmap.g.any():
+        raise ValueError("the force model sums nothing at any shift: every element pair "
+                         "lies within min_r, or its distance cubed overflows")
     # Strength scales the final sums once, as in total_force.
-    return _FieldLattice(c1, c2, params).force_map().scaled(params.strength)
+    return fmap.scaled(params.strength)
 
 
 def force_map_tsv(fmap: ForceMap) -> str:

@@ -2,7 +2,15 @@
 
 The Sobel kernels and the optional binomial blur are separable: each runs
 through one 3x3 correlation, a 3-tap pass along rows and then one along
-columns, over the image's edge-replicated border.
+columns, over the image's edge-replicated border, which slicing fills.
+The passes run in integers: 8-bit pixels give integral gradients, and the
+blur is carried as 16 times its value until the gradient is scaled back,
+so every value equals the float64 correlation's.
+
+A gradient's length is sqrt(gx^2 + gy^2).  Image gradients are multiples of
+1/16 of magnitude at most 1020, so the squares add up exactly and each
+length is correctly rounded: equal squared lengths give equal lengths,
+which the thinning's comparisons rely on.
 """
 
 from __future__ import annotations
@@ -13,11 +21,10 @@ import numpy as np
 
 from .raster import GrayImage, _frozen_copy, _store_grid_size
 
-# The 3-tap factors of the kernels: a smoothing and a central difference,
-# and the blur's binomial weights.
-_SMOOTH = (1.0, 2.0, 1.0)
-_DIFF = (-1.0, 0.0, 1.0)
-_BLUR = (0.25, 0.5, 0.25)
+# The 3-tap factors of the kernels: a smoothing and a central difference.
+# The binomial blur is outer(_SMOOTH, _SMOOTH) / 16.
+_SMOOTH = (1, 2, 1)
+_DIFF = (-1, 0, 1)
 
 # Horizontal kernel, outer(_SMOOTH, _DIFF); the vertical one is its
 # transpose.  Applied as a correlation, so gx is positive where intensity
@@ -32,8 +39,9 @@ SOBEL_Y = SOBEL_X.T
 class VectorField:
     """Per-pixel 2D gradient vectors on the source image grid, as read-only float64 copies.
 
-    magnitude is each vector's Euclidean length, zero exactly where
-    gx == gy == 0.  Every vector and its length must be finite.
+    magnitude is each vector's Euclidean length, sqrt(gx^2 + gy^2), zero
+    exactly where gx == gy == 0.  Every vector and its squared length must be
+    finite, so no length may reach about 1.34e154.
     """
 
     width: int
@@ -48,36 +56,46 @@ class VectorField:
             arr = _frozen_copy(getattr(self, name), np.float64, (self.height, self.width), name)
             object.__setattr__(self, name, arr)
         with np.errstate(over="ignore", invalid="ignore"):
-            length = np.hypot(self.gx, self.gy)
+            length = self.gx * self.gx
+            length += self.gy * self.gy
         if not np.isfinite(length).all():
-            raise ValueError("gradient vectors and their lengths must be finite")
-        object.__setattr__(self, "magnitude",
-                           _frozen_copy(length, np.float64, length.shape, "magnitude"))
+            overflow = np.isfinite(self.gx).all() and np.isfinite(self.gy).all()
+            raise ValueError("gradient vectors and their lengths must be finite"
+                             + (": a squared length overflows" if overflow else ""))
+        np.sqrt(length, out=length)
+        length.flags.writeable = False  # a fresh array, read-only as gx and gy are
+        object.__setattr__(self, "magnitude", length)
 
 
 def _taps(a: np.ndarray, b: np.ndarray, c: np.ndarray, taps) -> np.ndarray:
-    """taps[0] a + taps[1] b + taps[2] c, for outer taps equal or opposite."""
-    left, middle, right = taps
-    total = np.add(a, c) if left == right else np.subtract(c, a)
-    if right != 1.0:
-        total *= right
-    if middle:
-        total += middle * b
+    """a + 2 b + c for _SMOOTH, c - a for _DIFF."""
+    if taps == _DIFF:
+        return np.subtract(c, a)
+    total = np.add(a, c)
+    total += b
+    total += b
     return total
 
 
 def _correlate3(p: np.ndarray, col, row) -> np.ndarray:
     """3x3 correlation with kernel outer(col, row) of the image that p pads.
 
-    p is the image with a one-pixel border (np.pad's "edge" mode); the row
-    taps run along x, then the col taps along y.  Every weight and input is
-    a multiple of 1/16 below 2**53, so every partial sum is exact, and the
-    result equals the 2-D correlation's.  Zeros agree too: pixels are never
-    -0.0, and no pass makes one.
+    p is the integer image with a one-pixel edge-replicated border
+    (_edge_padded); the row taps run along x, then the col taps along y.
     """
     h, w = p.shape[0] - 2, p.shape[1] - 2
     across = _taps(p[:, :w], p[:, 1:w + 1], p[:, 2:], row)
     return _taps(across[:h], across[1:h + 1], across[2:], col)
+
+
+def _edge_padded(f: np.ndarray) -> np.ndarray:
+    """f as int32 with a one-pixel border that repeats its edge, as np.pad's "edge" mode."""
+    h, w = f.shape
+    p = np.empty((h + 2, w + 2), dtype=np.int32)
+    p[1:-1, 1:-1] = f
+    p[0, 1:-1], p[-1, 1:-1] = f[0], f[-1]
+    p[:, 0], p[:, -1] = p[:, 1], p[:, -2]
+    return p
 
 
 def sobel_field(img: GrayImage, smooth: bool = False) -> VectorField:
@@ -88,9 +106,10 @@ def sobel_field(img: GrayImage, smooth: bool = False) -> VectorField:
     """
     if img.width < 3 or img.height < 3:
         raise ValueError(f"image must be at least 3x3 for Sobel, got {img.width}x{img.height}")
-    f = img.pixels.astype(np.float64)
+    p = _edge_padded(img.pixels)
     if smooth:
-        f = _correlate3(np.pad(f, 1, mode="edge"), _BLUR, _BLUR)
-    p = np.pad(f, 1, mode="edge")
-    return VectorField(img.width, img.height, _correlate3(p, _SMOOTH, _DIFF),
-                       _correlate3(p, _DIFF, _SMOOTH))
+        p = _edge_padded(_correlate3(p, _SMOOTH, _SMOOTH))  # 16 times the blur, at most 4080
+    gx, gy = _correlate3(p, _SMOOTH, _DIFF), _correlate3(p, _DIFF, _SMOOTH)
+    if smooth:  # sixteenths, exact in float64
+        gx, gy = gx / 16.0, gy / 16.0
+    return VectorField(img.width, img.height, gx, gy)

@@ -5,18 +5,20 @@ One array rule, _sectors, picks the move for every cell or glyph.  A force
 counts as balanced when it is rounding residue of what was summed: on a
 computed map, |F| <= 1e-12 * G, where G is the cell's gross sum of
 magnitudes; a map made from forces alone, or a lone vector, has no G and
-keeps the absolute cutoff |F| < 1e-12.
+keeps the absolute cutoff |F| < 1e-12.  A cell whose G is 0 summed nothing
+(every pair lies within min_r, or its distance cubed overflows): it has no
+force, and no balance either.
 
 Following those moves from a start cell traces a path that ends in one of
-four ways: it reaches the zero-shift origin, it oscillates around a balance
-point, it walks off the grid, or it hits the step limit: its next move
-would close a cycle of three or more cells.  A move depends only on the
-cell, so the outcome is a function of the successor graph, and
-classification labels every cell from that graph in one array pass: the
-grid splits into a convergence basin, divergent cells, and locally trapped
-cells.  Matching two images is the same walk, from shift zero, on the field
-lattice of force_map_fast, filled only where the walk goes; it equals the
-walk on the fast map.
+five ways: it reaches the zero-shift origin, it oscillates around a balance
+point, it walks off the grid, it reaches a cell with no force, or it hits
+the step limit: its next move would close a cycle of three or more cells.
+A move depends only on the cell, so the outcome is a function of the
+successor graph, and classification labels every cell from that graph in
+one array pass: the grid splits into a convergence basin, divergent cells,
+and locally trapped cells.  Matching two images is the same walk, from
+shift zero, on the field lattice of force_map_fast, filled only where the
+walk goes; it equals the walk on the fast map.
 """
 
 from __future__ import annotations
@@ -120,6 +122,7 @@ class PathStatus(Enum):
     BALANCE_OSCILLATION = "BalanceOscillation"
     OUT_OF_BOUNDS = "OutOfBounds"
     STEP_LIMIT = "StepLimit"
+    NO_FORCE = "NoForce"
 
 
 @dataclass(frozen=True)
@@ -130,7 +133,8 @@ class PathTrace:
     smaller force magnitude (ties keep the earlier-visited one), which may
     differ from the last path position.  STEP_LIMIT means the next move
     would close a cycle of three or more cells; the path then holds no
-    repeated cell, and the terminal is its last one.
+    repeated cell, and the terminal is its last one.  NO_FORCE means the
+    last cell, the terminal, has G = 0.
     """
 
     positions: tuple[tuple[int, int], ...]
@@ -150,13 +154,17 @@ def _walk(force_at: Callable[[int, int], tuple[float, float, float | None]],
     force_at gives a cell's fx, fy and G (None for none).  A move depends
     only on the cell, so the walk ends at its first move onto a visited
     cell: a bounce, or a cycle of three or more cells.  Every walk therefore
-    ends within width * height moves.
+    ends within width * height moves.  The walk stops on the first cell
+    with G = 0; a step onto an origin with G = 0 stops there too, instead
+    of arriving.
     """
     positions = [start]
     visited = {start}
     px, py = start
     fx, fy, g = force_at(px, py)
     while True:
+        if g == 0.0:
+            return PathTrace(tuple(positions), PathStatus.NO_FORCE, (px, py))
         k = int(_sectors(fx, fy, g))
         if k == _BALANCED:
             return PathTrace(tuple(positions), PathStatus.BALANCE_OSCILLATION, (px, py))
@@ -166,6 +174,8 @@ def _walk(force_at: Callable[[int, int], tuple[float, float, float | None]],
             return PathTrace(tuple(positions), PathStatus.OUT_OF_BOUNDS, (px, py))
         if stop_at_origin and (nx, ny) == origin:
             positions.append((nx, ny))
+            if force_at(nx, ny)[2] == 0.0:
+                return PathTrace(tuple(positions), PathStatus.NO_FORCE, (nx, ny))
             return PathTrace(tuple(positions), PathStatus.ARRIVED_AT_ORIGIN, (nx, ny))
         if (nx, ny) in visited:
             if (nx, ny) != positions[-2]:
@@ -256,18 +266,24 @@ def classify_map(fmap: ForceMap) -> ClassificationMap:
 
     Each cell points at its successor: an off-grid sink for a move off the
     grid (Divergence), a home sink for a move onto the origin or a balanced
-    origin (Convergence), else the cell its force moves to.  Pointer jumping
-    (nxt = nxt[nxt]) finds every cell's sink at once.  A cell that reaches
-    neither balances off the origin, bounces, or feeds a cycle: LocallyTrapped.
+    origin (Convergence), else the cell its force moves to.  A cell with
+    G = 0 points at itself, and the origin is home only when its G is not 0.
+    Pointer jumping (nxt = nxt[nxt]) finds every cell's sink at once.  A cell
+    that reaches neither balances off the origin, has no force, bounces, or
+    feeds one of these or a cycle: LocallyTrapped.
     """
     w, h = fmap.width, fmap.height
     n = w * h
     off, home = n, n + 1
     ys, xs = np.indices((h, w))
-    move = _MOVES[_sectors(fmap.fx, fmap.fy, fmap.g)]
+    sectors = _sectors(fmap.fx, fmap.fy, fmap.g)
+    if fmap.g is not None:
+        sectors[fmap.g == 0.0] = _BALANCED  # no force: the cell keeps itself
+    move = _MOVES[sectors]
     nx, ny = xs + move[..., 0], ys + move[..., 1]
     nxt = np.where((0 <= nx) & (nx < w) & (0 <= ny) & (ny < h), ny * w + nx, off).ravel()
-    nxt[nxt == fmap.oy * w + fmap.ox] = home
+    if fmap.g is None or fmap.g[fmap.oy, fmap.ox] != 0.0:
+        nxt[nxt == fmap.oy * w + fmap.ox] = home
     nxt = np.append(nxt, [off, home])
     for _ in range(n.bit_length() + 1):  # 2**rounds > n moves, the longest path to a sink
         nxt = nxt[nxt]
@@ -337,15 +353,15 @@ def match_images(img1: GrayImage, img2: GrayImage,
     needs once, and steps the offset along the discretized direction.  The
     path therefore equals follow_path(force_map_fast(c1, c2),
     origin, stop_at_origin=False) at unit strength.  Settling into a
-    balance (no force, or a two-cell oscillation) is a match; the detected
-    shift is the negated final offset.  Walking the translated center out
-    of the second image's grid is Diverged.  A move that would close a cycle
-    of three or more cells is Trapped.  start_offset must be a pair of
-    integers that keeps the start on the grid.  The walk uses unit
-    strength, so the result does not depend on force_params.strength.
-    ValueError when the start cell's gross sum G is 0, so that it has no
-    force to follow: every element pair lies within min_r, or |r|^3
-    overflows and every term is 0.
+    balance (a balanced force, or a two-cell oscillation) is a match; the
+    detected shift is the negated final offset.  Walking the translated
+    center out of the second image's grid is Diverged.  A move that would close a cycle
+    of three or more cells, or a step onto a cell whose gross sum G is 0,
+    is Trapped.  start_offset must be a pair of integers that keeps the
+    start on the grid.  The walk uses unit strength, so the result does not
+    depend on force_params.strength.  ValueError when the start cell's G is
+    0, so that it has no force to follow: every element pair lies within
+    min_r, or |r|^3 overflows and every term is 0.
     """
     c1 = extract_current(img1, edge_params, smooth=smooth)
     c2 = extract_current(img2, edge_params, smooth=smooth)
@@ -355,11 +371,10 @@ def match_images(img1: GrayImage, img2: GrayImage,
     ox, oy = w // 2, h // 2
     start = _grid_cell((ox + start_offset[0], oy + start_offset[1]), w, h, "start")
     # The lattice leaves out the strength factor, so the walk runs at unit strength.
-    lattice = _FieldLattice(c1, c2, force_params)
-    if lattice.cell(*start)[2] == 0.0:
+    trace = _walk(_FieldLattice(c1, c2, force_params).cell, start, w, h, (ox, oy), False)
+    if trace.status is PathStatus.NO_FORCE and trace.steps == 0:
         raise ValueError("the force model sums nothing at the start shift: every element "
                          "pair lies within min_r, or its distance cubed overflows")
-    trace = _walk(lattice.cell, start, w, h, (ox, oy), False)
     if trace.status is PathStatus.BALANCE_OSCILLATION:
         status = MatchStatus.MATCHED
     elif trace.status is PathStatus.OUT_OF_BOUNDS:

@@ -261,6 +261,48 @@ def test_match_with_a_force_model_that_sums_nothing_fails(tmp_path, capsys, flag
     assert stdout == "" and not out.exists()
 
 
+@pytest.fixture(scope="module")
+def moved_3_m2(tmp_path_factory):
+    """The 32 px rectangle and a copy moved by (3, -2), as PGM files."""
+    d = tmp_path_factory.mktemp("moved_3_m2")
+    rect = synth_shape("rectangle", 32, 32)
+    (d / "rect.pgm").write_bytes(save_pgm(rect))
+    (d / "moved.pgm").write_bytes(save_pgm(shift_image(rect, 3, -2)))
+    return d
+
+
+@pytest.mark.parametrize("min_r, counts", [
+    ("20", {"convergence": 1, "divergence": 992, "locally_trapped": 31}),
+    ("30", {"convergence": 0, "divergence": 440, "locally_trapped": 584}),
+    ("40", {"convergence": 0, "divergence": 7, "locally_trapped": 1017}),
+])
+def test_classify_traps_cells_that_sum_nothing(moved_3_m2, tmp_path, capsys, min_r, counts):
+    # Cells with G = 0 and their feeders are locally trapped; at min_r 30 the
+    # origin is one of them, where it used to read as convergent.
+    code, stdout, _ = run(capsys, "classify", "--img1", str(moved_3_m2 / "moved.pgm"),
+                          "--img2", str(moved_3_m2 / "rect.pgm"), "--min-r", min_r,
+                          "--out-dir", str(tmp_path))
+    assert code == 0
+    assert json.loads((tmp_path / "classification.json").read_text())["counts"] == counts
+    c1 = extract_current(shift_image(synth_shape("rectangle", 32, 32), 3, -2))
+    c2 = extract_current(synth_shape("rectangle", 32, 32))
+    cls = classify_map(force_map_fast(c1, c2, ForceParams(min_r=float(min_r))))
+    assert (tmp_path / "classification.ppm").read_bytes() == render_classification_ppm(cls)
+    assert f"locally_trapped {counts['locally_trapped']}" in stdout
+
+
+@pytest.mark.parametrize("command", ["map", "classify"])
+@pytest.mark.parametrize("flags", [["--min-r", "60"], ["--height", "1e200"]])
+def test_map_and_classify_with_a_force_model_that_sums_nothing_fail(moved_3_m2, tmp_path, capsys,
+                                                                    command, flags):
+    out = tmp_path / "out"
+    code, stdout, err = run(capsys, command, "--img1", str(moved_3_m2 / "moved.pgm"),
+                            "--img2", str(moved_3_m2 / "rect.pgm"), *flags, "--out-dir", str(out))
+    assert code == 1
+    assert "sums nothing at any shift" in err
+    assert stdout == "" and not out.exists()
+
+
 def test_match_start_must_stay_on_grid(shapes, capsys):
     code, _, err = run(capsys, "match", "--img1", str(shapes / "rect.pgm"),
                        "--img2", str(shapes / "rect.pgm"), "--start", "40,0")

@@ -4,9 +4,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from emmatch import (EdgeCurrent, EdgeMask, EdgeParams, EmptyCurrentError,
-                     GrayImage, build_current, current_tsv, extract_current,
-                     mask_image, nms_mask, sobel_field, synth_shape,
-                     threshold_mask)
+                     GrayImage, VectorField, build_current, current_tsv,
+                     extract_current, mask_image, nms_mask, sobel_field,
+                     synth_shape, threshold_mask)
 
 
 def test_edge_params_validation():
@@ -66,18 +66,54 @@ def brute_nms(mag, inmask, strict):
     return out
 
 
-@given(st.integers(3, 8), st.integers(3, 8), st.integers(0, 2 ** 32 - 1),
-       st.booleans())
-@settings(max_examples=40, deadline=None)
-def test_nms_matches_brute_force(w, h, seed, strict):
-    rng = np.random.default_rng(seed)
-    px = rng.integers(0, 256, size=(h, w), dtype=np.uint8)
-    field = sobel_field(GrayImage(w, h, px))
+@st.composite
+def thinning_inputs(draw):
+    """A field and a candidate mask: an image's Sobel field and its threshold
+    mask, or a VectorField of small integer components, which tie often,
+    with a random mask, a 1-row or 1-column grid among them, or a mask of
+    every pixel, so that candidates sit on every border."""
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    if draw(st.booleans()):
+        w, h = draw(st.integers(3, 8)), draw(st.integers(3, 8))
+        field = sobel_field(GrayImage(w, h, rng.integers(0, 256, size=(h, w), dtype=np.uint8)))
+        return field, threshold_mask(field, EdgeParams(threshold_pct=0.10))
+    w, h = draw(st.sampled_from([(1, 20), (20, 1), (1, 1)]) | st.tuples(st.integers(1, 20),
+                                                                         st.integers(1, 20)))
+    gx, gy = rng.integers(-3, 4, size=(2, h, w)).astype(np.float64)
+    field = VectorField(w, h, gx, gy)
+    share = draw(st.sampled_from([0.3, 0.7, 1.0]))
+    return field, EdgeMask(w, h, rng.random((h, w)) < share)
+
+
+@given(thinning_inputs(), st.booleans())
+@settings(max_examples=120, deadline=None)
+def test_nms_matches_brute_force(inputs, strict):
+    field, tm = inputs
     params = EdgeParams(threshold_pct=0.10, strict_nms=strict)
-    tm = threshold_mask(field, params)
     got = nms_mask(field, tm, params)
     assert np.array_equal(got.mask,
                           brute_nms(field.magnitude, tm.mask, strict))
+
+
+@pytest.mark.parametrize("strict", [False, True])
+def test_equal_squared_lengths_tie(strict):
+    # 52^2 + 17^2 == 47^2 + 28^2 == 2993, but np.hypot rounds the two lengths
+    # one ulp apart.  The center of this 3x3 field wins north/south (zeros)
+    # and loses both diagonals (larger neighbors), so its west/east pair,
+    # which ties against its west neighbor and beats the zero east of it,
+    # decides: a tie is >= but not >, whichever of the two is the center.
+    a, b = (52.0, 17.0), (47.0, 28.0)
+    for center, west in ((a, b), (b, a)):
+        gx, gy = np.zeros((2, 3, 3))
+        (gx[1, 1], gy[1, 1]), (gx[1, 0], gy[1, 0]) = center, west
+        gx[0, 0] = gx[0, 2] = 100.0  # northwest and northeast
+        field = VectorField(3, 3, gx, gy)
+        assert field.magnitude[1, 1] == field.magnitude[1, 0]
+        only_center = np.zeros((3, 3), dtype=bool)
+        only_center[1, 1] = True
+        thinned = nms_mask(field, EdgeMask(3, 3, only_center), EdgeParams(strict_nms=strict))
+        assert thinned.mask[1, 1] == (not strict)
+        assert thinned.count == (0 if strict else 1)
 
 
 def test_strict_nms_is_subset_of_lenient():

@@ -380,7 +380,11 @@ def test_product_form_equals_the_direct_kernel(c1, c2, h, min_r):
     assert not product.values[differ].any()
     for name in ("fx", "fy", "g"):
         assert getattr(fast, name).tobytes() == getattr(reference, name).tobytes()
-    assert force_map_fast(c1, c2, params).fx.tobytes() == reference.fx.tobytes()
+    if reference.g.any():
+        assert force_map_fast(c1, c2, params).fx.tobytes() == reference.fx.tobytes()
+    else:  # no cell sums anything: every tangent is zero, or every pair lies within min_r
+        with pytest.raises(ValueError, match="sums nothing at any shift"):
+            force_map_fast(c1, c2, params)
     product, direct = lattice(True), lattice(False)
     for y in range(fast.height):
         for x in range(fast.width):
@@ -474,6 +478,65 @@ def test_min_r_mask_on_both_sides_of_the_height(h, masked):
             cell = (fx, fy, 1.5 * abs(fx))  # L = fx, G = (|t1y| + |t1x|) |L|
             assert walked.cell(x, y) == cell
             assert (whole.fx[y, x], whole.fy[y, x], whole.g[y, x]) == cell
+
+
+# (h, min_r, the h^2 the product rows hold, whether the product form masks)
+CLOSE_PAIR_RULES = [
+    (0.0, 1e-9, 0.0, False),   # coincident pairs only, r^2 floored at 1
+    (0.0, 1.0, 0.0, False),    # min_r^2 = h^2 + 1: still coincident pairs only
+    (3.0, 3.1, 9.0, False),    # h^2 < min_r^2 <= h^2 + 1: coincident terms are +-0 / 27
+    (8.0, 1e-9, 64.0, False),  # h >= min_r: no close pair
+    (8.0, 8.06, 64.0, False),
+    (0.5, 0.6, 0.0, True),     # h^2 is no integer, so the rows leave it out
+    (2.5, 2.6, 0.0, True),
+    (1.0, 2.0, 1.0, True),     # pairs 1 apart in the plane are close too
+    (0.0, 1.5, 0.0, True),
+]
+
+
+@pytest.mark.parametrize("h, min_r, folded, masked", CLOSE_PAIR_RULES)
+def test_close_pair_rule_of_the_product_form(h, min_r, folded, masked):
+    # The product rows hold an integer h^2; where then only coincident pairs
+    # lie within min_r, no mask runs.  Cells, with element positions of c1
+    # landing on c2's at many shifts, stay byte-equal to the masked direct
+    # form and equal to pair_force sums (exact here: one element of c1 with
+    # t1y = 1, two of c2 with power-of-two tangents).
+    params = ForceParams(height_px=h, min_r=min_r)
+    c1 = single(3, 3, -0.5, 1.0)
+    c2 = EdgeCurrent(8, 8, np.array([4, 3]), np.array([3, 5]),
+                     np.array([1.0, 0.5]), np.array([0.25, -1.0]))
+    operands = emforce._product_operands(c2, h)
+    assert operands[2] == folded
+    px, py = np.array([4.0, 3.0, 0.0, 4.0]), np.array([3.0, 5.0, 0.0, 4.0])
+    closes = [close for _, _, _, close in emforce._terms(c2, px, py, params, operands)]
+    assert closes and all((close is not None) is masked for close in closes)
+    t1, pair = c1.element(0), (c2.element(0), c2.element(1))
+    walked, direct = (emforce._FieldLattice(c1, c2, params) for _ in range(2))
+    assert walked._operands[2] == folded
+    direct._operands = None
+    whole = emforce._FieldLattice(c1, c2, params).force_map()
+    for y in range(8):
+        for x in range(8):
+            a, b = (pair_force(t1, t2, Vec2(float(x - 4), float(y - 4)), params) for t2 in pair)
+            fx = a.x + b.x
+            cell = walked.cell(x, y)
+            assert cell == (fx, 0.5 * fx, 1.5 * abs(fx))
+            assert _byte_tuple(cell) == _byte_tuple(direct.cell(x, y))
+            assert _byte_tuple(cell) == _byte_tuple((whole.fx[y, x], whole.fy[y, x],
+                                                     whole.g[y, x]))
+    # Many coincident pairs: both currents on one 7 x 6 grid.
+    rng = np.random.default_rng(61)
+    c1, c2 = dyadic_current(rng, 7, 6, 30), dyadic_current(rng, 7, 6, 40)
+    product, direct = (emforce._FieldLattice(c1, c2, params) for _ in range(2))
+    direct._operands = None
+    fast, reference = product.force_map(), direct.force_map()
+    for name in ("fx", "fy", "g"):
+        assert getattr(fast, name).tobytes() == getattr(reference, name).tobytes()
+    product, direct = (emforce._FieldLattice(c1, c2, params) for _ in range(2))
+    direct._operands = None
+    for y in range(6):
+        for x in range(7):
+            assert _byte_tuple(product.cell(x, y)) == _byte_tuple(direct.cell(x, y))
 
 
 @pytest.mark.parametrize("h, min_r", [(0.0, 1e-9), (8.0, 1e-9), (1.0, 2.0)])

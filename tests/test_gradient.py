@@ -129,12 +129,24 @@ def test_transpose_swaps_components(w, h, seed):
     assert np.array_equal(a.gy, b.gx.T)
 
 
-def test_magnitude_is_hypot():
-    img = synth_shape("ellipse", 32, 32)
-    field = sobel_field(img)
-    assert np.array_equal(field.magnitude, np.hypot(field.gx, field.gy))
-    assert np.array_equal(field.magnitude == 0.0,
-                          (field.gx == 0.0) & (field.gy == 0.0))
+def test_magnitude_is_the_root_of_the_exact_squared_length():
+    # Image gradients are sixteenths of magnitude at most 1020, so 256 |g|^2
+    # is an integer, summed exactly here; the length is its correctly
+    # rounded root, so equal squared lengths give equal lengths.
+    rng = np.random.default_rng(11)
+    images = [synth_shape(kind, n, n).pixels
+              for kind in ("square", "rectangle", "ellipse", "circle", "line") for n in (16, 32)]
+    images += [rng.integers(0, 256, size=(h, w), dtype=np.uint8)
+               for h, w in rng.integers(3, 40, size=(10, 2))]
+    for px in images:
+        for smooth in (False, True):
+            field = sobel_field(GrayImage(px.shape[1], px.shape[0], px), smooth=smooth)
+            ix, iy = (np.asarray(16 * g, dtype=np.int64) for g in (field.gx, field.gy))
+            assert np.array_equal(ix, 16 * field.gx) and np.array_equal(iy, 16 * field.gy)
+            want = np.sqrt((ix * ix + iy * iy).astype(np.float64) / 256.0)
+            assert field.magnitude.tobytes() == want.tobytes()
+            assert np.array_equal(field.magnitude == 0.0,
+                                  (field.gx == 0.0) & (field.gy == 0.0))
 
 
 def test_smoothing_preserves_constant_regions():

@@ -13,7 +13,7 @@ from emmatch import (ClassificationMap, Direction8, EmptyCurrentError,
                      classify_map, discretize8, extract_current, follow_path,
                      force_map, force_map_fast, match_images, match_result_json,
                      shift_image, summarize_map, synth_shape)
-from emmatch import emforce
+from emmatch import emforce, matchmap
 from emmatch.cli import render_direction_glyphs
 from emmatch.matchmap import BALANCE_RTOL, ZERO_FORCE_EPS, _sectors
 
@@ -305,18 +305,24 @@ def reference_walk(fmap, start, stop_at_origin=True):
 
     Only a bounce straight back ends a revisiting walk here, after a second
     force evaluation of the cell bounced to.  A longer cycle runs on until
-    a budget of 4 * width * height steps is spent.
+    a budget of 4 * width * height steps is spent.  A cell with G = 0 has no
+    force: the walk stops on it, also where it is the origin.
     """
     max_steps = 4 * fmap.width * fmap.height
 
     def force_at(x, y):
         return float(fmap.fx[y, x]), float(fmap.fy[y, x])
 
+    def no_force(x, y):
+        return fmap.g is not None and fmap.g[y, x] == 0.0
+
     positions = [start]
     px, py = start
     fx, fy = force_at(px, py)
     steps = 0
     while True:
+        if no_force(px, py):
+            return PathTrace(tuple(positions), PathStatus.NO_FORCE, (px, py))
         d = reference_direction(fmap, px, py)
         if d is None:
             return PathTrace(tuple(positions), PathStatus.BALANCE_OSCILLATION, (px, py))
@@ -329,7 +335,8 @@ def reference_walk(fmap, start, stop_at_origin=True):
             return PathTrace(tuple(positions), PathStatus.OUT_OF_BOUNDS, (px, py))
         if stop_at_origin and (nx, ny) == fmap.origin:
             positions.append((nx, ny))
-            return PathTrace(tuple(positions), PathStatus.ARRIVED_AT_ORIGIN, (nx, ny))
+            status = PathStatus.NO_FORCE if no_force(nx, ny) else PathStatus.ARRIVED_AT_ORIGIN
+            return PathTrace(tuple(positions), status, (nx, ny))
         if len(positions) >= 2 and (nx, ny) == positions[-2]:
             gx, gy = force_at(nx, ny)
             m_new = math.hypot(gx, gy)
@@ -417,6 +424,98 @@ def test_walks_agree_with_reference_loop(fmap):
     assert render_direction_glyphs(fmap) == "".join(
         "".join(GLYPHS[reference_direction(fmap, x, y)] for x in range(fmap.width)) + "\n"
         for y in range(fmap.height))
+
+
+def no_force_map(origin_sums=True):
+    """Uniform east flow on 5 x 5 with G = 1, except cell (3, 2), which sums
+    nothing (F = G = 0), and the origin (2, 2) too unless origin_sums."""
+    fx, g = np.ones((5, 5)), np.ones((5, 5))
+    fx[2, 3] = g[2, 3] = 0.0
+    if not origin_sums:
+        fx[2, 2] = g[2, 2] = 0.0
+    return ForceMap(5, 5, 2, 2, fx, np.zeros((5, 5)), g)
+
+
+class TestNoForce:
+    """A computed cell with G = 0 summed nothing: no force, and no balance."""
+
+    def test_walk_stops_on_a_cell_that_sums_nothing(self):
+        fmap = no_force_map()
+        trace = follow_path(fmap, (0, 2), stop_at_origin=False)
+        assert trace.status is PathStatus.NO_FORCE
+        assert trace.positions == ((0, 2), (1, 2), (2, 2), (3, 2))
+        assert trace.terminal == (3, 2)
+        start = follow_path(fmap, (3, 2))
+        assert (start.status, start.steps, start.terminal) == (PathStatus.NO_FORCE, 0, (3, 2))
+        # the same forces without G: the cell balances
+        plain = ForceMap(5, 5, 2, 2, fmap.fx, fmap.fy)
+        assert follow_path(plain, (0, 2), stop_at_origin=False).status is \
+            PathStatus.BALANCE_OSCILLATION
+
+    def test_a_step_onto_an_origin_that_sums_nothing_does_not_arrive(self):
+        trace = follow_path(no_force_map(origin_sums=False), (0, 2))
+        assert trace.status is PathStatus.NO_FORCE
+        assert trace.positions == ((0, 2), (1, 2), (2, 2))
+        assert follow_path(no_force_map(), (0, 2)).status is PathStatus.ARRIVED_AT_ORIGIN
+
+    def test_classify_traps_cells_that_sum_nothing_and_their_feeders(self):
+        cls = classify_map(no_force_map())
+        assert [cls.label(x, 2) for x in range(5)] == [
+            Label.CONVERGENCE, Label.CONVERGENCE, Label.LOCALLY_TRAPPED, Label.LOCALLY_TRAPPED,
+            Label.DIVERGENCE]
+        # an origin that sums nothing is no balance: it and its feeders are trapped
+        cls = classify_map(no_force_map(origin_sums=False))
+        assert [cls.label(x, 2) for x in range(5)] == [Label.LOCALLY_TRAPPED] * 4 + [
+            Label.DIVERGENCE]
+        assert summarize_map(cls) == {"convergence": 0, "divergence": 21, "locally_trapped": 4}
+        assert render_direction_glyphs(no_force_map(origin_sums=False)).splitlines()[2] == ">>..>"
+
+    def test_a_match_walk_onto_a_cell_that_sums_nothing_is_trapped(self, rect_img, monkeypatch):
+        # No image pair has been seen to walk into such a cell, so one is made
+        # on the lattice: the fourth cell of a known path sums nothing.
+        moved = shift_image(rect_img, 5, -4)
+        path = match_images(moved, rect_img).path.positions
+        target = path[3]
+
+        class Lattice(emforce._FieldLattice):
+            def cell(self, x, y):
+                return (0.0, 0.0, 0.0) if (x, y) == target else super().cell(x, y)
+
+        monkeypatch.setattr(matchmap, "_FieldLattice", Lattice)
+        result = match_images(moved, rect_img)
+        assert result.status is MatchStatus.TRAPPED
+        assert result.path.status is PathStatus.NO_FORCE
+        assert result.path.positions == path[:4]
+        assert result.path.terminal == target
+        assert result.steps == 3
+
+    @pytest.mark.parametrize("min_r, none, counts", [
+        (20.0, 31, {"convergence": 1, "divergence": 992, "locally_trapped": 31}),
+        (30.0, 584, {"convergence": 0, "divergence": 440, "locally_trapped": 584}),
+        (40.0, 1017, {"convergence": 0, "divergence": 7, "locally_trapped": 1017}),
+    ])
+    def test_large_min_r_maps_label_cells_that_sum_nothing_trapped(self, rect_img, min_r,
+                                                                   none, counts):
+        # The rectangle moved by (3, -2): at min_r 30 the origin sums nothing,
+        # and used to read as the one convergent cell.
+        c1, c2 = extract_current(shift_image(rect_img, 3, -2)), extract_current(rect_img)
+        fmap = force_map_fast(c1, c2, ForceParams(min_r=min_r))
+        zero = fmap.g == 0.0
+        assert zero.sum() == none
+        assert not fmap.fx[zero].any() and not fmap.fy[zero].any()
+        cls = classify_map(fmap)
+        assert summarize_map(cls) == counts
+        assert (cls.codes[zero] == 2).all()
+        labels = {cell: reference_label(follow_path(fmap, cell), fmap.origin)
+                  for cell in np.ndindex(32, 32)}
+        assert {cell: cls.label(*cell) for cell in labels} == labels
+        assert render_direction_glyphs(fmap).replace("\n", "").count(".") >= none
+
+    def test_a_map_in_which_no_cell_sums_anything_is_an_error(self, rect_img):
+        c1, c2 = extract_current(shift_image(rect_img, 3, -2)), extract_current(rect_img)
+        for params in (ForceParams(min_r=60.0), ForceParams(height_px=1e200)):
+            with pytest.raises(ValueError, match="sums nothing at any shift"):
+                force_map_fast(c1, c2, params)
 
 
 class TestClassifyMap:

@@ -109,6 +109,17 @@ def test_vector_field_rejects_non_finite_vectors_and_lengths(gx, gy):
         VectorField(2, 1, [[1.0, gx]], [[0.0, gy]])
 
 
+@pytest.mark.parametrize("gx, gy", [(1e155, 0.0), (0.0, -2e154), (1e154, 1e154),
+                                    (1.7e308, 1.7e308)])
+def test_vector_field_names_an_overflowing_squared_length(gx, gy):
+    # The length is the root of gx^2 + gy^2, which must be finite: a finite
+    # vector longer than about 1.34e154 is refused with that reason.
+    with pytest.raises(ValueError, match="lengths must be finite: a squared length overflows"):
+        VectorField(2, 1, [[1.0, gx]], [[0.0, gy]])
+    field = VectorField(2, 1, [[1.0, 1.3e154]], [[0.0, 0.0]])
+    assert np.isfinite(field.magnitude).all()
+
+
 @pytest.mark.parametrize("dtype", [np.uint8, np.int64, np.float64])
 def test_edge_mask_rejects_numeric_masks(dtype):
     with pytest.raises(ValueError, match="mask dtype"):
@@ -201,15 +212,21 @@ def values(draw, cls):
 
 
 def forces_or_overflow(compute, current):
-    """compute(), or None when it reports an overflow that current's tangents can cause.
+    """compute(), or None when it reports an overflow that current's tangents can cause,
+    or a map in which no cell sums anything.
 
     At integer shifts and height 0 every pair of distinct points is at least
     1 apart, so no sum over at most 4 x 4 pairs overflows while every tangent
-    component stays within 1e150.
+    component stays within 1e150.  A map sums nothing where every tangent is
+    zero, or where the only pairs coincide, as on a 1 x 1 grid; the
+    reference map's G is then 0 in every cell too.
     """
     try:
         return compute()
     except ValueError as e:
+        if "sums nothing at any shift" in str(e):
+            assert not force_map(current, current).g.any()
+            return None
         tangents = np.concatenate((current.tx, current.ty))
         assert "not finite" in str(e)
         assert np.isfinite(tangents).all() and np.abs(tangents).max() > 1e150
