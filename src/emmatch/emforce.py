@@ -17,16 +17,15 @@ components feed the (unused by matching) z force.  Pairs closer than min_r
 are skipped to avoid the singularity at zero separation.
 
 Array evaluations share one blocked evaluator, _terms: for each block of
-query points it yields the Bz numerators, guarded |r|^3 and the min_r mask
-against the second current's elements, in buffers reused from block to
-block, and the force-row and field sums add its output.  A one-off
-evaluation allocates those buffers per call, for blocks of _BLOCK_TERMS
-pair terms; a _FieldLattice allocates its own once, for blocks of
-_LATTICE_TERMS, and every step of a walk reuses them.  Where h^2 >= min_r^2
-no pair is closer than min_r, and the mask is skipped; the lattice also
-skips it where only coincident pairs can be closer (see _terms).
-pair_force is the scalar reference for one pair, and force_map, one
-total_force sum per shift, the reference for the map.  Sums run in element storage order, so repeated
+about _BLOCK_TERMS pair terms it yields the Bz numerators, guarded |r|^3
+and the min_r mask against the second current's elements, and the
+force-row and field sums add its output.  Every evaluation blocks in the
+one set of buffers its thread keeps, so no evaluation may start inside
+another on the same thread.  Where h^2 >= min_r^2 no pair is closer than
+min_r, and the mask is skipped; the lattice also skips it where only
+coincident pairs can be closer (see _terms).  pair_force is the scalar
+reference for one pair, and force_map, one total_force sum per shift, the
+reference for the map.  Sums run in element storage order, so repeated
 evaluations are bit-identical.
 
 Map shifts and element positions are integers, so every shifted element of
@@ -59,6 +58,7 @@ not finite with ValueError instead.
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -201,19 +201,12 @@ def pair_force(t1: CurrentElement, t2: CurrentElement, shift1: Vec2,
 # finite check that follows it, not by a warning.
 _UNCHECKED = dict(over="ignore", invalid="ignore")
 
-# Pair terms per block of a one-off evaluation (_force_rows, bz_at, force_map
-# and a whole-lattice fill), which allocates its _terms buffers per call.  A
-# block's few 64 KiB buffers stay below glibc's heap trim threshold and are
-# reused by every block of the call, so no block faults memory back in.
-_BLOCK_TERMS = 1 << 13
-
-# Pair terms per block of a _FieldLattice's cells, whose buffers the lattice
-# allocates once and keeps for every step of a walk, so that a step's new
-# points fit in one or two blocks and pay one block's call overhead.  Peak
-# RSS bounds the size: over perfbench's match_walk cases, 32,768-term blocks
-# added about 0.2 MiB of peak RSS to 8,192-term ones and 65,536-term blocks
-# about 1 MiB, for no further speed.
-_LATTICE_TERMS = 1 << 15
+# Pair terms per block of _terms, so that a walk step's new points fit in a
+# few blocks.  Peak RSS bounds the size, as a thread keeps its buffers: in
+# perfbench's match_walk runs, 16,384-term blocks kept peak RSS within 0.2
+# MiB of per-call 8,192-term buffers, 32,768-term blocks added 0.5-0.7 MiB.
+_BLOCK_TERMS = 1 << 14
+_kept = threading.local()  # .buffers: the thread's flat _term_buffers
 
 # Bounds under which the product form of _terms is exact: integer positions
 # of magnitude at most _EXACT_COORD, and tangents that are multiples of
@@ -260,34 +253,47 @@ def _product_operands(c2: EdgeCurrent, height_px: float = 0.0):
 
 
 def _term_buffers(rows: int, m: int, params: ForceParams):
-    """Work buffers for _terms' blocks of up to rows query points against m elements.
+    """Views of the calling thread's buffers for _terms' blocks of rows points against m elements.
 
-    The min_r mask buffer is None where h^2 >= min_r^2: every pair is then
-    at least h apart, in the direct and the product form alike, so no pair
-    is masked.  Otherwise the buffers carry one, whichever form uses them.
+    Returns (r3, root, num, close, square, points): three float and one
+    min_r mask (rows, m) views, the direct form's (rows, m) square, and in
+    the same memory the product form's (rows, 4) points (X, Y, 1, X^2 +
+    Y^2), its 1s set.  A thread keeps one set of flat buffers, allocated
+    on first use for _BLOCK_TERMS pair terms and replaced, the old set
+    released first, only when a block needs more than that; a block takes
+    max(m, 4) terms a point, so that the points fit too.
+
+    close is None where h^2 >= min_r^2: every pair is then at least h
+    apart, in the direct and the product form alike, so none is masked.
     """
+    size = rows * max(m, 4)
+    kept = getattr(_kept, "buffers", None)
+    if kept is None or len(kept[0]) < size:
+        _kept.buffers = kept = None  # release the old set before allocating the new one
+        size = max(size, _BLOCK_TERMS)
+        _kept.buffers = kept = (*(np.empty(size) for _ in range(4)), np.empty(size, dtype=bool))
+    r3, root, num, square, close = (a[:rows * m].reshape(rows, m) for a in kept)
+    points = kept[3][:rows * 4].reshape(rows, 4)
+    points[:, 2] = 1.0
     masked = params.height_px * params.height_px < params.min_r * params.min_r
-    return (np.empty((rows, m)), np.empty((rows, m)), np.empty((rows, m)),
-            np.empty((rows, m), dtype=bool) if masked else None,
-            np.ones((rows, 4)))  # (X, Y, 1, X^2 + Y^2) of the product form
+    return r3, root, num, close if masked else None, square, points
 
 
 def _terms(c2: EdgeCurrent, px: np.ndarray, py: np.ndarray, params: ForceParams,
-           operands=None, buffers=None):
+           operands=None):
     """Bz numerators, guarded cubed distances and the min_r mask of c2, by blocks.
 
-    Yields (b, num, r3, close) for consecutive slices b of the query points
-    (px[i], py[i]); row i of the arrays is point b.start + i against c2's
-    elements in storage order.  close is None where no term needs the mask
-    (see below).  The arrays are views of buffers that the next block
-    overwrites.  buffers, when given, are _term_buffers for c2 and params,
-    kept by the caller from call to call, and a block is as many points as
-    they have rows; without them, this call allocates buffers for blocks of
-    about _BLOCK_TERMS pair terms.  operands, when given, are c2's
-    _product_operands for params.height_px or for height 0, and every point
-    must then be an integer within _EXACT_COORD: r^2 and the numerators come
-    from two matrix products, equal to the direct differences except that a
-    zero numerator may take the other sign.
+    Yields (b, num, r3, close, spare) for consecutive slices b of the query
+    points (px[i], py[i]); row i of the arrays is point b.start + i against
+    c2's elements in storage order.  close is None where no term needs the
+    mask (see below), and spare is free for the caller to overwrite.  The
+    arrays are views of the thread's _term_buffers, which the next block
+    overwrites, so no evaluation may start inside another on one thread.
+    operands, when given, are c2's _product_operands for params.height_px or
+    for height 0, and every point must then be an integer within
+    _EXACT_COORD: r^2 and the numerators come from two matrix products,
+    equal to the direct differences except that a zero numerator may take
+    the other sign.
 
     No pair is closer than min_r where h^2 >= min_r^2.  Where the operands'
     rows hold h^2, r^2 is the exact integer d^2 + h^2 of a planar distance
@@ -297,10 +303,8 @@ def _terms(c2: EdgeCurrent, px: np.ndarray, py: np.ndarray, params: ForceParams,
     +-0 as it stands, where the mask makes +0.0.  Every other case masks.
     """
     m = len(c2)
-    if buffers is None:
-        buffers = _term_buffers(min(len(px), max(1, _BLOCK_TERMS // max(1, m))), m, params)
-    r3, root, num, close, points = buffers
-    step = max(1, len(r3))
+    step = max(1, _BLOCK_TERMS // max(m, 4))
+    r3, root, num, close, square, points = _term_buffers(min(len(px), step), m, params)
     h2, cut = params.height_px * params.height_px, params.min_r * params.min_r
     exact = operands is not None and operands[2] == h2  # the rows hold h^2
     coincident = exact and cut <= h2 + 1.0  # the only close pairs, if any
@@ -309,12 +313,12 @@ def _terms(c2: EdgeCurrent, px: np.ndarray, py: np.ndarray, params: ForceParams,
         b = slice(i, i + step)
         x, y = px[b], py[b]
         k = len(x)
-        r3k, numk = r3[:k], num[:k]
+        r3k, numk, rootk = r3[:k], num[:k], root[:k]
         if operands is None:
-            dx = np.subtract(x[:, None], c2._xf, out=root[:k])
+            dx = np.subtract(x[:, None], c2._xf, out=rootk)
             dy = np.subtract(y[:, None], c2._yf, out=numk)
             np.multiply(dx, dx, out=r3k)
-            r3k += dy * dy
+            r3k += np.multiply(dy, dy, out=square[:k])
             dy *= c2.tx
             dy -= np.multiply(dx, c2.ty, out=dx)  # Bz = t2x * dy - t2y * dx
         else:
@@ -329,10 +333,10 @@ def _terms(c2: EdgeCurrent, px: np.ndarray, py: np.ndarray, params: ForceParams,
         if floor:
             np.maximum(r3k, 1.0, out=r3k)
         closek = np.less(r3k, cut, out=close[:k]) if masked else None
-        r3k *= np.sqrt(r3k, out=root[:k])
+        r3k *= np.sqrt(r3k, out=rootk)
         if closek is not None:
             np.copyto(r3k, 1.0, where=closek)  # placeholder, the term is zeroed later
-        yield b, numk, r3k, closek
+        yield b, numk, r3k, closek, rootk
 
 
 def _row_sums(num: np.ndarray, r3: np.ndarray, close, out: np.ndarray) -> None:
@@ -352,24 +356,24 @@ def _force_rows(xs: np.ndarray, ys: np.ndarray, txs: np.ndarray, tys: np.ndarray
     """
     out = np.empty((3, len(xs)), dtype=np.float64)
     bx, by = c2.ty * params.height_px, -(c2.tx) * params.height_px
-    for b, bz, r3, close in _terms(c2, xs, ys, params):
-        _row_sums(tys[b, None] * bz, r3, close, out[0, b])
-        _row_sums(-(txs[b, None]) * bz, r3, close, out[1, b])
-        fz = np.multiply(txs[b, None], by, out=bz)  # bz is no longer needed
-        fz -= tys[b, None] * bx
+    for b, bz, r3, close, spare in _terms(c2, xs, ys, params):
+        tx, ty = txs[b, None], tys[b, None]
+        _row_sums(np.multiply(ty, bz, out=spare), r3, close, out[0, b])
+        _row_sums(np.multiply(-tx, bz, out=spare), r3, close, out[1, b])
+        fz = np.multiply(tx, by, out=bz)  # bz is no longer needed
+        fz -= np.multiply(ty, bx, out=spare)
         _row_sums(fz, r3, close, out[2, b])
     return out
 
 
 def _field_sums(c2: EdgeCurrent, px: np.ndarray, py: np.ndarray,
-                params: ForceParams, operands=None, buffers=None) -> np.ndarray:
+                params: ForceParams, operands=None) -> np.ndarray:
     """Vertical field of c2 without the strength factor at each point (px[i], py[i]).
 
-    operands, when given, select _terms' product form under its conditions;
-    buffers, when given, are the caller's _term_buffers.
+    Sums _terms' blocks; operands, when given, select its product form.
     """
     out = np.empty(len(px), dtype=np.float64)
-    for b, num, r3, close in _terms(c2, px, py, params, operands, buffers):
+    for b, num, r3, close, _ in _terms(c2, px, py, params, operands):
         _row_sums(num, r3, close, out[b])
     return out
 
@@ -462,12 +466,9 @@ class _FieldLattice:
     -sum t1x_i L_i) over its lattice values L_i, and its gross sum is
     G = sum (|t1y_i| + |t1x_i|) |L_i|, each added left to right in element
     storage order, so one cell reads the same whether the whole map or a
-    single walk computes it.  Cells evaluate and fold in buffers the
-    lattice owns, allocated once: _term_buffers for blocks of about
-    _LATTICE_TERMS pair terms, and the (3, n + 1) fold terms, whose first
-    column stays +0.0.  force_map fills every point in one call, in that
-    call's own _BLOCK_TERMS buffers, so that a whole map touches no more
-    memory than a smaller block needs.
+    single walk computes it.  Cells and the whole-map fill evaluate in the
+    thread's _term_buffers, as every evaluation does; cells fold in (3, n +
+    1) terms the lattice owns, whose first column stays +0.0.
     """
 
     @np.errstate(**_UNCHECKED)
@@ -497,9 +498,6 @@ class _FieldLattice:
                           if _is_exact(corners, _EXACT_COORD) else None)
         # Per-element weights of fx, fy and G; |w * L| = w * |L| for w >= 0.
         self._weights = np.stack((c1.ty, -c1.tx, np.abs(c1.ty) + np.abs(c1.tx)))
-        # A cell reads at most len(self._points) new points.
-        rows = min(len(self._points), max(1, _LATTICE_TERMS // len(c2)))
-        self._buffers = _term_buffers(rows, len(c2), params)
         self._fold_terms = np.zeros((3, len(c1) + 1))
 
     @np.errstate(**_UNCHECKED)
@@ -516,7 +514,7 @@ class _FieldLattice:
         todo = points[need]
         if todo.size:
             values[todo] = _field_sums(self.c2, self._px[need] + x, self._py[need] + y,
-                                       self.params, self._operands, self._buffers)
+                                       self.params, self._operands)
             filled[todo] = True
         terms = self._fold_terms[:, 1:]
         np.multiply(self._weights, values[self._flat + shift], out=terms)

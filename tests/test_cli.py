@@ -369,11 +369,20 @@ def test_failed_command_leaves_no_out_dir(tmp_path, capsys, command):
 
 
 def test_blank_image_is_a_processing_error(shapes, tmp_path, capsys):
-    code, _, err = run(capsys, "match", "--img1", str(shapes / "blank.pgm"),
-                       "--img2", str(shapes / "rect.pgm"),
-                       "--out-dir", str(tmp_path))
-    assert code == 1
-    assert "edge points" in err
+    blank, rect = str(shapes / "blank.pgm"), str(shapes / "rect.pgm")
+    out = tmp_path / "out"
+    for command in ("match", "force", "map", "classify"):
+        for img1, img2 in ((blank, rect), (rect, blank)):
+            argv = [command, "--img1", img1, "--img2", img2]
+            if command != "force":  # force prints its result and has no --out-dir
+                argv += ["--out-dir", str(out)]
+            code, _, err = run(capsys, *argv)
+            assert code == 1, argv
+            if command == "match":
+                assert "edge points" in err
+            else:
+                assert f"no edge points extracted from {blank}" in err
+            assert not out.exists()
 
 
 def test_bad_threshold_is_an_argument_error(shapes, tmp_path, capsys):

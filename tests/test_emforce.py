@@ -1,4 +1,7 @@
+import json
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -6,8 +9,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from emmatch import (CurrentElement, EdgeCurrent, EmptyCurrentError, ForceMap,
-                     ForceParams, Vec2, Vec3, bz_at, force_map, force_map_fast,
-                     force_map_tsv, force_on_element, pair_force, total_force)
+                     ForceParams, Vec2, Vec3, bz_at, extract_current, force_map,
+                     force_map_fast, force_map_tsv, force_on_element, match_images,
+                     match_result_json, pair_force, shift_image, synth_shape, total_force)
 from emmatch import emforce
 from emmatch.emforce import _BLOCK_TERMS
 from conftest import random_current
@@ -294,23 +298,26 @@ def test_fast_map_folds_bz_at_over_first_current():
 def test_lattice_cells_equal_the_fast_map(monkeypatch):
     # Cells read one at a time, in any order, fill only the lattice points
     # they need, each once, even where two elements of c1 share a point;
-    # c2's tangents in sixteenths, as image currents have, take the product form.
+    # c2's tangents in sixteenths, as image currents have, take the product
+    # form.  100 elements of c2 make blocks of 163 points, so the fast map's
+    # whole-lattice fill spans four blocks, the last one shorter.
     rng = np.random.default_rng(31)
     c = random_current(rng)
     c1 = EdgeCurrent(c.width, c.height, np.append(c.xs, c.xs[3]), np.append(c.ys, c.ys[3]),
                      np.append(c.tx, 2.5), np.append(c.ty, -1.0))
-    c2 = random_current(rng, width=12, height=10)
+    c2 = random_current(rng, width=12, height=10, n=100)
     sixteenths = EdgeCurrent(12, 10, c2.xs, c2.ys, np.round(16 * c2.tx) / 16,
                              np.round(16 * c2.ty) / 16)
     params = ForceParams(height_px=2.0)
-    points, products = [], []
+    points, products, kept = [], [], []
     real = emforce._field_sums
 
-    def recording(c2, px, py, params, operands=None, buffers=None):
+    def recording(c2, px, py, params, operands=None):
         products.append(operands is not None)
         points.extend(zip(px.tolist(), py.tolist()))
-        assert buffers is lattice._buffers  # every cell evaluates in the lattice's own
-        return real(c2, px, py, params, operands, buffers)
+        sums = real(c2, px, py, params, operands)
+        kept.append(emforce._kept.buffers)  # every cell evaluates in the thread's one set
+        return sums
 
     for current, product in ((c2, False), (sixteenths, True)):
         fmap = force_map_fast(c1, current, params)
@@ -319,12 +326,15 @@ def test_lattice_cells_equal_the_fast_map(monkeypatch):
         with monkeypatch.context() as m:
             m.setattr(emforce, "_field_sums", recording)
             lattice = emforce._FieldLattice(c1, current, params)
+            rows = _BLOCK_TERMS // len(current)
+            assert rows == 163 and lattice.values.size % rows and lattice.values.size > 2 * rows
             cells = [(x, y) for y in range(fmap.height) for x in range(fmap.width)]
             for k in rng.permutation(len(cells)):
                 x, y = cells[k]
                 assert lattice.cell(x, y) == (fmap.fx[y, x], fmap.fy[y, x], fmap.g[y, x])
                 assert len(points) == len(set(points))
         assert products and set(products) == {product}
+        assert all(k is kept[0] for k in kept)
 
 
 @st.composite
@@ -348,8 +358,8 @@ def dyadic_current(rng, width, height, n):
                        tx, ty)
 
 
-# 1000 elements of c2 make blocks of 8 lattice points, so lattices span blocks
-MANY = dyadic_current(np.random.default_rng(43), 6, 5, 1000)
+# 2000 elements of c2 make blocks of 8 lattice points, so lattices span blocks
+MANY = dyadic_current(np.random.default_rng(43), 6, 5, 2000)
 
 
 def _byte_tuple(values):
@@ -426,11 +436,11 @@ def test_product_form_guard():
 
 @pytest.mark.parametrize("h, min_r", [(0.3, 1.5), (8.0, 1e-9)])
 def test_blocks_share_no_state(h, min_r):
-    # About 1000 elements of c2 make blocks of 8 points, and 43 points leave a
+    # About 2000 elements of c2 make blocks of 8 points, and 43 points leave a
     # shorter last block; with min_r 1.5 some blocks hold close terms and
     # others none.  Every point must read as if evaluated alone.
     rng = np.random.default_rng(47)
-    c2 = dyadic_current(rng, 40, 40, 1000)
+    c2 = dyadic_current(rng, 40, 40, 2000)
     n = 43
     assert _BLOCK_TERMS // len(c2) == 8 and n % 8
     px, py = rng.integers(-5, 45, size=(2, n)).astype(np.float64)
@@ -508,7 +518,7 @@ def test_close_pair_rule_of_the_product_form(h, min_r, folded, masked):
     operands = emforce._product_operands(c2, h)
     assert operands[2] == folded
     px, py = np.array([4.0, 3.0, 0.0, 4.0]), np.array([3.0, 5.0, 0.0, 4.0])
-    closes = [close for _, _, _, close in emforce._terms(c2, px, py, params, operands)]
+    closes = [close for _, _, _, close, _ in emforce._terms(c2, px, py, params, operands)]
     assert closes and all((close is not None) is masked for close in closes)
     t1, pair = c1.element(0), (c2.element(0), c2.element(1))
     walked, direct = (emforce._FieldLattice(c1, c2, params) for _ in range(2))
@@ -541,27 +551,27 @@ def test_close_pair_rule_of_the_product_form(h, min_r, folded, masked):
 
 @pytest.mark.parametrize("h, min_r", [(0.0, 1e-9), (8.0, 1e-9), (1.0, 2.0)])
 def test_lattice_buffers_carry_no_state_between_cells(h, min_r, monkeypatch):
-    # 2000 elements of c2 give lattice blocks of 16 points.  Walking every
-    # cell in row-major order, the first cell evaluates all of c1's points
-    # across several blocks and later ones fewer; the lattice's reused
-    # evaluation and fold buffers must leave each value as a fresh whole-map
-    # fill, with its per-call buffers, computes it.
+    # 1000 elements of c2 give blocks of 16 points.  Walking every cell in
+    # row-major order, the first cell evaluates all of c1's points across
+    # several blocks and later ones fewer; the reused evaluation and fold
+    # buffers must leave each value as a fresh lattice's whole-map fill
+    # computes it.
     rng = np.random.default_rng(59)
-    c1, c2 = dyadic_current(rng, 12, 10, 80), dyadic_current(rng, 9, 7, 2000)
+    c1, c2 = dyadic_current(rng, 12, 10, 80), dyadic_current(rng, 9, 7, 1000)
     params = ForceParams(height_px=h, min_r=min_r)
     sizes = []
     real = emforce._field_sums
 
-    def recording(c2, px, py, params, operands=None, buffers=None):
+    def recording(c2, px, py, params, operands=None):
         sizes.append(len(px))
-        return real(c2, px, py, params, operands, buffers)
+        return real(c2, px, py, params, operands)
 
     for product in (True, False):
         walked, fresh = (emforce._FieldLattice(c1, c2, params) for _ in range(2))
         if not product:
             walked._operands = fresh._operands = None
         fmap = fresh.force_map()
-        rows = len(walked._buffers[0])
+        rows = _BLOCK_TERMS // len(c2)
         sizes.clear()
         with monkeypatch.context() as m:
             m.setattr(emforce, "_field_sums", recording)
@@ -573,6 +583,67 @@ def test_lattice_buffers_carry_no_state_between_cells(h, min_r, monkeypatch):
         filled = walked._filled
         assert filled.any()
         assert walked.values[filled].tobytes() == fresh.values[filled].tobytes()
+
+
+def test_lattice_cell_whose_fold_overflows_is_an_error():
+    # c2's huge tangent leaves the lattice value at the zero shift finite
+    # (1e307 at distance 1), but c1's t1y of 100 overflows the fold there;
+    # a cell farther away stays finite.
+    c1, c2 = single(3, 3, 0.0, 100.0), single(3, 2, 1e307, 0.0)
+    lattice = emforce._FieldLattice(c1, c2, ForceParams())
+    assert all(math.isfinite(v) for v in lattice.cell(0, 0))
+    with pytest.raises(ValueError, match=r"force at cell \(4, 4\) is not finite"):
+        lattice.cell(4, 4)
+    assert np.isfinite(lattice.values[lattice._filled]).all()
+
+
+def test_threads_evaluate_in_their_own_buffers():
+    # Three threads match, map and sum forces on different inputs at once,
+    # a few rounds each.  Each result must equal a serial run's bytes, and
+    # each thread must block in a set of buffers of its own.
+    rect, ellipse = synth_shape("rectangle", 32, 32), synth_shape("ellipse", 32, 32)
+    moved = shift_image(rect, 5, -4)
+    c = extract_current(ellipse)
+    tf_case = _multi_block_case()
+    jobs = [
+        lambda: json.dumps(match_result_json(match_images(moved, rect))).encode(),
+        lambda: b"".join(getattr(force_map_fast(c, c, ForceParams(height_px=8.0)), name)
+                         .tobytes() for name in ("fx", "fy", "g")),
+        lambda: np.array(list(vars(total_force(*tf_case)).values())).tobytes(),
+    ]
+    serial = [job() for job in jobs]
+    rounds = 3
+    start = threading.Barrier(len(jobs), timeout=60)
+    results, kept, errors = [[] for _ in jobs], [None] * len(jobs), []
+
+    def work(k):
+        try:
+            for _ in range(rounds):
+                start.wait()
+                results[k].append(jobs[k]())
+            kept[k] = emforce._kept.buffers  # held, so no later thread reuses the memory
+        except BaseException as e:  # re-raised below, in the test's thread
+            start.abort()
+            errors.append(e)
+
+    threads = [threading.Thread(target=work, args=(k,)) for k in range(len(jobs))]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)  # switch threads often, inside the blocks too
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    if errors:
+        raise errors[0]
+    assert results == [[want] * rounds for want in serial]
+    mine = emforce._kept.buffers
+    for k, own in enumerate(kept):
+        for other in kept[k + 1:] + [mine]:
+            assert not any(np.shares_memory(a, b) for a in own for b in other)
 
 
 @given(st.integers(0, 2 ** 32 - 1))

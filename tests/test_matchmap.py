@@ -724,17 +724,17 @@ class TestMatchImages:
             assert scaled == base
 
     def test_no_lattice_point_evaluated_twice(self, rect_img, monkeypatch):
-        points, buffers_seen = [], set()
+        points, buffers_seen = [], []
         real = emforce._field_sums
 
-        def recording(c2, px, py, params, operands=None, buffers=None):
+        def recording(c2, px, py, params, operands=None):
             # image currents take the product form, which this records too
             assert operands is not None
-            # and every step evaluates in the one lattice's buffers
-            assert buffers is not None
-            buffers_seen.add(id(buffers))
             points.extend(zip(px.tolist(), py.tolist()))
-            return real(c2, px, py, params, operands, buffers)
+            sums = real(c2, px, py, params, operands)
+            # and every step evaluates in the thread's one set of buffers
+            buffers_seen.append(emforce._kept.buffers)
+            return sums
 
         monkeypatch.setattr(emforce, "_field_sums", recording)
         moved = shift_image(rect_img, 5, -4)
@@ -744,7 +744,7 @@ class TestMatchImages:
             points.clear()
             buffers_seen.clear()
             result = match_images(moved, rect_img, force_params=ForceParams(height_px=h))
-            assert len(buffers_seen) == 1
+            assert buffers_seen and all(b is buffers_seen[0] for b in buffers_seen)
             assert result.status is MatchStatus.MATCHED
             assert result.steps == steps
             assert len(points) == len(set(points))

@@ -30,6 +30,10 @@ def test_gray_image_pixels_frozen():
         img.pixels[0, 0] = 1
 
 
+def test_gray_image_is_not_equal_to_other_types():
+    assert (GrayImage(1, 1, np.zeros((1, 1), dtype=np.uint8)) == 3) is False
+
+
 def test_save_pgm_canonical_bytes():
     img = GrayImage(1, 1, np.array([[0]], dtype=np.uint8))
     assert save_pgm(img) == b"P5\n1 1\n255\n\x00"
@@ -38,6 +42,22 @@ def test_save_pgm_canonical_bytes():
 def test_save_ppm_canonical_bytes():
     rgb = np.array([[[64, 64, 64]]], dtype=np.uint8)
     assert save_ppm(rgb) == b"P6\n1 1\n255\n\x40\x40\x40"
+
+
+@pytest.mark.parametrize("rgb, message", [
+    (np.zeros((2, 3), dtype=np.uint8), "expected \\(height, width, 3\\) array"),
+    (np.full((1, 1, 3), -1, dtype=np.int16), "integers in \\[0, 255\\]"),
+    (np.zeros((1, 1, 3)), "integers in \\[0, 255\\]"),
+])
+def test_save_ppm_rejects_non_rgb_samples(rgb, message):
+    with pytest.raises(ValueError, match=message):
+        save_ppm(rgb)
+
+
+def test_save_ppm_writes_in_range_int64_as_uint8():
+    rgb = np.arange(24, dtype=np.int64).reshape(2, 4, 3) * 11
+    assert rgb.max() == 253
+    assert save_ppm(rgb) == save_ppm(rgb.astype(np.uint8))
 
 
 def test_binary_round_trip():
@@ -362,6 +382,17 @@ def test_shape_exceeding_bounds_rejected():
                      ("ellipse", {"semi_axes": (nan, 3.0)})]:
         with pytest.raises(ValueError, match="must be finite"):
             synth_shape(kind, 32, 32, **kw)
+
+
+@pytest.mark.parametrize("kind, size, kw, message", [
+    ("square", (0, 8), {}, "image dimensions must be positive"),
+    ("square", (32, 32), {"side": 0}, "box dimensions must be positive"),
+    ("rectangle", (32, 32), {"rect": (8, 0)}, "box dimensions must be positive"),
+    ("ellipse", (32, 32), {"semi_axes": (0.0, 5.0)}, "semi-axes must be positive"),
+])
+def test_degenerate_shape_rejected(kind, size, kw, message):
+    with pytest.raises(ValueError, match=message):
+        synth_shape(kind, *size, **kw)
 
 
 def test_unknown_kind_rejected():
