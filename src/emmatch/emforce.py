@@ -21,12 +21,13 @@ about _BLOCK_TERMS pair terms it yields the Bz numerators, guarded |r|^3
 and the min_r mask against the second current's elements, and the
 force-row and field sums add its output.  Every evaluation blocks in the
 one set of buffers its thread keeps, so no evaluation may start inside
-another on the same thread.  Where h^2 >= min_r^2 no pair is closer than
-min_r, and the mask is skipped; the lattice also skips it where only
-coincident pairs can be closer (see _terms).  pair_force is the scalar
-reference for one pair, and force_map, one total_force sum per shift, the
-reference for the map.  Sums run in element storage order, so repeated
-evaluations are bit-identical.
+another on the same thread.  _terms alone keeps close pairs out, by one
+of three rules: no mask where h >= min_r; on the product form (below) at
+h 0 with min_r <= 1, a floor of 1 under r^2; otherwise, the mask.
+pair_force is the scalar reference for one pair, and force_map, one
+total_force sum per shift, the reference for the map.  Sums run in element
+storage order, and one shift's sums over the first current's elements run
+through _fold, so repeated evaluations are bit-identical.
 
 Map shifts and element positions are integers, so every shifted element of
 the first current lands on one small lattice of points; _FieldLattice holds
@@ -64,7 +65,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .edgecurrent import CurrentElement, EdgeCurrent, EmptyCurrentError
-from .raster import _frozen_copy, _grid_cell, _store_grid_size, _tsv
+from .raster import _frozen_copy, _grid_cell, _store_grid_origin, _tsv
 
 
 @dataclass(frozen=True)
@@ -148,10 +149,7 @@ class ForceMap:
     g: np.ndarray | None = None
 
     def __post_init__(self):
-        _store_grid_size(self)
-        ox, oy = _grid_cell((self.ox, self.oy), self.width, self.height, "origin")
-        object.__setattr__(self, "ox", ox)
-        object.__setattr__(self, "oy", oy)
+        _store_grid_origin(self)
         for name in ("fx", "fy", "g"):
             value = getattr(self, name)
             if name == "g" and value is None:
@@ -252,7 +250,7 @@ def _product_operands(c2: EdgeCurrent, height_px: float = 0.0):
             np.stack((-c2.ty, c2.tx, c2.ty * x - c2.tx * y)), h2)
 
 
-def _term_buffers(rows: int, m: int, params: ForceParams):
+def _term_buffers(rows: int, m: int):
     """Views of the calling thread's buffers for _terms' blocks of rows points against m elements.
 
     Returns (r3, root, num, close, square, points): three float and one
@@ -262,9 +260,6 @@ def _term_buffers(rows: int, m: int, params: ForceParams):
     on first use for _BLOCK_TERMS pair terms and replaced, the old set
     released first, only when a block needs more than that; a block takes
     max(m, 4) terms a point, so that the points fit too.
-
-    close is None where h^2 >= min_r^2: every pair is then at least h
-    apart, in the direct and the product form alike, so none is masked.
     """
     size = rows * max(m, 4)
     kept = getattr(_kept, "buffers", None)
@@ -275,8 +270,7 @@ def _term_buffers(rows: int, m: int, params: ForceParams):
     r3, root, num, square, close = (a[:rows * m].reshape(rows, m) for a in kept)
     points = kept[3][:rows * 4].reshape(rows, 4)
     points[:, 2] = 1.0
-    masked = params.height_px * params.height_px < params.min_r * params.min_r
-    return r3, root, num, close if masked else None, square, points
+    return r3, root, num, close, square, points
 
 
 def _terms(c2: EdgeCurrent, px: np.ndarray, py: np.ndarray, params: ForceParams,
@@ -295,20 +289,20 @@ def _terms(c2: EdgeCurrent, px: np.ndarray, py: np.ndarray, params: ForceParams,
     equal to the direct differences except that a zero numerator may take
     the other sign.
 
-    No pair is closer than min_r where h^2 >= min_r^2.  Where the operands'
-    rows hold h^2, r^2 is the exact integer d^2 + h^2 of a planar distance
-    d, so where also min_r^2 <= h^2 + 1 only coincident pairs are closer,
-    and the product form gives each of them a numerator of +-0: at h 0 a
-    floor of 1 under r^2 keeps its 0 / 0 out, and above h 0 its term is
-    +-0 as it stands, where the mask makes +0.0.  Every other case masks.
+    Close pairs are kept out by one of three rules.  Where h >= min_r no
+    pair is closer than min_r, and nothing is masked.  On the product form
+    at h 0 with min_r <= 1, r^2 is the exact integer square of a planar
+    distance, so only coincident pairs are closer, and the product form
+    gives each of them a numerator of +-0: a floor of 1 under r^2 keeps
+    their 0 / 0 out and changes no other r^2.  Every other case masks.
     """
     m = len(c2)
     step = max(1, _BLOCK_TERMS // max(m, 4))
-    r3, root, num, close, square, points = _term_buffers(min(len(px), step), m, params)
+    r3, root, num, close, square, points = _term_buffers(min(len(px), step), m)
     h2, cut = params.height_px * params.height_px, params.min_r * params.min_r
     exact = operands is not None and operands[2] == h2  # the rows hold h^2
-    coincident = exact and cut <= h2 + 1.0  # the only close pairs, if any
-    masked, floor = h2 < cut and not coincident, coincident and h2 == 0.0
+    floor = operands is not None and h2 == 0.0 and cut <= 1.0
+    masked = h2 < cut and not floor
     for i in range(0, len(px), step):
         b = slice(i, i + step)
         x, y = px[b], py[b]
@@ -467,8 +461,8 @@ class _FieldLattice:
     G = sum (|t1y_i| + |t1x_i|) |L_i|, each added left to right in element
     storage order, so one cell reads the same whether the whole map or a
     single walk computes it.  Cells and the whole-map fill evaluate in the
-    thread's _term_buffers, as every evaluation does; cells fold in (3, n +
-    1) terms the lattice owns, whose first column stays +0.0.
+    thread's _term_buffers, as every evaluation does, and cells add with
+    _fold.
     """
 
     @np.errstate(**_UNCHECKED)
@@ -498,7 +492,6 @@ class _FieldLattice:
                           if _is_exact(corners, _EXACT_COORD) else None)
         # Per-element weights of fx, fy and G; |w * L| = w * |L| for w >= 0.
         self._weights = np.stack((c1.ty, -c1.tx, np.abs(c1.ty) + np.abs(c1.tx)))
-        self._fold_terms = np.zeros((3, len(c1) + 1))
 
     @np.errstate(**_UNCHECKED)
     def cell(self, x: int, y: int) -> tuple[float, float, float]:
@@ -516,11 +509,9 @@ class _FieldLattice:
             values[todo] = _field_sums(self.c2, self._px[need] + x, self._py[need] + y,
                                        self.params, self._operands)
             filled[todo] = True
-        terms = self._fold_terms[:, 1:]
-        np.multiply(self._weights, values[self._flat + shift], out=terms)
+        terms = self._weights * values[self._flat + shift]
         np.abs(terms[2], out=terms[2])
-        # Left to right from the +0.0 column, as _fold adds.
-        fx, fy, g = np.add.accumulate(self._fold_terms, axis=1)[:, -1].tolist()
+        fx, fy, g = _fold(terms).tolist()
         if not (math.isfinite(fx) and math.isfinite(fy) and math.isfinite(g)):
             raise ValueError(f"force at cell ({x}, {y}) is not finite")
         return fx, fy, g

@@ -32,7 +32,7 @@ import numpy as np
 
 from .edgecurrent import EdgeParams, EmptyCurrentError, extract_current
 from .emforce import ForceMap, ForceParams, Vec2, _FieldLattice, total_force
-from .raster import GrayImage, _frozen_copy, _grid_cell, _store_grid_size
+from .raster import GrayImage, _frozen_copy, _grid_cell, _store_grid_origin
 
 # Matching no longer calls total_force, but the name stays readable here:
 # perfbench's tracer patches emmatch.matchmap.total_force by that name.
@@ -243,10 +243,7 @@ class ClassificationMap:
     codes: np.ndarray  # (height, width) uint8 of label codes
 
     def __post_init__(self):
-        _store_grid_size(self)
-        ox, oy = _grid_cell((self.ox, self.oy), self.width, self.height, "origin")
-        object.__setattr__(self, "ox", ox)
-        object.__setattr__(self, "oy", oy)
+        _store_grid_origin(self)
         codes = _frozen_copy(self.codes, np.uint8, (self.height, self.width), "codes")
         if not np.isin(self.codes, list(_CODE_LABELS)).all():  # the cast wraps 256 to 0
             raise ValueError("codes must be label codes 0, 1 or 2")

@@ -72,6 +72,14 @@ def _store_grid_size(value) -> None:
     object.__setattr__(value, "height", size[1])
 
 
+def _store_grid_origin(value) -> None:
+    """_store_grid_size, then store value's origin (ox, oy) as ints; ValueError off the grid."""
+    _store_grid_size(value)
+    ox, oy = _grid_cell((value.ox, value.oy), value.width, value.height, "origin")
+    object.__setattr__(value, "ox", ox)
+    object.__setattr__(value, "oy", oy)
+
+
 def _tsv(names: str, *columns: list) -> str:
     """Header of space-separated names, then one tab-separated line per row of tolist() columns."""
     rows = ["\t".join(names.split())]

@@ -212,6 +212,19 @@ def test_total_force_accumulates_element_forces_exactly():
         assert got == np.array([fx, fy, fz]).tobytes(), case.__name__
 
 
+def test_lattice_cells_of_signed_zero_terms_are_positive_zero():
+    # Every weighted term of every cell is +-0.0, and at the origin cell all
+    # are -0.0 (see _negative_zero_case).  A cell's fold and the whole map's
+    # window sums start at +0.0, so every fx and fy is +0.0.
+    c1, c2, _, params = _negative_zero_case()
+    zero = np.zeros((c2.height, c2.width)).tobytes()
+    fmap = emforce._FieldLattice(c1, c2, params).force_map()
+    assert fmap.fx.tobytes() == fmap.fy.tobytes() == zero
+    lattice = emforce._FieldLattice(c1, c2, params)
+    cells = [lattice.cell(x, y)[:2] for y in range(c2.height) for x in range(c2.width)]
+    assert _byte_tuple(cells) == _byte_tuple(np.zeros((len(cells), 2)))
+
+
 def test_bz_at_drives_planar_force():
     rng = np.random.default_rng(11)
     c2 = random_current(rng)
@@ -466,10 +479,12 @@ def test_min_r_mask_on_both_sides_of_the_height(h, masked):
     # planar distance 0 sits exactly on r^2 = min_r^2 and counts.  With t1y = 1
     # and power-of-two tangents, every sum below is exactly the pair_force sum.
     params = ForceParams(height_px=h, min_r=2.0)
-    assert (emforce._term_buffers(1, 2, params)[3] is None) is not masked
     c1 = single(3, 3, -0.5, 1.0)
     c2 = EdgeCurrent(8, 8, np.array([4, 3]), np.array([3, 5]),
                      np.array([1.0, 0.5]), np.array([0.25, -1.0]))
+    for form in (None, emforce._product_operands(c2, h)):
+        ((_, _, _, close, _),) = emforce._terms(c2, np.array([3.0]), np.array([3.0]), params, form)
+        assert (close is None) is not masked
     t1, pair = c1.element(0), (c2.element(0), c2.element(1))
     assert (pair_force(t1, pair[0], Vec2(0.0, 0.0), params) == Vec3(0.0, 0.0, 0.0)) is masked
 
@@ -494,9 +509,9 @@ def test_min_r_mask_on_both_sides_of_the_height(h, masked):
 CLOSE_PAIR_RULES = [
     (0.0, 1e-9, 0.0, False),   # coincident pairs only, r^2 floored at 1
     (0.0, 1.0, 0.0, False),    # min_r^2 = h^2 + 1: still coincident pairs only
-    (3.0, 3.1, 9.0, False),    # h^2 < min_r^2 <= h^2 + 1: coincident terms are +-0 / 27
+    (3.0, 3.1, 9.0, True),     # h < min_r above h 0: only coincident pairs are close
     (8.0, 1e-9, 64.0, False),  # h >= min_r: no close pair
-    (8.0, 8.06, 64.0, False),
+    (8.0, 8.06, 64.0, True),
     (0.5, 0.6, 0.0, True),     # h^2 is no integer, so the rows leave it out
     (2.5, 2.6, 0.0, True),
     (1.0, 2.0, 1.0, True),     # pairs 1 apart in the plane are close too
@@ -506,8 +521,8 @@ CLOSE_PAIR_RULES = [
 
 @pytest.mark.parametrize("h, min_r, folded, masked", CLOSE_PAIR_RULES)
 def test_close_pair_rule_of_the_product_form(h, min_r, folded, masked):
-    # The product rows hold an integer h^2; where then only coincident pairs
-    # lie within min_r, no mask runs.  Cells, with element positions of c1
+    # No mask runs where h >= min_r, nor at h 0 with min_r <= 1, where the
+    # product form floors r^2 at 1.  Cells, with element positions of c1
     # landing on c2's at many shifts, stay byte-equal to the masked direct
     # form and equal to pair_force sums (exact here: one element of c1 with
     # t1y = 1, two of c2 with power-of-two tangents).
