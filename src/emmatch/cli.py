@@ -3,9 +3,11 @@
 Subcommands cover the full pipeline: synthesize test shapes, extract edge
 masks and currents, evaluate forces and force maps, classify the shift
 grid, and match image pairs.  Maps come from force_map_fast; the library's
-force_map is its reference.  Glyphs draw through one grid, and files go
-through one writer once a command's result exists.  Exit codes: 0 success,
-2 bad arguments or unreadable input, 1 processing failure.
+force_map is its reference.  Glyphs draw through one grid.  edges,
+current, map and classify write their files through one writer once the
+result exists; match writes match.json and prints its payload, and synth
+writes its --out file.  Exit codes: 0 success, 2 bad arguments or
+unreadable input, 1 processing failure.
 """
 
 from __future__ import annotations

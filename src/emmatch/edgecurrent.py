@@ -138,9 +138,6 @@ class EdgeCurrent:
             raise ValueError(f"element positions must lie on the {self.width}x{self.height} grid")
         if not (np.isfinite(self.tx).all() and np.isfinite(self.ty).all()):
             raise ValueError("element tangents tx and ty must be finite")
-        # Float copies of the positions, so force kernels skip the cast.
-        object.__setattr__(self, "_xf", _frozen_copy(self.xs, np.float64, shape, "xs"))
-        object.__setattr__(self, "_yf", _frozen_copy(self.ys, np.float64, shape, "ys"))
 
     def __len__(self) -> int:
         return int(self.xs.shape[0])

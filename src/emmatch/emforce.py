@@ -242,7 +242,7 @@ def _product_operands(c2: EdgeCurrent, height_px: float = 0.0):
     if not (max(c2.width, c2.height) - 1 <= _EXACT_COORD
             and _is_exact(np.concatenate((c2.tx, c2.ty)), _EXACT_TANGENT, _EXACT_QUANTUM)):
         return None
-    x, y = c2._xf, c2._yf
+    x, y = c2.xs.astype(np.float64), c2.ys.astype(np.float64)
     h2 = height_px * height_px
     if not (h2 < _EXACT_H2 and h2 == math.floor(h2)):
         h2 = 0.0
@@ -303,14 +303,16 @@ def _terms(c2: EdgeCurrent, px: np.ndarray, py: np.ndarray, params: ForceParams,
     exact = operands is not None and operands[2] == h2  # the rows hold h^2
     floor = operands is not None and h2 == 0.0 and cut <= 1.0
     masked = h2 < cut and not floor
+    if operands is None:
+        xs, ys = c2.xs.astype(np.float64), c2.ys.astype(np.float64)
     for i in range(0, len(px), step):
         b = slice(i, i + step)
         x, y = px[b], py[b]
         k = len(x)
         r3k, numk, rootk = r3[:k], num[:k], root[:k]
         if operands is None:
-            dx = np.subtract(x[:, None], c2._xf, out=rootk)
-            dy = np.subtract(y[:, None], c2._yf, out=numk)
+            dx = np.subtract(x[:, None], xs, out=rootk)
+            dy = np.subtract(y[:, None], ys, out=numk)
             np.multiply(dx, dx, out=r3k)
             r3k += np.multiply(dy, dy, out=square[:k])
             dy *= c2.tx
@@ -399,7 +401,7 @@ def bz_at(c2: EdgeCurrent, px: float, py: float,
 def _shifted_rows(c1: EdgeCurrent, c2: EdgeCurrent, shift1: Vec2,
                   params: ForceParams) -> np.ndarray:
     """_force_rows for every element of c1 translated by shift1."""
-    return _force_rows(c1._xf + shift1.x, c1._yf + shift1.y, c1.tx, c1.ty, c2, params)
+    return _force_rows(c1.xs + shift1.x, c1.ys + shift1.y, c1.tx, c1.ty, c2, params)
 
 
 def _fold(terms: np.ndarray) -> np.ndarray:
@@ -454,15 +456,16 @@ class _FieldLattice:
 
     On c2's W x H shift grid, with origin (W // 2, H // 2), element i of c1
     at cell (x, y) sits on lattice point (xs_i - min(xs) + x, ys_i - min(ys)
-    + y): the lattice is c1's element box widened by the grid.  A point is
-    evaluated with _field_sums when a cell first needs it, and only then.
+    + y): the lattice is c1's element box widened by the grid.  Points are
+    kept as row-major indices into the lattice, and _fill alone turns them
+    into planar points and evaluates them with _field_sums: a cell's unfilled
+    points when it first needs them, every point for the whole map.
     Without the strength factor, a cell's force is (sum t1y_i L_i,
     -sum t1x_i L_i) over its lattice values L_i, and its gross sum is
     G = sum (|t1y_i| + |t1x_i|) |L_i|, each added left to right in element
     storage order, so one cell reads the same whether the whole map or a
-    single walk computes it.  Cells and the whole-map fill evaluate in the
-    thread's _term_buffers, as every evaluation does, and cells add with
-    _fold.
+    single walk computes it.  _fill evaluates in the thread's
+    _term_buffers, as every evaluation does, and cells add with _fold.
     """
 
     @np.errstate(**_UNCHECKED)
@@ -473,17 +476,12 @@ class _FieldLattice:
         # Planar point of lattice column 0 and row 0.
         self._x0 = x_lo - self.width // 2
         self._y0 = y_lo - self.height // 2
-        # Lattice column and row of each element at cell (0, 0), its row-major
-        # index, and the distinct indices: elements on one point share it.
-        self._cols = c1.xs - x_lo
-        self._rows = c1.ys - y_lo
+        # Row-major lattice index of each element at cell (0, 0), and the distinct indices:
+        # elements on one point share it.  Cell (x, y) adds y * lattice width + x to both.
         shape = (int(c1.ys.max()) - y_lo + self.height, int(c1.xs.max()) - x_lo + self.width)
-        self._flat = self._rows * shape[1] + self._cols
+        self._flat = (c1.ys - y_lo) * shape[1] + (c1.xs - x_lo)
+        # dict.fromkeys, not np.unique: that loads numpy.ma, which no CLI command may import.
         self._points = np.array(list(dict.fromkeys(self._flat.tolist())), dtype=np.int64)
-        # Planar x and y of each distinct point at cell (0, 0); cell (x, y) adds x and y.
-        rows, cols = np.divmod(self._points, shape[1])
-        self._px = (self._x0 + cols).astype(np.float64)
-        self._py = (self._y0 + rows).astype(np.float64)
         self.values = np.empty(shape, dtype=np.float64)
         self._filled = np.zeros(shape, dtype=bool)
         # The product form where every lattice point and c2 keep it exact.
@@ -493,23 +491,27 @@ class _FieldLattice:
         # Per-element weights of fx, fy and G; |w * L| = w * |L| for w >= 0.
         self._weights = np.stack((c1.ty, -c1.tx, np.abs(c1.ty) + np.abs(c1.tx)))
 
+    def _fill(self, points: np.ndarray) -> None:
+        """Evaluate the lattice points at row-major indices points and mark them filled."""
+        # Each float x, y frees its int: a whole-map fill then holds no int copy beside them.
+        y, x = np.divmod(points, self.values.shape[1])
+        x = x + float(self._x0)
+        y = y + float(self._y0)
+        self.values.ravel()[points] = _field_sums(self.c2, x, y, self.params, self._operands)
+        self._filled.ravel()[points] = True
+
     @np.errstate(**_UNCHECKED)
     def cell(self, x: int, y: int) -> tuple[float, float, float]:
         """Unscaled fx, fy and G of cell (x, y), filling the points it reads.
 
         ValueError when one of them is not finite.
         """
-        lw = self.values.shape[1]
-        values, filled = self.values.ravel(), self._filled.ravel()  # views
-        shift = y * lw + x
+        shift = y * self.values.shape[1] + x
         points = self._points + shift
-        need = ~filled[points]
-        todo = points[need]
+        todo = points[~self._filled.ravel()[points]]  # ravel() views gather faster than .flat
         if todo.size:
-            values[todo] = _field_sums(self.c2, self._px[need] + x, self._py[need] + y,
-                                       self.params, self._operands)
-            filled[todo] = True
-        terms = self._weights * values[self._flat + shift]
+            self._fill(todo)
+        terms = self._weights * self.values.ravel()[self._flat + shift]
         np.abs(terms[2], out=terms[2])
         fx, fy, g = _fold(terms).tolist()
         if not (math.isfinite(fx) and math.isfinite(fy) and math.isfinite(g)):
@@ -523,17 +525,12 @@ class _FieldLattice:
         Each element adds its weighted window of lattice values to all cells
         at once; the cells' sums run in element order, as cell()'s do.
         """
-        lh, lw = self.values.shape
-        xs = np.arange(self._x0, self._x0 + lw, dtype=np.float64)
-        ys = np.arange(self._y0, self._y0 + lh, dtype=np.float64)
-        self.values[:] = _field_sums(self.c2, np.tile(xs, lh), np.repeat(ys, lw),
-                                     self.params, self._operands).reshape(lh, lw)
-        self._filled[:] = True
+        self._fill(np.arange(self.values.size))
         h, w = self.height, self.width
         magnitudes = np.abs(self.values)
         f = np.zeros((3, h, w), dtype=np.float64)  # fx, fy, g
-        for r, c, (wx, wy, wg) in zip(self._rows.tolist(), self._cols.tolist(),
-                                      self._weights.T.tolist()):
+        rows, cols = np.divmod(self._flat, self.values.shape[1])
+        for r, c, (wx, wy, wg) in zip(rows.tolist(), cols.tolist(), self._weights.T.tolist()):
             win = self.values[r:r + h, c:c + w]
             f[0] += wx * win
             f[1] += wy * win

@@ -198,6 +198,8 @@ def save_ppm(rgb: np.ndarray) -> bytes:
     rgb = np.asarray(rgb)
     if rgb.ndim != 3 or rgb.shape[2] != 3:
         raise ValueError(f"expected (height, width, 3) array, got shape {rgb.shape}")
+    if rgb.size == 0:  # a PNM header's sides must be positive
+        raise ValueError(f"raster width and height must be positive, got shape {rgb.shape}")
     if rgb.dtype != np.uint8:
         if not np.issubdtype(rgb.dtype, np.integer) or rgb.min() < 0 or rgb.max() > 255:
             raise ValueError("color samples must be integers in [0, 255]")

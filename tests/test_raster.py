@@ -48,6 +48,8 @@ def test_save_ppm_canonical_bytes():
     (np.zeros((2, 3), dtype=np.uint8), "expected \\(height, width, 3\\) array"),
     (np.full((1, 1, 3), -1, dtype=np.int16), "integers in \\[0, 255\\]"),
     (np.zeros((1, 1, 3)), "integers in \\[0, 255\\]"),
+    (np.zeros((0, 5, 3), dtype=np.uint8), "width and height must be positive"),
+    (np.zeros((2, 0, 3), dtype=np.int16), "width and height must be positive"),
 ])
 def test_save_ppm_rejects_non_rgb_samples(rgb, message):
     with pytest.raises(ValueError, match=message):

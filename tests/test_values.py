@@ -4,6 +4,7 @@ Each stores a read-only, C-contiguous copy of its arrays, so the caller's
 arrays stay the caller's, and it rejects a cast that would lose information.
 """
 
+import dataclasses
 import math
 
 import numpy as np
@@ -48,6 +49,8 @@ def build(cls, arrays):
 def test_value_keeps_its_own_read_only_copy(cls):
     arrays = ARRAYS[cls]()
     value = build(cls, arrays)
+    # No hidden copies: the value holds its fields and nothing else.
+    assert set(vars(value)) == {f.name for f in dataclasses.fields(cls)}
     for name, arr in arrays.items():
         stored = getattr(value, name)
         want = stored.copy()
