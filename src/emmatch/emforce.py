@@ -32,17 +32,22 @@ through _fold, so repeated evaluations are bit-identical.
 Map shifts and element positions are integers, so every shifted element of
 the first current lands on one small lattice of points; _FieldLattice holds
 the second current's field there, evaluating each point once, when first
-needed.  force_map_fast fills the whole lattice; match_images walks it and
-fills only the points its path reaches, so its forces equal the fast map's
-bit for bit.  Every map also carries, per cell, the gross sum G of the
-magnitudes its force summed, which sets the scale of its rounding residue.
+needed.  force_map_fast fills the whole lattice, a run of rows at a time;
+match_images walks it and fills only the points its path reaches, so its
+forces equal the fast map's bit for bit.  A walk cell's fixed cost is kept
+to a few array calls: the lattice sets up its points, weights and two fold
+buffers once, and a cell adds its shift to the points, fills the missing
+ones, and weighs and folds its values in those buffers.  Every map also
+carries, per cell, the gross sum G of the magnitudes its force summed,
+which sets the scale of its rounding residue.
 
 The evaluator's first step, r^2 - h^2 and the Bz numerators, has two
 forms; the rest is shared.  The direct form subtracts coordinates
 elementwise.  The product form, which the lattice uses, computes both as
 two small matrix products, X^2 + Y^2 - 2 X x - 2 Y y + (x^2 + y^2) and
-Y t2x - X t2y + (t2y x - t2x y); an integer h^2 below 2**50 joins the
-constant x^2 + y^2, which saves the pass that adds it to every term.  With
+Y t2x - X t2y + (t2y x - t2x y), of point rows (X, Y, 1, X^2 + Y^2) built
+once per evaluation; an integer h^2 below 2**50 joins the constant
+x^2 + y^2, which saves the pass that adds it to every term.  With
 integer points and positions within 2**24 and tangents that are multiples
 of 1/16 within 2**20, as every image current's are, each product and
 partial sum is exact, so every lattice value equals the direct form's;
@@ -204,7 +209,7 @@ _UNCHECKED = dict(over="ignore", invalid="ignore")
 # perfbench's match_walk runs, 16,384-term blocks kept peak RSS within 0.2
 # MiB of per-call 8,192-term buffers, 32,768-term blocks added 0.5-0.7 MiB.
 _BLOCK_TERMS = 1 << 14
-_kept = threading.local()  # .buffers: the thread's flat _term_buffers
+_kept = threading.local()  # .buffers and .views: the thread's _term_buffers
 
 # Bounds under which the product form of _terms is exact: integer positions
 # of magnitude at most _EXACT_COORD, and tangents that are multiples of
@@ -222,10 +227,10 @@ _EXACT_H2 = 2.0 ** 50
 
 def _is_exact(values, bound: float, quantum: float = 1.0) -> bool:
     """Whether every value is a multiple of quantum of magnitude at most bound."""
-    values = np.asarray(values, dtype=np.float64)
-    if not (np.abs(values) <= bound).all():
+    magnitudes = np.abs(values, dtype=np.float64)
+    if not np.maximum.reduce(magnitudes, axis=None, initial=0.0) <= bound:  # nan fails too
         return False
-    units = values / quantum
+    units = magnitudes / quantum
     return bool((units == np.floor(units)).all())
 
 
@@ -240,37 +245,38 @@ def _product_operands(c2: EdgeCurrent, height_px: float = 0.0):
     """
     # Positions are integers on the grid, so within _EXACT_COORD where its sides are.
     if not (max(c2.width, c2.height) - 1 <= _EXACT_COORD
-            and _is_exact(np.concatenate((c2.tx, c2.ty)), _EXACT_TANGENT, _EXACT_QUANTUM)):
+            and _is_exact((c2.tx, c2.ty), _EXACT_TANGENT, _EXACT_QUANTUM)):
         return None
     x, y = c2.xs.astype(np.float64), c2.ys.astype(np.float64)
     h2 = height_px * height_px
     if not (h2 < _EXACT_H2 and h2 == math.floor(h2)):
         h2 = 0.0
-    return (np.stack((-2.0 * x, -2.0 * y, x * x + y * y + h2, np.ones_like(x))),
-            np.stack((-c2.ty, c2.tx, c2.ty * x - c2.tx * y)), h2)
+    return (np.array((-2.0 * x, -2.0 * y, x * x + y * y + h2, np.ones_like(x))),
+            np.array((-c2.ty, c2.tx, c2.ty * x - c2.tx * y)), h2)
 
 
 def _term_buffers(rows: int, m: int):
     """Views of the calling thread's buffers for _terms' blocks of rows points against m elements.
 
-    Returns (r3, root, num, close, square, points): three float and one
-    min_r mask (rows, m) views, the direct form's (rows, m) square, and in
-    the same memory the product form's (rows, 4) points (X, Y, 1, X^2 +
-    Y^2), its 1s set.  A thread keeps one set of flat buffers, allocated
-    on first use for _BLOCK_TERMS pair terms and replaced, the old set
-    released first, only when a block needs more than that; a block takes
-    max(m, 4) terms a point, so that the points fit too.
+    Returns (r3, root, num, close, square): three float and one min_r mask
+    (rows, m) views, and the direct form's (rows, m) square.  A thread keeps
+    one set of flat buffers, allocated on first use for _BLOCK_TERMS pair
+    terms and replaced, the old set released first, only when a block needs
+    more than that.  It also keeps the views of the last (rows, m) asked
+    for, which replacing the buffers drops.
     """
-    size = rows * max(m, 4)
+    views = getattr(_kept, "views", None)
+    if views is not None and views[0] == (rows, m):
+        return views[1]
     kept = getattr(_kept, "buffers", None)
-    if kept is None or len(kept[0]) < size:
-        _kept.buffers = kept = None  # release the old set before allocating the new one
-        size = max(size, _BLOCK_TERMS)
+    if kept is None or len(kept[0]) < rows * m:
+        # Release the old set, and the views that hold it, before allocating the new one.
+        _kept.buffers = _kept.views = kept = views = None
+        size = max(rows * m, _BLOCK_TERMS)
         _kept.buffers = kept = (*(np.empty(size) for _ in range(4)), np.empty(size, dtype=bool))
     r3, root, num, square, close = (a[:rows * m].reshape(rows, m) for a in kept)
-    points = kept[3][:rows * 4].reshape(rows, 4)
-    points[:, 2] = 1.0
-    return r3, root, num, close, square, points
+    _kept.views = ((rows, m), (r3, root, num, close, square))
+    return r3, root, num, close, square
 
 
 def _terms(c2: EdgeCurrent, px: np.ndarray, py: np.ndarray, params: ForceParams,
@@ -285,9 +291,9 @@ def _terms(c2: EdgeCurrent, px: np.ndarray, py: np.ndarray, params: ForceParams,
     overwrites, so no evaluation may start inside another on one thread.
     operands, when given, are c2's _product_operands for params.height_px or
     for height 0, and every point must then be an integer within
-    _EXACT_COORD: r^2 and the numerators come from two matrix products,
-    equal to the direct differences except that a zero numerator may take
-    the other sign.
+    _EXACT_COORD: r^2 and the numerators come from two matrix products of
+    the points' rows (X, Y, 1, X^2 + Y^2), built once per call, equal to the
+    direct differences except that a zero numerator may take the other sign.
 
     Close pairs are kept out by one of three rules.  Where h >= min_r no
     pair is closer than min_r, and nothing is masked.  On the product form
@@ -297,20 +303,25 @@ def _terms(c2: EdgeCurrent, px: np.ndarray, py: np.ndarray, params: ForceParams,
     their 0 / 0 out and changes no other r^2.  Every other case masks.
     """
     m = len(c2)
-    step = max(1, _BLOCK_TERMS // max(m, 4))
-    r3, root, num, close, square, points = _term_buffers(min(len(px), step), m)
+    step = max(1, _BLOCK_TERMS // max(m, 1))
+    r3, root, num, close, square = _term_buffers(step, m)
     h2, cut = params.height_px * params.height_px, params.min_r * params.min_r
     exact = operands is not None and operands[2] == h2  # the rows hold h^2
     floor = operands is not None and h2 == 0.0 and cut <= 1.0
     masked = h2 < cut and not floor
     if operands is None:
         xs, ys = c2.xs.astype(np.float64), c2.ys.astype(np.float64)
+    else:  # the points' rows (X, Y, 1, X^2 + Y^2) of the product form
+        points = np.empty((len(px), 4))
+        points[:, 0], points[:, 1], points[:, 2] = px, py, 1.0
+        np.multiply(px, px, out=points[:, 3])
+        points[:, 3] += py * py
     for i in range(0, len(px), step):
         b = slice(i, i + step)
-        x, y = px[b], py[b]
-        k = len(x)
+        k = min(step, len(px) - i)
         r3k, numk, rootk = r3[:k], num[:k], root[:k]
         if operands is None:
+            x, y = px[b], py[b]
             dx = np.subtract(x[:, None], xs, out=rootk)
             dy = np.subtract(y[:, None], ys, out=numk)
             np.multiply(dx, dx, out=r3k)
@@ -318,12 +329,8 @@ def _terms(c2: EdgeCurrent, px: np.ndarray, py: np.ndarray, params: ForceParams,
             dy *= c2.tx
             dy -= np.multiply(dx, c2.ty, out=dx)  # Bz = t2x * dy - t2y * dx
         else:
-            q = points[:k]
-            q[:, 0], q[:, 1] = x, y
-            np.multiply(x, x, out=q[:, 3])
-            q[:, 3] += y * y
-            np.matmul(q, operands[0], out=r3k)
-            np.matmul(q[:, :3], operands[1], out=numk)
+            np.matmul(points[b], operands[0], out=r3k)
+            np.matmul(points[b, :3], operands[1], out=numk)
         if h2 and not exact:
             r3k += h2  # r^2, cubed in place below
         if floor:
@@ -404,13 +411,18 @@ def _shifted_rows(c1: EdgeCurrent, c2: EdgeCurrent, shift1: Vec2,
     return _force_rows(c1.xs + shift1.x, c1.ys + shift1.y, c1.tx, c1.ty, c2, params)
 
 
-def _fold(terms: np.ndarray) -> np.ndarray:
-    """Sums of each row of terms, added left to right from +0.0.
+def _fold(terms: np.ndarray, out: np.ndarray | None = None) -> list[float]:
+    """Sums of each row of terms, added left to right from +0.0, as floats.
 
-    This is exactly what a running float total gives; the leading zero turns
-    an all -0.0 row into +0.0.
+    np.add.accumulate, into out when given, adds each row left to right
+    from its first term.  That running total differs from one started at
+    +0.0 only while every term so far is -0.0, and adding +0.0 to the last
+    one turns just -0.0 into +0.0, so each sum is exactly what a running
+    float total from +0.0 gives.
     """
-    return np.cumsum(np.concatenate((np.zeros((len(terms), 1)), terms), axis=1), axis=1)[:, -1]
+    if not terms.shape[1]:
+        return [0.0] * len(terms)
+    return [s + 0.0 for s in np.add.accumulate(terms, axis=1, out=out)[:, -1].tolist()]
 
 
 @np.errstate(**_UNCHECKED)
@@ -456,64 +468,83 @@ class _FieldLattice:
 
     On c2's W x H shift grid, with origin (W // 2, H // 2), element i of c1
     at cell (x, y) sits on lattice point (xs_i - min(xs) + x, ys_i - min(ys)
-    + y): the lattice is c1's element box widened by the grid.  Points are
-    kept as row-major indices into the lattice, and _fill alone turns them
-    into planar points and evaluates them with _field_sums: a cell's unfilled
-    points when it first needs them, every point for the whole map.
-    Without the strength factor, a cell's force is (sum t1y_i L_i,
-    -sum t1x_i L_i) over its lattice values L_i, and its gross sum is
-    G = sum (|t1y_i| + |t1x_i|) |L_i|, each added left to right in element
-    storage order, so one cell reads the same whether the whole map or a
-    single walk computes it.  _fill evaluates in the thread's
-    _term_buffers, as every evaluation does, and cells add with _fold.
+    + y): the lattice is c1's element box widened by the grid.  _fill
+    evaluates planar points with _field_sums into the row-major lattice, at
+    an index array or a slice: a cell's unfilled points when it first needs
+    them, the whole lattice a run of rows at a time for the whole map.  A
+    cell finds its points among c1's distinct ones, kept with their planar
+    x and y at cell (0, 0), to which it adds its own x and y; no point's
+    value depends on which others it is filled with.  Without the strength
+    factor, a cell's force is (sum t1y_i L_i, -sum t1x_i L_i) over its
+    lattice values L_i, and its gross sum is G = sum (|t1y_i| + |t1x_i|)
+    |L_i|, each added left to right in element storage order, so one cell
+    reads the same whether the whole map or a single walk computes it.
+    _fill evaluates in the thread's _term_buffers, as every evaluation does,
+    and cells weigh and add their values with _fold in two (3, len(c1))
+    buffers the lattice keeps, so a lattice's cells run on one thread.
     """
 
     @np.errstate(**_UNCHECKED)
     def __init__(self, c1: EdgeCurrent, c2: EdgeCurrent, params: ForceParams):
         self.c2, self.params = c2, params
         self.width, self.height = c2.width, c2.height
-        x_lo, y_lo = int(c1.xs.min()), int(c1.ys.min())
+        x_lo, y_lo = int(np.minimum.reduce(c1.xs)), int(np.minimum.reduce(c1.ys))
         # Planar point of lattice column 0 and row 0.
         self._x0 = x_lo - self.width // 2
         self._y0 = y_lo - self.height // 2
-        # Row-major lattice index of each element at cell (0, 0), and the distinct indices:
-        # elements on one point share it.  Cell (x, y) adds y * lattice width + x to both.
-        shape = (int(c1.ys.max()) - y_lo + self.height, int(c1.xs.max()) - x_lo + self.width)
-        self._flat = (c1.ys - y_lo) * shape[1] + (c1.xs - x_lo)
-        # dict.fromkeys, not np.unique: that loads numpy.ma, which no CLI command may import.
-        self._points = np.array(list(dict.fromkeys(self._flat.tolist())), dtype=np.int64)
+        box = int(np.maximum.reduce(c1.ys)) - y_lo + 1  # rows of c1's element box
+        shape = (box - 1 + self.height, int(np.maximum.reduce(c1.xs)) - x_lo + self.width)
         self.values = np.empty(shape, dtype=np.float64)
         self._filled = np.zeros(shape, dtype=bool)
+        # Row-major lattice index of each element at cell (0, 0), and the distinct
+        # indices with their planar x and y: elements on one point share it.  Cell
+        # (x, y) adds y * lattice width + x to the indices, x and y to the points.
+        self._flat = (c1.ys - y_lo) * shape[1] + (c1.xs - x_lo)
+        # The distinct indices, in order, are marked on the still empty _filled and
+        # listed: np.unique would load numpy.ma, which no CLI command may import,
+        # and np.sort's first call adds about 0.25 MiB to a match walk's peak RSS.
+        marks = self._filled.ravel()[:box * shape[1]]
+        marks[self._flat] = True
+        self._points = np.flatnonzero(marks)
+        marks[self._points] = False
+        # A point x + iy as a complex number: a cell moves them all with one add.
+        rows, cols = np.divmod(self._points, shape[1])
+        self._z = cols + 1j * rows + complex(self._x0, self._y0)
         # The product form where every lattice point and c2 keep it exact.
         corners = (self._x0, self._y0, self._x0 + shape[1] - 1, self._y0 + shape[0] - 1)
         self._operands = (_product_operands(c2, params.height_px)
-                          if _is_exact(corners, _EXACT_COORD) else None)
-        # Per-element weights of fx, fy and G; |w * L| = w * |L| for w >= 0.
-        self._weights = np.stack((c1.ty, -c1.tx, np.abs(c1.ty) + np.abs(c1.tx)))
+                          if max(map(abs, corners)) <= _EXACT_COORD else None)
+        # Per-element weights of fx, fy and G (|w * L| = w * |L| for w >= 0), and
+        # the terms and running sums of cell()'s fold, in one array.
+        self._weights, self._terms, self._sums = fold = np.empty((3, 3, len(c1)))
+        fold[0, 0] = c1.ty
+        np.negative(c1.tx, out=fold[0, 1])
+        np.add(np.abs(c1.ty), np.abs(c1.tx), out=fold[0, 2])
 
-    def _fill(self, points: np.ndarray) -> None:
-        """Evaluate the lattice points at row-major indices points and mark them filled."""
-        # Each float x, y frees its int: a whole-map fill then holds no int copy beside them.
-        y, x = np.divmod(points, self.values.shape[1])
-        x = x + float(self._x0)
-        y = y + float(self._y0)
-        self.values.ravel()[points] = _field_sums(self.c2, x, y, self.params, self._operands)
-        self._filled.ravel()[points] = True
+    def _fill(self, index, x: np.ndarray, y: np.ndarray) -> None:
+        """Evaluate points (x[i], y[i]) into the flat lattice at index, and mark them filled."""
+        self.values.ravel()[index] = _field_sums(self.c2, x, y, self.params, self._operands)
+        self._filled.ravel()[index] = True
 
     @np.errstate(**_UNCHECKED)
     def cell(self, x: int, y: int) -> tuple[float, float, float]:
         """Unscaled fx, fy and G of cell (x, y), filling the points it reads.
 
-        ValueError when one of them is not finite.
+        The cell's weighted values and their running sums go to the
+        lattice's two kept (3, len(c1)) buffers, so its cells run on one
+        thread.  ValueError when one of fx, fy and G is not finite.
         """
         shift = y * self.values.shape[1] + x
-        points = self._points + shift
-        todo = points[~self._filled.ravel()[points]]  # ravel() views gather faster than .flat
+        at = self._points + shift
+        need = ~self._filled.ravel()[at]  # ravel() views gather faster than .flat
+        todo = at[need]
         if todo.size:
-            self._fill(todo)
-        terms = self._weights * self.values.ravel()[self._flat + shift]
+            z = self._z[need] + complex(x, y)
+            self._fill(todo, z.real, z.imag)
+        terms = np.multiply(self._weights, self.values.ravel()[self._flat + shift],
+                            out=self._terms)
         np.abs(terms[2], out=terms[2])
-        fx, fy, g = _fold(terms).tolist()
+        fx, fy, g = _fold(terms, self._sums)
         if not (math.isfinite(fx) and math.isfinite(fy) and math.isfinite(g)):
             raise ValueError(f"force at cell ({x}, {y}) is not finite")
         return fx, fy, g
@@ -522,14 +553,24 @@ class _FieldLattice:
     def force_map(self) -> ForceMap:
         """The unscaled map of every cell, from the whole lattice.
 
-        Each element adds its weighted window of lattice values to all cells
-        at once; the cells' sums run in element order, as cell()'s do.
+        The lattice fills in runs of whole rows, a slice of at most
+        _BLOCK_TERMS / 4 points where a row is shorter, so that a run's
+        points and their product form rows take about as much memory as one
+        block's terms.  Then each element adds its
+        weighted window of lattice values to all cells at once; the cells'
+        sums run in element order, as cell()'s do.
         """
-        self._fill(np.arange(self.values.size))
+        lh, lw = self.values.shape
+        xs = np.arange(self._x0, self._x0 + lw, dtype=np.float64)
+        run = max(1, _BLOCK_TERMS // 4 // lw)  # lattice rows per fill
+        for r in range(0, lh, run):
+            ys = np.arange(self._y0 + r, self._y0 + min(r + run, lh), dtype=np.float64)
+            self._fill(slice(r * lw, (r + len(ys)) * lw), np.tile(xs, len(ys)),
+                       np.repeat(ys, lw))
         h, w = self.height, self.width
         magnitudes = np.abs(self.values)
         f = np.zeros((3, h, w), dtype=np.float64)  # fx, fy, g
-        rows, cols = np.divmod(self._flat, self.values.shape[1])
+        rows, cols = np.divmod(self._flat, lw)
         for r, c, (wx, wy, wg) in zip(rows.tolist(), cols.tolist(), self._weights.T.tolist()):
             win = self.values[r:r + h, c:c + w]
             f[0] += wx * win

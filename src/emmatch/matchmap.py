@@ -91,16 +91,29 @@ def _sectors(fx, fy, g=None):
     4 plus the count of wx >= wy, wx >= 0 and wx >= -wy; on it, 0 for
     wx > 0, else 4.  The count starts at southeast, so the index is the
     count plus one, mod 8.  A vector exactly on that boundary rotates onto
-    wy == 0.0 with no rounding error.  The rule is comparisons and integer
-    arithmetic only, so it reads Python floats and arrays alike: a walk
-    calls it on one vector, and a map on every cell at once.
+    wy == 0.0 with no rounding error.  The count is comparisons and integer
+    arithmetic only, so it reads arrays, as a map passes them, and Python
+    floats alike.  One vector, as a walk passes it, takes a float branch
+    that returns an int: its rotation is float arithmetic, which warns of
+    nothing, and since |F| is at least each component's magnitude, it calls
+    np.hypot, the array rule's |F|, only when neither component exceeds the
+    cutoff, so that the vector may be balanced.
     """
-    with np.errstate(over="ignore", invalid="ignore"):  # inf and nan as in float arithmetic
+    cut = ZERO_FORCE_EPS if g is None else BALANCE_RTOL * g
+    if isinstance(fx, np.ndarray):
+        with np.errstate(over="ignore", invalid="ignore"):  # inf and nan as in float arithmetic
+            wx = fx * _COS + fy * _SIN
+            wy = fy * _COS - fx * _SIN
+            magnitude = np.hypot(fx, fy)
+    else:
+        fx, fy, cut = float(fx), float(fy), float(cut)
         wx = fx * _COS + fy * _SIN
         wy = fy * _COS - fx * _SIN
-        magnitude = np.hypot(fx, fy)
-    balanced = (magnitude < ZERO_FORCE_EPS if g is None
-                else magnitude <= BALANCE_RTOL * g)
+        magnitude = math.inf  # |F| exceeds the cutoff where a component does
+        if not (abs(fx) > cut or abs(fy) > cut):
+            with np.errstate(over="ignore"):  # only an infinite g leaves |F| room to overflow
+                magnitude = float(np.hypot(fx, fy))
+    balanced = magnitude < cut if g is None else magnitude <= cut
     # 0 + ... counts bools as integers, also where numpy's bool + bool is a logical or.
     above = 0 + (wx <= wy) + (wx <= 0.0) + (wx <= -wy)
     below = 4 + (wx >= wy) + (wx >= 0.0) + (wx >= -wy)

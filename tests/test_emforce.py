@@ -2,6 +2,7 @@ import json
 import math
 import sys
 import threading
+import weakref
 
 import numpy as np
 import pytest
@@ -659,6 +660,77 @@ def test_threads_evaluate_in_their_own_buffers():
     for k, own in enumerate(kept):
         for other in kept[k + 1:] + [mine]:
             assert not any(np.shares_memory(a, b) for a in own for b in other)
+
+
+def test_term_buffer_views_follow_replaced_buffers(monkeypatch):
+    # In a fresh thread, a small evaluation leaves its views of the thread's
+    # buffers cached; a c2 wider than a block replaces the buffers, which
+    # must drop those views, so that the old set is released before the new
+    # one is allocated, and the small shape, asked for again, blocks in the
+    # new set.  Each evaluation's sums equal those of a fresh thread.
+    rng = np.random.default_rng(67)
+    small = random_current(rng, n=12)
+    wide = random_current(rng, width=140, height=140, n=_BLOCK_TERMS + 300)
+    px, py = rng.integers(-20, 40, size=(2, 30)).astype(np.float64)
+    params = ForceParams(height_px=0.5)
+    real, allocate = emforce._terms, np.empty
+
+    def in_fresh_thread(work):
+        out = []
+        worker = threading.Thread(target=lambda: out.append(work()))
+        worker.start()
+        worker.join(timeout=60)
+        assert not worker.is_alive() and out
+        return out[0]
+
+    def sequence():
+        sums, blocks, released = [], [], []
+        for c2 in (small, wide, small):
+            old = [weakref.ref(a) for a in getattr(emforce._kept, "buffers", ())]
+
+            def recording(*args):
+                for block in real(*args):
+                    blocks.append(all(np.shares_memory(a, emforce._kept.buffers[k])
+                                      for a, k in ((block[1], 2), (block[2], 0))))
+                    yield block
+
+            def empty(shape, *args, **kwargs):
+                if np.prod(shape) >= len(wide):  # a buffer of the new set
+                    released.append(all(ref() is None for ref in old))
+                return allocate(shape, *args, **kwargs)
+
+            with monkeypatch.context() as m:
+                m.setattr(emforce, "_terms", recording)
+                m.setattr(np, "empty", empty)
+                sums.append(emforce._field_sums(c2, px, py, params).tobytes())
+        return sums, blocks, released
+
+    sums, blocks, released = in_fresh_thread(sequence)
+    assert blocks and all(blocks)
+    # Only the wide c2 replaced the set, its four float buffers and its mask
+    # each allocated after the old set was released.
+    assert released == [True] * 5
+    assert sums == [in_fresh_thread(lambda: emforce._field_sums(c2, px, py, params).tobytes())
+                    for c2 in (small, wide, small)]
+
+
+def test_interleaved_lattices_keep_their_own_fold_buffers():
+    # Two lattices for pairs of different sizes, alive on one thread, read
+    # their cells in turn: each must keep its own fold buffers (a thread's
+    # would have one shape for both) and equal its own whole map's bytes.
+    rect, ellipse = synth_shape("rectangle", 32, 32), synth_shape("ellipse", 32, 32)
+    pairs = [(extract_current(shift_image(rect, 3, -2)), extract_current(rect),
+              ForceParams(height_px=8.0)),
+             (extract_current(shift_image(ellipse, -2, 1)), extract_current(ellipse),
+              ForceParams())]
+    assert len(pairs[0][0]) != len(pairs[1][0])
+    walked = [emforce._FieldLattice(*pair) for pair in pairs]
+    maps = [emforce._FieldLattice(*pair).force_map() for pair in pairs]
+    for y in range(32):
+        for x in range(32):
+            for lattice, fmap in zip(walked, maps):
+                assert _byte_tuple(lattice.cell(x, y)) == \
+                    _byte_tuple((fmap.fx[y, x], fmap.fy[y, x], fmap.g[y, x]))
 
 
 @given(st.integers(0, 2 ** 32 - 1))

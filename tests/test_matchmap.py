@@ -193,10 +193,27 @@ def sector_vectors(draw):
     return draw(sign) * draw(huge), draw(sign) * draw(huge | FINITE), g
 
 
+HUGE = 1.7e308  # |F| of (HUGE, HUGE) overflows np.hypot
+
+
 @given(st.lists(sector_vectors(), min_size=1, max_size=16), st.booleans())
+# huge vectors: the float branch skips np.hypot below a finite g's cutoff,
+# and calls it, overflowing, under an infinite one
+@example([(HUGE, HUGE, 1.0), (-HUGE, HUGE, 1e300), (HUGE, -HUGE, 0.0),
+          (HUGE, HUGE, math.inf), (-HUGE, -HUGE, math.inf)], True)
+@example([(HUGE, HUGE, 1.0), (-HUGE, HUGE, 1.0), (HUGE, -HUGE, 1.0)], False)
+# signed zero axis vectors, balanced or not
+@example([(0.0, 0.0, 1.0), (-0.0, 0.0, 1.0), (0.0, -0.0, 0.0), (-0.0, -0.0, 1.0),
+          (2.0, -0.0, 1.0), (-2.0, 0.0, 1.0), (-0.0, 2.0, 1.0), (0.0, -2.0, 1.0)], True)
+@example([(0.0, 0.0, 1.0), (-0.0, 0.0, 1.0), (0.0, -0.0, 1.0), (-0.0, -0.0, 1.0),
+          (2.0, -0.0, 1.0), (-2.0, 0.0, 1.0), (-0.0, 2.0, 1.0), (0.0, -2.0, 1.0)], False)
+# the four boundaries that rotate exactly onto an axis
+@example([(*v, 1.0) for v in BOUNDARIES[:4]], True)
+@example([(*v, 1.0) for v in BOUNDARIES[:4]], False)
 @settings(max_examples=300, deadline=None)
 def test_sectors_equal_the_nested_where_rule(vectors, with_g):
-    # One rule for Python floats, as a walk passes, and arrays, as a map does.
+    # One rule for Python floats, as a walk passes, and arrays, as a map
+    # does; warnings are errors, and one vector gives a Python int.
     fx, fy, g = (np.array(column) for column in zip(*vectors))
     g = g if with_g else None
     want = nested_where_sectors(fx, fy, g)
@@ -207,7 +224,7 @@ def test_sectors_equal_the_nested_where_rule(vectors, with_g):
                               want[None, :])
         for i, (x, y, gi) in enumerate(vectors):
             k = _sectors(x, y, gi if with_g else None)
-            assert int(k) == k == want[i]
+            assert type(k) is int and k == want[i]
 
 
 class TestFollowPath:
