@@ -3,14 +3,21 @@
 The Sobel kernels and the optional binomial blur are separable: each runs
 through one 3x3 correlation, a 3-tap pass along rows and then one along
 columns, over the image's edge-replicated border, which slicing fills.
-The passes run in integers: 8-bit pixels give integral gradients, and the
-blur is carried as 16 times its value until the gradient is scaled back,
-so every value equals the float64 correlation's.
+The passes run in int16: 8-bit pixels give integral gradients of
+magnitude at most 1,020, and the blur is carried as 16 times its value,
+so a smoothed gradient is a count of sixteenths, at most 16,320.  Every
+value equals the float64 correlation's once scaled back.
 
-A gradient's length is sqrt(gx^2 + gy^2).  Image gradients are multiples of
-1/16 of magnitude at most 1020, so the squares add up exactly and each
-length is correctly rounded: equal squared lengths give equal lengths,
-which the thinning's comparisons rely on.
+A gradient's length is sqrt(gx^2 + gy^2).  Its squared length L, in units
+or in 1/256 when smoothed, is an integer below 2**31 (at most 532,684,800),
+exact in int32 and float64 alike, and each length is correctly rounded.
+Distinct integers below 2**31 have distinct correctly rounded roots (they
+differ by at least 1e-5, an ulp there by at most 8e-12), so lengths
+compare exactly as their L do.  Edge extraction (edgecurrent.extract_current)
+takes the integer gradients from _gradients and compares the integers L;
+sobel_field scales the same gradients into a float64 VectorField, the
+staged route that threshold_mask, nms_mask and build_current run and
+that the integer route is tested against.
 """
 
 from __future__ import annotations
@@ -89,13 +96,27 @@ def _correlate3(p: np.ndarray, col, row) -> np.ndarray:
 
 
 def _edge_padded(f: np.ndarray) -> np.ndarray:
-    """f as int32 with a one-pixel border that repeats its edge, as np.pad's "edge" mode."""
+    """f as int16 with a one-pixel border that repeats its edge, as np.pad's "edge" mode."""
     h, w = f.shape
-    p = np.empty((h + 2, w + 2), dtype=np.int32)
+    p = np.empty((h + 2, w + 2), dtype=np.int16)
     p[1:-1, 1:-1] = f
     p[0, 1:-1], p[-1, 1:-1] = f[0], f[-1]
     p[:, 0], p[:, -1] = p[:, 1], p[:, -2]
     return p
+
+
+def _gradients(img: GrayImage, smooth: bool) -> tuple[np.ndarray, np.ndarray]:
+    """The Sobel gradients (gx, gy) of img as int16 images, in sixteenths when smooth is set.
+
+    Every partial sum of the passes, like each gradient, is at most 1,020
+    in magnitude, or 16,320 sixteenths, so int16 holds them exactly.
+    """
+    if img.width < 3 or img.height < 3:
+        raise ValueError(f"image must be at least 3x3 for Sobel, got {img.width}x{img.height}")
+    p = _edge_padded(img.pixels)
+    if smooth:
+        p = _edge_padded(_correlate3(p, _SMOOTH, _SMOOTH))  # 16 times the blur, at most 4080
+    return _correlate3(p, _SMOOTH, _DIFF), _correlate3(p, _DIFF, _SMOOTH)
 
 
 def sobel_field(img: GrayImage, smooth: bool = False) -> VectorField:
@@ -104,12 +125,7 @@ def sobel_field(img: GrayImage, smooth: bool = False) -> VectorField:
     Border pixels see the image extended by edge replication.  When smooth
     is set, a 3x3 binomial blur runs first (off by default).
     """
-    if img.width < 3 or img.height < 3:
-        raise ValueError(f"image must be at least 3x3 for Sobel, got {img.width}x{img.height}")
-    p = _edge_padded(img.pixels)
-    if smooth:
-        p = _edge_padded(_correlate3(p, _SMOOTH, _SMOOTH))  # 16 times the blur, at most 4080
-    gx, gy = _correlate3(p, _SMOOTH, _DIFF), _correlate3(p, _DIFF, _SMOOTH)
+    gx, gy = _gradients(img, smooth)
     if smooth:  # sixteenths, exact in float64
-        gx, gy = gx / 16.0, gy / 16.0
+        gx, gy = np.divide(gx, 16.0, dtype=np.float64), np.divide(gy, 16.0, dtype=np.float64)
     return VectorField(img.width, img.height, gx, gy)

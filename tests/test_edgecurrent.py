@@ -1,12 +1,16 @@
+import math
+import tracemalloc
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from emmatch import (EdgeCurrent, EdgeMask, EdgeParams, EmptyCurrentError,
                      GrayImage, VectorField, build_current, current_tsv,
                      extract_current, mask_image, nms_mask, sobel_field,
                      synth_shape, threshold_mask)
+from emmatch.edgecurrent import _least_above
 
 
 def test_edge_params_validation():
@@ -18,14 +22,25 @@ def test_edge_params_validation():
     assert EdgeParams().strict_nms is False
 
 
+def tied_image() -> GrayImage:
+    """Full-height steps 0 -> 255 -> 204: lengths 1,020 and 204 (765 and 153
+    smoothed), and 0.2 times the first is the second exactly."""
+    px = np.full((5, 12), 204, dtype=np.uint8)
+    px[:, :4] = 0
+    px[:, 4:8] = 255
+    return GrayImage(12, 5, px)
+
+
 def test_threshold_is_strict():
-    field = sobel_field(synth_shape("square", 32, 32))
-    mask = threshold_mask(field, EdgeParams(threshold_pct=0.20))
-    cut = 0.20 * float(field.magnitude.max())
-    assert np.array_equal(mask.mask, field.magnitude > cut)
-    # pixels exactly at the cut are excluded
-    at_cut = field.magnitude == cut
-    assert not (mask.mask & at_cut).any()
+    for smooth in (False, True):
+        field = sobel_field(tied_image(), smooth)
+        mask = threshold_mask(field, EdgeParams(threshold_pct=0.20))
+        cut = 0.20 * float(field.magnitude.max())
+        assert np.array_equal(mask.mask, field.magnitude > cut)
+        # pixels exactly at the cut are excluded
+        at_cut = field.magnitude == cut
+        assert at_cut.any() and mask.count > 0
+        assert not (mask.mask & at_cut).any()
 
 
 def test_all_zero_field_gives_empty_mask():
@@ -230,3 +245,69 @@ def test_higher_threshold_never_adds_points():
     low_set = set(zip(low.xs.tolist(), low.ys.tolist()))
     high_set = set(zip(high.xs.tolist(), high.ys.tolist()))
     assert high_set <= low_set
+
+
+@st.composite
+def edge_images(draw):
+    """3 to 70 px a side: uniform noise, binary 0/255, constant, one bright
+    pixel or a checkerboard."""
+    w, h = draw(st.integers(3, 70)), draw(st.integers(3, 70))
+    kind = draw(st.sampled_from(["noise", "binary", "constant", "dot", "checker"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    if kind == "noise":
+        px = rng.integers(0, 256, size=(h, w), dtype=np.uint8)
+    elif kind == "binary":
+        px = rng.integers(0, 2, size=(h, w), dtype=np.uint8) * np.uint8(255)
+    elif kind == "constant":
+        px = np.full((h, w), draw(st.integers(0, 255)), dtype=np.uint8)
+    elif kind == "dot":
+        px = np.zeros((h, w), dtype=np.uint8)
+        px[draw(st.integers(0, h - 1)), draw(st.integers(0, w - 1))] = draw(st.integers(1, 255))
+    else:
+        px = (np.add.outer(np.arange(h), np.arange(w)) % 2 * 255).astype(np.uint8)
+    return GrayImage(w, h, px)
+
+
+@given(edge_images(), st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+       st.booleans(), st.booleans())
+@example(tied_image(), 0.2, False, False)  # a length equals the cut, which it must not pass
+@example(tied_image(), 0.2, True, True)
+@example(tied_image(), 0.19999999, False, False)  # a length at the least integer L that passes
+@settings(max_examples=150, deadline=None)
+def test_extract_current_equals_the_staged_route(img, pct, strict, smooth):
+    params = EdgeParams(threshold_pct=pct, strict_nms=strict)
+    f = sobel_field(img, smooth)
+    want = build_current(f, nms_mask(f, threshold_mask(f, params), params))
+    got = extract_current(img, params, smooth)
+    assert np.array_equal(got.xs, want.xs) and np.array_equal(got.ys, want.ys)
+    assert got.tx.tobytes() == want.tx.tobytes() and got.ty.tobytes() == want.ty.tobytes()
+    assert got.dropped == want.dropped
+
+
+@pytest.mark.parametrize("smooth", [False, True])
+def test_extraction_peak_memory(smooth):
+    # The integer route holds no image-sized float array: the staged route
+    # peaks at about 0.69 MiB here (0.82 MiB smoothed).
+    img = synth_shape("ellipse", 128, 128)
+    extract_current(img, smooth=smooth)
+    tracemalloc.start()
+    try:
+        extract_current(img, smooth=smooth)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 0.45 * 2 ** 20
+
+
+@given(st.integers(0, 2 ** 31 - 1), st.integers(-2, 2), st.sampled_from([1.0, 0.0625]))
+@settings(max_examples=300)
+def test_least_above_is_the_least_integer_whose_length_passes(m, ulps, scale):
+    # cuts at a length sqrt(m) * scale and a few ulps either side, where
+    # rounding decides
+    cut = math.sqrt(m) * scale
+    for _ in range(abs(ulps)):
+        cut = math.nextafter(cut, math.copysign(math.inf, ulps))
+    cut = max(cut, 0.0)
+    n = _least_above(cut, scale)
+    assert math.sqrt(n) * scale > cut
+    assert not math.sqrt(n - 1) * scale > cut
