@@ -9,10 +9,10 @@ convergence classification, and a force-guided matcher build on that core.
 
 from .raster import (GrayImage, PnmFormatError, load_pgm, save_pgm, save_ppm,
                      shift_image, synth_shape)
-from .gradient import SOBEL_X, SOBEL_Y, VectorField, sobel_field
-from .edgecurrent import (CurrentElement, EdgeCurrent, EdgeMask, EdgeParams,
-                          EmptyCurrentError, build_current, current_tsv,
-                          extract_current, mask_image, nms_mask, threshold_mask)
+from .edgecurrent import (SOBEL_X, SOBEL_Y, CurrentElement, EdgeCurrent, EdgeMask,
+                          EdgeParams, EmptyCurrentError, VectorField, build_current,
+                          current_tsv, extract_current, mask_image, nms_mask,
+                          sobel_field, threshold_mask)
 from .emforce import (ForceMap, ForceParams, Vec2, Vec3, bz_at, force_map,
                       force_map_fast, force_map_tsv, force_on_element, pair_force,
                       total_force)

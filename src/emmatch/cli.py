@@ -23,10 +23,9 @@ import numpy as np
 
 from .edgecurrent import (EdgeCurrent, EdgeParams, EmptyCurrentError, build_current,
                           current_tsv, extract_current, mask_image, nms_mask,
-                          threshold_mask)
+                          sobel_field, threshold_mask, _cut)
 from .emforce import (ForceMap, ForceParams, Vec2, force_map_fast, force_map_tsv,
                       total_force)
-from .gradient import sobel_field
 from .matchmap import (ClassificationMap, classification_rgb, classify_map, match_images,
                        match_result_json, summarize_map, _BALANCED, _sectors)
 from .raster import GrayImage, load_pgm, save_pgm, save_ppm, shift_image, synth_shape
@@ -181,7 +180,7 @@ def _cmd_edges(args) -> int:
         "width": img.width,
         "height": img.height,
         "max_magnitude": float(field.magnitude.max()),
-        "threshold": float(ep.threshold_pct * field.magnitude.max()),
+        "threshold": _cut(ep, float(field.magnitude.max())),
         "thresholded_points": coarse.count,
         "edge_points": mask.count,
         "elements": len(current),

@@ -1,4 +1,8 @@
-"""Edge extraction and conversion of edge gradients into a virtual current.
+"""Edge extraction: Sobel gradients, threshold, thinning, and the virtual current.
+
+The Sobel kernels and the optional binomial blur are separable: each runs
+through one 3x3 correlation, a 3-tap pass along rows and then one along
+columns, over the image's edge-replicated border, which slicing fills.
 
 An edge pixel with gradient (gx, gy) carries a tangential current vector
 (tx, ty) = (gy, -gx), the gradient rotated a quarter turn counterclockwise.
@@ -6,27 +10,139 @@ The rotation keeps the magnitude, so strong edges carry strong currents.
 Thinning and building a current read only the pixels a mask keeps, by
 their row-major indices, rather than comparing whole images.
 
-extract_current runs in integers, on the squared lengths of the int16
-gradients (see gradient), and makes no image-sized float array.  The
-staged route, sobel_field's VectorField through threshold_mask, nms_mask
-and build_current, is its reference: both share the thinning rule (_thin)
-and the builder (_current), and give the same current byte for byte.
+The gradients are exact integers.  The passes run in int16: 8-bit pixels
+give integral gradients, and the blur is carried as 16 times its value, so
+a smoothed gradient is a count of sixteenths.  Every partial sum, like each
+gradient, is at most 1,020 in magnitude, or 16,320 sixteenths, and each
+gradient equals the float64 correlation's once scaled back by _gradients'
+scale.  A gradient's length is sqrt(gx^2 + gy^2).  Its squared length L, in
+units or in 1/256 when smoothed, is an integer below 2**31 (at most
+532,684,800), exact in int32 and float64 alike, and each length is
+correctly rounded.  Distinct integers below 2**31 have distinct correctly
+rounded roots (they differ by at least 1e-5, an ulp there by at most
+8e-12), so lengths compare exactly as their L do, and a length beats the
+threshold exactly when its L reaches the least integer whose length does.
+
+extract_current runs on the integers L and makes no image-sized float
+array.  The staged route, sobel_field's float64 VectorField through
+threshold_mask, nms_mask and build_current, is its reference: both share
+the gradients (_gradients), the cut (_cut), the thinning rule (_thin) and
+the builder (_current), and give the same current byte for byte.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field as dataclass_field
 from typing import Iterator
 
 import numpy as np
 
-from .gradient import VectorField, _gradients, sobel_field
 from .raster import GrayImage, _frozen_copy, _store_grid_size, _tsv
 
-# extract_current no longer calls sobel_field, but the name stays readable
-# here: perfbench's tracer patches emmatch.edgecurrent.sobel_field by that name.
-_REEXPORTED = (sobel_field,)
+# The 3-tap factors of the kernels: a smoothing and a central difference.
+# The binomial blur is outer(_SMOOTH, _SMOOTH) / 16.
+_SMOOTH = (1, 2, 1)
+_DIFF = (-1, 0, 1)
+
+# Horizontal kernel, outer(_SMOOTH, _DIFF); the vertical one is its
+# transpose.  Applied as a correlation, so gx is positive where intensity
+# increases to the right and gy is positive where intensity increases
+# downward (y grows down).  Both are read-only, since every gradient reads
+# them.
+SOBEL_X = _frozen_copy(np.outer(_SMOOTH, _DIFF), np.float64, (3, 3), "SOBEL_X")
+SOBEL_Y = SOBEL_X.T
+
+
+@dataclass(frozen=True, eq=False)
+class VectorField:
+    """Per-pixel 2D gradient vectors on the source image grid, as read-only float64 copies.
+
+    magnitude is each vector's Euclidean length, sqrt(gx^2 + gy^2), zero
+    exactly where gx == gy == 0.  Every vector and its squared length must be
+    finite, so no length may reach about 1.34e154.
+    """
+
+    width: int
+    height: int
+    gx: np.ndarray  # (height, width) float64
+    gy: np.ndarray
+    magnitude: np.ndarray = dataclass_field(init=False, repr=False)
+
+    def __post_init__(self):
+        _store_grid_size(self)
+        for name in ("gx", "gy"):
+            arr = _frozen_copy(getattr(self, name), np.float64, (self.height, self.width), name)
+            object.__setattr__(self, name, arr)
+        with np.errstate(over="ignore", invalid="ignore"):
+            length = self.gx * self.gx
+            length += self.gy * self.gy
+        if not np.isfinite(length).all():
+            overflow = np.isfinite(self.gx).all() and np.isfinite(self.gy).all()
+            raise ValueError("gradient vectors and their lengths must be finite"
+                             + (": a squared length overflows" if overflow else ""))
+        np.sqrt(length, out=length)
+        length.flags.writeable = False  # a fresh array, read-only as gx and gy are
+        object.__setattr__(self, "magnitude", length)
+
+
+def _taps(a: np.ndarray, b: np.ndarray, c: np.ndarray, taps) -> np.ndarray:
+    """a + 2 b + c for _SMOOTH, c - a for _DIFF."""
+    if taps == _DIFF:
+        return np.subtract(c, a)
+    total = np.add(a, c)
+    total += b
+    total += b
+    return total
+
+
+def _correlate3(p: np.ndarray, col, row) -> np.ndarray:
+    """3x3 correlation with kernel outer(col, row) of the image that p pads.
+
+    p is the integer image with a one-pixel edge-replicated border
+    (_edge_padded); the row taps run along x, then the col taps along y.
+    """
+    h, w = p.shape[0] - 2, p.shape[1] - 2
+    across = _taps(p[:, :w], p[:, 1:w + 1], p[:, 2:], row)
+    return _taps(across[:h], across[1:h + 1], across[2:], col)
+
+
+def _edge_padded(f: np.ndarray) -> np.ndarray:
+    """f as int16 with a one-pixel border that repeats its edge, as np.pad's "edge" mode."""
+    h, w = f.shape
+    p = np.empty((h + 2, w + 2), dtype=np.int16)
+    p[1:-1, 1:-1] = f
+    p[0, 1:-1], p[-1, 1:-1] = f[0], f[-1]
+    p[:, 0], p[:, -1] = p[:, 1], p[:, -2]
+    return p
+
+
+def _gradients(img: GrayImage, smooth: bool) -> tuple[np.ndarray, np.ndarray, float]:
+    """The Sobel gradients (gx, gy) of img as int16 images, and the scale of their unit.
+
+    The unit is 1, or 1/16 (a sixteenth) when smooth is set.
+    """
+    if img.width < 3 or img.height < 3:
+        raise ValueError(f"image must be at least 3x3 for Sobel, got {img.width}x{img.height}")
+    p = _edge_padded(img.pixels)
+    scale = 1.0
+    if smooth:
+        p = _edge_padded(_correlate3(p, _SMOOTH, _SMOOTH))  # 16 times the blur, at most 4080
+        scale = 0.0625
+    return _correlate3(p, _SMOOTH, _DIFF), _correlate3(p, _DIFF, _SMOOTH), scale
+
+
+def sobel_field(img: GrayImage, smooth: bool = False) -> VectorField:
+    """Estimate the intensity gradient of every pixel with 3x3 Sobel kernels.
+
+    Border pixels see the image extended by edge replication.  When smooth
+    is set, a 3x3 binomial blur runs first (off by default).
+    """
+    gx, gy, scale = _gradients(img, smooth)
+    return VectorField(img.width, img.height, np.multiply(gx, scale, dtype=np.float64),
+                       np.multiply(gy, scale, dtype=np.float64))
+
+
 
 
 class EmptyCurrentError(ValueError):
@@ -75,7 +191,12 @@ def threshold_mask(field: VectorField, params: EdgeParams = EdgeParams()) -> Edg
     An all-zero field has maximum 0, so nothing beats it and the mask is empty.
     """
     m = field.magnitude
-    return EdgeMask(field.width, field.height, m > params.threshold_pct * float(m.max()))
+    return EdgeMask(field.width, field.height, m > _cut(params, float(m.max())))
+
+
+def _cut(params: EdgeParams, max_length: float) -> float:
+    """The magnitude a pixel must exceed to pass the threshold, as a Python float."""
+    return float(params.threshold_pct * max_length)
 
 
 def nms_mask(field: VectorField, mask: EdgeMask,
@@ -209,22 +330,18 @@ def extract_current(img: GrayImage, params: EdgeParams = EdgeParams(),
 
     Equal by bytes to build_current(f, nms_mask(f, threshold_mask(f, params),
     params)) with f = sobel_field(img, smooth), the staged route, but run on
-    the integer gradients.  The squared lengths L = gx^2 + gy^2 are exact
-    integers below 2**31 (at most 532,684,800, in 1/256 when smoothed), and
-    distinct ones have distinct correctly rounded roots.  So a length beats
-    the threshold exactly when its L reaches the least integer whose length
-    does, and thinning compares the integers L as the staged route compares
-    lengths; only the survivors' gradients are cast to float.
+    the integer squared lengths L (see the module docstring): the threshold
+    keeps the L that reach the least integer whose length beats the cut,
+    thinning compares the integers L, and only the survivors' gradients are
+    cast to float.
     """
-    gx, gy = _gradients(img, smooth)
+    gx, gy, scale = _gradients(img, smooth)
     w, h = img.width, img.height
     lengths = np.zeros((h + 2, w + 2), dtype=np.int32)  # L, with a border of zeros
     inner = lengths[1:-1, 1:-1]
     np.multiply(gx, gx, out=inner, dtype=np.int32)
     inner += np.multiply(gy, gy, dtype=np.int32)
-    scale = 0.0625 if smooth else 1.0  # sobel_field's lengths are sqrt(L) * scale
-    # threshold_mask's cut, as a Python float: its comparisons run in float64
-    cut = float(params.threshold_pct * (math.sqrt(int(lengths.max())) * scale))
+    cut = _cut(params, math.sqrt(int(lengths.max())) * scale)  # lengths are sqrt(L) * scale
     k = np.flatnonzero(inner >= _least_above(cut, scale))
     k = _thin(lengths.ravel(), k, w, params.strict_nms)
     return _current(w, h, k, np.multiply(gx.ravel()[k], scale, dtype=np.float64),

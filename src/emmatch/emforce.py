@@ -217,8 +217,8 @@ _kept = threading.local()  # .buffers and .views: the thread's _term_buffers
 # partial sum is then exact, in either form and in any order: those of r^2,
 # with an integer h^2 below _EXACT_H2 or without h^2, are integers below
 # 2**53, those of the Bz numerator multiples of 1/16 below 2**47.  Image
-# tangents qualify: Sobel of 8-bit pixels is integral, and the binomial blur
-# makes sixteenths.
+# tangents qualify: edgecurrent._gradients gives integral Sobel gradients of
+# 8-bit pixels, in sixteenths when the binomial blur runs.
 _EXACT_COORD = 2.0 ** 24
 _EXACT_TANGENT = 2.0 ** 20
 _EXACT_QUANTUM = 1.0 / 16.0

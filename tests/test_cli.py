@@ -1,3 +1,4 @@
+import ast
 import importlib.metadata
 import json
 import os
@@ -16,8 +17,10 @@ import emmatch
 from emmatch import (EdgeParams, ForceParams, GrayImage, Vec2, classify_map,
                      current_tsv, extract_current, force_map_fast,
                      force_map_tsv, load_pgm, match_images, match_result_json,
-                     save_pgm, shift_image, synth_shape, total_force)
+                     nms_mask, save_pgm, shift_image, sobel_field, synth_shape,
+                     threshold_mask, total_force)
 from emmatch.cli import build_parser, main, render_classification_ppm
+from emmatch.edgecurrent import _cut
 
 GLYPH_SET = set(">v<^\\/`,.")
 
@@ -99,19 +102,31 @@ def test_synth_rejects_malformed_rect(tmp_path, capsys):
         assert stdout == "" and not (tmp_path / "x.pgm").exists()
 
 
-def test_edges_outputs(shapes, tmp_path, capsys):
-    code, stdout, _ = run(capsys, "edges", str(shapes / "rect.pgm"),
-                          "--out-dir", str(tmp_path))
+@pytest.mark.parametrize("kind", ["rectangle", "ellipse"])
+@pytest.mark.parametrize("extra", [(), ("--smooth",), ("--strict-nms", "--threshold", "0.35")],
+                         ids=["plain", "smooth", "strict-0.35"])
+def test_edges_outputs(kind, extra, tmp_path, capsys):
+    img = synth_shape(kind, 32, 32)
+    (tmp_path / "in.pgm").write_bytes(save_pgm(img))
+    code, stdout, _ = run(capsys, "edges", str(tmp_path / "in.pgm"), *extra,
+                          "--out-dir", str(tmp_path / "out"))
     assert code == 0
-    doc = json.loads((tmp_path / "edges.json").read_text())
-    current = extract_current(synth_shape("rectangle", 32, 32))
+    doc = json.loads((tmp_path / "out" / "edges.json").read_text())
+    smooth = "--smooth" in extra
+    p = EdgeParams(0.35, strict_nms=True) if "--strict-nms" in extra else EdgeParams()
+    f = sobel_field(img, smooth)
+    mask = nms_mask(f, threshold_mask(f, p), p)
+    current = extract_current(img, p, smooth)
     assert doc["width"] == 32 and doc["height"] == 32
+    assert doc["max_magnitude"] == float(f.magnitude.max())
+    assert doc["threshold"] == _cut(p, float(f.magnitude.max()))
     assert doc["elements"] == len(current)
-    assert doc["edge_points"] == len(current) + doc["dropped_zero_gradient"]
+    assert doc["dropped_zero_gradient"] == current.dropped
+    assert doc["edge_points"] == mask.count == len(current) + current.dropped
     assert doc["thresholded_points"] >= doc["edge_points"]
-    assert doc["threshold"] == pytest.approx(0.20 * doc["max_magnitude"])
-    mask_img = load_pgm((tmp_path / "edges.pgm").read_bytes())
-    assert int(np.count_nonzero(mask_img.pixels)) == doc["edge_points"]
+    mask_img = load_pgm((tmp_path / "out" / "edges.pgm").read_bytes())
+    assert np.array_equal(mask_img.pixels == 255, mask.mask)
+    assert np.array_equal(mask_img.pixels != 0, mask.mask)
 
 
 def test_current_outputs(shapes, tmp_path, capsys):
@@ -573,6 +588,23 @@ def test_match_and_map_load_no_heavy_numpy_module(tmp_path):
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[-1] == "new modules: "
     assert (tmp_path / "match" / "match.json").is_file() and any((tmp_path / "map").iterdir())
+
+
+def test_readme_pipeline_lists_the_modules():
+    # One numbered item per module of the package, in pipeline order: no
+    # module imports one that a later item names.
+    text = README.read_text(encoding="utf-8")
+    pipeline = text.split("## Pipeline", 1)[1].split("\n## ", 1)[0]
+    items = re.findall(r"^(\d+)\. \*\*(\w+)\*\*", pipeline, re.M)
+    assert [int(n) for n, _ in items] == list(range(1, len(items) + 1))
+    listed = [name for _, name in items]
+    package = Path(emmatch.__file__).parent
+    assert sorted(listed) == sorted(p.stem for p in package.glob("*.py") if p.stem != "__init__")
+    for i, name in enumerate(listed):
+        tree = ast.parse((package / f"{name}.py").read_text(encoding="utf-8"))
+        imported = {node.module for node in ast.walk(tree)
+                    if isinstance(node, ast.ImportFrom) and node.level == 1}
+        assert imported <= set(listed[:i]), name
 
 
 def test_readme_documents_the_cli(tmp_path, monkeypatch, capsys):

@@ -13,8 +13,6 @@ MODULES = [p for p in PACKAGE if p.name != "__init__.py"]  # __init__ imports na
 # Private module-level names that no module of the package reads, and why each stays.
 UNREAD_PRIVATE = {
     "matchmap._REEXPORTED": "keeps emmatch.matchmap.total_force, which perfbench's tracer patches",
-    "edgecurrent._REEXPORTED": "keeps emmatch.edgecurrent.sobel_field, which perfbench's tracer "
-                               "patches",
 }
 
 
@@ -85,3 +83,28 @@ def test_guard_sees_an_unread_private_name():
 def test_every_private_name_is_read():
     sources = {p.stem: p.read_text() for p in PACKAGE}
     assert set(unread_private_names(sources)) == set(UNREAD_PRIVATE)
+
+
+# emmatch.__all__ as published; a module merge or split must leave it as it is.
+PUBLIC = [
+    "GrayImage", "PnmFormatError", "load_pgm", "save_pgm", "save_ppm", "shift_image",
+    "synth_shape",
+    "SOBEL_X", "SOBEL_Y", "VectorField", "sobel_field",
+    "CurrentElement", "EdgeCurrent", "EdgeMask", "EdgeParams", "EmptyCurrentError",
+    "build_current", "current_tsv", "extract_current", "mask_image", "nms_mask",
+    "threshold_mask",
+    "ForceMap", "ForceParams", "Vec2", "Vec3", "bz_at", "force_map", "force_map_fast",
+    "force_map_tsv", "force_on_element", "pair_force", "total_force",
+    "ClassificationMap", "Direction8", "Label", "MatchResult", "MatchStatus", "PathStatus",
+    "PathTrace", "classification_rgb", "classify_map", "discretize8", "follow_path",
+    "match_images", "match_result_json", "summarize_map",
+    "__version__",
+]
+
+
+def test_public_names_are_unchanged():
+    assert emmatch.__all__ == PUBLIC and len(PUBLIC) == 48
+    for name in PUBLIC:
+        assert hasattr(emmatch, name), name
+    for name in ("SOBEL_X", "SOBEL_Y", "VectorField", "sobel_field"):  # defined in edgecurrent itself
+        assert getattr(emmatch, name) is getattr(emmatch.edgecurrent, name), name
