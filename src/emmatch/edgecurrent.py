@@ -8,7 +8,10 @@ An edge pixel with gradient (gx, gy) carries a tangential current vector
 (tx, ty) = (gy, -gx), the gradient rotated a quarter turn counterclockwise.
 The rotation keeps the magnitude, so strong edges carry strong currents.
 Thinning and building a current read only the pixels a mask keeps, by
-their row-major indices, rather than comparing whole images.
+their row-major indices; thinning gathers each with its eight neighbors
+from a zero-bordered copy of the compared values.  A thresholded pixel's
+length exceeds a cut that is never negative, so EdgeCurrent.dropped can be
+nonzero only for a mask passed to build_current directly.
 
 The gradients are exact integers.  The passes run in int16: 8-bit pixels
 give integral gradients, and the blur is carried as 16 times its value, so
@@ -143,8 +146,6 @@ def sobel_field(img: GrayImage, smooth: bool = False) -> VectorField:
                        np.multiply(gy, scale, dtype=np.float64))
 
 
-
-
 class EmptyCurrentError(ValueError):
     """No edge points survived extraction."""
 
@@ -208,31 +209,32 @@ def nms_mask(field: VectorField, mask: EdgeMask,
     southwest.  It survives when it beats both neighbors of at least two
     pairs.  Beating means >= by default, > under strict_nms.  Neighbors
     outside the image count as magnitude zero.  Only the masked pixels are
-    compared, each through flat offsets into one zero-bordered copy of the
+    compared, each with its eight neighbors in one zero-bordered copy of the
     magnitudes.
     """
     w, h = field.width, field.height
     border = np.zeros((h + 2, w + 2))
     border[1:-1, 1:-1] = field.magnitude
     out = np.zeros(h * w, dtype=bool)
-    out[_thin(border.ravel(), np.flatnonzero(mask.mask), w, params.strict_nms)] = True
+    out[_thin(border, np.flatnonzero(mask.mask), params.strict_nms)] = True
     return EdgeMask(w, h, out.reshape(h, w))
 
 
-def _thin(values: np.ndarray, k: np.ndarray, width: int, strict: bool) -> np.ndarray:
+# Steps (dx, dy) to a pixel, its W, N, NW and NE neighbors, then E, S, SE and SW.
+_NEIGHBORS = np.array([[0, -1, 0, -1, 1, 1, 0, 1, -1], [0, 0, -1, -1, -1, 0, 1, 1, 1]])
+
+
+def _thin(bordered: np.ndarray, k: np.ndarray, strict: bool) -> np.ndarray:
     """The candidates of k, row-major pixel indices, that nms_mask's rule keeps.
 
-    values holds the compared quantity on the grid with a one-pixel border
-    of zeros, flattened.
+    bordered is the compared quantity on the (height, width) grid inside a
+    one-pixel border of zeros.
     """
-    stride = width + 2
-    at = k + 2 * (k // width) + (stride + 1)  # indices into values
-    c = values[at]
-    beats = np.greater if strict else np.greater_equal
-    wins = np.zeros(len(at), dtype=np.uint8)
-    for offset in (1, stride, stride + 1, stride - 1):  # W/E, N/S, NW/SE, NE/SW
-        wins += beats(c, values[at - offset]) & beats(c, values[at + offset])
-    return k[wins >= 2]
+    stride = bordered.shape[1]
+    at = k + 2 * (k // (stride - 2)) + (stride + 1)  # flat indices into bordered
+    v = bordered.ravel()[(_NEIGHBORS[0] + stride * _NEIGHBORS[1])[:, None] + at]  # (9, len(k))
+    beats = (np.greater if strict else np.greater_equal)(v[0], v[1:])
+    return k[(beats[:4] & beats[4:]).sum(axis=0) >= 2]  # rows j and j + 4 hold a pair
 
 
 @dataclass(frozen=True)
@@ -251,10 +253,10 @@ class EdgeCurrent:
 
     Elements are stored in row-major pixel order (the extraction order),
     which fixes the summation order of every force computation downstream.
-    dropped counts masked pixels discarded for having a zero gradient.  The
-    arrays are stored as read-only copies; float positions, complex or
-    non-finite tangents and positions off the width x height grid raise
-    ValueError.
+    dropped counts the masked pixels build_current drops for a zero
+    gradient.  The arrays are stored as read-only copies; float positions,
+    complex or non-finite tangents and positions off the width x height
+    grid raise ValueError.
     """
 
     width: int
@@ -294,21 +296,20 @@ def build_current(field: VectorField, mask: EdgeMask) -> EdgeCurrent:
 
     Rotates each gradient 90 degrees counterclockwise: (tx, ty) = (gy, -gx).
     Masked pixels whose gradient is exactly zero carry no current; they are
-    dropped and tallied.
+    dropped and tallied.  A thresholded mask keeps none of them.
     """
     if (field.width, field.height) != (mask.width, mask.height):
         raise ValueError("field and mask dimensions differ")
-    k = np.flatnonzero(mask.mask)  # row-major order
-    return _current(field.width, field.height, k, field.gx.ravel()[k], field.gy.ravel()[k])
+    k = np.flatnonzero(mask.mask & ((field.gx != 0.0) | (field.gy != 0.0)))  # row-major
+    return _current(field.width, field.height, k, field.gx.ravel()[k], field.gy.ravel()[k],
+                    dropped=mask.count - len(k))
 
 
-def _current(width: int, height: int, k: np.ndarray, gx: np.ndarray,
-             gy: np.ndarray) -> EdgeCurrent:
-    """build_current's elements at the row-major pixel indices k, whose gradients are gx, gy."""
-    zero = (gx == 0.0) & (gy == 0.0)
-    keep = ~zero
-    ys, xs = np.divmod(k[keep], width)
-    return EdgeCurrent(width, height, xs, ys, gy[keep], -gx[keep], dropped=int(zero.sum()))
+def _current(width: int, height: int, k: np.ndarray, gx: np.ndarray, gy: np.ndarray,
+             dropped: int = 0) -> EdgeCurrent:
+    """The elements at the row-major pixel indices k, whose gradients are gx, gy, rotated."""
+    ys, xs = np.divmod(k, width)
+    return EdgeCurrent(width, height, xs, ys, gy, -gx, dropped=dropped)
 
 
 def _least_above(cut: float, scale: float) -> int:
@@ -332,8 +333,7 @@ def extract_current(img: GrayImage, params: EdgeParams = EdgeParams(),
     params)) with f = sobel_field(img, smooth), the staged route, but run on
     the integer squared lengths L (see the module docstring): the threshold
     keeps the L that reach the least integer whose length beats the cut,
-    thinning compares the integers L, and only the survivors' gradients are
-    cast to float.
+    thinning compares them, and only the survivors' gradients become floats.
     """
     gx, gy, scale = _gradients(img, smooth)
     w, h = img.width, img.height
@@ -342,8 +342,8 @@ def extract_current(img: GrayImage, params: EdgeParams = EdgeParams(),
     np.multiply(gx, gx, out=inner, dtype=np.int32)
     inner += np.multiply(gy, gy, dtype=np.int32)
     cut = _cut(params, math.sqrt(int(lengths.max())) * scale)  # lengths are sqrt(L) * scale
-    k = np.flatnonzero(inner >= _least_above(cut, scale))
-    k = _thin(lengths.ravel(), k, w, params.strict_nms)
+    k = np.flatnonzero(inner >= _least_above(cut, scale))  # each L >= 1, as the cut >= 0
+    k = _thin(lengths, k, params.strict_nms)
     return _current(w, h, k, np.multiply(gx.ravel()[k], scale, dtype=np.float64),
                     np.multiply(gy.ravel()[k], scale, dtype=np.float64))
 
