@@ -13,8 +13,10 @@ and the force on the first element is strength * T1 x B.  Expanded:
     F  = (t1y * Bz, -t1x * Bz, t1x * By - t1y * Bx) / |r|^3 * strength
 
 Only the z component of B moves points in the image plane; the x and y
-components feed the (unused by matching) z force.  Pairs closer than min_r
-are skipped to avoid the singularity at zero separation.
+components feed the (unused by matching) z force.  Each in-plane force is
+(t1y, -t1x) times the field sum L = sum Bz / |r|^3 at the first element.
+Pairs closer than min_r are skipped to avoid the singularity at zero
+separation.
 
 Array evaluations share one blocked evaluator, _terms: for each block of
 about _BLOCK_TERMS pair terms it yields the Bz numerators, guarded |r|^3
@@ -24,10 +26,12 @@ one set of buffers its thread keeps, so no evaluation may start inside
 another on the same thread.  _terms alone keeps close pairs out, by one
 of three rules: no mask where h >= min_r; on the product form (below) at
 h 0 with min_r <= 1, a floor of 1 under r^2; otherwise, the mask.
-pair_force is the scalar reference for one pair, and force_map, one
-total_force sum per shift, the reference for the map.  Sums run in element
-storage order, and one shift's sums over the first current's elements run
-through _fold, so repeated evaluations are bit-identical.
+pair_force is the scalar reference for one pair, and force_map, which
+weighs the field at each shift's points in turn, the reference for the
+map.  Sums run in element storage order, and one shift's sums over the
+first current's elements run through _fold, so repeated evaluations are
+bit-identical, and total_force, force_map and lattice cells agree bit for
+bit at integer shifts.
 
 Map shifts and element positions are integers, so every shifted element of
 the first current lands on one small lattice of points; _FieldLattice holds
@@ -35,11 +39,11 @@ the second current's field there, evaluating each point once, when first
 needed.  force_map_fast fills the whole lattice, a run of rows at a time;
 match_images walks it and fills only the points its path reaches, so its
 forces equal the fast map's bit for bit.  A walk cell's fixed cost is kept
-to a few array calls: the lattice sets up its points, weights and two fold
-buffers once, and a cell adds its shift to the points, fills the missing
-ones, and weighs and folds its values in those buffers.  Every map also
-carries, per cell, the gross sum G of the magnitudes its force summed,
-which sets the scale of its rounding residue.
+to a few array calls: the lattice sets up its points and weights once, and
+a cell adds its shift to the points, fills the missing ones, and weighs
+and folds its values.  Every map also carries, per cell, the gross sum G
+of the magnitudes its force summed, which sets the scale of its rounding
+residue.
 
 The evaluator's first step, r^2 - h^2 and the Bz numerators, has two
 forms; the rest is shared.  The direct form subtracts coordinates
@@ -350,22 +354,48 @@ def _row_sums(num: np.ndarray, r3: np.ndarray, close, out: np.ndarray) -> None:
     np.add.reduce(num, axis=1, out=out)
 
 
+def _fold(terms: np.ndarray) -> list[float]:
+    """Sums of each row of terms, added left to right from +0.0, as floats.
+
+    np.add.accumulate adds each row left to right from its first term.
+    That running total differs from one started at +0.0 only while every
+    term so far is -0.0, and adding +0.0 to the last one turns just -0.0
+    into +0.0, so each sum is exactly what a running float total from +0.0
+    gives.
+    """
+    if not terms.shape[1]:
+        return [0.0] * len(terms)
+    return [s + 0.0 for s in np.add.accumulate(terms, axis=1)[:, -1].tolist()]
+
+
+def _weights(tx: np.ndarray, ty: np.ndarray) -> np.ndarray:
+    """Weights (t1y, -t1x, |t1y| + |t1x|) of fx, fy and G on each element's vertical field."""
+    return np.array((ty, -tx, np.abs(ty) + np.abs(tx)), dtype=np.float64)
+
+
+def _weighed_sums(weights: np.ndarray, values: np.ndarray) -> list[float]:
+    """Unscaled fx, fy and G, by _fold, of elements with these _weights on field values."""
+    terms = weights * values
+    np.abs(terms[2], out=terms[2])  # |w L| = w |L|, as w >= 0
+    return _fold(terms)
+
+
 def _force_rows(xs: np.ndarray, ys: np.ndarray, txs: np.ndarray, tys: np.ndarray,
                 c2: EdgeCurrent, params: ForceParams) -> np.ndarray:
     """Force sums of c2 on each query element, without the strength factor.
 
-    Column i of the (3, n) result holds the x, y and z sums over c2 in storage
-    order for the element at (xs[i], ys[i]) with tangent (txs[i], tys[i]).
+    Column i of the (3, n) result is for the element at (xs[i], ys[i]) with
+    tangent (txs[i], tys[i]): its vertical field sum over c2 in storage
+    order weighed by (t1y, -t1x), and the sum of its z pair terms.
     """
     out = np.empty((3, len(xs)), dtype=np.float64)
     bx, by = c2.ty * params.height_px, -(c2.tx) * params.height_px
     for b, bz, r3, close, spare in _terms(c2, xs, ys, params):
-        tx, ty = txs[b, None], tys[b, None]
-        _row_sums(np.multiply(ty, bz, out=spare), r3, close, out[0, b])
-        _row_sums(np.multiply(-tx, bz, out=spare), r3, close, out[1, b])
-        fz = np.multiply(tx, by, out=bz)  # bz is no longer needed
-        fz -= np.multiply(ty, bx, out=spare)
+        _row_sums(bz, r3, close, out[0, b])  # L, as _field_sums gives it
+        fz = np.multiply(txs[b, None], by, out=bz)  # bz is no longer needed
+        fz -= np.multiply(tys[b, None], bx, out=spare)
         _row_sums(fz, r3, close, out[2, b])
+    out[:2] = _weights(txs, tys)[:2] * out[0]
     return out
 
 
@@ -386,7 +416,8 @@ def force_on_element(t1: CurrentElement, c2: EdgeCurrent, shift1: Vec2,
                      params: ForceParams = ForceParams()) -> Vec3:
     """Total force of current c2 on one element t1 shifted by shift1.
 
-    Equals the sum of pair_force over c2 in storage order.
+    x and y are (t1y, -t1x) times the field bz_at gives there at unit
+    strength; z sums pair_force's z terms over c2.
     """
     f = _force_rows(np.array([t1.x + shift1.x]), np.array([t1.y + shift1.y]),
                     np.array([t1.tx]), np.array([t1.ty]), c2, params)[:, 0]
@@ -405,26 +436,6 @@ def bz_at(c2: EdgeCurrent, px: float, py: float,
     return float(_scaled(bz, params.strength)[0])
 
 
-def _shifted_rows(c1: EdgeCurrent, c2: EdgeCurrent, shift1: Vec2,
-                  params: ForceParams) -> np.ndarray:
-    """_force_rows for every element of c1 translated by shift1."""
-    return _force_rows(c1.xs + shift1.x, c1.ys + shift1.y, c1.tx, c1.ty, c2, params)
-
-
-def _fold(terms: np.ndarray, out: np.ndarray | None = None) -> list[float]:
-    """Sums of each row of terms, added left to right from +0.0, as floats.
-
-    np.add.accumulate, into out when given, adds each row left to right
-    from its first term.  That running total differs from one started at
-    +0.0 only while every term so far is -0.0, and adding +0.0 to the last
-    one turns just -0.0 into +0.0, so each sum is exactly what a running
-    float total from +0.0 gives.
-    """
-    if not terms.shape[1]:
-        return [0.0] * len(terms)
-    return [s + 0.0 for s in np.add.accumulate(terms, axis=1, out=out)[:, -1].tolist()]
-
-
 @np.errstate(**_UNCHECKED)
 def total_force(c1: EdgeCurrent, c2: EdgeCurrent, shift1: Vec2,
                 params: ForceParams = ForceParams()) -> Vec3:
@@ -435,7 +446,7 @@ def total_force(c1: EdgeCurrent, c2: EdgeCurrent, shift1: Vec2,
     the result without disturbing its direction, even where the components
     nearly cancel.  A scaled result that is not finite raises ValueError.
     """
-    f = _fold(_shifted_rows(c1, c2, shift1, params))
+    f = _fold(_force_rows(c1.xs + shift1.x, c1.ys + shift1.y, c1.tx, c1.ty, c2, params))
     return Vec3(*map(float, _scaled(f, params.strength)))
 
 
@@ -446,19 +457,20 @@ def force_map(c1: EdgeCurrent, c2: EdgeCurrent,
 
     The grid covers x in [0, W) and y in [0, H) for the source dimensions
     W x H of c2; cell (x, y) maps to shift (x - ox, y - oy) with the origin
-    at (W // 2, H // 2).  Each cell is total_force's sum, evaluated in
-    row-major order; its G adds the magnitudes of the x and y element sums.
+    at (W // 2, H // 2).  Each cell, evaluated serially in row-major order,
+    weighs c2's field at c1's shifted elements as a lattice cell does, so
+    its fx and fy are total_force's.
     """
     if len(c1) == 0 or len(c2) == 0:
         raise EmptyCurrentError("force_map requires two non-empty currents")
     w, h = c2.width, c2.height
     ox, oy = w // 2, h // 2
     f = np.empty((3, h, w), dtype=np.float64)  # fx, fy, g
+    weights = _weights(c1.tx, c1.ty)
     for y in range(h):
         for x in range(w):
-            rows = _shifted_rows(c1, c2, Vec2(float(x - ox), float(y - oy)), params)[:2]
-            f[:2, y, x] = _fold(rows)
-            f[2, y, x] = np.abs(rows).sum()
+            field = _field_sums(c2, c1.xs + float(x - ox), c1.ys + float(y - oy), params)
+            f[:, y, x] = _weighed_sums(weights, field)
     # Strength scales the final sums once, as in total_force.
     return ForceMap(w, h, ox, oy, *f).scaled(params.strength)
 
@@ -479,9 +491,7 @@ class _FieldLattice:
     lattice values L_i, and its gross sum is G = sum (|t1y_i| + |t1x_i|)
     |L_i|, each added left to right in element storage order, so one cell
     reads the same whether the whole map or a single walk computes it.
-    _fill evaluates in the thread's _term_buffers, as every evaluation does,
-    and cells weigh and add their values with _fold in two (3, len(c1))
-    buffers the lattice keeps, so a lattice's cells run on one thread.
+    _fill evaluates in the thread's _term_buffers, as every evaluation does.
     """
 
     @np.errstate(**_UNCHECKED)
@@ -514,12 +524,7 @@ class _FieldLattice:
         corners = (self._x0, self._y0, self._x0 + shape[1] - 1, self._y0 + shape[0] - 1)
         self._operands = (_product_operands(c2, params.height_px)
                           if max(map(abs, corners)) <= _EXACT_COORD else None)
-        # Per-element weights of fx, fy and G (|w * L| = w * |L| for w >= 0), and
-        # the terms and running sums of cell()'s fold, in one array.
-        self._weights, self._terms, self._sums = fold = np.empty((3, 3, len(c1)))
-        fold[0, 0] = c1.ty
-        np.negative(c1.tx, out=fold[0, 1])
-        np.add(np.abs(c1.ty), np.abs(c1.tx), out=fold[0, 2])
+        self._weights = _weights(c1.tx, c1.ty)
 
     def _fill(self, index, x: np.ndarray, y: np.ndarray) -> None:
         """Evaluate points (x[i], y[i]) into the flat lattice at index, and mark them filled."""
@@ -530,9 +535,7 @@ class _FieldLattice:
     def cell(self, x: int, y: int) -> tuple[float, float, float]:
         """Unscaled fx, fy and G of cell (x, y), filling the points it reads.
 
-        The cell's weighted values and their running sums go to the
-        lattice's two kept (3, len(c1)) buffers, so its cells run on one
-        thread.  ValueError when one of fx, fy and G is not finite.
+        ValueError when one of fx, fy and G is not finite.
         """
         shift = y * self.values.shape[1] + x
         at = self._points + shift
@@ -541,10 +544,7 @@ class _FieldLattice:
         if todo.size:
             z = self._z[need] + complex(x, y)
             self._fill(todo, z.real, z.imag)
-        terms = np.multiply(self._weights, self.values.ravel()[self._flat + shift],
-                            out=self._terms)
-        np.abs(terms[2], out=terms[2])
-        fx, fy, g = _fold(terms, self._sums)
+        fx, fy, g = _weighed_sums(self._weights, self.values.ravel()[self._flat + shift])
         if not (math.isfinite(fx) and math.isfinite(fy) and math.isfinite(g)):
             raise ValueError(f"force at cell ({x}, {y}) is not finite")
         return fx, fy, g
@@ -585,10 +585,10 @@ def force_map_fast(c1: EdgeCurrent, c2: EdgeCurrent,
 
     The vertical field of c2 is evaluated once per lattice point (cost
     lattice_size * len(c2)), then each map cell reduces to len(c1) lattice
-    lookups instead of a fresh double sum.  Cells match the naive map up to
-    floating-point regrouping.  ValueError when every cell's G is 0, so that
-    no cell has a force: at every shift, every element pair lies within
-    min_r, or its distance cubed overflows.
+    lookups instead of a fresh double sum.  Cells equal the naive map's bit
+    for bit.  ValueError when every cell's G is 0, so that no cell has a
+    force: at every shift, every element pair lies within min_r, or its
+    distance cubed overflows.
     """
     if len(c1) == 0 or len(c2) == 0:
         raise EmptyCurrentError("force_map_fast requires two non-empty currents")

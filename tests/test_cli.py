@@ -164,6 +164,24 @@ def test_force_reports_restoring_pull(shapes, capsys):
     assert doc["fx"] < 0 and doc["fy"] > 0  # pulled back toward alignment
 
 
+@pytest.mark.parametrize("shift", [(-5, 4), (3, -7)])
+def test_force_equals_the_map_row_of_its_shift(shapes, tmp_path, capsys, shift):
+    # One in-plane force formula: the force command's fx and fy at an integer
+    # shift are the map's at that cell, at a height and a strength that are
+    # not the defaults.
+    pair = ["--img1", str(shapes / "moved.pgm"), "--img2", str(shapes / "rect.pgm"),
+            "--height", "8", "--strength", "2.5"]
+    code, stdout, _ = run(capsys, "force", *pair, "--shift", "{},{}".format(*shift))
+    assert code == 0
+    doc = json.loads(stdout)
+    assert run(capsys, "map", *pair, "--out-dir", str(tmp_path))[0] == 0
+    cell = "{}\t{}\t".format(16 + shift[0], 16 + shift[1])  # origin (16, 16)
+    (row,) = [line for line in (tmp_path / "force_map.tsv").read_text().splitlines()
+              if line.startswith(cell)]
+    fx, fy = map(float, row.split("\t")[2:])
+    assert (doc["fx"], doc["fy"]) == (fx, fy)
+
+
 def test_map_outputs(shapes, tmp_path, capsys):
     code, stdout, _ = run(capsys, "map", "--img1", str(shapes / "moved.pgm"),
                           "--img2", str(shapes / "rect.pgm"),

@@ -238,6 +238,22 @@ def test_bz_at_drives_planar_force():
     assert math.isclose(f.y, -el.tx * b, rel_tol=1e-12)
 
 
+def test_force_on_element_weighs_bz_at():
+    # At unit strength the in-plane force is (t1y, -t1x) times the field,
+    # exactly: both read the same field sum.
+    rng = np.random.default_rng(13)
+    for _ in range(20):
+        c2 = random_current(rng)
+        params = ForceParams(height_px=float(rng.choice([0.0, 0.5, 3.0])),
+                             min_r=float(rng.choice([1e-9, 2.0])))
+        el = CurrentElement(int(rng.integers(0, 16)), int(rng.integers(0, 16)),
+                            float(rng.uniform(-5, 5)), float(rng.uniform(-5, 5)))
+        shift = Vec2(float(rng.integers(-4, 5)), float(rng.uniform(-4, 4)))
+        f = force_on_element(el, c2, shift, params)
+        b = bz_at(c2, el.x + shift.x, el.y + shift.y, params)
+        assert _byte_tuple((f.x, f.y)) == _byte_tuple((el.ty * b, -el.tx * b))
+
+
 def test_empty_second_current_gives_zero():
     c2 = empty_current()
     f = force_on_element(T_EAST, c2, Vec2(0.0, 0.0))
@@ -285,9 +301,26 @@ def test_fast_map_matches_naive_map():
     naive = force_map(c1, c2, params)
     fast = force_map_fast(c1, c2, params)
     assert (fast.width, fast.height, fast.origin) == (naive.width, naive.height, naive.origin)
-    scale = max(float(np.abs(naive.fx).max()), float(np.abs(naive.fy).max()))
-    assert float(np.abs(fast.fx - naive.fx).max()) <= 1e-9 * scale
-    assert float(np.abs(fast.fy - naive.fy).max()) <= 1e-9 * scale
+    for name in ("fx", "fy", "g"):
+        assert getattr(fast, name).tobytes() == getattr(naive, name).tobytes(), name
+
+
+@pytest.mark.parametrize("kind", ["rectangle", "square", "ellipse", "circle"])
+@pytest.mark.parametrize("n", [32, 64])
+def test_total_force_equals_the_fast_map_cell(kind, n):
+    # total_force at an integer shift weighs and folds the field values that
+    # the fast map's cell does, so the two agree bit for bit.
+    ref = synth_shape(kind, n, n)
+    c1, c2 = extract_current(shift_image(ref, n // 8, -(n // 10))), extract_current(ref)
+    for h in (0.0, 5.0, 8.0):
+        for strength in (1.0, 1.7):
+            params = ForceParams(strength=strength, height_px=h)
+            fmap = force_map_fast(c1, c2, params)
+            for x, y in ((fmap.ox, fmap.oy), (fmap.ox - n // 8, fmap.oy + n // 10),
+                         (0, 0), (n - 1, 3), (5, n - 2)):
+                f = total_force(c1, c2, Vec2(float(x - fmap.ox), float(y - fmap.oy)), params)
+                cell = fmap.cell(x, y)
+                assert _byte_tuple((f.x, f.y)) == _byte_tuple((cell.x, cell.y)), (h, x, y)
 
 
 def test_fast_map_folds_bz_at_over_first_current():
@@ -569,9 +602,8 @@ def test_close_pair_rule_of_the_product_form(h, min_r, folded, masked):
 def test_lattice_buffers_carry_no_state_between_cells(h, min_r, monkeypatch):
     # 1000 elements of c2 give blocks of 16 points.  Walking every cell in
     # row-major order, the first cell evaluates all of c1's points across
-    # several blocks and later ones fewer; the reused evaluation and fold
-    # buffers must leave each value as a fresh lattice's whole-map fill
-    # computes it.
+    # several blocks and later ones fewer; the reused evaluation buffers
+    # must leave each value as a fresh lattice's whole-map fill computes it.
     rng = np.random.default_rng(59)
     c1, c2 = dyadic_current(rng, 12, 10, 80), dyadic_current(rng, 9, 7, 1000)
     params = ForceParams(height_px=h, min_r=min_r)
@@ -716,8 +748,7 @@ def test_term_buffer_views_follow_replaced_buffers(monkeypatch):
 
 def test_interleaved_lattices_keep_their_own_fold_buffers():
     # Two lattices for pairs of different sizes, alive on one thread, read
-    # their cells in turn: each must keep its own fold buffers (a thread's
-    # would have one shape for both) and equal its own whole map's bytes.
+    # their cells in turn: each must equal its own whole map's bytes.
     rect, ellipse = synth_shape("rectangle", 32, 32), synth_shape("ellipse", 32, 32)
     pairs = [(extract_current(shift_image(rect, 3, -2)), extract_current(rect),
               ForceParams(height_px=8.0)),
