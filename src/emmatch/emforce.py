@@ -35,15 +35,15 @@ bit at integer shifts.
 
 Map shifts and element positions are integers, so every shifted element of
 the first current lands on one small lattice of points; _FieldLattice holds
-the second current's field there, evaluating each point once, when first
-needed.  force_map_fast fills the whole lattice, a run of rows at a time;
-match_images walks it and fills only the points its path reaches, so its
-forces equal the fast map's bit for bit.  A walk cell's fixed cost is kept
-to a few array calls: the lattice sets up its points and weights once, and
-a cell adds its shift to the points, fills the missing ones, and weighs
-and folds its values.  Every map also carries, per cell, the gross sum G
-of the magnitudes its force summed, which sets the scale of its rounding
-residue.
+the second current's field there, evaluating a point when a cell first
+needs it, once for each element on it, and an extracted current has one
+per pixel.  force_map_fast fills the whole lattice, a run of rows at a
+time; match_images walks it and fills only the points its path reaches, so
+its forces equal the fast map's bit for bit.  A walk cell's fixed cost is
+kept to a few array calls: the lattice sets up its points and weights once,
+and a cell adds its shift to the points, fills the missing ones, and weighs
+and folds its values.  Every map also carries, per cell, the gross sum G of
+the magnitudes its force summed, which sets the scale of its rounding residue.
 
 The evaluator's first step, r^2 - h^2 and the Bz numerators, has two
 forms; the rest is shared.  The direct form subtracts coordinates
@@ -229,7 +229,7 @@ _EXACT_QUANTUM = 1.0 / 16.0
 _EXACT_H2 = 2.0 ** 50
 
 
-def _is_exact(values, bound: float, quantum: float = 1.0) -> bool:
+def _is_exact(values, bound: float, quantum: float) -> bool:
     """Whether every value is a multiple of quantum of magnitude at most bound."""
     magnitudes = np.abs(values, dtype=np.float64)
     if not np.maximum.reduce(magnitudes, axis=None, initial=0.0) <= bound:  # nan fails too
@@ -238,7 +238,7 @@ def _is_exact(values, bound: float, quantum: float = 1.0) -> bool:
     return bool((units == np.floor(units)).all())
 
 
-def _product_operands(c2: EdgeCurrent, height_px: float = 0.0):
+def _product_operands(c2: EdgeCurrent, height_px: float):
     """c2's element rows of the product form and the h^2 they hold, or None where not exact.
 
     Points (X, Y, 1, X^2 + Y^2) times the first rows give X^2 + Y^2 - 2 X x
@@ -450,6 +450,14 @@ def total_force(c1: EdgeCurrent, c2: EdgeCurrent, shift1: Vec2,
     return Vec3(*map(float, _scaled(f, params.strength)))
 
 
+def _summed(fmap: ForceMap, strength: float) -> ForceMap:
+    """The unscaled fmap times strength, once, as in total_force; ValueError where G is all 0."""
+    if not fmap.g.any():
+        raise ValueError("the force model sums nothing at any shift: every element pair "
+                         "lies within min_r, or its distance cubed overflows")
+    return fmap.scaled(strength)
+
+
 @np.errstate(**_UNCHECKED)
 def force_map(c1: EdgeCurrent, c2: EdgeCurrent,
               params: ForceParams = ForceParams()) -> ForceMap:
@@ -459,7 +467,7 @@ def force_map(c1: EdgeCurrent, c2: EdgeCurrent,
     W x H of c2; cell (x, y) maps to shift (x - ox, y - oy) with the origin
     at (W // 2, H // 2).  Each cell, evaluated serially in row-major order,
     weighs c2's field at c1's shifted elements as a lattice cell does, so
-    its fx and fy are total_force's.
+    its fx and fy are total_force's.  ValueError when every cell's G is 0.
     """
     if len(c1) == 0 or len(c2) == 0:
         raise EmptyCurrentError("force_map requires two non-empty currents")
@@ -471,8 +479,7 @@ def force_map(c1: EdgeCurrent, c2: EdgeCurrent,
         for x in range(w):
             field = _field_sums(c2, c1.xs + float(x - ox), c1.ys + float(y - oy), params)
             f[:, y, x] = _weighed_sums(weights, field)
-    # Strength scales the final sums once, as in total_force.
-    return ForceMap(w, h, ox, oy, *f).scaled(params.strength)
+    return _summed(ForceMap(w, h, ox, oy, *f), params.strength)
 
 
 class _FieldLattice:
@@ -484,14 +491,15 @@ class _FieldLattice:
     evaluates planar points with _field_sums into the row-major lattice, at
     an index array or a slice: a cell's unfilled points when it first needs
     them, the whole lattice a run of rows at a time for the whole map.  A
-    cell finds its points among c1's distinct ones, kept with their planar
-    x and y at cell (0, 0), to which it adds its own x and y; no point's
-    value depends on which others it is filled with.  Without the strength
-    factor, a cell's force is (sum t1y_i L_i, -sum t1x_i L_i) over its
-    lattice values L_i, and its gross sum is G = sum (|t1y_i| + |t1x_i|)
-    |L_i|, each added left to right in element storage order, so one cell
-    reads the same whether the whole map or a single walk computes it.
-    _fill evaluates in the thread's _term_buffers, as every evaluation does.
+    cell adds its own x and y to each element's planar point at cell (0, 0)
+    and evaluates those not yet filled, a point once per element on it; no
+    point's value depends on which others it is filled with.  Without the
+    strength factor, a cell's force is (sum t1y_i L_i, -sum t1x_i L_i)
+    over its lattice values L_i, and its gross sum is G = sum (|t1y_i| +
+    |t1x_i|) |L_i|, each added left to right in element storage order, so
+    one cell reads the same whether the whole map or a single walk computes
+    it.  _fill evaluates in the thread's _term_buffers, as every evaluation
+    does.
     """
 
     @np.errstate(**_UNCHECKED)
@@ -502,24 +510,15 @@ class _FieldLattice:
         # Planar point of lattice column 0 and row 0.
         self._x0 = x_lo - self.width // 2
         self._y0 = y_lo - self.height // 2
-        box = int(np.maximum.reduce(c1.ys)) - y_lo + 1  # rows of c1's element box
-        shape = (box - 1 + self.height, int(np.maximum.reduce(c1.xs)) - x_lo + self.width)
+        shape = (int(np.maximum.reduce(c1.ys)) - y_lo + self.height,
+                 int(np.maximum.reduce(c1.xs)) - x_lo + self.width)
         self.values = np.empty(shape, dtype=np.float64)
         self._filled = np.zeros(shape, dtype=bool)
-        # Row-major lattice index of each element at cell (0, 0), and the distinct
-        # indices with their planar x and y: elements on one point share it.  Cell
-        # (x, y) adds y * lattice width + x to the indices, x and y to the points.
+        # Row-major lattice index of each element at cell (0, 0), and its planar
+        # point x + iy there.  Cell (x, y) adds y * lattice width + x to the
+        # indices and x + iy to the points, one add each.
         self._flat = (c1.ys - y_lo) * shape[1] + (c1.xs - x_lo)
-        # The distinct indices, in order, are marked on the still empty _filled and
-        # listed: np.unique would load numpy.ma, which no CLI command may import,
-        # and np.sort's first call adds about 0.25 MiB to a match walk's peak RSS.
-        marks = self._filled.ravel()[:box * shape[1]]
-        marks[self._flat] = True
-        self._points = np.flatnonzero(marks)
-        marks[self._points] = False
-        # A point x + iy as a complex number: a cell moves them all with one add.
-        rows, cols = np.divmod(self._points, shape[1])
-        self._z = cols + 1j * rows + complex(self._x0, self._y0)
+        self._z = c1.xs + 1j * c1.ys - complex(self.width // 2, self.height // 2)
         # The product form where every lattice point and c2 keep it exact.
         corners = (self._x0, self._y0, self._x0 + shape[1] - 1, self._y0 + shape[0] - 1)
         self._operands = (_product_operands(c2, params.height_px)
@@ -537,14 +536,13 @@ class _FieldLattice:
 
         ValueError when one of fx, fy and G is not finite.
         """
-        shift = y * self.values.shape[1] + x
-        at = self._points + shift
+        at = self._flat + (y * self.values.shape[1] + x)
         need = ~self._filled.ravel()[at]  # ravel() views gather faster than .flat
         todo = at[need]
         if todo.size:
             z = self._z[need] + complex(x, y)
             self._fill(todo, z.real, z.imag)
-        fx, fy, g = _weighed_sums(self._weights, self.values.ravel()[self._flat + shift])
+        fx, fy, g = _weighed_sums(self._weights, self.values.ravel()[at])
         if not (math.isfinite(fx) and math.isfinite(fy) and math.isfinite(g)):
             raise ValueError(f"force at cell ({x}, {y}) is not finite")
         return fx, fy, g
@@ -586,18 +584,11 @@ def force_map_fast(c1: EdgeCurrent, c2: EdgeCurrent,
     The vertical field of c2 is evaluated once per lattice point (cost
     lattice_size * len(c2)), then each map cell reduces to len(c1) lattice
     lookups instead of a fresh double sum.  Cells equal the naive map's bit
-    for bit.  ValueError when every cell's G is 0, so that no cell has a
-    force: at every shift, every element pair lies within min_r, or its
-    distance cubed overflows.
+    for bit, and it refuses a map that sums nothing as force_map does.
     """
     if len(c1) == 0 or len(c2) == 0:
         raise EmptyCurrentError("force_map_fast requires two non-empty currents")
-    fmap = _FieldLattice(c1, c2, params).force_map()
-    if not fmap.g.any():
-        raise ValueError("the force model sums nothing at any shift: every element pair "
-                         "lies within min_r, or its distance cubed overflows")
-    # Strength scales the final sums once, as in total_force.
-    return fmap.scaled(params.strength)
+    return _summed(_FieldLattice(c1, c2, params).force_map(), params.strength)
 
 
 def force_map_tsv(fmap: ForceMap) -> str:

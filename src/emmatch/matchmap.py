@@ -100,15 +100,18 @@ def _sectors(fx, fy, g=None):
     cutoff, so that the vector may be balanced.
     """
     cut = ZERO_FORCE_EPS if g is None else BALANCE_RTOL * g
+    # A vector below 2**-500 rotates 2**600 times larger: exactly, and clear of subnormal rounding.
     if isinstance(fx, np.ndarray):
         with np.errstate(over="ignore", invalid="ignore"):  # inf and nan as in float arithmetic
-            wx = fx * _COS + fy * _SIN
-            wy = fy * _COS - fx * _SIN
+            lift = np.where(np.maximum(np.abs(fx), np.abs(fy)) < 2.0 ** -500, 2.0 ** 600, 1.0)
+            wx = lift * fx * _COS + lift * fy * _SIN
+            wy = lift * fy * _COS - lift * fx * _SIN
             magnitude = np.hypot(fx, fy)
     else:
         fx, fy, cut = float(fx), float(fy), float(cut)
-        wx = fx * _COS + fy * _SIN
-        wy = fy * _COS - fx * _SIN
+        lift = 2.0 ** 600 if max(abs(fx), abs(fy)) < 2.0 ** -500 else 1.0
+        wx = lift * fx * _COS + lift * fy * _SIN
+        wy = lift * fy * _COS - lift * fx * _SIN
         magnitude = math.inf  # |F| exceeds the cutoff where a component does
         if not (abs(fx) > cut or abs(fy) > cut):
             with np.errstate(over="ignore"):  # only an infinite g leaves |F| room to overflow
@@ -359,8 +362,8 @@ def match_images(img1: GrayImage, img2: GrayImage,
 
     Extracts both edge currents once, then repeatedly translates the first
     current by a cumulative offset, reads the planar total force on it off
-    force_map_fast's field lattice, evaluating each lattice point the walk
-    needs once, and steps the offset along the discretized direction.  The
+    force_map_fast's field lattice, evaluating only the lattice points the
+    walk reaches, and steps the offset along the discretized direction.  The
     path therefore equals follow_path(force_map_fast(c1, c2),
     origin, stop_at_origin=False) at unit strength.  Settling into a
     balance (a balanced force, or a two-cell oscillation) is a match; the

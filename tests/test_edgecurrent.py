@@ -460,6 +460,8 @@ def test_extract_current_equals_the_staged_route(img, pct, strict, smooth):
     assert np.array_equal(got.xs, want.xs) and np.array_equal(got.ys, want.ys)
     assert got.tx.tobytes() == want.tx.tobytes() and got.ty.tobytes() == want.ty.tobytes()
     assert got.dropped == want.dropped == 0
+    # One element per pixel, in row-major order, so a field lattice evaluates no point twice.
+    assert (np.diff(got.ys * got.width + got.xs) > 0).all()
 
 
 @pytest.mark.parametrize("smooth", [False, True])

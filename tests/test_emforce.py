@@ -3,6 +3,7 @@ import math
 import sys
 import threading
 import weakref
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -344,31 +345,36 @@ def test_fast_map_folds_bz_at_over_first_current():
 
 def test_lattice_cells_equal_the_fast_map(monkeypatch):
     # Cells read one at a time, in any order, fill only the lattice points
-    # they need, each once, even where two elements of c1 share a point;
-    # c2's tangents in sixteenths, as image currents have, take the product
-    # form.  100 elements of c2 make blocks of 163 points, so the fast map's
-    # whole-lattice fill spans four blocks, the last one shorter.
+    # they need, and no point in two calls.  Within its one call a cell
+    # evaluates a point once for each element of c1 on it: twice where the
+    # appended copy of element 3 shares that element's point, once
+    # elsewhere.  c2's tangents in sixteenths, as image currents have, take
+    # the product form.  100 elements of c2 make blocks of 163 points, so
+    # the fast map's whole-lattice fill spans four blocks, the last one
+    # shorter.
     rng = np.random.default_rng(31)
     c = random_current(rng)
     c1 = EdgeCurrent(c.width, c.height, np.append(c.xs, c.xs[3]), np.append(c.ys, c.ys[3]),
                      np.append(c.tx, 2.5), np.append(c.ty, -1.0))
+    on = Counter(zip(c1.xs.tolist(), c1.ys.tolist()))  # elements of c1 on each point
+    assert sorted(on.values())[-2:] == [1, 2]
     c2 = random_current(rng, width=12, height=10, n=100)
     sixteenths = EdgeCurrent(12, 10, c2.xs, c2.ys, np.round(16 * c2.tx) / 16,
                              np.round(16 * c2.ty) / 16)
     params = ForceParams(height_px=2.0)
-    points, products, kept = [], [], []
+    calls, products, kept = [], [], []
     real = emforce._field_sums
 
     def recording(c2, px, py, params, operands=None):
         products.append(operands is not None)
-        points.extend(zip(px.tolist(), py.tolist()))
+        calls.append(Counter(zip(px.tolist(), py.tolist())))
         sums = real(c2, px, py, params, operands)
         kept.append(emforce._kept.buffers)  # every cell evaluates in the thread's one set
         return sums
 
     for current, product in ((c2, False), (sixteenths, True)):
         fmap = force_map_fast(c1, current, params)
-        points.clear()
+        calls.clear()
         products.clear()
         with monkeypatch.context() as m:
             m.setattr(emforce, "_field_sums", recording)
@@ -378,8 +384,14 @@ def test_lattice_cells_equal_the_fast_map(monkeypatch):
             cells = [(x, y) for y in range(fmap.height) for x in range(fmap.width)]
             for k in rng.permutation(len(cells)):
                 x, y = cells[k]
+                first = len(calls)
                 assert lattice.cell(x, y) == (fmap.fx[y, x], fmap.fy[y, x], fmap.g[y, x])
-                assert len(points) == len(set(points))
+                assert len(calls) - first <= 1
+                dx, dy = x - fmap.ox, y - fmap.oy
+                for call in calls[first:]:
+                    assert all(n == on[px - dx, py - dy] for (px, py), n in call.items())
+        assert sum(map(len, calls)) == len(set().union(*calls))  # no point in two calls
+        assert 2 in set().union(*(call.values() for call in calls))
         assert products and set(products) == {product}
         assert all(k is kept[0] for k in kept)
 
@@ -440,8 +452,9 @@ def test_product_form_equals_the_direct_kernel(c1, c2, h, min_r):
     if reference.g.any():
         assert force_map_fast(c1, c2, params).fx.tobytes() == reference.fx.tobytes()
     else:  # no cell sums anything: every tangent is zero, or every pair lies within min_r
-        with pytest.raises(ValueError, match="sums nothing at any shift"):
-            force_map_fast(c1, c2, params)
+        for build in (force_map_fast, force_map):
+            with pytest.raises(ValueError, match="sums nothing at any shift"):
+                build(c1, c2, params)
     product, direct = lattice(True), lattice(False)
     for y in range(fast.height):
         for x in range(fast.width):
@@ -450,10 +463,10 @@ def test_product_form_equals_the_direct_kernel(c1, c2, h, min_r):
 
 def test_product_form_guard():
     coord, tangent, quantum = emforce._EXACT_COORD, emforce._EXACT_TANGENT, emforce._EXACT_QUANTUM
-    assert emforce._is_exact([-2 ** 24, 0, 2 ** 24], coord)
-    assert not emforce._is_exact([2 ** 24 + 1], coord)
-    assert not emforce._is_exact([-2 ** 24 - 1], coord)
-    assert not emforce._is_exact([3.5], coord)
+    assert emforce._is_exact([-2 ** 24, 0, 2 ** 24], coord, 1.0)
+    assert not emforce._is_exact([2 ** 24 + 1], coord, 1.0)
+    assert not emforce._is_exact([-2 ** 24 - 1], coord, 1.0)
+    assert not emforce._is_exact([3.5], coord, 1.0)
     assert emforce._is_exact([-2.0 ** 20, 2.0 ** 20, 1 / 16, -0.0], tangent, quantum)
     assert not emforce._is_exact([1 / 32], tangent, quantum)
     assert not emforce._is_exact([2.0 ** 21], tangent, quantum)
@@ -463,10 +476,10 @@ def test_product_form_guard():
         return EdgeCurrent(width, 8, np.array([1, x]), np.array([2, 5]),
                            np.array([1.0, tx]), np.array([-0.5, 3.0]))
 
-    assert emforce._product_operands(current(3, 2.0 ** 20)) is not None
+    assert emforce._product_operands(current(3, 2.0 ** 20), 0.0) is not None
     # a 1/32 quantum, |t| = 2**21 and a coordinate past 2**24 keep the direct kernel
     for c in (current(3, 1 / 32), current(3, 2.0 ** 21), current(2 ** 24 + 1, 1.0, 2 ** 24 + 2)):
-        assert emforce._product_operands(c) is None
+        assert emforce._product_operands(c, 0.0) is None
     lattice = emforce._FieldLattice(current(3, 1 / 32), current(4, 1 / 32), ForceParams())
     assert lattice._operands is None
     # An exact c2 keeps the direct form where the lattice reaches past 2**24:
@@ -493,7 +506,7 @@ def test_blocks_share_no_state(h, min_r):
     px, py = rng.integers(-5, 45, size=(2, n)).astype(np.float64)
     txs, tys = rng.normal(size=(2, n))
     params = ForceParams(height_px=h, min_r=min_r)
-    operands = emforce._product_operands(c2)
+    operands = emforce._product_operands(c2, 0.0)
     assert operands is not None
     for form in (None, operands):
         alone = [emforce._field_sums(c2, px[i:i + 1], py[i:i + 1], params, form)

@@ -129,10 +129,15 @@ class TestDiscretize8:
 
 
 def nested_where_sectors(fx, fy, g=None):
-    """The sector rule _sectors replaced: nested np.where over the rotated vector."""
+    """The sector rule _sectors replaced: nested np.where over the rotated vector.
+
+    Like _sectors, it rotates a vector below 2**-500 2**600 times larger,
+    so that no product rounds in the subnormal range.
+    """
     with np.errstate(over="ignore", invalid="ignore"):
-        wx = np.multiply(fx, C) + np.multiply(fy, S)
-        wy = np.multiply(fy, C) - np.multiply(fx, S)
+        lift = np.where(np.maximum(np.abs(fx), np.abs(fy)) < 2.0 ** -500, 2.0 ** 600, 1.0)
+        wx = np.multiply(lift * fx, C) + np.multiply(lift * fy, S)
+        wy = np.multiply(lift * fy, C) - np.multiply(lift * fx, S)
         magnitude = np.hypot(fx, fy)
         balanced = (magnitude < ZERO_FORCE_EPS if g is None
                     else magnitude <= np.multiply(BALANCE_RTOL, g))
@@ -207,6 +212,9 @@ HUGE = 1.7e308  # |F| of (HUGE, HUGE) overflows np.hypot
           (2.0, -0.0, 1.0), (-2.0, 0.0, 1.0), (-0.0, 2.0, 1.0), (0.0, -2.0, 1.0)], True)
 @example([(0.0, 0.0, 1.0), (-0.0, 0.0, 1.0), (0.0, -0.0, 1.0), (-0.0, -0.0, 1.0),
           (2.0, -0.0, 1.0), (-2.0, 0.0, 1.0), (-0.0, 2.0, 1.0), (0.0, -2.0, 1.0)], False)
+# subnormal vectors, which an unscaled rotation rounds across a boundary
+@example([(5e-324, 0.0, 0.0), (0.0, 5e-324, 0.0), (-5e-324, -0.0, 0.0), (1e-310, -3e-310, 0.0)],
+         True)
 # the four boundaries that rotate exactly onto an axis
 @example([(*v, 1.0) for v in BOUNDARIES[:4]], True)
 @example([(*v, 1.0) for v in BOUNDARIES[:4]], False)
@@ -418,6 +426,8 @@ GLYPHS = {Direction8.E: ">", Direction8.SE: "\\", Direction8.S: "v", Direction8.
 
 
 @given(constructed_maps())
+# a force of 5e-324 south: rotating it unscaled rounds its east part to 0, a boundary
+@example(ForceMap(1, 2, 0, 1, np.zeros((2, 1)), [[5e-324], [0.0]], [[5e-324], [1.0]]))
 @settings(max_examples=100, deadline=None)
 def test_walks_agree_with_reference_loop(fmap):
     want_labels = {}
@@ -531,8 +541,9 @@ class TestNoForce:
     def test_a_map_in_which_no_cell_sums_anything_is_an_error(self, rect_img):
         c1, c2 = extract_current(shift_image(rect_img, 3, -2)), extract_current(rect_img)
         for params in (ForceParams(min_r=60.0), ForceParams(height_px=1e200)):
-            with pytest.raises(ValueError, match="sums nothing at any shift"):
-                force_map_fast(c1, c2, params)
+            for build in (force_map_fast, force_map):
+                with pytest.raises(ValueError, match="sums nothing at any shift"):
+                    build(c1, c2, params)
 
 
 class TestClassifyMap:
