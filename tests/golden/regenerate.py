@@ -12,7 +12,9 @@ It writes three plain JSON files:
   and on each kind's first 32 px pair, at seven (height_px, min_r) settings
   that cover the force evaluator's three close-pair rules.
 - cli-sha256.json: the sha256 of every file the CLI writes (synth, edges,
-  current, map, classify and match) for one 32 px pair per kind.
+  current, map, classify and match) for one 32 px pair per kind, and of
+  what force prints for that pair at a fractional shift, once at each of
+  FORCE_SETTINGS.
 - rectangle-32-match.json: the 32 px rectangle pair's match.json, verbatim.
 
 tests/test_golden.py builds the same bytes in process and compares them with
@@ -45,6 +47,11 @@ CLOSE_PAIR_SETTINGS = ((0.0, 1e-9), (5.0, 1e-9), (8.0, 1e-9), (3.0, 3.1), (8.0, 
 # The CLI pair: the moved image at the first planted shift against the reference.
 CLI_HEIGHT = "8"
 CLI_MATCH = "rectangle-32-match.json"
+# force's shift and its (listing key, force flags) settings: the h^2 fold
+# with no mask, and the direct form's mask rule.
+FORCE_SHIFT = "0.5,-0.25"
+FORCE_SETTINGS = (("force/h8.json", ("--height", "8")),
+                  ("force/h3-min-r3.1.json", ("--height", "3", "--min-r", "3.1")))
 
 
 def planted_shifts(size: int) -> tuple[tuple[int, int], tuple[int, int]]:
@@ -86,11 +93,13 @@ def matches() -> bytes:
     return _lines([_case(*case) for case in cases])
 
 
-def _cli(*argv: str) -> None:
-    with contextlib.redirect_stdout(io.StringIO()):
+def _cli(*argv: str) -> bytes:
+    """What emmatch argv prints, as the console script writes it; RuntimeError unless it exits 0."""
+    with contextlib.redirect_stdout(io.StringIO()) as out:
         code = main(list(argv))
     if code != 0:
         raise RuntimeError(f"emmatch {' '.join(argv)} exited {code}")
+    return out.getvalue().encode("utf-8")
 
 
 def cli_outputs() -> tuple[bytes, bytes]:
@@ -110,9 +119,13 @@ def cli_outputs() -> tuple[bytes, bytes]:
             _cli("classify", "--img1", moved, "--img2", moved, "--height", CLI_HEIGHT,
                  "--out-dir", str(d / "classify"))
             _cli("match", *pair, "--out-dir", str(d / "match"))
-            for path in sorted(p for p in d.rglob("*") if p.is_file()):
-                key = path.relative_to(tmp).as_posix()
-                digests[key] = hashlib.sha256(path.read_bytes()).hexdigest()
+            outputs = {path.relative_to(d).as_posix(): path.read_bytes()
+                       for path in d.rglob("*") if path.is_file()}
+            for key, flags in FORCE_SETTINGS:
+                outputs[key] = _cli("force", "--img1", moved, "--img2", ref,
+                                    "--shift", FORCE_SHIFT, *flags)
+            for key, data in outputs.items():
+                digests[f"{kind}/{key}"] = hashlib.sha256(data).hexdigest()
         match_json = (Path(tmp) / "rectangle" / "match" / "match.json").read_bytes()
     listing = json.dumps(digests, indent=1, sort_keys=True) + "\n"
     return listing.encode("utf-8"), match_json
