@@ -18,14 +18,15 @@ components feed the (unused by matching) z force.  Each in-plane force is
 Pairs closer than min_r are skipped to avoid the singularity at zero
 separation.
 
-Array evaluations share one blocked evaluator, _terms: for each block of
-about _BLOCK_TERMS pair terms it yields the Bz numerators, guarded |r|^3
-and the min_r mask against the second current's elements, and the
-force-row and field sums add its output.  Every evaluation blocks in the
-one set of buffers its thread keeps, so no evaluation may start inside
-another on the same thread.  _terms alone keeps close pairs out, by one
-of three rules: no mask where h >= min_r; on the product form (below) at
-h 0 with min_r <= 1, a floor of 1 under r^2; otherwise, the mask.
+Array evaluations share one blocked evaluator, _field_sums: for each
+block of about _BLOCK_TERMS pair terms against the second current's
+elements it forms the Bz numerators and guarded |r|^3 and sums the field,
+and given the first elements' tangents, their z terms from the same |r|^3
+too.  Every evaluation blocks in the one set of buffers its thread keeps,
+so no evaluation may start inside another on the same thread.
+_field_sums alone keeps close pairs out, by one of three rules that
+_close_rule picks: no mask where h >= min_r; on the product form (below)
+at h 0 with min_r <= 1, a floor of 1 under r^2; otherwise, the mask.
 pair_force is the scalar reference for one pair, and force_map, which
 weighs the field at each shift's points in turn, the reference for the
 map.  Sums run in element storage order, and one shift's sums over the
@@ -208,14 +209,14 @@ def pair_force(t1: CurrentElement, t2: CurrentElement, shift1: Vec2,
 # finite check that follows it, not by a warning.
 _UNCHECKED = dict(over="ignore", invalid="ignore")
 
-# Pair terms per block of _terms, so that a walk step's new points fit in a
+# Pair terms per block of _field_sums, so that a walk step's new points fit in a
 # few blocks.  Peak RSS bounds the size, as a thread keeps its buffers: in
 # perfbench's match_walk runs, 16,384-term blocks kept peak RSS within 0.2
 # MiB of per-call 8,192-term buffers, 32,768-term blocks added 0.5-0.7 MiB.
 _BLOCK_TERMS = 1 << 14
 _kept = threading.local()  # .buffers and .views: the thread's _term_buffers
 
-# Bounds under which the product form of _terms is exact: integer positions
+# Bounds under which the product form of _field_sums is exact: integer positions
 # of magnitude at most _EXACT_COORD, and tangents that are multiples of
 # _EXACT_QUANTUM of magnitude at most _EXACT_TANGENT.  Every product and
 # partial sum is then exact, in either form and in any order: those of r^2,
@@ -260,7 +261,7 @@ def _product_operands(c2: EdgeCurrent, height_px: float):
 
 
 def _term_buffers(rows: int, m: int):
-    """Views of the calling thread's buffers for _terms' blocks of rows points against m elements.
+    """Views of the calling thread's buffers for _field_sums' blocks of rows points against m elements.
 
     Returns (r3, root, num, close, square): three float and one min_r mask
     (rows, m) views, and the direct form's (rows, m) square.  A thread keeps
@@ -283,67 +284,18 @@ def _term_buffers(rows: int, m: int):
     return r3, root, num, close, square
 
 
-def _terms(c2: EdgeCurrent, px: np.ndarray, py: np.ndarray, params: ForceParams,
-           operands=None):
-    """Bz numerators, guarded cubed distances and the min_r mask of c2, by blocks.
+def _close_rule(h2: float, cut: float, product: bool) -> tuple[bool, bool]:
+    """Whether _field_sums floors r^2 at 1, and whether it masks, at h^2 h2 and min_r^2 cut.
 
-    Yields (b, num, r3, close, spare) for consecutive slices b of the query
-    points (px[i], py[i]); row i of the arrays is point b.start + i against
-    c2's elements in storage order.  close is None where no term needs the
-    mask (see below), and spare is free for the caller to overwrite.  The
-    arrays are views of the thread's _term_buffers, which the next block
-    overwrites, so no evaluation may start inside another on one thread.
-    operands, when given, are c2's _product_operands for params.height_px or
-    for height 0, and every point must then be an integer within
-    _EXACT_COORD: r^2 and the numerators come from two matrix products of
-    the points' rows (X, Y, 1, X^2 + Y^2), built once per call, equal to the
-    direct differences except that a zero numerator may take the other sign.
-
-    Close pairs are kept out by one of three rules.  Where h >= min_r no
-    pair is closer than min_r, and nothing is masked.  On the product form
-    at h 0 with min_r <= 1, r^2 is the exact integer square of a planar
+    product says whether the product form runs.  Where h >= min_r no pair
+    is closer than min_r, and nothing is masked.  On the product form at
+    h 0 with min_r <= 1, r^2 is the exact integer square of a planar
     distance, so only coincident pairs are closer, and the product form
     gives each of them a numerator of +-0: a floor of 1 under r^2 keeps
     their 0 / 0 out and changes no other r^2.  Every other case masks.
     """
-    m = len(c2)
-    step = max(1, _BLOCK_TERMS // max(m, 1))
-    r3, root, num, close, square = _term_buffers(step, m)
-    h2, cut = params.height_px * params.height_px, params.min_r * params.min_r
-    exact = operands is not None and operands[2] == h2  # the rows hold h^2
-    floor = operands is not None and h2 == 0.0 and cut <= 1.0
-    masked = h2 < cut and not floor
-    if operands is None:
-        xs, ys = c2.xs.astype(np.float64), c2.ys.astype(np.float64)
-    else:  # the points' rows (X, Y, 1, X^2 + Y^2) of the product form
-        points = np.empty((len(px), 4))
-        points[:, 0], points[:, 1], points[:, 2] = px, py, 1.0
-        np.multiply(px, px, out=points[:, 3])
-        points[:, 3] += py * py
-    for i in range(0, len(px), step):
-        b = slice(i, i + step)
-        k = min(step, len(px) - i)
-        r3k, numk, rootk = r3[:k], num[:k], root[:k]
-        if operands is None:
-            x, y = px[b], py[b]
-            dx = np.subtract(x[:, None], xs, out=rootk)
-            dy = np.subtract(y[:, None], ys, out=numk)
-            np.multiply(dx, dx, out=r3k)
-            r3k += np.multiply(dy, dy, out=square[:k])
-            dy *= c2.tx
-            dy -= np.multiply(dx, c2.ty, out=dx)  # Bz = t2x * dy - t2y * dx
-        else:
-            np.matmul(points[b], operands[0], out=r3k)
-            np.matmul(points[b, :3], operands[1], out=numk)
-        if h2 and not exact:
-            r3k += h2  # r^2, cubed in place below
-        if floor:
-            np.maximum(r3k, 1.0, out=r3k)
-        closek = np.less(r3k, cut, out=close[:k]) if masked else None
-        r3k *= np.sqrt(r3k, out=rootk)
-        if closek is not None:
-            np.copyto(r3k, 1.0, where=closek)  # placeholder, the term is zeroed later
-        yield b, numk, r3k, closek, rootk
+    floor = product and h2 == 0.0 and cut <= 1.0
+    return floor, h2 < cut and not floor
 
 
 def _row_sums(num: np.ndarray, r3: np.ndarray, close, out: np.ndarray) -> None:
@@ -380,34 +332,73 @@ def _weighed_sums(weights: np.ndarray, values: np.ndarray) -> list[float]:
     return _fold(terms)
 
 
-def _force_rows(xs: np.ndarray, ys: np.ndarray, txs: np.ndarray, tys: np.ndarray,
-                c2: EdgeCurrent, params: ForceParams) -> np.ndarray:
-    """Force sums of c2 on each query element, without the strength factor.
-
-    Column i of the (3, n) result is for the element at (xs[i], ys[i]) with
-    tangent (txs[i], tys[i]): its vertical field sum over c2 in storage
-    order weighed by (t1y, -t1x), and the sum of its z pair terms.
-    """
-    out = np.empty((3, len(xs)), dtype=np.float64)
-    bx, by = c2.ty * params.height_px, -(c2.tx) * params.height_px
-    for b, bz, r3, close, spare in _terms(c2, xs, ys, params):
-        _row_sums(bz, r3, close, out[0, b])  # L, as _field_sums gives it
-        fz = np.multiply(txs[b, None], by, out=bz)  # bz is no longer needed
-        fz -= np.multiply(tys[b, None], bx, out=spare)
-        _row_sums(fz, r3, close, out[2, b])
-    out[:2] = _weights(txs, tys)[:2] * out[0]
-    return out
-
-
-def _field_sums(c2: EdgeCurrent, px: np.ndarray, py: np.ndarray,
-                params: ForceParams, operands=None) -> np.ndarray:
+def _field_sums(c2: EdgeCurrent, px: np.ndarray, py: np.ndarray, params: ForceParams,
+                operands=None, t1=None) -> np.ndarray:
     """Vertical field of c2 without the strength factor at each point (px[i], py[i]).
 
-    Sums _terms' blocks; operands, when given, select its product form.
+    Sums Bz / |r|^3 over c2's elements in storage order, a block of about
+    _BLOCK_TERMS pair terms at a time in the thread's _term_buffers, so no
+    evaluation may start inside another on one thread; _close_rule keeps
+    close pairs out.  operands, when given, are c2's _product_operands for
+    params.height_px or for height 0, and every point must then be an
+    integer within _EXACT_COORD: r^2 and the numerators come from two
+    matrix products of the points' rows (X, Y, 1, X^2 + Y^2), built once
+    per call, equal to the direct differences except that a zero numerator
+    may take the other sign.
+
+    t1 = (txs, tys), when given, are the tangents of elements at the
+    points, and the result is then their (3, n) force sums instead: column
+    i holds the field at point i weighed by (t1y, -t1x), and the sum of
+    its z pair terms, from the same blocks' |r|^3.
     """
-    out = np.empty(len(px), dtype=np.float64)
-    for b, num, r3, close, _ in _terms(c2, px, py, params, operands):
-        _row_sums(num, r3, close, out[b])
+    m = len(c2)
+    step = max(1, _BLOCK_TERMS // max(m, 1))
+    r3, root, num, close, square = _term_buffers(step, m)
+    h2, cut = params.height_px * params.height_px, params.min_r * params.min_r
+    floor, masked = _close_rule(h2, cut, operands is not None)
+    add_h2 = h2 and not (operands is not None and operands[2] == h2)  # the rows lack h^2
+    if operands is None:
+        xs, ys = c2.xs.astype(np.float64), c2.ys.astype(np.float64)
+    else:  # the points' rows (X, Y, 1, X^2 + Y^2) of the product form
+        points = np.empty((len(px), 4))
+        points[:, 0], points[:, 1], points[:, 2] = px, py, 1.0
+        np.multiply(px, px, out=points[:, 3])
+        points[:, 3] += py * py
+    out = np.empty((1 if t1 is None else 3, len(px)), dtype=np.float64)
+    if t1 is not None:
+        txs, tys = t1
+        bx, by = c2.ty * params.height_px, -(c2.tx) * params.height_px
+    for i in range(0, len(px), step):
+        b = slice(i, i + step)
+        k = min(step, len(px) - i)
+        r3k, numk, rootk = r3[:k], num[:k], root[:k]
+        if operands is None:
+            x, y = px[b], py[b]
+            dx = np.subtract(x[:, None], xs, out=rootk)
+            dy = np.subtract(y[:, None], ys, out=numk)
+            np.multiply(dx, dx, out=r3k)
+            r3k += np.multiply(dy, dy, out=square[:k])
+            dy *= c2.tx
+            dy -= np.multiply(dx, c2.ty, out=dx)  # Bz = t2x * dy - t2y * dx
+        else:
+            np.matmul(points[b], operands[0], out=r3k)
+            np.matmul(points[b, :3], operands[1], out=numk)
+        if add_h2:
+            r3k += h2  # r^2, cubed in place below
+        if floor:
+            np.maximum(r3k, 1.0, out=r3k)
+        closek = np.less(r3k, cut, out=close[:k]) if masked else None
+        r3k *= np.sqrt(r3k, out=rootk)
+        if closek is not None:
+            np.copyto(r3k, 1.0, where=closek)  # placeholder, the term is zeroed below
+        _row_sums(numk, r3k, closek, out[0, b])
+        if t1 is not None:  # z terms t1x By - t1y Bx, in the buffers that Bz and the root free
+            fz = np.multiply(txs[b, None], by, out=numk)
+            fz -= np.multiply(tys[b, None], bx, out=rootk)
+            _row_sums(fz, r3k, closek, out[2, b])
+    if t1 is None:
+        return out[0]
+    out[:2] = _weights(txs, tys)[:2] * out[0]
     return out
 
 
@@ -419,8 +410,8 @@ def force_on_element(t1: CurrentElement, c2: EdgeCurrent, shift1: Vec2,
     x and y are (t1y, -t1x) times the field bz_at gives there at unit
     strength; z sums pair_force's z terms over c2.
     """
-    f = _force_rows(np.array([t1.x + shift1.x]), np.array([t1.y + shift1.y]),
-                    np.array([t1.tx]), np.array([t1.ty]), c2, params)[:, 0]
+    f = _field_sums(c2, np.array([t1.x + shift1.x]), np.array([t1.y + shift1.y]), params,
+                    t1=(np.array([t1.tx]), np.array([t1.ty])))[:, 0]
     return Vec3(*map(float, _scaled(f, params.strength)))
 
 
@@ -446,7 +437,7 @@ def total_force(c1: EdgeCurrent, c2: EdgeCurrent, shift1: Vec2,
     the result without disturbing its direction, even where the components
     nearly cancel.  A scaled result that is not finite raises ValueError.
     """
-    f = _fold(_force_rows(c1.xs + shift1.x, c1.ys + shift1.y, c1.tx, c1.ty, c2, params))
+    f = _fold(_field_sums(c2, c1.xs + shift1.x, c1.ys + shift1.y, params, t1=(c1.tx, c1.ty)))
     return Vec3(*map(float, _scaled(f, params.strength)))
 
 
@@ -487,19 +478,18 @@ class _FieldLattice:
 
     On c2's W x H shift grid, with origin (W // 2, H // 2), element i of c1
     at cell (x, y) sits on lattice point (xs_i - min(xs) + x, ys_i - min(ys)
-    + y): the lattice is c1's element box widened by the grid.  _fill
-    evaluates planar points with _field_sums into the row-major lattice, at
-    an index array or a slice: a cell's unfilled points when it first needs
-    them, the whole lattice a run of rows at a time for the whole map.  A
-    cell adds its own x and y to each element's planar point at cell (0, 0)
-    and evaluates those not yet filled, a point once per element on it; no
-    point's value depends on which others it is filled with.  Without the
+    + y): the lattice is c1's element box widened by the grid.  Points are
+    evaluated with _field_sums into the row-major values: by cell, which
+    adds its own x and y to each element's planar point at cell (0, 0),
+    evaluates those not yet filled, a point once per element on it, and
+    marks them in _filled; or by force_map, the whole lattice a run of rows
+    at a time, which writes values only.  No point's value depends on which
+    others it is evaluated with.  Without the
     strength factor, a cell's force is (sum t1y_i L_i, -sum t1x_i L_i)
     over its lattice values L_i, and its gross sum is G = sum (|t1y_i| +
     |t1x_i|) |L_i|, each added left to right in element storage order, so
     one cell reads the same whether the whole map or a single walk computes
-    it.  _fill evaluates in the thread's _term_buffers, as every evaluation
-    does.
+    it.
     """
 
     @np.errstate(**_UNCHECKED)
@@ -525,11 +515,6 @@ class _FieldLattice:
                           if max(map(abs, corners)) <= _EXACT_COORD else None)
         self._weights = _weights(c1.tx, c1.ty)
 
-    def _fill(self, index, x: np.ndarray, y: np.ndarray) -> None:
-        """Evaluate points (x[i], y[i]) into the flat lattice at index, and mark them filled."""
-        self.values.ravel()[index] = _field_sums(self.c2, x, y, self.params, self._operands)
-        self._filled.ravel()[index] = True
-
     @np.errstate(**_UNCHECKED)
     def cell(self, x: int, y: int) -> tuple[float, float, float]:
         """Unscaled fx, fy and G of cell (x, y), filling the points it reads.
@@ -541,7 +526,9 @@ class _FieldLattice:
         todo = at[need]
         if todo.size:
             z = self._z[need] + complex(x, y)
-            self._fill(todo, z.real, z.imag)
+            self.values.ravel()[todo] = _field_sums(self.c2, z.real, z.imag, self.params,
+                                                    self._operands)
+            self._filled.ravel()[todo] = True
         fx, fy, g = _weighed_sums(self._weights, self.values.ravel()[at])
         if not (math.isfinite(fx) and math.isfinite(fy) and math.isfinite(g)):
             raise ValueError(f"force at cell ({x}, {y}) is not finite")
@@ -563,8 +550,8 @@ class _FieldLattice:
         run = max(1, _BLOCK_TERMS // 4 // lw)  # lattice rows per fill
         for r in range(0, lh, run):
             ys = np.arange(self._y0 + r, self._y0 + min(r + run, lh), dtype=np.float64)
-            self._fill(slice(r * lw, (r + len(ys)) * lw), np.tile(xs, len(ys)),
-                       np.repeat(ys, lw))
+            self.values.ravel()[r * lw:(r + len(ys)) * lw] = _field_sums(
+                self.c2, np.tile(xs, len(ys)), np.repeat(ys, lw), self.params, self._operands)
         h, w = self.height, self.width
         magnitudes = np.abs(self.values)
         f = np.zeros((3, h, w), dtype=np.float64)  # fx, fy, g

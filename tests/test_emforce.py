@@ -513,14 +513,29 @@ def test_blocks_share_no_state(h, min_r):
                  for i in range(n)]
         assert emforce._field_sums(c2, px, py, params, form).tobytes() == \
             np.concatenate(alone).tobytes()
-    alone = [emforce._force_rows(px[i:i + 1], py[i:i + 1], txs[i:i + 1], tys[i:i + 1], c2, params)
-             for i in range(n)]
-    assert emforce._force_rows(px, py, txs, tys, c2, params).tobytes() == \
-        np.concatenate(alone, axis=1).tobytes()
+        # with the z row of the force sums
+        alone = [emforce._field_sums(c2, px[i:i + 1], py[i:i + 1], params, form,
+                                     (txs[i:i + 1], tys[i:i + 1])) for i in range(n)]
+        assert emforce._field_sums(c2, px, py, params, form, (txs, tys)).tobytes() == \
+            np.concatenate(alone, axis=1).tobytes()
+
+
+def _block_masks(monkeypatch, c2, px, py, params, operands=None):
+    """The min_r mask each of _field_sums' blocks hands _row_sums, None where it masks nothing."""
+    masks, real = [], emforce._row_sums
+
+    def recording(num, r3, close, out):
+        masks.append(close)
+        real(num, r3, close, out)
+
+    with monkeypatch.context() as m:
+        m.setattr(emforce, "_row_sums", recording)
+        emforce._field_sums(c2, px, py, params, operands)
+    return masks
 
 
 @pytest.mark.parametrize("h, masked", [(1.0, True), (2.0, False)])
-def test_min_r_mask_on_both_sides_of_the_height(h, masked):
+def test_min_r_mask_on_both_sides_of_the_height(h, masked, monkeypatch):
     # min_r 2: at h 1 a pair 1 apart in the plane is masked (r^2 = 2 < 4); at
     # h 2 no pair is (r^2 >= h^2 = 4), so the mask is skipped, and a pair at
     # planar distance 0 sits exactly on r^2 = min_r^2 and counts.  With t1y = 1
@@ -530,7 +545,8 @@ def test_min_r_mask_on_both_sides_of_the_height(h, masked):
     c2 = EdgeCurrent(8, 8, np.array([4, 3]), np.array([3, 5]),
                      np.array([1.0, 0.5]), np.array([0.25, -1.0]))
     for form in (None, emforce._product_operands(c2, h)):
-        ((_, _, _, close, _),) = emforce._terms(c2, np.array([3.0]), np.array([3.0]), params, form)
+        assert emforce._close_rule(h * h, 4.0, form is not None) == (False, masked)
+        (close,) = _block_masks(monkeypatch, c2, np.array([3.0]), np.array([3.0]), params, form)
         assert (close is None) is not masked
     t1, pair = c1.element(0), (c2.element(0), c2.element(1))
     assert (pair_force(t1, pair[0], Vec2(0.0, 0.0), params) == Vec3(0.0, 0.0, 0.0)) is masked
@@ -567,7 +583,7 @@ CLOSE_PAIR_RULES = [
 
 
 @pytest.mark.parametrize("h, min_r, folded, masked", CLOSE_PAIR_RULES)
-def test_close_pair_rule_of_the_product_form(h, min_r, folded, masked):
+def test_close_pair_rule_of_the_product_form(h, min_r, folded, masked, monkeypatch):
     # No mask runs where h >= min_r, nor at h 0 with min_r <= 1, where the
     # product form floors r^2 at 1.  Cells, with element positions of c1
     # landing on c2's at many shifts, stay byte-equal to the masked direct
@@ -580,7 +596,11 @@ def test_close_pair_rule_of_the_product_form(h, min_r, folded, masked):
     operands = emforce._product_operands(c2, h)
     assert operands[2] == folded
     px, py = np.array([4.0, 3.0, 0.0, 4.0]), np.array([3.0, 5.0, 0.0, 4.0])
-    closes = [close for _, _, _, close, _ in emforce._terms(c2, px, py, params, operands)]
+    # the product form floors r^2 where it does not mask below min_r; the direct form masks
+    floored = h < min_r and not masked
+    assert emforce._close_rule(h * h, min_r * min_r, True) == (floored, masked)
+    assert emforce._close_rule(h * h, min_r * min_r, False) == (False, h < min_r)
+    closes = _block_masks(monkeypatch, c2, px, py, params, operands)
     assert closes and all((close is not None) is masked for close in closes)
     t1, pair = c1.element(0), (c2.element(0), c2.element(1))
     walked, direct = (emforce._FieldLattice(c1, c2, params) for _ in range(2))
@@ -718,7 +738,7 @@ def test_term_buffer_views_follow_replaced_buffers(monkeypatch):
     wide = random_current(rng, width=140, height=140, n=_BLOCK_TERMS + 300)
     px, py = rng.integers(-20, 40, size=(2, 30)).astype(np.float64)
     params = ForceParams(height_px=0.5)
-    real, allocate = emforce._terms, np.empty
+    real, allocate = emforce._row_sums, np.empty
 
     def in_fresh_thread(work):
         out = []
@@ -733,11 +753,10 @@ def test_term_buffer_views_follow_replaced_buffers(monkeypatch):
         for c2 in (small, wide, small):
             old = [weakref.ref(a) for a in getattr(emforce._kept, "buffers", ())]
 
-            def recording(*args):
-                for block in real(*args):
-                    blocks.append(all(np.shares_memory(a, emforce._kept.buffers[k])
-                                      for a, k in ((block[1], 2), (block[2], 0))))
-                    yield block
+            def recording(num, r3, close, out):
+                blocks.append(all(np.shares_memory(a, emforce._kept.buffers[k])
+                                  for a, k in ((num, 2), (r3, 0))))
+                real(num, r3, close, out)
 
             def empty(shape, *args, **kwargs):
                 if np.prod(shape) >= len(wide):  # a buffer of the new set
@@ -745,7 +764,7 @@ def test_term_buffer_views_follow_replaced_buffers(monkeypatch):
                 return allocate(shape, *args, **kwargs)
 
             with monkeypatch.context() as m:
-                m.setattr(emforce, "_terms", recording)
+                m.setattr(emforce, "_row_sums", recording)
                 m.setattr(np, "empty", empty)
                 sums.append(emforce._field_sums(c2, px, py, params).tobytes())
         return sums, blocks, released
