@@ -7,7 +7,7 @@ force_map is its reference.  Glyphs draw through one grid.  edges,
 current, map and classify write their files through one writer once the
 result exists; match writes match.json and prints its payload, and synth
 writes its --out file.  Exit codes: 0 success, 2 bad arguments or
-unreadable input, 1 processing failure.
+unreadable input, 1 processing failure, running out of memory included.
 """
 
 from __future__ import annotations
@@ -383,6 +383,9 @@ def main(argv=None) -> int:
         return 2
     except (ValueError, OSError) as e:  # includes PnmFormatError, EmptyCurrentError
         print(f"emmatch: error: {e}", file=sys.stderr)
+        return 1
+    except MemoryError as e:  # numpy's message names the array it could not allocate
+        print(f"emmatch: error: out of memory{': ' if str(e) else ''}{e}", file=sys.stderr)
         return 1
 
 

@@ -231,9 +231,10 @@ def _filled_ellipse(width: int, height: int, cx: float, cy: float,
     # A pixel is foreground exactly when its center lies inside the ellipse.
     xs = np.arange(width, dtype=np.float64) + 0.5
     ys = np.arange(height, dtype=np.float64) + 0.5
-    nx = (xs - cx) / a
-    ny = (ys - cy) / b
-    inside = nx[None, :] ** 2 + ny[:, None] ** 2 <= 1.0
+    with np.errstate(over="ignore"):  # tiny semi-axes: an infinite square lies outside
+        nx = (xs - cx) / a
+        ny = (ys - cy) / b
+        inside = nx[None, :] ** 2 + ny[:, None] ** 2 <= 1.0
     return GrayImage(width, height, np.where(inside, 255, 0).astype(np.uint8))
 
 

@@ -401,6 +401,37 @@ def test_failed_command_leaves_no_out_dir(tmp_path, capsys, command):
     assert stdout == "" and not out.exists()
 
 
+@pytest.mark.parametrize("error, message", [
+    (MemoryError("Unable to allocate 9.31 GiB for an array with shape (100000, 100000)"),
+     "emmatch: error: out of memory: Unable to allocate 9.31 GiB for an array with shape "
+     "(100000, 100000)\n"),
+    (MemoryError(), "emmatch: error: out of memory\n"),
+])
+def test_running_out_of_memory_is_a_processing_error(tmp_path, capsys, monkeypatch, error,
+                                                     message):
+    # A callee that cannot allocate stands in for a huge --size; no test allocates one.
+    def exhausted(*args, **kwargs):
+        raise error
+
+    monkeypatch.setattr(emmatch.cli, "synth_shape", exhausted)
+    out = tmp_path / "big.pgm"
+    code, stdout, stderr = run(capsys, "synth", "--kind", "rectangle", "--size", "100000",
+                               "--out", str(out))
+    assert (code, stdout, stderr) == (1, "", message)
+    assert not out.exists()
+
+
+def test_synth_with_a_tiny_radius_writes_a_blank_image_quietly(tmp_path):
+    # The inside test's squares overflow to infinity, which lies outside; no
+    # numpy warning may reach stderr.
+    out = tmp_path / "c.pgm"
+    proc = run_python("import sys; from emmatch.cli import main; sys.exit(main())",
+                      ["synth", "--kind", "circle", "--radius", "1e-200", "--out", str(out)])
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert "0 foreground px" in proc.stdout
+    assert not load_pgm(out.read_bytes()).pixels.any()
+
+
 def test_blank_image_is_a_processing_error(shapes, tmp_path, capsys):
     blank, rect = str(shapes / "blank.pgm"), str(shapes / "rect.pgm")
     out = tmp_path / "out"

@@ -1,4 +1,5 @@
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -354,6 +355,19 @@ def test_ellipse_matches_brute_force_rasterization():
 def test_circle_is_round_ellipse():
     assert synth_shape("circle", 32, 32, radius=7.0) == synth_shape(
         "ellipse", 32, 32, semi_axes=(7.0, 7.0))
+
+
+@pytest.mark.parametrize("kind, kw", [("circle", {"radius": 1e-200}),
+                                      ("ellipse", {"semi_axes": (1e-300, 1e-300)}),
+                                      ("circle", {"radius": 5e-324})])
+def test_tiny_ellipse_is_blank_without_a_warning(kind, kw):
+    # Pixel distances over such semi-axes square to infinity: outside, and
+    # no overflow warning (the suite turns RuntimeWarning into an error).
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        img = synth_shape(kind, 32, 32, **kw)
+    assert (img.width, img.height) == (32, 32)
+    assert not img.pixels.any()
 
 
 def test_line_kinds():
