@@ -209,16 +209,16 @@ def pair_force(t1: CurrentElement, t2: CurrentElement, shift1: Vec2,
 # finite check that follows it, not by a warning.
 _UNCHECKED = dict(over="ignore", invalid="ignore")
 
-# Pair terms per block of _field_sums, so that a walk step's new points fit in a
-# few blocks.  Peak RSS bounds the size, as a thread keeps its buffers: in
-# perfbench's match_walk runs, 16,384-term blocks kept peak RSS within 0.2
+# Pair terms per block of _field_sums, so that a walk step's new points fit
+# in a few blocks.  Peak RSS bounds the size, as a thread keeps its buffers:
+# in perfbench's match_walk runs, 16,384-term blocks kept peak RSS within 0.2
 # MiB of per-call 8,192-term buffers, 32,768-term blocks added 0.5-0.7 MiB.
 _BLOCK_TERMS = 1 << 14
 _kept = threading.local()  # .buffers and .views: the thread's _term_buffers
 
-# Bounds under which the product form of _field_sums is exact: integer positions
-# of magnitude at most _EXACT_COORD, and tangents that are multiples of
-# _EXACT_QUANTUM of magnitude at most _EXACT_TANGENT.  Every product and
+# Bounds under which the product form of _field_sums is exact: integer
+# positions of magnitude at most _EXACT_COORD, and tangents that are multiples
+# of _EXACT_QUANTUM of magnitude at most _EXACT_TANGENT.  Every product and
 # partial sum is then exact, in either form and in any order: those of r^2,
 # with an integer h^2 below _EXACT_H2 or without h^2, are integers below
 # 2**53, those of the Bz numerator multiples of 1/16 below 2**47.  Image
@@ -261,7 +261,7 @@ def _product_operands(c2: EdgeCurrent, height_px: float):
 
 
 def _term_buffers(rows: int, m: int):
-    """Views of the calling thread's buffers for _field_sums' blocks of rows points against m elements.
+    """Views of the thread's buffers for _field_sums' blocks of rows points against m elements.
 
     Returns (r3, root, num, close, square): three float and one min_r mask
     (rows, m) views, and the direct form's (rows, m) square.  A thread keeps
@@ -484,12 +484,11 @@ class _FieldLattice:
     evaluates those not yet filled, a point once per element on it, and
     marks them in _filled; or by force_map, the whole lattice a run of rows
     at a time, which writes values only.  No point's value depends on which
-    others it is evaluated with.  Without the
-    strength factor, a cell's force is (sum t1y_i L_i, -sum t1x_i L_i)
-    over its lattice values L_i, and its gross sum is G = sum (|t1y_i| +
-    |t1x_i|) |L_i|, each added left to right in element storage order, so
-    one cell reads the same whether the whole map or a single walk computes
-    it.
+    others it is evaluated with.  Without the strength factor, a cell's
+    force is (sum t1y_i L_i, -sum t1x_i L_i) over its lattice values L_i,
+    and its gross sum is G = sum (|t1y_i| + |t1x_i|) |L_i|, each added left
+    to right in element storage order, so one cell reads the same whether
+    the whole map or a single walk computes it.
     """
 
     @np.errstate(**_UNCHECKED)
