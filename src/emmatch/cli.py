@@ -28,7 +28,8 @@ from .emforce import (ForceMap, ForceParams, Vec2, force_map_fast, force_map_tsv
                       total_force)
 from .matchmap import (ClassificationMap, classification_rgb, classify_map, match_images,
                        match_result_json, summarize_map, _BALANCED, _sectors)
-from .raster import GrayImage, load_pgm, save_pgm, save_ppm, shift_image, synth_shape
+from .raster import (GrayImage, load_pgm, save_pgm, save_ppm, shift_image, synth_shape,
+                     _grid_origin)
 
 # Glyph per matchmap._sectors index: the eight directions clockwise from east, then balanced.
 _GLYPHS = np.array(list(">\\v/<,^`."))
@@ -241,7 +242,7 @@ def _cmd_match(args) -> int:
     ep = _edge_params(args)
     fp = _force_params(args)
     start = _pair(args.start, "--start", int) if args.start else (0, 0)
-    ox, oy = img2.width // 2, img2.height // 2
+    ox, oy = _grid_origin(img2.width, img2.height)
     if not (0 <= ox + start[0] < img2.width and 0 <= oy + start[1] < img2.height):
         raise ArgumentCheckError(f"--start {start} leaves the "
                                  f"{img2.width}x{img2.height} shift grid")

@@ -22,11 +22,11 @@ Array evaluations share one blocked evaluator, _field_sums: for each
 block of about _BLOCK_TERMS pair terms against the second current's
 elements it forms the Bz numerators and guarded |r|^3 and sums the field,
 and given the first elements' tangents, their z terms from the same |r|^3
-too.  Every evaluation blocks in the one set of buffers its thread keeps,
-so no evaluation may start inside another on the same thread.
-_field_sums alone keeps close pairs out, by one of three rules that
-_close_rule picks: no mask where h >= min_r; on the product form (below)
-at h 0 with min_r <= 1, a floor of 1 under r^2; otherwise, the mask.
+too.  Each evaluation blocks in buffers of its own, allocated per call,
+so evaluations may nest and threads run side by side.  _field_sums alone
+keeps close pairs out, by one of three rules that _close_rule picks: no
+mask where h >= min_r; on the product form (below) at h 0 with
+min_r <= 1, a floor of 1 under r^2; otherwise, the mask.
 pair_force is the scalar reference for one pair, and force_map, which
 weighs the field at each shift's points in turn, the reference for the
 map.  Sums run in element storage order, and one shift's sums over the
@@ -69,13 +69,12 @@ not finite with ValueError instead.
 from __future__ import annotations
 
 import math
-import threading
 from dataclasses import dataclass
 
 import numpy as np
 
 from .edgecurrent import CurrentElement, EdgeCurrent, EmptyCurrentError
-from .raster import _frozen_copy, _grid_cell, _store_grid_origin, _tsv
+from .raster import _frozen_copy, _grid_cell, _grid_origin, _store_grid_origin, _tsv
 
 
 @dataclass(frozen=True)
@@ -210,11 +209,10 @@ def pair_force(t1: CurrentElement, t2: CurrentElement, shift1: Vec2,
 _UNCHECKED = dict(over="ignore", invalid="ignore")
 
 # Pair terms per block of _field_sums, so that a walk step's new points fit
-# in a few blocks.  Peak RSS bounds the size, as a thread keeps its buffers:
-# in perfbench's match_walk runs, 16,384-term blocks kept peak RSS within 0.2
-# MiB of per-call 8,192-term buffers, 32,768-term blocks added 0.5-0.7 MiB.
+# in a few blocks.  Peak RSS bounds the size, as a call's buffers take 33
+# bytes a term: in perfbench's match_walk runs, peak RSS read 37.4-37.6 MiB
+# at 16,384-term blocks and 37.8-37.9 MiB at 32,768.
 _BLOCK_TERMS = 1 << 14
-_kept = threading.local()  # .buffers and .views: the thread's _term_buffers
 
 # Bounds under which the product form of _field_sums is exact: integer
 # positions of magnitude at most _EXACT_COORD, and tangents that are multiples
@@ -258,30 +256,6 @@ def _product_operands(c2: EdgeCurrent, height_px: float):
         h2 = 0.0
     return (np.array((-2.0 * x, -2.0 * y, x * x + y * y + h2, np.ones_like(x))),
             np.array((-c2.ty, c2.tx, c2.ty * x - c2.tx * y)), h2)
-
-
-def _term_buffers(rows: int, m: int):
-    """Views of the thread's buffers for _field_sums' blocks of rows points against m elements.
-
-    Returns (r3, root, num, close, square): three float and one min_r mask
-    (rows, m) views, and the direct form's (rows, m) square.  A thread keeps
-    one set of flat buffers, allocated on first use for _BLOCK_TERMS pair
-    terms and replaced, the old set released first, only when a block needs
-    more than that.  It also keeps the views of the last (rows, m) asked
-    for, which replacing the buffers drops.
-    """
-    views = getattr(_kept, "views", None)
-    if views is not None and views[0] == (rows, m):
-        return views[1]
-    kept = getattr(_kept, "buffers", None)
-    if kept is None or len(kept[0]) < rows * m:
-        # Release the old set, and the views that hold it, before allocating the new one.
-        _kept.buffers = _kept.views = kept = views = None
-        size = max(rows * m, _BLOCK_TERMS)
-        _kept.buffers = kept = (*(np.empty(size) for _ in range(4)), np.empty(size, dtype=bool))
-    r3, root, num, square, close = (a[:rows * m].reshape(rows, m) for a in kept)
-    _kept.views = ((rows, m), (r3, root, num, close, square))
-    return r3, root, num, close, square
 
 
 def _close_rule(h2: float, cut: float, product: bool) -> tuple[bool, bool]:
@@ -337,8 +311,8 @@ def _field_sums(c2: EdgeCurrent, px: np.ndarray, py: np.ndarray, params: ForcePa
     """Vertical field of c2 without the strength factor at each point (px[i], py[i]).
 
     Sums Bz / |r|^3 over c2's elements in storage order, a block of about
-    _BLOCK_TERMS pair terms at a time in the thread's _term_buffers, so no
-    evaluation may start inside another on one thread; _close_rule keeps
+    _BLOCK_TERMS pair terms at a time in buffers this call allocates, so
+    evaluations may nest and threads run side by side; _close_rule keeps
     close pairs out.  operands, when given, are c2's _product_operands for
     params.height_px or for height 0, and every point must then be an
     integer within _EXACT_COORD: r^2 and the numerators come from two
@@ -353,7 +327,9 @@ def _field_sums(c2: EdgeCurrent, px: np.ndarray, py: np.ndarray, params: ForcePa
     """
     m = len(c2)
     step = max(1, _BLOCK_TERMS // max(m, 1))
-    r3, root, num, close, square = _term_buffers(step, m)
+    # One fixed shape whatever the form and rule, so that the allocator reuses the memory.
+    r3, root, num, square = np.empty((4, min(step, len(px)), m))
+    close = np.empty(r3.shape, dtype=bool)
     h2, cut = params.height_px * params.height_px, params.min_r * params.min_r
     floor, masked = _close_rule(h2, cut, operands is not None)
     add_h2 = h2 and not (operands is not None and operands[2] == h2)  # the rows lack h^2
@@ -463,7 +439,7 @@ def force_map(c1: EdgeCurrent, c2: EdgeCurrent,
     if len(c1) == 0 or len(c2) == 0:
         raise EmptyCurrentError("force_map requires two non-empty currents")
     w, h = c2.width, c2.height
-    ox, oy = w // 2, h // 2
+    ox, oy = _grid_origin(w, h)
     f = np.empty((3, h, w), dtype=np.float64)  # fx, fy, g
     weights = _weights(c1.tx, c1.ty)
     for y in range(h):
@@ -496,9 +472,9 @@ class _FieldLattice:
         self.c2, self.params = c2, params
         self.width, self.height = c2.width, c2.height
         x_lo, y_lo = int(np.minimum.reduce(c1.xs)), int(np.minimum.reduce(c1.ys))
+        ox, oy = _grid_origin(self.width, self.height)
         # Planar point of lattice column 0 and row 0.
-        self._x0 = x_lo - self.width // 2
-        self._y0 = y_lo - self.height // 2
+        self._x0, self._y0 = x_lo - ox, y_lo - oy
         shape = (int(np.maximum.reduce(c1.ys)) - y_lo + self.height,
                  int(np.maximum.reduce(c1.xs)) - x_lo + self.width)
         self.values = np.empty(shape, dtype=np.float64)
@@ -507,7 +483,7 @@ class _FieldLattice:
         # point x + iy there.  Cell (x, y) adds y * lattice width + x to the
         # indices and x + iy to the points, one add each.
         self._flat = (c1.ys - y_lo) * shape[1] + (c1.xs - x_lo)
-        self._z = c1.xs + 1j * c1.ys - complex(self.width // 2, self.height // 2)
+        self._z = c1.xs + 1j * c1.ys - complex(ox, oy)
         # The product form where every lattice point and c2 keep it exact.
         corners = (self._x0, self._y0, self._x0 + shape[1] - 1, self._y0 + shape[0] - 1)
         self._operands = (_product_operands(c2, params.height_px)
@@ -560,7 +536,7 @@ class _FieldLattice:
             f[0] += wx * win
             f[1] += wy * win
             f[2] += wg * magnitudes[r:r + h, c:c + w]
-        return ForceMap(w, h, w // 2, h // 2, *f)
+        return ForceMap(w, h, *_grid_origin(w, h), *f)
 
 
 def force_map_fast(c1: EdgeCurrent, c2: EdgeCurrent,

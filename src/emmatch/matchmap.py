@@ -32,7 +32,7 @@ import numpy as np
 
 from .edgecurrent import EdgeParams, EmptyCurrentError, extract_current
 from .emforce import ForceMap, ForceParams, Vec2, _FieldLattice, total_force
-from .raster import GrayImage, _frozen_copy, _grid_cell, _store_grid_origin
+from .raster import GrayImage, _frozen_copy, _grid_cell, _grid_origin, _store_grid_origin
 
 # Matching no longer calls total_force, but the name stays readable here:
 # perfbench's tracer patches emmatch.matchmap.total_force by that name.
@@ -381,7 +381,7 @@ def match_images(img1: GrayImage, img2: GrayImage,
     if len(c1) == 0 or len(c2) == 0:
         raise EmptyCurrentError("matching requires edge points in both images")
     w, h = img2.width, img2.height
-    ox, oy = w // 2, h // 2
+    ox, oy = _grid_origin(w, h)
     start = _grid_cell((ox + start_offset[0], oy + start_offset[1]), w, h, "start")
     # The lattice leaves out the strength factor, so the walk runs at unit strength.
     trace = _walk(_FieldLattice(c1, c2, force_params).cell, start, w, h, (ox, oy), False)

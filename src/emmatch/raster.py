@@ -58,6 +58,11 @@ def _grid_cell(cell: tuple, width: int, height: int, name: str) -> tuple[int, in
     return x, y
 
 
+def _grid_origin(width: int, height: int) -> tuple[int, int]:
+    """The zero-shift cell (width // 2, height // 2) of a width x height shift grid."""
+    return width // 2, height // 2
+
+
 def _store_grid_size(value) -> None:
     """Store value's width and height as Python ints; ValueError unless both are integers >= 1."""
     w, h = value.width, value.height

@@ -2,7 +2,6 @@ import json
 import math
 import sys
 import threading
-import weakref
 from collections import Counter
 
 import numpy as np
@@ -362,15 +361,13 @@ def test_lattice_cells_equal_the_fast_map(monkeypatch):
     sixteenths = EdgeCurrent(12, 10, c2.xs, c2.ys, np.round(16 * c2.tx) / 16,
                              np.round(16 * c2.ty) / 16)
     params = ForceParams(height_px=2.0)
-    calls, products, kept = [], [], []
+    calls, products = [], []
     real = emforce._field_sums
 
     def recording(c2, px, py, params, operands=None):
         products.append(operands is not None)
         calls.append(Counter(zip(px.tolist(), py.tolist())))
-        sums = real(c2, px, py, params, operands)
-        kept.append(emforce._kept.buffers)  # every cell evaluates in the thread's one set
-        return sums
+        return real(c2, px, py, params, operands)
 
     for current, product in ((c2, False), (sixteenths, True)):
         fmap = force_map_fast(c1, current, params)
@@ -393,7 +390,6 @@ def test_lattice_cells_equal_the_fast_map(monkeypatch):
         assert sum(map(len, calls)) == len(set().union(*calls))  # no point in two calls
         assert 2 in set().union(*(call.values() for call in calls))
         assert products and set(products) == {product}
-        assert all(k is kept[0] for k in kept)
 
 
 @st.composite
@@ -635,8 +631,8 @@ def test_close_pair_rule_of_the_product_form(h, min_r, folded, masked, monkeypat
 def test_lattice_buffers_carry_no_state_between_cells(h, min_r, monkeypatch):
     # 1000 elements of c2 give blocks of 16 points.  Walking every cell in
     # row-major order, the first cell evaluates all of c1's points across
-    # several blocks and later ones fewer; the reused evaluation buffers
-    # must leave each value as a fresh lattice's whole-map fill computes it.
+    # several blocks and later ones fewer, the last block of a call partly
+    # filled; each value must be as a fresh lattice's whole-map fill computes it.
     rng = np.random.default_rng(59)
     c1, c2 = dyadic_current(rng, 12, 10, 80), dyadic_current(rng, 9, 7, 1000)
     params = ForceParams(height_px=h, min_r=min_r)
@@ -678,10 +674,9 @@ def test_lattice_cell_whose_fold_overflows_is_an_error():
     assert np.isfinite(lattice.values[lattice._filled]).all()
 
 
-def test_threads_evaluate_in_their_own_buffers():
+def test_threads_evaluate_side_by_side():
     # Three threads match, map and sum forces on different inputs at once,
-    # a few rounds each.  Each result must equal a serial run's bytes, and
-    # each thread must block in a set of buffers of its own.
+    # a few rounds each.  Each result must equal a serial run's bytes.
     rect, ellipse = synth_shape("rectangle", 32, 32), synth_shape("ellipse", 32, 32)
     moved = shift_image(rect, 5, -4)
     c = extract_current(ellipse)
@@ -695,14 +690,13 @@ def test_threads_evaluate_in_their_own_buffers():
     serial = [job() for job in jobs]
     rounds = 3
     start = threading.Barrier(len(jobs), timeout=60)
-    results, kept, errors = [[] for _ in jobs], [None] * len(jobs), []
+    results, errors = [[] for _ in jobs], []
 
     def work(k):
         try:
             for _ in range(rounds):
                 start.wait()
                 results[k].append(jobs[k]())
-            kept[k] = emforce._kept.buffers  # held, so no later thread reuses the memory
         except BaseException as e:  # re-raised below, in the test's thread
             start.abort()
             errors.append(e)
@@ -721,64 +715,41 @@ def test_threads_evaluate_in_their_own_buffers():
     if errors:
         raise errors[0]
     assert results == [[want] * rounds for want in serial]
-    mine = emforce._kept.buffers
-    for k, own in enumerate(kept):
-        for other in kept[k + 1:] + [mine]:
-            assert not any(np.shares_memory(a, b) for a in own for b in other)
 
 
-def test_term_buffer_views_follow_replaced_buffers(monkeypatch):
-    # In a fresh thread, a small evaluation leaves its views of the thread's
-    # buffers cached; a c2 wider than a block replaces the buffers, which
-    # must drop those views, so that the old set is released before the new
-    # one is allocated, and the small shape, asked for again, blocks in the
-    # new set.  Each evaluation's sums equal those of a fresh thread.
-    rng = np.random.default_rng(67)
-    small = random_current(rng, n=12)
-    wide = random_current(rng, width=140, height=140, n=_BLOCK_TERMS + 300)
-    px, py = rng.integers(-20, 40, size=(2, 30)).astype(np.float64)
-    params = ForceParams(height_px=0.5)
-    real, allocate = emforce._row_sums, np.empty
+def test_evaluations_may_nest(monkeypatch):
+    # While an evaluation is in the middle of a block, between forming its
+    # numerators and |r|^3 and summing them, a total_force on another pair
+    # with as many elements in c2, and a lattice cell, run on the same
+    # thread.  The outer total_force, bz_at and lattice cell must each read
+    # the bytes they read without the nesting, and so must the inner ones.
+    ellipse, rect = synth_shape("ellipse", 32, 32), synth_shape("rectangle", 32, 32)
+    c1, c2 = extract_current(shift_image(ellipse, 3, -2)), extract_current(ellipse)
+    turned = EdgeCurrent(c2.width, c2.height, c2.xs, c2.ys, -c2.ty, c2.tx)
+    other, params = extract_current(rect), ForceParams(height_px=8.0)
+    outer = [lambda: tuple(vars(total_force(c1, c2, Vec2(0.5, -0.25), params)).values()),
+             lambda: (bz_at(c2, 12.5, 20.25, params),),
+             lambda: emforce._FieldLattice(c1, c2, params).cell(14, 17)]
+    inner = [lambda: tuple(vars(total_force(other, turned, Vec2(-1.0, 2.0))).values()),
+             lambda: emforce._FieldLattice(other, c2, ForceParams()).cell(15, 17)]
+    alone = [_byte_tuple(evaluate()) for evaluate in outer + inner]
+    real = emforce._row_sums
+    for k, evaluate in enumerate(outer):
+        nested = []
 
-    def in_fresh_thread(work):
-        out = []
-        worker = threading.Thread(target=lambda: out.append(work()))
-        worker.start()
-        worker.join(timeout=60)
-        assert not worker.is_alive() and out
-        return out[0]
+        def spy(num, r3, close, out):
+            if not nested:
+                nested.append(None)  # the inner evaluations' own blocks nest nothing
+                nested[:] = [_byte_tuple(f()) for f in inner]
+            real(num, r3, close, out)
 
-    def sequence():
-        sums, blocks, released = [], [], []
-        for c2 in (small, wide, small):
-            old = [weakref.ref(a) for a in getattr(emforce._kept, "buffers", ())]
-
-            def recording(num, r3, close, out):
-                blocks.append(all(np.shares_memory(a, emforce._kept.buffers[k])
-                                  for a, k in ((num, 2), (r3, 0))))
-                real(num, r3, close, out)
-
-            def empty(shape, *args, **kwargs):
-                if np.prod(shape) >= len(wide):  # a buffer of the new set
-                    released.append(all(ref() is None for ref in old))
-                return allocate(shape, *args, **kwargs)
-
-            with monkeypatch.context() as m:
-                m.setattr(emforce, "_row_sums", recording)
-                m.setattr(np, "empty", empty)
-                sums.append(emforce._field_sums(c2, px, py, params).tobytes())
-        return sums, blocks, released
-
-    sums, blocks, released = in_fresh_thread(sequence)
-    assert blocks and all(blocks)
-    # Only the wide c2 replaced the set, its four float buffers and its mask
-    # each allocated after the old set was released.
-    assert released == [True] * 5
-    assert sums == [in_fresh_thread(lambda: emforce._field_sums(c2, px, py, params).tobytes())
-                    for c2 in (small, wide, small)]
+        with monkeypatch.context() as m:
+            m.setattr(emforce, "_row_sums", spy)
+            got = _byte_tuple(evaluate())
+        assert [got] + nested == [alone[k]] + alone[len(outer):]
 
 
-def test_interleaved_lattices_keep_their_own_fold_buffers():
+def test_interleaved_lattices_read_their_own_maps():
     # Two lattices for pairs of different sizes, alive on one thread, read
     # their cells in turn: each must equal its own whole map's bytes.
     rect, ellipse = synth_shape("rectangle", 32, 32), synth_shape("ellipse", 32, 32)

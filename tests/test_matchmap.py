@@ -752,17 +752,14 @@ class TestMatchImages:
             assert scaled == base
 
     def test_no_lattice_point_evaluated_twice(self, rect_img, monkeypatch):
-        points, buffers_seen = [], []
+        points = []
         real = emforce._field_sums
 
         def recording(c2, px, py, params, operands=None):
             # image currents take the product form, which this records too
             assert operands is not None
             points.extend(zip(px.tolist(), py.tolist()))
-            sums = real(c2, px, py, params, operands)
-            # and every step evaluates in the thread's one set of buffers
-            buffers_seen.append(emforce._kept.buffers)
-            return sums
+            return real(c2, px, py, params, operands)
 
         monkeypatch.setattr(emforce, "_field_sums", recording)
         moved = shift_image(rect_img, 5, -4)
@@ -770,9 +767,7 @@ class TestMatchImages:
         # README's round trip at h 8, then the walk of test_recovers_rectangle_shift
         for h, steps in ((8.0, 5), (0.0, 9)):
             points.clear()
-            buffers_seen.clear()
             result = match_images(moved, rect_img, force_params=ForceParams(height_px=h))
-            assert buffers_seen and all(b is buffers_seen[0] for b in buffers_seen)
             assert result.status is MatchStatus.MATCHED
             assert result.steps == steps
             assert len(points) == len(set(points))
