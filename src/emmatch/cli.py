@@ -3,11 +3,11 @@
 Subcommands cover the full pipeline: synthesize test shapes, extract edge
 masks and currents, evaluate forces and force maps, classify the shift
 grid, and match image pairs.  Maps come from force_map_fast; the library's
-force_map is its reference.  Glyphs draw through one grid.  edges,
-current, map and classify write their files through one writer once the
-result exists; match writes match.json and prints its payload, and synth
-writes its --out file.  Exit codes: 0 success, 2 bad arguments or
-unreadable input, 1 processing failure, running out of memory included.
+force_map is its reference.  Glyphs draw through one grid; every command
+writes its files, synth's --out included, through one writer once the
+result exists.  Exit codes: 0 success, 2 bad arguments, unreadable input
+or an unusable output path (checked before any write), 1 processing
+failure, running out of memory included.
 """
 
 from __future__ import annotations
@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -96,34 +97,35 @@ def _load_image(path: str) -> GrayImage:
     return load_pgm(data)
 
 
-def _out_dir(path) -> Path:
-    """path as a directory, created with its parents; a failure exits 2."""
-    out = Path(path)
-    try:
-        out.mkdir(parents=True, exist_ok=True)
-    except OSError as e:
-        raise ArgumentCheckError(f"cannot create output directory {out}: {e}")
-    return out
-
-
-def _out_file(path: Path) -> Path:
-    """path, unless a directory takes its name; that exits 2, as an unusable --out-dir does."""
-    if path.is_dir():
-        raise ArgumentCheckError(f"cannot write {path}: it is a directory")
-    return path
-
-
 def _json(payload: dict) -> bytes:
     return (json.dumps(payload, indent=2, sort_keys=True) + "\n").encode("utf-8")
 
 
-def _emit(args, files: dict, detail: str) -> int:
-    """Create --out-dir, check every named file's path, write them in order, and report them."""
-    out = _out_dir(args.out_dir)
-    paths = {_out_file(out / name): data for name, data in files.items()}
+def _emit(out_dir, files: dict, detail: str | None = None) -> int:
+    """Write each named file's bytes into out_dir, then report them if given a detail.
+
+    Every path is checked before any byte is written, and an unusable one
+    exits 2: a name that is empty (as a trailing separator leaves it), "."
+    or "..", an out_dir that cannot be created, or a file path taken by a
+    directory.
+    """
+    for name in files:
+        if name in ("", os.curdir, os.pardir):
+            raise ArgumentCheckError(
+                f"cannot write {os.path.join(out_dir, name)}: it names a directory")
+    out = Path(out_dir)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as e:
+        raise ArgumentCheckError(f"cannot create output directory {out}: {e}")
+    paths = {out / name: data for name, data in files.items()}
+    for path in paths:
+        if path.is_dir():
+            raise ArgumentCheckError(f"cannot write {path}: it is a directory")
     for path, data in paths.items():
         path.write_bytes(data)
-    print(f"wrote {' and '.join(map(str, paths))} ({detail})")
+    if detail is not None:
+        print(f"wrote {' and '.join(map(str, paths))} ({detail})")
     return 0
 
 
@@ -162,12 +164,9 @@ def _cmd_synth(args) -> int:
     if args.shift is not None:
         dx, dy = _pair(args.shift, "--shift", int)
         img = shift_image(img, dx, dy)
-    out = _out_file(Path(args.out))
-    _out_dir(out.parent)
-    out.write_bytes(save_pgm(img))
-    print(f"wrote {out} ({img.width}x{img.height}, "
-          f"{int(np.count_nonzero(img.pixels))} foreground px)")
-    return 0
+    head, name = os.path.split(args.out)
+    return _emit(head, {name: save_pgm(img)}, f"{img.width}x{img.height}, "
+                 f"{int(np.count_nonzero(img.pixels))} foreground px")
 
 
 def _cmd_edges(args) -> int:
@@ -177,7 +176,7 @@ def _cmd_edges(args) -> int:
     coarse = threshold_mask(field, ep)
     mask = nms_mask(field, coarse, ep)
     current = build_current(field, mask)
-    return _emit(args, {"edges.pgm": save_pgm(mask_image(mask)), "edges.json": _json({
+    return _emit(args.out_dir, {"edges.pgm": save_pgm(mask_image(mask)), "edges.json": _json({
         "width": img.width,
         "height": img.height,
         "max_magnitude": float(field.magnitude.max()),
@@ -192,8 +191,8 @@ def _cmd_edges(args) -> int:
 def _cmd_current(args) -> int:
     img = _load_image(args.image)
     current = extract_current(img, _edge_params(args), smooth=args.smooth)
-    return _emit(args, {"current.tsv": current_tsv(current).encode("utf-8"),
-                        "current.txt": render_current_glyphs(current).encode("utf-8")},
+    return _emit(args.out_dir, {"current.tsv": current_tsv(current).encode("utf-8"),
+                                "current.txt": render_current_glyphs(current).encode("utf-8")},
                  f"{len(current)} elements, {current.dropped} dropped")
 
 
@@ -213,8 +212,8 @@ def _cmd_map(args) -> int:
     # rounding or underflow of scaled forces cannot move one.
     unit = force_map_fast(c1, c2, replace(fp, strength=1.0))
     fmap = unit.scaled(fp.strength)  # force_map_fast's own last step
-    return _emit(args, {"force_map.tsv": force_map_tsv(fmap).encode("utf-8"),
-                        "force_map.txt": render_direction_glyphs(unit).encode("utf-8")},
+    return _emit(args.out_dir, {"force_map.tsv": force_map_tsv(fmap).encode("utf-8"),
+                                "force_map.txt": render_direction_glyphs(unit).encode("utf-8")},
                  f"{fmap.width}x{fmap.height}, origin {fmap.origin}")
 
 
@@ -231,8 +230,8 @@ def _cmd_classify(args) -> int:
         "origin": [cls.ox, cls.oy],
         "counts": summary,
     })
-    return _emit(args, {"classification.ppm": render_classification_ppm(cls),
-                        "classification.json": report},
+    return _emit(args.out_dir, {"classification.ppm": render_classification_ppm(cls),
+                                "classification.json": report},
                  ", ".join(f"{label} {n}" for label, n in summary.items()))
 
 
@@ -248,7 +247,7 @@ def _cmd_match(args) -> int:
                                  f"{img2.width}x{img2.height} shift grid")
     result = match_images(img1, img2, ep, fp, start_offset=start, smooth=args.smooth)
     payload = match_result_json(result)
-    _out_file(_out_dir(args.out_dir) / "match.json").write_bytes(_json(payload))
+    _emit(args.out_dir, {"match.json": _json(payload)})
     print(json.dumps(payload, sort_keys=True))
     return 0
 

@@ -49,6 +49,7 @@ def test_synth_writes_matching_pgm(tmp_path, capsys):
                           "--side", "12", "--out", str(out))
     assert code == 0
     assert "144 foreground px" in stdout
+    assert stdout == f"wrote {out} (32x32, 144 foreground px)\n"
     assert load_pgm(out.read_bytes()) == synth_shape("square", 32, 32, side=12)
 
 
@@ -260,6 +261,7 @@ def test_match_outputs(shapes, tmp_path, capsys):
     assert doc["detected_shift"] == [5, -4]
     assert doc["status"] == "Matched"
     assert doc["path"][0] == [16, 16]
+    assert stdout == json.dumps(doc, sort_keys=True) + "\n"
 
 
 def test_match_smooth_equals_the_library_match(shapes, tmp_path, capsys):
@@ -388,6 +390,16 @@ def test_output_file_taken_by_a_directory_is_an_argument_error(tmp_path, capsys,
     assert code == 2
     assert err == f"emmatch: error: cannot write {taken}: it is a directory\n"
     assert stdout == "" and sorted(tmp_path.rglob("*")) == before
+
+
+@pytest.mark.parametrize("out", ["new/", "new/.", "new/.."])
+def test_synth_out_naming_a_directory_is_an_argument_error(tmp_path, capsys, monkeypatch, out):
+    # pathlib reads "new/" and "new/." as "new": a file path the OS would refuse as given
+    monkeypatch.chdir(tmp_path)
+    code, stdout, err = run(capsys, "synth", "--kind", "circle", "--out", out)
+    assert code == 2
+    assert err == f"emmatch: error: cannot write {out}: it names a directory\n"
+    assert stdout == "" and list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize("command", ["edges", "current"])

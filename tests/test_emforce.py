@@ -364,10 +364,10 @@ def test_lattice_cells_equal_the_fast_map(monkeypatch):
     calls, products = [], []
     real = emforce._field_sums
 
-    def recording(c2, px, py, params, operands=None):
+    def recording(c2, px, py, params, operands=None, **kwargs):
         products.append(operands is not None)
         calls.append(Counter(zip(px.tolist(), py.tolist())))
-        return real(c2, px, py, params, operands)
+        return real(c2, px, py, params, operands, **kwargs)
 
     for current, product in ((c2, False), (sixteenths, True)):
         fmap = force_map_fast(c1, current, params)
@@ -639,9 +639,9 @@ def test_lattice_buffers_carry_no_state_between_cells(h, min_r, monkeypatch):
     sizes = []
     real = emforce._field_sums
 
-    def recording(c2, px, py, params, operands=None):
+    def recording(c2, px, py, params, operands=None, **kwargs):
         sizes.append(len(px))
-        return real(c2, px, py, params, operands)
+        return real(c2, px, py, params, operands, **kwargs)
 
     for product in (True, False):
         walked, fresh = (emforce._FieldLattice(c1, c2, params) for _ in range(2))

@@ -755,11 +755,11 @@ class TestMatchImages:
         points = []
         real = emforce._field_sums
 
-        def recording(c2, px, py, params, operands=None):
+        def recording(c2, px, py, params, operands=None, **kwargs):
             # image currents take the product form, which this records too
             assert operands is not None
             points.extend(zip(px.tolist(), py.tolist()))
-            return real(c2, px, py, params, operands)
+            return real(c2, px, py, params, operands, **kwargs)
 
         monkeypatch.setattr(emforce, "_field_sums", recording)
         moved = shift_image(rect_img, 5, -4)

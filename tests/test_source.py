@@ -85,6 +85,37 @@ def test_every_private_name_is_read():
     assert set(unread_private_names(sources)) == set(UNREAD_PRIVATE)
 
 
+# Calls that create a directory or write a file.  In cli.py only _emit makes
+# them, so every command keeps one set of output-path rules.
+WRITING_CALLS = {"write_bytes", "write_text", "mkdir", "makedirs", "open"}
+
+
+def writing_calls(source: str) -> dict:
+    """The writing calls that each top-level definition makes, under None for module-level code."""
+    found = {}
+    for node in ast.parse(source).body:
+        owner = getattr(node, "name", None)
+        for call in ast.walk(node):
+            if isinstance(call, ast.Call):
+                func = call.func
+                name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+                if name in WRITING_CALLS:
+                    found.setdefault(owner, set()).add(name)
+    return found
+
+
+def test_guard_sees_a_writing_call():
+    source = ("import os\ndef _emit(p):\n    p.mkdir()\n    p.write_bytes(b'')\n"
+              "def _cmd(p):\n    with open(p, 'w'):\n        pass\nos.makedirs('d')\n")
+    assert writing_calls(source) == {"_emit": {"mkdir", "write_bytes"}, "_cmd": {"open"},
+                                     None: {"makedirs"}}
+
+
+def test_only_the_cli_writer_writes():
+    cli = Path(emmatch.__file__).parent / "cli.py"
+    assert writing_calls(cli.read_text()) == {"_emit": {"mkdir", "write_bytes"}}
+
+
 # emmatch.__all__ as published; a module merge or split must leave it as it is.
 PUBLIC = [
     "GrayImage", "PnmFormatError", "load_pgm", "save_pgm", "save_ppm", "shift_image",
