@@ -18,7 +18,9 @@ It writes three plain JSON files:
 - rectangle-32-match.json: the 32 px rectangle pair's match.json, verbatim.
 
 tests/test_golden.py builds the same bytes in process and compares them with
-the committed files exactly.  Regenerate only with a change that means to
+the committed files exactly.  CI runs it, with the rest of the suite,
+against the installed package, so this file holds the only definition of
+what the golden outputs are.  Regenerate only with a change that means to
 move an output, and name every entry that moved.
 """
 
