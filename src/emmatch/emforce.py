@@ -22,10 +22,8 @@ Array evaluations share one blocked evaluator, _field_sums: for each
 block of about _BLOCK_TERMS pair terms against the second current's
 elements it forms the Bz numerators and guarded |r|^3 and sums the field,
 and given the first elements' tangents, their z terms from the same |r|^3
-too.  Each evaluation blocks in buffers of its own: allocated per call,
-or for a lattice's cells one set that the lattice allocates and one
-cell's fill at a time holds.  So evaluations may nest and threads run
-side by side.  _field_sums alone
+too.  Each evaluation blocks in buffers of its own, allocated per call,
+so evaluations may nest and threads run side by side.  _field_sums alone
 keeps close pairs out, by one of three rules that _close_rule picks: no
 mask where h >= min_r; on the product form (below) at h 0 with
 min_r <= 1, a floor of 1 under r^2; otherwise, the mask.
@@ -71,7 +69,6 @@ not finite with ValueError instead.
 from __future__ import annotations
 
 import math
-import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -309,41 +306,30 @@ def _weighed_sums(weights: np.ndarray, values: np.ndarray) -> list[float]:
     return _fold(terms)
 
 
-def _block_buffers(m: int, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """_field_sums' buffers for n points against m elements of c2: four float planes and a mask.
-
-    Each holds a block of rows, about _BLOCK_TERMS pair terms and at most n
-    rows, in one shape whatever the form and rule, so that the allocator
-    reuses the memory.
-    """
-    rows = min(max(1, _BLOCK_TERMS // max(m, 1)), n)
-    return np.empty((4, rows, m)), np.empty((rows, m), dtype=bool)
-
-
 def _field_sums(c2: EdgeCurrent, px: np.ndarray, py: np.ndarray, params: ForceParams,
-                operands=None, t1=None, *, buffers=None) -> np.ndarray:
+                operands=None, t1=None) -> np.ndarray:
     """Vertical field of c2 without the strength factor at each point (px[i], py[i]).
 
     Sums Bz / |r|^3 over c2's elements in storage order, a block of about
-    _BLOCK_TERMS pair terms at a time, in the buffers given, _block_buffers
-    for at least len(px) points, or else in buffers this call allocates, so
+    _BLOCK_TERMS pair terms at a time in buffers this call allocates, so
     evaluations may nest and threads run side by side; _close_rule keeps
-    close pairs out.  Each block writes every buffer it reads first, so no
-    call reads what an earlier one left.  operands, when given, are c2's
-    _product_operands for params.height_px or for height 0, and every
-    point must then be an integer within _EXACT_COORD: r^2 and the
-    numerators come from two matrix products of the points' rows (X, Y, 1,
-    X^2 + Y^2), built once per call, equal to the direct differences except
-    that a zero numerator may take the other sign.
+    close pairs out.  operands, when given, are c2's _product_operands for
+    params.height_px or for height 0, and every point must then be an
+    integer within _EXACT_COORD: r^2 and the numerators come from two
+    matrix products of the points' rows (X, Y, 1, X^2 + Y^2), built once
+    per call, equal to the direct differences except that a zero numerator
+    may take the other sign.
 
     t1 = (txs, tys), when given, are the tangents of elements at the
     points, and the result is then their (3, n) force sums instead: column
     i holds the field at point i weighed by (t1y, -t1x), and the sum of
     its z pair terms, from the same blocks' |r|^3.
     """
-    planes, close = _block_buffers(len(c2), len(px)) if buffers is None else buffers
-    r3, root, num, square = planes
-    step = max(1, len(close))  # points per block, as many as the buffers hold
+    m = len(c2)
+    step = max(1, _BLOCK_TERMS // max(m, 1))
+    # One fixed shape whatever the form and rule, so that the allocator reuses the memory.
+    r3, root, num, square = np.empty((4, min(step, len(px)), m))
+    close = np.empty(r3.shape, dtype=bool)
     h2, cut = params.height_px * params.height_px, params.min_r * params.min_r
     floor, masked = _close_rule(h2, cut, operands is not None)
     add_h2 = h2 and not (operands is not None and operands[2] == h2)  # the rows lack h^2
@@ -503,32 +489,20 @@ class _FieldLattice:
         self._operands = (_product_operands(c2, params.height_px)
                           if max(map(abs, corners)) <= _EXACT_COORD else None)
         self._weights = _weights(c1.tx, c1.ty)
-        # A cell fills at most len(c1) points, all in one set of block buffers,
-        # which one fill at a time may hold.
-        self._buffers = _block_buffers(len(c2), len(c1))
-        self._filling = threading.Lock()
 
     @np.errstate(**_UNCHECKED)
     def cell(self, x: int, y: int) -> tuple[float, float, float]:
         """Unscaled fx, fy and G of cell (x, y), filling the points it reads.
 
-        ValueError when one of fx, fy and G is not finite.  RuntimeError when
-        the cell has points to fill while another cell of this lattice is
-        filling its own, as the two would share the lattice's block buffers.
+        ValueError when one of fx, fy and G is not finite.
         """
         at = self._flat + (y * self.values.shape[1] + x)
         need = ~self._filled.ravel()[at]  # ravel() views gather faster than .flat
         todo = at[need]
         if todo.size:
-            if not self._filling.acquire(blocking=False):
-                raise RuntimeError(f"cell ({x}, {y}) cannot fill points while another cell "
-                                   "of the same lattice fills")
-            try:
-                z = self._z[need] + complex(x, y)
-                self.values.ravel()[todo] = _field_sums(self.c2, z.real, z.imag, self.params,
-                                                        self._operands, buffers=self._buffers)
-            finally:
-                self._filling.release()
+            z = self._z[need] + complex(x, y)
+            self.values.ravel()[todo] = _field_sums(self.c2, z.real, z.imag, self.params,
+                                                    self._operands)
             self._filled.ravel()[todo] = True
         fx, fy, g = _weighed_sums(self._weights, self.values.ravel()[at])
         if not (math.isfinite(fx) and math.isfinite(fy) and math.isfinite(g)):

@@ -305,37 +305,29 @@ def test_fast_map_matches_naive_map():
         assert getattr(fast, name).tobytes() == getattr(naive, name).tobytes(), name
 
 
-@pytest.mark.parametrize("kind", ["rectangle", "square", "ellipse", "circle"])
-@pytest.mark.parametrize("n", [32, 64])
-def test_total_force_equals_the_fast_map_cell(kind, n):
+@pytest.mark.parametrize("kind, n, heights, strengths, cells", [
+    *(pytest.param(kind, n, (0.0, 5.0, 8.0), (1.0, 1.7), None, id=f"{n}-{kind}")
+      for n in (32, 64) for kind in ("circle", "ellipse", "rectangle", "square")),
+    # Above the sizes the golden files (64 px) and the oracle (19 px) pin:
+    # 16 seeded cells of a 256 px ellipse pair's fast map, at h 0 and 8.
+    pytest.param("ellipse", 256, (0.0, 8.0), (1.0,),
+                 np.random.default_rng(256).integers(0, 256, size=(16, 2)).tolist(),
+                 id="256-ellipse"),
+])
+def test_total_force_equals_the_fast_map_cell(kind, n, heights, strengths, cells):
     # total_force at an integer shift weighs and folds the field values that
     # the fast map's cell does, so the two agree bit for bit.
     ref = synth_shape(kind, n, n)
     c1, c2 = extract_current(shift_image(ref, n // 8, -(n // 10))), extract_current(ref)
-    for h in (0.0, 5.0, 8.0):
-        for strength in (1.0, 1.7):
+    for h in heights:
+        for strength in strengths:
             params = ForceParams(strength=strength, height_px=h)
             fmap = force_map_fast(c1, c2, params)
-            for x, y in ((fmap.ox, fmap.oy), (fmap.ox - n // 8, fmap.oy + n // 10),
-                         (0, 0), (n - 1, 3), (5, n - 2)):
+            for x, y in cells or ((fmap.ox, fmap.oy), (fmap.ox - n // 8, fmap.oy + n // 10),
+                                  (0, 0), (n - 1, 3), (5, n - 2)):
                 f = total_force(c1, c2, Vec2(float(x - fmap.ox), float(y - fmap.oy)), params)
                 cell = fmap.cell(x, y)
                 assert _byte_tuple((f.x, f.y)) == _byte_tuple((cell.x, cell.y)), (h, x, y)
-
-
-def test_total_force_equals_the_fast_map_cell_at_256_px():
-    # Above the sizes the golden files (64 px) and the oracle (19 px) pin:
-    # 16 seeded cells of a 256 px ellipse pair's fast map, at h 0 and 8.
-    ref = synth_shape("ellipse", 256, 256)
-    c1, c2 = extract_current(shift_image(ref, 32, -25)), extract_current(ref)
-    cells = np.random.default_rng(256).integers(0, 256, size=(16, 2)).tolist()
-    for h in (0.0, 8.0):
-        params = ForceParams(height_px=h)
-        fmap = force_map_fast(c1, c2, params)
-        for x, y in cells:
-            f = total_force(c1, c2, Vec2(float(x - fmap.ox), float(y - fmap.oy)), params)
-            cell = fmap.cell(x, y)
-            assert _byte_tuple((f.x, f.y)) == _byte_tuple((cell.x, cell.y)), (h, x, y)
 
 
 def test_fast_map_folds_bz_at_over_first_current():
@@ -762,47 +754,6 @@ def test_evaluations_may_nest(monkeypatch):
             m.setattr(emforce, "_row_sums", spy)
             got = _byte_tuple(evaluate())
         assert [got] + nested == [alone[k]] + alone[len(outer):]
-
-
-def test_a_cell_may_not_fill_inside_a_fill_of_its_lattice(monkeypatch):
-    # A _field_sums spy re-enters cell() on the lattice whose cell is filling.
-    # An inner cell with points to fill would fill them in the outer fill's
-    # block buffers, so it raises; one whose points are all filled reads
-    # them, and a fresh lattice's cell fills in buffers of its own.  Each
-    # result must read as a fresh lattice's, and a fill that raises must
-    # leave the lattice free for the next.
-    ellipse = synth_shape("ellipse", 32, 32)
-    c1, c2 = extract_current(shift_image(ellipse, 3, -2)), extract_current(ellipse)
-    params = ForceParams(height_px=8.0)
-    fresh = emforce._FieldLattice(c1, c2, params)
-    want = {xy: _byte_tuple(fresh.cell(*xy)) for xy in ((14, 17), (15, 17), (20, 9))}
-    real = emforce._field_sums
-    for catch in (True, False):
-        lattice = emforce._FieldLattice(c1, c2, params)
-        lattice.cell(14, 17)
-        inner = []
-
-        def spy(*args, **kwargs):
-            if not inner:
-                inner.append(None)  # the inner fills pass through
-                if not catch:
-                    lattice.cell(20, 9)  # raises, out through the outer fill
-                with pytest.raises(RuntimeError, match=r"cell \(20, 9\) cannot fill"):
-                    lattice.cell(20, 9)
-                inner[:] = [_byte_tuple(lattice.cell(14, 17)),
-                            _byte_tuple(emforce._FieldLattice(c1, c2, params).cell(20, 9))]
-            return real(*args, **kwargs)
-
-        with monkeypatch.context() as m:
-            m.setattr(emforce, "_field_sums", spy)
-            if catch:
-                assert _byte_tuple(lattice.cell(15, 17)) == want[(15, 17)]
-                assert inner == [want[(14, 17)], want[(20, 9)]]
-            else:
-                with pytest.raises(RuntimeError, match=r"cell \(20, 9\) cannot fill"):
-                    lattice.cell(15, 17)
-        for xy in ((15, 17), (20, 9)):
-            assert _byte_tuple(lattice.cell(*xy)) == want[xy]
 
 
 def test_interleaved_lattices_read_their_own_maps():
