@@ -7,7 +7,7 @@ force_map is its reference.  Glyphs draw through one grid; every command
 writes its files, synth's --out included, through one writer once the
 result exists.  Exit codes: 0 success, 2 bad arguments, unreadable input
 or an unusable output path (checked before any write), 1 processing
-failure, running out of memory included.
+failure, running out of memory and write errors included.
 """
 
 from __future__ import annotations

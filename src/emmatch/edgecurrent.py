@@ -25,6 +25,8 @@ correctly rounded.  Distinct integers below 2**31 have distinct correctly
 rounded roots (they differ by at least 1e-5, an ulp there by at most
 8e-12), so lengths compare exactly as their L do, and a length beats the
 threshold exactly when its L reaches the least integer whose length does.
+np.hypot does not promise that: hypot(52, 17) and hypot(47, 28) differ in
+the last bit, though both squares are 2993.
 
 extract_current runs on the integers L and makes no image-sized float
 array.  The staged route, sobel_field's float64 VectorField through
@@ -331,9 +333,10 @@ def extract_current(img: GrayImage, params: EdgeParams = EdgeParams(),
 
     Equal by bytes to build_current(f, nms_mask(f, threshold_mask(f, params),
     params)) with f = sobel_field(img, smooth), the staged route, but run on
-    the integer squared lengths L (see the module docstring): the threshold
-    keeps the L that reach the least integer whose length beats the cut,
-    thinning compares them, and only the survivors' gradients become floats.
+    the integer squared lengths L in one zero-bordered int32 image (see the
+    module docstring): the threshold keeps the L that reach the least
+    integer whose length beats the cut, thinning compares them, and only
+    the survivors' gradients become floats.
     """
     gx, gy, scale = _gradients(img, smooth)
     w, h = img.width, img.height

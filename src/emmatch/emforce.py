@@ -96,7 +96,9 @@ class ForceParams:
 
     strength is the overall force scale (it absorbs all physical unit
     constants); height_px separates the two current planes vertically;
-    pairs closer than min_r contribute exactly zero.
+    pairs closer than min_r contribute exactly zero.  All three must be
+    finite, strength and min_r positive, and min_r's square nonzero, since
+    the close-pair rules compare against it.
     """
 
     strength: float = 1.0
@@ -175,8 +177,11 @@ class ForceMap:
         return (self.ox, self.oy)
 
     def scaled(self, factor: float) -> ForceMap:
-        """This map with every force, and G, multiplied by factor."""
-        g = None if self.g is None else _scaled(self.g, factor)
+        """This map with every force multiplied by factor.
+
+        G, a sum of magnitudes, is multiplied by abs(factor).
+        """
+        g = None if self.g is None else _scaled(self.g, abs(factor))
         return ForceMap(self.width, self.height, self.ox, self.oy,
                         _scaled(self.fx, factor), _scaled(self.fy, factor), g)
 

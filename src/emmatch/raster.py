@@ -94,7 +94,10 @@ def _tsv(names: str, *columns: list) -> str:
 
 @dataclass(frozen=True, eq=False)
 class GrayImage:
-    """Immutable 8-bit grayscale raster: a read-only uint8 copy of integers in [0, 255]."""
+    """Immutable 8-bit grayscale raster: a read-only uint8 copy of integers in [0, 255].
+
+    The pixels may come in any integer dtype; a value outside [0, 255] raises ValueError.
+    """
 
     width: int
     height: int
@@ -149,7 +152,16 @@ def _header_int(token: tuple, what: str, upper: int = _MAX_SIDE) -> tuple[int, i
 
 
 def load_pgm(data: bytes) -> GrayImage:
-    """Parse a binary (P5) or plain (P2) PGM stream with maxval up to 255."""
+    """Parse a binary (P5) or plain (P2) PGM stream with maxval up to 255.
+
+    A '#' comment runs to the end of its line and may stand wherever
+    whitespace may, between P2 samples too; a P5 header still ends in
+    exactly one whitespace byte.  A malformed stream raises PnmFormatError
+    at the byte offset where reading failed, a number of any length
+    included.  A width or height may not exceed numpy's largest array
+    length (2**63 - 1 on 64-bit systems), and a sample above maxval is
+    refused at its byte, in P5 as in P2.
+    """
     data = bytes(data)
     # Each header or plain-raster token with its byte offset, then (None, len(data)).
     tokens = itertools.chain(((m[1], m.start()) for m in _TOKEN.finditer(data) if m[1]),

@@ -21,7 +21,8 @@ tests/test_golden.py builds the same bytes in process and compares them with
 the committed files exactly.  CI runs it, with the rest of the suite,
 against the installed package, so this file holds the only definition of
 what the golden outputs are.  Regenerate only with a change that means to
-move an output, and name every entry that moved.
+move an output, and name every entry that moved.  The committed files were
+made with Python 3.11.7 and numpy 2.4.6.
 """
 
 from __future__ import annotations

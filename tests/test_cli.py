@@ -510,24 +510,16 @@ def test_non_finite_geometry_is_an_argument_error(shapes, tmp_path, capsys, argv
     assert stdout == "" and not out.exists()
 
 
-@pytest.mark.parametrize("command", ["map", "classify"])
-def test_workers_flag_is_rejected(shapes, tmp_path, capsys, command):
-    out = tmp_path / "out"
-    code, _, err = run(capsys, command, "--img1", str(shapes / "moved.pgm"),
-                       "--img2", str(shapes / "rect.pgm"), "--workers", "2",
-                       "--out-dir", str(out))
-    assert code == 2
-    assert "unrecognized arguments: --workers 2" in err
-    assert not out.exists()
-
-
 @pytest.mark.parametrize("argv,message", [
     (["bench"], "invalid choice: 'bench'"),
     (["map", "--mode", "naive"], "unrecognized arguments: --mode naive"),
     (["classify", "--mode", "naive"], "unrecognized arguments: --mode naive"),
+    (["map", "--workers", "2"], "unrecognized arguments: --workers 2"),
+    (["classify", "--workers", "2"], "unrecognized arguments: --workers 2"),
     (["match", "--max-steps", "3"], "unrecognized arguments: --max-steps 3"),
     (["classify", "--max-steps", "3"], "unrecognized arguments: --max-steps 3")],
-    ids=["bench", "map-mode", "classify-mode", "match-max-steps", "classify-max-steps"])
+    ids=["bench", "map-mode", "classify-mode", "map-workers", "classify-workers",
+         "match-max-steps", "classify-max-steps"])
 def test_map_evaluator_selection_is_gone(shapes, tmp_path, capsys, argv, message):
     out = tmp_path / "out"
     code, stdout, err = run(capsys, *argv, "--img1", str(shapes / "moved.pgm"),

@@ -86,6 +86,9 @@ class TestDiscretize8:
         assert follow_path(fmap, (1, 0)).status is PathStatus.BALANCE_OSCILLATION
         for factor in (1e-200, 1e200):  # scale-free: G scales with the force
             assert render_direction_glyphs(fmap.scaled(factor)) == ">.>.\n"
+        flipped = fmap.scaled(-1.0)  # G sums magnitudes, so it scales by |factor|
+        assert render_direction_glyphs(flipped) == "<.<.\n"
+        assert flipped.g.tobytes() == fmap.g.tobytes()
 
     def test_sector_boundaries_open_clockwise(self):
         # vectors exactly on a boundary belong to the sector the boundary

@@ -1,6 +1,7 @@
 """Source checks that need no tool beyond the standard library."""
 
 import ast
+import re
 from pathlib import Path
 
 import pytest
@@ -139,3 +140,40 @@ def test_public_names_are_unchanged():
         assert hasattr(emmatch, name), name
     for name in ("SOBEL_X", "SOBEL_Y", "VectorField", "sobel_field"):  # defined in edgecurrent itself
         assert getattr(emmatch, name) is getattr(emmatch.edgecurrent, name), name
+
+
+TESTS = Path(__file__).resolve().parent
+README = TESTS.parent / "README.md"
+
+# A test id as pytest prints it: tests/FILE.py::name or tests/FILE.py::Class::name.
+TEST_ID = re.compile(r"tests/(\w+\.py)::(\w+)(?:::(\w+))?")
+
+
+def collected_tests(source: str) -> set[str]:
+    """Ids, name or Class::name, of the test functions pytest collects from a module."""
+    found = set()
+    for node in ast.parse(source).body:
+        if isinstance(node, ast.FunctionDef) and node.name.startswith("test"):
+            found.add(node.name)
+        elif isinstance(node, ast.ClassDef) and node.name.startswith("Test"):
+            found.update(f"{node.name}::{f.name}" for f in node.body
+                         if isinstance(f, ast.FunctionDef) and f.name.startswith("test"))
+    return found
+
+
+def test_every_promise_names_a_test():
+    # Each item of the README's Promises list names the tests that check it.
+    text = README.read_text(encoding="utf-8")
+    section = text.split("\n## Promises\n", 1)[1].split("\n## ", 1)[0]
+    promises = re.split(r"^- ", section, flags=re.M)[1:]
+    assert promises
+    named = []
+    for promise in promises:
+        ids = TEST_ID.findall(promise)
+        assert ids, f"a promise names no test: {promise.splitlines()[0]}"
+        named += [(filename, "::".join(filter(None, names))) for filename, *names in ids]
+    defined = {filename: collected_tests((TESTS / filename).read_text())
+               if (TESTS / filename).is_file() else set() for filename, _ in named}
+    missing = [f"tests/{filename}::{name}" for filename, name in named
+               if name not in defined[filename]]
+    assert not missing, f"promises name tests that do not exist: {', '.join(missing)}"
