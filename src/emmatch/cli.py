@@ -7,7 +7,8 @@ force_map is its reference.  Glyphs draw through one grid; every command
 writes its files, synth's --out included, through one writer once the
 result exists.  Exit codes: 0 success, 2 bad arguments, unreadable input
 or an unusable output path (checked before any write), 1 processing
-failure, running out of memory and write errors included.
+failure, running out of memory and write errors included.  A command that
+fails writes nothing: a failed write leaves no file and no directory it made.
 """
 
 from __future__ import annotations
@@ -108,13 +109,23 @@ def _emit(out_dir, files: dict, detail: str | None = None) -> int:
     exits 2: a name that is empty (as a trailing separator leaves it), "."
     or "..", an out_dir that cannot be created, or a file path taken by a
     directory.
+
+    Each file is written under a temporary sibling name and renamed into
+    place only once every write has succeeded.  If a write or rename fails,
+    the temporaries and the directories this call made are removed and the
+    error is re-raised, so files that existed before keep their bytes.
     """
     for name in files:
         if name in ("", os.curdir, os.pardir):
             raise ArgumentCheckError(
                 f"cannot write {os.path.join(out_dir, name)}: it names a directory")
     out = Path(out_dir)
+    created = []  # the directories mkdir makes, innermost first
     try:
+        missing = out
+        while not missing.exists():
+            created.append(missing)
+            missing = missing.parent
         out.mkdir(parents=True, exist_ok=True)
     except OSError as e:
         raise ArgumentCheckError(f"cannot create output directory {out}: {e}")
@@ -122,8 +133,24 @@ def _emit(out_dir, files: dict, detail: str | None = None) -> int:
     for path in paths:
         if path.is_dir():
             raise ArgumentCheckError(f"cannot write {path}: it is a directory")
-    for path, data in paths.items():
-        path.write_bytes(data)
+    temps = {path.with_name(f".{path.name}.{os.getpid()}.tmp"): path for path in paths}
+    try:
+        for temp, data in zip(temps, paths.values()):
+            temp.write_bytes(data)
+        for temp, path in temps.items():
+            temp.replace(path)
+    except BaseException:
+        for temp in temps:
+            try:
+                temp.unlink()
+            except OSError:  # never written, or already renamed into place
+                pass
+        for directory in created:
+            try:
+                directory.rmdir()
+            except OSError:  # holds a file renamed into place
+                pass
+        raise
     if detail is not None:
         print(f"wrote {' and '.join(map(str, paths))} ({detail})")
     return 0

@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 from hypothesis import settings
+from hypothesis import strategies as st
 
-from emmatch import EdgeCurrent, extract_current, synth_shape
+from emmatch import EdgeCurrent, GrayImage, extract_current, synth_shape
 
 # `pytest --hypothesis-profile=ci` (the CI run): the same examples on every
 # run, and a failing one printed as a blob that @reproduce_failure replays.
@@ -50,3 +51,50 @@ def random_current(rng: np.random.Generator, width: int = 16, height: int = 16,
     # nudge any (0, 0) tangent off zero
     tx = np.where((tx == 0.0) & (ty == 0.0), 1.0, tx)
     return EdgeCurrent(width, height, xs, ys, tx, ty)
+
+
+# Whitespace between tokens: whitespace bytes and '#' comments, each comment
+# ended by a line break.
+WHITESPACE = st.sampled_from([bytes([c]) for c in b" \t\n\r\x0b\x0c"])
+COMMENT = st.builds(lambda text, eol: b"#" + text + eol,
+                    st.binary(max_size=4).map(lambda t: t.replace(b"\n", b"").replace(b"\r", b"")),
+                    st.sampled_from([b"\n", b"\r"]))
+SEPARATOR = st.lists(st.one_of(WHITESPACE, COMMENT), min_size=1, max_size=3).map(b"".join)
+
+
+@st.composite
+def pgm_streams(draw):
+    """A valid P5 or P2 stream with comments wherever whitespace may go, and its image."""
+    w, h, maxval = draw(st.integers(1, 4)), draw(st.integers(1, 4)), draw(st.integers(1, 255))
+    px = draw(st.lists(st.integers(0, maxval), min_size=w * h, max_size=w * h))
+    magic = draw(st.sampled_from([b"P5", b"P2"]))
+    data = draw(st.one_of(st.just(b""), SEPARATOR)) + magic
+    for field in (w, h, maxval):
+        data += draw(SEPARATOR) + str(field).encode()
+    if magic == b"P5":
+        data += draw(WHITESPACE) + bytes(px)
+    else:
+        data += b"".join(draw(SEPARATOR) + str(v).encode() for v in px)
+    data += draw(st.one_of(st.just(b""), SEPARATOR))
+    return data, GrayImage(w, h, np.array(px).reshape(h, w))
+
+
+# One edit of a byte stream: (operation, position modulo the length + 1, byte).
+MUTATION = st.tuples(st.sampled_from(["replace", "insert", "delete", "cut"]),
+                     st.integers(0, 10 ** 6), st.sampled_from(b"0123456789 \t\n\r\x0b#P25-x\x00\xff"))
+
+
+def mutate(data: bytes, mutations) -> bytes:
+    """data with each MUTATION applied in turn."""
+    data = bytearray(data)
+    for op, where, byte in mutations:
+        i = where % (len(data) + 1)
+        if op == "insert":
+            data.insert(i, byte)
+        elif op == "cut":
+            del data[i:]
+        elif data and op == "replace":
+            data[min(i, len(data) - 1)] = byte
+        elif data:
+            del data[min(i, len(data) - 1)]
+    return bytes(data)

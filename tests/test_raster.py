@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import MUTATION, mutate, pgm_streams
 from emmatch import (GrayImage, PnmFormatError, load_pgm, save_pgm, save_ppm,
                      shift_image, synth_shape)
 
@@ -258,32 +259,6 @@ def assert_reads_as_reference(data):
         assert got == want
 
 
-# Whitespace between tokens: whitespace bytes and '#' comments, each comment
-# ended by a line break.
-WHITESPACE = st.sampled_from([bytes([c]) for c in b" \t\n\r\x0b\x0c"])
-COMMENT = st.builds(lambda text, eol: b"#" + text + eol,
-                    st.binary(max_size=4).map(lambda t: t.replace(b"\n", b"").replace(b"\r", b"")),
-                    st.sampled_from([b"\n", b"\r"]))
-SEPARATOR = st.lists(st.one_of(WHITESPACE, COMMENT), min_size=1, max_size=3).map(b"".join)
-
-
-@st.composite
-def pgm_streams(draw):
-    """A valid P5 or P2 stream with comments wherever whitespace may go, and its image."""
-    w, h, maxval = draw(st.integers(1, 4)), draw(st.integers(1, 4)), draw(st.integers(1, 255))
-    px = draw(st.lists(st.integers(0, maxval), min_size=w * h, max_size=w * h))
-    magic = draw(st.sampled_from([b"P5", b"P2"]))
-    data = draw(st.one_of(st.just(b""), SEPARATOR)) + magic
-    for field in (w, h, maxval):
-        data += draw(SEPARATOR) + str(field).encode()
-    if magic == b"P5":
-        data += draw(WHITESPACE) + bytes(px)
-    else:
-        data += b"".join(draw(SEPARATOR) + str(v).encode() for v in px)
-    data += draw(st.one_of(st.just(b""), SEPARATOR))
-    return data, GrayImage(w, h, np.array(px).reshape(h, w))
-
-
 @given(pgm_streams())
 @settings(max_examples=100, deadline=None)
 def test_reader_reads_valid_streams_as_reference(stream):
@@ -292,25 +267,10 @@ def test_reader_reads_valid_streams_as_reference(stream):
     assert reference_load_pgm(data) == img
 
 
-MUTATION = st.tuples(st.sampled_from(["replace", "insert", "delete", "cut"]),
-                     st.integers(0, 10 ** 6), st.sampled_from(b"0123456789 \t\n\r\x0b#P25-x\x00\xff"))
-
-
 @given(pgm_streams(), st.lists(MUTATION, min_size=1, max_size=3))
 @settings(max_examples=250, deadline=None)
 def test_reader_matches_reference_on_mutated_streams(stream, mutations):
-    data = bytearray(stream[0])
-    for op, where, byte in mutations:
-        i = where % (len(data) + 1)
-        if op == "insert":
-            data.insert(i, byte)
-        elif op == "cut":
-            del data[i:]
-        elif data and op == "replace":
-            data[min(i, len(data) - 1)] = byte
-        elif data:
-            del data[min(i, len(data) - 1)]
-    assert_reads_as_reference(bytes(data))
+    assert_reads_as_reference(mutate(stream[0], mutations))
 
 
 @given(st.integers(1, 8), st.integers(1, 8), st.integers(0, 2 ** 32 - 1))

@@ -86,21 +86,28 @@ def test_every_private_name_is_read():
     assert set(unread_private_names(sources)) == set(UNREAD_PRIVATE)
 
 
-# Calls that create a directory or write a file.  In cli.py only _emit makes
-# them, so every command keeps one set of output-path rules.
-WRITING_CALLS = {"write_bytes", "write_text", "mkdir", "makedirs", "open"}
+# Calls that create, write, rename or remove a file or directory.  In cli.py
+# only _emit makes them, so every command keeps one set of output-path rules.
+WRITING_CALLS = {"write_bytes", "write_text", "mkdir", "makedirs", "open",
+                 "replace", "rename", "unlink", "rmdir"}
+# dataclasses.replace, called bare, copies a value and touches no file.
+PURE_MODULES = {"dataclasses"}
 
 
 def writing_calls(source: str) -> dict:
     """The writing calls that each top-level definition makes, under None for module-level code."""
+    tree = ast.parse(source)
+    pure = {alias.asname or alias.name for node in ast.walk(tree)
+            if isinstance(node, ast.ImportFrom) and node.module in PURE_MODULES
+            for alias in node.names}
     found = {}
-    for node in ast.parse(source).body:
+    for node in tree.body:
         owner = getattr(node, "name", None)
         for call in ast.walk(node):
             if isinstance(call, ast.Call):
                 func = call.func
                 name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
-                if name in WRITING_CALLS:
+                if name in WRITING_CALLS and not (isinstance(func, ast.Name) and name in pure):
                     found.setdefault(owner, set()).add(name)
     return found
 
@@ -110,11 +117,16 @@ def test_guard_sees_a_writing_call():
               "def _cmd(p):\n    with open(p, 'w'):\n        pass\nos.makedirs('d')\n")
     assert writing_calls(source) == {"_emit": {"mkdir", "write_bytes"}, "_cmd": {"open"},
                                      None: {"makedirs"}}
+    source = ("from dataclasses import replace\nfrom os import rename\n"
+              "def _a(p):\n    replace(p)\n    p.replace(p)\n"
+              "def _b(p):\n    rename(p, p)\n    os.unlink(p)\n    p.rmdir()\n")
+    assert writing_calls(source) == {"_a": {"replace"}, "_b": {"rename", "unlink", "rmdir"}}
 
 
 def test_only_the_cli_writer_writes():
     cli = Path(emmatch.__file__).parent / "cli.py"
-    assert writing_calls(cli.read_text()) == {"_emit": {"mkdir", "write_bytes"}}
+    assert writing_calls(cli.read_text()) == {
+        "_emit": {"mkdir", "write_bytes", "replace", "unlink", "rmdir"}}
 
 
 # emmatch.__all__ as published; a module merge or split must leave it as it is.
