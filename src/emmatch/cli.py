@@ -64,14 +64,21 @@ def render_classification_ppm(cls_map: ClassificationMap) -> bytes:
 
 
 def _pair(text: str, what: str, cast, sep: str = ",") -> tuple:
-    """Parse two finite numbers joined by sep: "X,Y", or "WxH" with sep "x"."""
+    """Parse two finite numbers joined by sep: "X,Y", or "WxH" with sep "x".
+
+    A whole number past float's range counts as not finite.
+    """
     try:
         values = tuple(cast(part) for part in text.lower().split(sep))
     except ValueError:
         values = ()
     if len(values) != 2:
         raise ArgumentCheckError(f"{what} must be two numbers joined by {sep!r}, got {text!r}")
-    if not all(math.isfinite(v) for v in values):
+    try:
+        finite = all(math.isfinite(v) for v in values)
+    except OverflowError:  # a whole number past float's range
+        finite = False
+    if not finite:
         raise ArgumentCheckError(f"{what} must be finite, got {text!r}")
     return values
 

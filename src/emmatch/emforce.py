@@ -98,7 +98,8 @@ class ForceParams:
     constants); height_px separates the two current planes vertically;
     pairs closer than min_r contribute exactly zero.  All three must be
     finite, strength and min_r positive, and min_r's square nonzero, since
-    the close-pair rules compare against it.
+    the close-pair rules compare against it; anything else raises
+    ValueError.  A whole number past float's range counts as not finite.
     """
 
     strength: float = 1.0
@@ -107,8 +108,13 @@ class ForceParams:
 
     def __post_init__(self):
         for name in ("strength", "height_px", "min_r"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
+            value = getattr(self, name)
+            try:
+                finite = math.isfinite(value)
+            except OverflowError:  # a whole number past float's range
+                finite = False
+            if not finite:
+                raise ValueError(f"{name} must be finite, got {value}")
         if self.strength <= 0.0:
             raise ValueError(f"strength must be positive, got {self.strength}")
         if self.height_px < 0.0:

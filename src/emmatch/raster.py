@@ -230,9 +230,13 @@ def _filled_box(width: int, height: int, cx: float, cy: float,
                 bw: int, bh: int) -> GrayImage:
     if bw <= 0 or bh <= 0:
         raise ValueError(f"box dimensions must be positive, got {bw}x{bh}")
-    x0 = int(np.floor(cx - bw / 2.0 + 0.5))
-    y0 = int(np.floor(cy - bh / 2.0 + 0.5))
-    if x0 < 0 or y0 < 0 or x0 + bw > width or y0 + bh > height:
+    # The sizes are compared as integers first: one past float's range cannot be halved.
+    fits = bw <= width and bh <= height
+    if fits:
+        x0 = int(np.floor(cx - bw / 2.0 + 0.5))
+        y0 = int(np.floor(cy - bh / 2.0 + 0.5))
+        fits = x0 >= 0 and y0 >= 0 and x0 + bw <= width and y0 + bh <= height
+    if not fits:
         raise ValueError(f"{bw}x{bh} box at ({cx}, {cy}) exceeds {width}x{height} image")
     px = np.zeros((height, width), dtype=np.uint8)
     px[y0:y0 + bh, x0:x0 + bw] = 255
@@ -269,9 +273,17 @@ def synth_shape(kind: str, width: int, height: int, *,
     Kinds: square, rectangle, ellipse, circle, line.  Geometry parameters
     default to proportions of the image size, so a bare kind gives a usable
     shape.  The default center is the geometric image center.
+
+    Raises ValueError for an unknown kind, a non-finite center, semi-axis
+    or radius, a size that is not positive, an image side above the
+    largest array length (the bound load_pgm applies), or a shape that
+    does not fit the image; sizes are compared as integers, so a whole
+    number past float's range is refused too.
     """
     if width <= 0 or height <= 0:
         raise ValueError(f"image dimensions must be positive, got {width}x{height}")
+    if width > _MAX_SIDE or height > _MAX_SIDE:
+        raise ValueError(f"image dimensions must be at most {_MAX_SIDE}, got {width}x{height}")
     # NaN fails every bounds comparison below, so it would draw an empty image.
     for name, value in (("center", center), ("semi_axes", semi_axes), ("radius", radius)):
         if value is not None and not np.all(np.isfinite(value)):

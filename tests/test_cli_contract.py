@@ -60,6 +60,7 @@ def sandbox(tmp_path_factory):
 
 
 PAIR, BACK = "--img1 moved.pgm --img2 rect.pgm", "--img1 rect.pgm --img2 moved.pgm"
+PAST_FLOAT = "9" * 309  # a whole number past float's range, which int() still reads
 SAME, NEAR = "--img1 rect.pgm --img2 rect.pgm", "--img1 moved_3_m2.pgm --img2 rect.pgm"
 GONE = [("bench", "bench", "invalid choice: 'bench'")] + [
     (f"{cmd}-{flag}", f"{cmd} --{flag} {value}", f"unrecognized arguments: --{flag} {value}")
@@ -123,6 +124,16 @@ REFUSALS = [
        f"synth --kind circle --out {out}", 2,
        f"emmatch: error: cannot write {out}: it names a directory\n")
       for case, out in (("slash", "new/"), ("dot", "new/."), ("dotdot", "new/.."))],
+    # Each used to escape main as OverflowError, once a size was halved as a float
+    # or a pair checked with math.isfinite.
+    *[(f"whole_number_past_float_range_is_an_argument_error-{flag}", argv.format(PAST_FLOAT), 2,
+       fragment) for flag, argv, fragment in (
+        *[(flag, f"synth --kind square --{flag} {{}} --out x.pgm",
+           "image dimensions must be at most") for flag in ("size", "width", "height")],
+        *[(flag, f"synth --kind {kind} --{flag} {{}} --out x.pgm", "exceeds 32x32 image")
+          for kind, flag in (("square", "side"), ("line", "length"), ("line", "thickness"))],
+        ("shift", "synth --kind square --shift {},0 --out x.pgm", "--shift must be finite"),
+        ("start", f"match {SAME} --start 0,{{}} --out-dir out", "--start must be finite"))],
 ]
 
 
@@ -140,9 +151,10 @@ def test_refusal_writes_nothing(sandbox, tmp_path, argv, code, fragment):
 (COMMANDS,) = [a.choices for a in build_parser()._actions
                if isinstance(a, argparse._SubParsersAction)]
 IMAGE_ARGS = ("image", "img1", "img2")  # each reads the file named after it, as image.pgm
-# Numbers at and past float's edges, pairs and paths; none above 64, synth's largest side.
+# Numbers at and past float's edges, pairs and paths.  None but PAST_FLOAT, which
+# every command refuses before it allocates, is above 64, synth's largest side.
 VALUES = ["0", "-0", "1", "3", "0.35", "64", "nan", "inf", "1e-200", "1e-320", "1e300",
-          "-3,2", "1,1", "2.5x3", "4x3", "d/.", "out/x.pgm"]
+          PAST_FLOAT, "-3,2", "1,1", "2.5x3", "4x3", "d/.", "out/x.pgm"]
 
 
 @st.composite
@@ -181,9 +193,13 @@ def command_lines(draw):
 
 
 @given(command_lines())
-# Two mended bugs: a numpy overflow warning, and a directory left by a refused --out.
+# Mended bugs: a numpy overflow warning, a directory left by a refused --out, and
+# an OverflowError that escaped main.
 @example((["synth", "--kind", "circle", "--radius", "1e-200", "--out", "x.pgm"], {}))
 @example((["synth", "--kind", "circle", "--out", "d/."], {}))
+@example((["synth", "--kind", "square", "--size", PAST_FLOAT, "--out", "x.pgm"], {}))
+@example((["match", "--img1", "img1.pgm", "--img2", "img2.pgm", "--start", f"0,{PAST_FLOAT}"],
+          {f"img{i}.pgm": save_pgm(synth_shape("square", 8, 8)) for i in (1, 2)}))
 @settings(max_examples=120, deadline=None)
 def test_generated_command_lines_keep_the_contract(case):
     argv, files = case

@@ -6,9 +6,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from emmatch import (SOBEL_X, SOBEL_Y, EdgeCurrent, EdgeMask, EdgeParams,
-                     EmptyCurrentError, GrayImage, VectorField, build_current,
-                     current_tsv, extract_current, mask_image, nms_mask,
+from emmatch import (SOBEL_X, SOBEL_Y, EdgeMask, EdgeParams, GrayImage, VectorField,
+                     build_current, current_tsv, extract_current, mask_image, nms_mask,
                      sobel_field, synth_shape, threshold_mask)
 from emmatch.edgecurrent import _least_above
 
@@ -38,7 +37,7 @@ def test_kernels_are_transposes():
     assert np.array_equal(SOBEL_Y, SOBEL_X.T)
     assert SOBEL_X[1, 2] == 2.0 and SOBEL_X[1, 0] == -2.0
     for kernel in (SOBEL_X, SOBEL_Y):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="read-only"):
             kernel[0, 0] = 5.0
 
 
@@ -105,7 +104,7 @@ def test_separable_passes_equal_the_2d_correlation():
     # The kernels are outer products of their 3-tap factors, read-only.
     for kernel in (SOBEL_X, SOBEL_Y):
         assert np.linalg.matrix_rank(kernel) == 1
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="read-only"):
             kernel[1, 1] = 3.0
     images = [synth_shape(kind, n, n).pixels
               for kind in ("square", "rectangle", "ellipse", "circle", "line") for n in (32, 64)]
@@ -154,6 +153,8 @@ def test_magnitude_is_the_root_of_the_exact_squared_length():
             assert field.magnitude.tobytes() == want.tobytes()
             assert np.array_equal(field.magnitude == 0.0,
                                   (field.gx == 0.0) & (field.gy == 0.0))
+    # A length just below the root of float's largest value is finite.
+    assert np.isfinite(VectorField(2, 1, [[1.0, 1.3e154]], [[0.0, 0.0]]).magnitude).all()
 
 
 def test_smoothing_preserves_constant_regions():
@@ -170,34 +171,6 @@ def test_smoothing_lowers_peak_response():
     assert float(soft.magnitude.max()) < float(raw.magnitude.max())
     # default stays unsmoothed
     assert np.array_equal(sobel_field(img).gx, raw.gx)
-
-
-def test_too_small_image_rejected():
-    img = GrayImage(2, 5, np.zeros((5, 2), dtype=np.uint8))
-    with pytest.raises(ValueError):
-        sobel_field(img)
-
-
-def test_field_arrays_frozen():
-    field = sobel_field(synth_shape("square", 16, 16, side=6))
-    with pytest.raises(ValueError):
-        field.gx[0, 0] = 1.0
-    with pytest.raises(ValueError):
-        field.magnitude[0, 0] = 1.0
-
-
-def test_field_shape_validation():
-    with pytest.raises(ValueError):
-        VectorField(4, 3, np.zeros((4, 4)), np.zeros((3, 4)))
-
-
-def test_edge_params_validation():
-    with pytest.raises(ValueError):
-        EdgeParams(threshold_pct=0.0)
-    with pytest.raises(ValueError):
-        EdgeParams(threshold_pct=1.0)
-    assert EdgeParams().threshold_pct == 0.20
-    assert EdgeParams().strict_nms is False
 
 
 def tied_image() -> GrayImage:
@@ -310,6 +283,7 @@ def test_equal_squared_lengths_tie(strict):
 
 
 def test_strict_nms_is_subset_of_lenient():
+    assert EdgeParams() == EdgeParams(threshold_pct=0.20, strict_nms=False)
     field = sobel_field(synth_shape("rectangle", 32, 32))
     tm = threshold_mask(field)
     lenient = nms_mask(field, tm, EdgeParams(strict_nms=False))
@@ -366,28 +340,9 @@ def test_zero_gradient_points_dropped():
     assert not ((current.tx == 0.0) & (current.ty == 0.0)).any()
 
 
-def test_build_current_rejects_dim_mismatch():
-    field = sobel_field(synth_shape("square", 16, 16, side=6))
-    with pytest.raises(ValueError):
-        build_current(field, EdgeMask(8, 8, np.zeros((8, 8), dtype=bool)))
-
-
 def test_extract_blank_image_yields_empty_current():
     blank = GrayImage(16, 16, np.zeros((16, 16), dtype=np.uint8))
     assert len(extract_current(blank)) == 0
-
-
-def test_current_arrays_frozen(square_current):
-    with pytest.raises(ValueError):
-        square_current.xs[0] = 5
-    with pytest.raises(ValueError):
-        square_current.tx[0] = 1.0
-
-
-def test_edge_current_length_validation():
-    with pytest.raises(ValueError):
-        EdgeCurrent(8, 8, np.array([1, 2]), np.array([1]),
-                    np.array([1.0]), np.array([1.0]))
 
 
 def test_element_accessor(square_current):

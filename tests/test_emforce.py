@@ -9,10 +9,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from emmatch import (CurrentElement, EdgeCurrent, EmptyCurrentError, ForceMap,
-                     ForceParams, Vec2, Vec3, bz_at, extract_current, force_map,
-                     force_map_fast, force_map_tsv, force_on_element, match_images,
-                     match_result_json, pair_force, shift_image, synth_shape, total_force)
+from emmatch import (CurrentElement, EdgeCurrent, ForceParams, Vec2, Vec3, bz_at,
+                     extract_current, force_map, force_map_fast, force_map_tsv,
+                     force_on_element, match_images, match_result_json, pair_force,
+                     shift_image, synth_shape, total_force)
 from emmatch import emforce
 from emmatch.emforce import _BLOCK_TERMS
 from conftest import random_current
@@ -28,26 +28,6 @@ def single(x, y, tx, ty, w=8, h=8):
 def empty_current(w=8, h=8):
     z = np.array([], dtype=np.int64)
     return EdgeCurrent(w, h, z, z, np.array([]), np.array([]))
-
-
-def test_force_params_validation():
-    with pytest.raises(ValueError):
-        ForceParams(strength=0.0)
-    with pytest.raises(ValueError):
-        ForceParams(height_px=-1.0)
-    with pytest.raises(ValueError):
-        ForceParams(min_r=0.0)
-    with pytest.raises(ValueError, match="nonzero square"):
-        ForceParams(min_r=1e-200)  # squares to 0.0, which no distance is below
-    p = ForceParams()
-    assert (p.strength, p.height_px, p.min_r) == (1.0, 0.0, 1e-9)
-
-
-@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
-@pytest.mark.parametrize("field", ["strength", "height_px", "min_r"])
-def test_force_params_reject_non_finite(field, value):
-    with pytest.raises(ValueError, match=f"{field} must be finite"):
-        ForceParams(**{field: value})
 
 
 def test_stacked_parallel_elements_attract_vertically():
@@ -82,6 +62,8 @@ def test_planar_force_falls_off_as_inverse_square():
 
 
 def test_coincident_elements_contribute_exactly_zero():
+    p = ForceParams()  # the default, whose min_r keeps out only coincident pairs
+    assert (p.strength, p.height_px, p.min_r) == (1.0, 0.0, 1e-9)
     f = pair_force(T_EAST, T_EAST, Vec2(0.0, 0.0))
     assert (f.x, f.y, f.z) == (0.0, 0.0, 0.0)
 
@@ -261,13 +243,6 @@ def test_empty_second_current_gives_zero():
     assert bz_at(c2, 1.0, 2.0) == 0.0
     t = total_force(empty_current(), single(1, 1, 1.0, 0.0), Vec2(0.0, 0.0))
     assert (t.x, t.y, t.z) == (0.0, 0.0, 0.0)
-
-
-def test_force_map_rejects_empty_currents():
-    with pytest.raises(EmptyCurrentError):
-        force_map(empty_current(), single(1, 1, 1.0, 0.0))
-    with pytest.raises(EmptyCurrentError):
-        force_map_fast(single(1, 1, 1.0, 0.0), empty_current())
 
 
 def test_map_grid_comes_from_second_current():
@@ -787,69 +762,6 @@ def test_strength_scales_whole_maps(seed):
     assert np.array_equal(scaled.g, 4.0 * base.g)
 
 
-def test_force_map_cell_bounds():
-    rng = np.random.default_rng(19)
-    fmap = force_map_fast(random_current(rng), random_current(rng))
-    with pytest.raises(ValueError):
-        fmap.cell(-1, 0)
-    with pytest.raises(ValueError):
-        fmap.cell(0, 16)
-    with pytest.raises(ValueError, match=r"cell \(1.0, 0\) must be a pair of integers"):
-        fmap.cell(1.0, 0)
-    assert fmap.cell(np.int64(1), 0) == fmap.cell(1, 0)
-
-
-def test_force_map_shape_validation():
-    with pytest.raises(ValueError):
-        ForceMap(4, 4, 2, 2, np.zeros((4, 3)), np.zeros((4, 4)))
-
-
-def test_force_map_rejects_non_finite_cells():
-    fx = np.zeros((3, 3))
-    fx[1, 2] = math.nan
-    with pytest.raises(ValueError, match="fx is not finite"):
-        ForceMap(3, 3, 1, 1, fx, np.zeros((3, 3)))
-    fy = np.zeros((3, 3))
-    fy[0, 0] = -math.inf
-    with pytest.raises(ValueError, match="fy is not finite"):
-        ForceMap(3, 3, 1, 1, np.zeros((3, 3)), fy)
-    with pytest.raises(ValueError, match="g is not finite"):
-        ForceMap(3, 3, 1, 1, np.zeros((3, 3)), np.zeros((3, 3)), fy)
-
-
-def test_force_map_rejects_negative_g():
-    g = np.ones((3, 3))
-    g[2, 1] = -1e-300
-    with pytest.raises(ValueError, match="g is negative"):
-        ForceMap(3, 3, 1, 1, np.zeros((3, 3)), np.zeros((3, 3)), g)
-
-
-def test_overflowing_strength_is_rejected(rect_current):
-    # The unit-strength forces exceed 1, so 1e308 overflows to infinity, and
-    # the error names the strength that did it.
-    huge = ForceParams(strength=1e308)
-    blames_strength = r"^force is not finite at strength 1e\+308$"
-    with pytest.raises(ValueError, match=blames_strength):
-        total_force(rect_current, rect_current, Vec2(5.0, -4.0), huge)
-    with pytest.raises(ValueError, match=blames_strength):
-        force_map_fast(rect_current, rect_current, huge)
-    with pytest.raises(ValueError, match=blames_strength):
-        force_on_element(rect_current.element(0), rect_current, Vec2(5.0, -4.0), huge)
-    with pytest.raises(ValueError, match=blames_strength):
-        bz_at(rect_current, 3.0, 3.0, huge)
-
-
-def test_overflowing_force_sum_is_named():
-    # Tangents near 1e300 overflow the unscaled sums; the default strength
-    # plays no part, so the error does not name it.
-    c = EdgeCurrent(8, 8, np.array([1, 4]), np.array([2, 5]),
-                    np.array([1e300, 1.0]), np.array([0.0, 1e300]))
-    for evaluate in (lambda: total_force(c, c, Vec2(1.0, -1.0)),
-                     lambda: force_on_element(c.element(1), c, Vec2(1.0, -1.0))):
-        with pytest.raises(ValueError, match="^force sum is not finite$"):
-            evaluate()
-
-
 def test_force_map_tsv_layout():
     rng = np.random.default_rng(23)
     fmap = force_map_fast(random_current(rng, n=5), random_current(rng, n=5))
@@ -860,5 +772,6 @@ def test_force_map_tsv_layout():
     assert (int(x), int(y)) == (0, 0)
     assert float(fx) == fmap.cell(0, 0).x
     assert float(fy) == fmap.cell(0, 0).y
+    assert fmap.cell(np.int64(1), 0) == fmap.cell(1, 0)
     # row-major: second row of output is the next cell to the east
     assert lines[2].split("\t")[:2] == ["1", "0"]

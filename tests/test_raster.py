@@ -11,27 +11,6 @@ from emmatch import (GrayImage, PnmFormatError, load_pgm, save_pgm, save_ppm,
                      shift_image, synth_shape)
 
 
-def test_gray_image_validates_shape():
-    with pytest.raises(ValueError):
-        GrayImage(3, 2, np.zeros((3, 3), dtype=np.uint8))
-
-
-def test_gray_image_rejects_out_of_range():
-    with pytest.raises(ValueError):
-        GrayImage(2, 1, np.array([[0, 300]]))
-
-
-def test_gray_image_rejects_nonpositive_dims():
-    with pytest.raises(ValueError):
-        GrayImage(0, 4, np.zeros((4, 0), dtype=np.uint8))
-
-
-def test_gray_image_pixels_frozen():
-    img = GrayImage(2, 2, np.zeros((2, 2), dtype=np.uint8))
-    with pytest.raises(ValueError):
-        img.pixels[0, 0] = 1
-
-
 def test_gray_image_is_not_equal_to_other_types():
     assert (GrayImage(1, 1, np.zeros((1, 1), dtype=np.uint8)) == 3) is False
 
@@ -44,18 +23,6 @@ def test_save_pgm_canonical_bytes():
 def test_save_ppm_canonical_bytes():
     rgb = np.array([[[64, 64, 64]]], dtype=np.uint8)
     assert save_ppm(rgb) == b"P6\n1 1\n255\n\x40\x40\x40"
-
-
-@pytest.mark.parametrize("rgb, message", [
-    (np.zeros((2, 3), dtype=np.uint8), "expected \\(height, width, 3\\) array"),
-    (np.full((1, 1, 3), -1, dtype=np.int16), "integers in \\[0, 255\\]"),
-    (np.zeros((1, 1, 3)), "integers in \\[0, 255\\]"),
-    (np.zeros((0, 5, 3), dtype=np.uint8), "width and height must be positive"),
-    (np.zeros((2, 0, 3), dtype=np.int16), "width and height must be positive"),
-])
-def test_save_ppm_rejects_non_rgb_samples(rgb, message):
-    with pytest.raises(ValueError, match=message):
-        save_ppm(rgb)
 
 
 def test_save_ppm_writes_in_range_int64_as_uint8():
@@ -80,11 +47,6 @@ def test_load_resaves_to_canonical_form():
 def test_ascii_pgm_parses_with_comments():
     img = load_pgm(b"P2\n# a comment\n3 2\n255\n0 10 20\n30 40 255\n")
     assert img.pixels.tolist() == [[0, 10, 20], [30, 40, 255]]
-
-
-def test_ascii_sample_above_maxval_rejected():
-    with pytest.raises(PnmFormatError):
-        load_pgm(b"P2\n2 1\n100\n0 101\n")
 
 
 def test_maxval_below_255_keeps_exact_values():
@@ -342,38 +304,6 @@ def test_centered_shapes_are_mirror_symmetric(kind):
     p = synth_shape(kind, 32, 32).pixels
     assert np.array_equal(p, p[:, ::-1])
     assert np.array_equal(p, p[::-1, :])
-
-
-def test_shape_exceeding_bounds_rejected():
-    with pytest.raises(ValueError):
-        synth_shape("square", 16, 16, side=20)
-    with pytest.raises(ValueError):
-        synth_shape("ellipse", 16, 16, semi_axes=(10.0, 3.0))
-    with pytest.raises(ValueError):
-        synth_shape("square", 32, 32, side=8, center=(30.0, 16.0))
-    # NaN fails every bounds comparison; it must not draw an empty image.
-    nan, inf = float("nan"), float("inf")
-    for kind, kw in [("circle", {"radius": nan}), ("circle", {"radius": inf}),
-                     ("circle", {"center": (nan, nan)}), ("square", {"center": (inf, 16.0)}),
-                     ("ellipse", {"semi_axes": (nan, 3.0)})]:
-        with pytest.raises(ValueError, match="must be finite"):
-            synth_shape(kind, 32, 32, **kw)
-
-
-@pytest.mark.parametrize("kind, size, kw, message", [
-    ("square", (0, 8), {}, "image dimensions must be positive"),
-    ("square", (32, 32), {"side": 0}, "box dimensions must be positive"),
-    ("rectangle", (32, 32), {"rect": (8, 0)}, "box dimensions must be positive"),
-    ("ellipse", (32, 32), {"semi_axes": (0.0, 5.0)}, "semi-axes must be positive"),
-])
-def test_degenerate_shape_rejected(kind, size, kw, message):
-    with pytest.raises(ValueError, match=message):
-        synth_shape(kind, *size, **kw)
-
-
-def test_unknown_kind_rejected():
-    with pytest.raises(ValueError):
-        synth_shape("blob", 32, 32)
 
 
 def test_shift_image_moves_content():

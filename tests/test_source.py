@@ -189,3 +189,32 @@ def test_every_promise_names_a_test():
     missing = [f"tests/{filename}::{name}" for filename, name in named
                if name not in defined[filename]]
     assert not missing, f"promises name tests that do not exist: {', '.join(missing)}"
+
+
+def bare_raises(source: str) -> list[int]:
+    """Lines of the pytest.raises calls that pin nothing: no match= and no `as` name.
+
+    Such a block passes on any exception of the class, from anywhere.
+    """
+    tree = ast.parse(source)
+    bound = {id(item.context_expr) for node in ast.walk(tree) if isinstance(node, ast.With)
+             for item in node.items if item.optional_vars is not None}
+    calls = [node for node in ast.walk(tree) if isinstance(node, ast.Call)
+             and isinstance(node.func, ast.Attribute) and node.func.attr == "raises"
+             and getattr(node.func.value, "id", None) == "pytest"]
+    return sorted(call.lineno for call in calls
+                  if not any(k.arg == "match" for k in call.keywords) and id(call) not in bound)
+
+
+def test_guard_sees_a_bare_raises():
+    source = ("with pytest.raises(ValueError):\n    f()\n"
+              "with pytest.raises(ValueError, match='x'):\n    f()\n"
+              "with pytest.raises(ValueError) as e, open(p):\n    f()\n"
+              "with open(p), pytest.raises(KeyError):\n    f()\n")
+    assert bare_raises(source) == [1, 7]
+
+
+def test_every_raises_pins_its_message():
+    bare = {p.relative_to(TESTS).as_posix(): bare_raises(p.read_text())
+            for p in sorted(TESTS.rglob("*.py"))}
+    assert {name: lines for name, lines in bare.items() if lines} == {}

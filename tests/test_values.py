@@ -5,7 +5,6 @@ arrays stay the caller's, and it rejects a cast that would lose information.
 """
 
 import dataclasses
-import math
 
 import numpy as np
 import pytest
@@ -58,6 +57,9 @@ def test_value_keeps_its_own_read_only_copy(cls):
         assert not stored.flags.writeable and stored.flags.c_contiguous
         arr.flat[0] = arr.flat[1]
         assert np.array_equal(stored, want)
+    derived = [f.name for f in dataclasses.fields(cls) if not f.init]  # VectorField.magnitude
+    for name in derived:
+        assert not getattr(value, name).flags.writeable
 
     # A transposed view of a C-ordered base: writing the base leaves the value alone.
     bases = {name: np.array([arr.T, arr.T]) for name, arr in ARRAYS[cls]().items()}
@@ -75,76 +77,6 @@ def test_value_keeps_its_own_read_only_copy(cls):
         build(cls, dict(arrays, **{name: arrays[name][..., :-1]}))
 
 
-def test_edge_current_rejects_float_positions():
-    with pytest.raises(ValueError, match="xs dtype float64"):
-        EdgeCurrent(4, 4, [1.7, 2.2], [0.9, 3.99], [1.0, 1.0], [0.0, 0.0])
-    with pytest.raises(ValueError, match="ys dtype float64"):
-        EdgeCurrent(4, 4, [1, 2], np.array([1.0, 2.0]), [1.0, 1.0], [0.0, 0.0])
-
-
-@pytest.mark.parametrize("x, y", [(-1, 0), (4, 0), (0, -1), (0, 3)])
-def test_edge_current_rejects_positions_off_the_grid(x, y):
-    with pytest.raises(ValueError, match="4x3 grid"):
-        EdgeCurrent(4, 3, [1, x], [1, y], [1.0, 1.0], [0.0, 0.0])
-
-
-def test_complex_arrays_are_rejected():
-    z = np.zeros((2, 3)) + 1j
-    with pytest.raises(ValueError, match="fx dtype complex128"):
-        ForceMap(3, 2, 1, 1, z, np.zeros((2, 3)))
-    with pytest.raises(ValueError, match="gy dtype complex128"):
-        VectorField(3, 2, np.zeros((2, 3)), z)
-    with pytest.raises(ValueError, match="tx dtype complex128"):
-        EdgeCurrent(3, 2, [0], [0], [1j], [0.0])
-
-
-@pytest.mark.parametrize("tx, ty", [(math.inf, 1.0), (1.0, math.nan), (-math.inf, math.nan)])
-def test_edge_current_rejects_non_finite_tangents(tx, ty):
-    # a non-finite tangent used to surface later, as a numpy warning in total_force
-    with pytest.raises(ValueError, match="tangents tx and ty must be finite"):
-        EdgeCurrent(4, 4, [0, 2], [0, 1], [tx, 1.0], [ty, 1.0])
-
-
-@pytest.mark.parametrize("gx, gy", [(math.nan, 0.0), (0.0, math.inf), (1.7e308, 1.7e308)])
-def test_vector_field_rejects_non_finite_vectors_and_lengths(gx, gy):
-    # such a field thresholds to an empty mask, or builds a non-finite current
-    with pytest.raises(ValueError, match="lengths must be finite"):
-        VectorField(2, 1, [[1.0, gx]], [[0.0, gy]])
-
-
-@pytest.mark.parametrize("gx, gy", [(1e155, 0.0), (0.0, -2e154), (1e154, 1e154),
-                                    (1.7e308, 1.7e308)])
-def test_vector_field_names_an_overflowing_squared_length(gx, gy):
-    # The length is the root of gx^2 + gy^2, which must be finite: a finite
-    # vector longer than about 1.34e154 is refused with that reason.
-    with pytest.raises(ValueError, match="lengths must be finite: a squared length overflows"):
-        VectorField(2, 1, [[1.0, gx]], [[0.0, gy]])
-    field = VectorField(2, 1, [[1.0, 1.3e154]], [[0.0, 0.0]])
-    assert np.isfinite(field.magnitude).all()
-
-
-@pytest.mark.parametrize("dtype", [np.uint8, np.int64, np.float64])
-def test_edge_mask_rejects_numeric_masks(dtype):
-    with pytest.raises(ValueError, match="mask dtype"):
-        EdgeMask(3, 1, np.array([[0, 2, 1]], dtype=dtype))
-
-
-@pytest.mark.parametrize("code, dtype", [(3, np.uint8), (7, np.uint8), (256, np.uint16),
-                                         (256, np.int64), (1.0, np.float64)])
-def test_classification_map_rejects_non_label_codes(code, dtype):
-    codes = np.zeros((2, 3), dtype=dtype)
-    codes[1, 2] = code
-    with pytest.raises(ValueError, match="codes"):
-        ClassificationMap(3, 2, 1, 1, codes)
-
-
-@pytest.mark.parametrize("cls", [ForceMap, ClassificationMap], ids=lambda cls: cls.__name__)
-@pytest.mark.parametrize("ox, oy", [(7, 7), (3, 1), (1, 2), (-1, 1), (1, -1)])
-def test_map_rejects_an_origin_off_the_grid(cls, ox, oy):
-    with pytest.raises(ValueError, match=rf"origin \({ox}, {oy}\) outside 3x2 map"):
-        cls(3, 2, ox, oy, **ARRAYS[cls]())
-
-
 @pytest.mark.parametrize("cls", list(ARRAYS), ids=lambda cls: cls.__name__)
 def test_size_must_be_integers_of_at_least_one(cls):
     # (2, 3.0) == (2, 3), so the shape check alone lets a float size through
@@ -153,8 +85,10 @@ def test_size_must_be_integers_of_at_least_one(cls):
     for bad in ((float(width), height), (width, height + 0.5), (width, 0), (-width, height)):
         with pytest.raises(ValueError, match=rf"{cls.__name__} size .* must be two integers"):
             cls(*bad, *origin, **ARRAYS[cls]())
-    value = cls(np.int64(width), np.uint8(height), *origin, **ARRAYS[cls]())
+    value = cls(np.int64(width), np.uint8(height), *map(np.int64, origin), **ARRAYS[cls]())
     assert type(value.width) is int and type(value.height) is int
+    if origin:
+        assert type(value.ox) is int and type(value.oy) is int
 
 
 # The contract of the six constructors: any input either raises ValueError or
