@@ -118,7 +118,9 @@ def _emit(out_dir, files: dict, detail: str | None = None) -> int:
     directory.
 
     Each file is written under a temporary sibling name and renamed into
-    place only once every write has succeeded.  If a write or rename fails,
+    place only once every write has succeeded.  The temporary name,
+    ".emmatch-PID-INDEX.tmp", does not depend on the file's name, so any
+    name the file system accepts can be written.  If a write or rename fails,
     the temporaries and the directories this call made are removed and the
     error is re-raised, so files that existed before keep their bytes.
     """
@@ -140,7 +142,8 @@ def _emit(out_dir, files: dict, detail: str | None = None) -> int:
     for path in paths:
         if path.is_dir():
             raise ArgumentCheckError(f"cannot write {path}: it is a directory")
-    temps = {path.with_name(f".{path.name}.{os.getpid()}.tmp"): path for path in paths}
+    temps = {path.with_name(f".emmatch-{os.getpid()}-{index}.tmp"): path
+             for index, path in enumerate(paths)}
     try:
         for temp, data in zip(temps, paths.values()):
             temp.write_bytes(data)

@@ -3,11 +3,16 @@ import pytest
 from hypothesis import settings
 from hypothesis import strategies as st
 
-from emmatch import EdgeCurrent, GrayImage, extract_current, synth_shape
+from emmatch import Direction8, EdgeCurrent, GrayImage, extract_current, synth_shape
 
 # `pytest --hypothesis-profile=ci` (the CI run): the same examples on every
 # run, and a failing one printed as a blob that @reproduce_failure replays.
 settings.register_profile("ci", derandomize=True, print_blob=True)
+
+# The README's glyph per discretized direction, None (balanced) included.
+GLYPHS = {Direction8.E: ">", Direction8.SE: "\\", Direction8.S: "v", Direction8.SW: "/",
+          Direction8.W: "<", Direction8.NW: ",", Direction8.N: "^", Direction8.NE: "`",
+          None: "."}
 
 
 @pytest.fixture(scope="session")

@@ -15,7 +15,7 @@ from emmatch import (CurrentElement, ForceParams, Label, MatchStatus, Vec2,
                      follow_path, force_map, force_map_fast, force_map_tsv,
                      force_on_element, match_images, match_result_json,
                      pair_force, shift_image, sobel_field, summarize_map,
-                     synth_shape, total_force)
+                     total_force)
 from emmatch.cli import render_direction_glyphs
 from emmatch.matchmap import PathStatus
 from conftest import random_current

@@ -1,13 +1,17 @@
-"""The CLI's exit contract, over a table of refusals and generated command lines."""
+"""The CLI's exit contract: a table of refusals, which write nothing; a table of
+successes, which write the library's bytes and nothing else; and generated
+command lines, which exit 0, 1 or 2 and rerun alike."""
 
 import argparse
 import io
+import json
 import os
 import re
 import shutil
 import tempfile
 import warnings
 from contextlib import redirect_stderr, redirect_stdout
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -15,9 +19,14 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import MUTATION, mutate, pgm_streams
-from emmatch import GrayImage, save_pgm, shift_image, synth_shape
-from emmatch.cli import build_parser, main
+from conftest import GLYPHS, MUTATION, mutate, pgm_streams
+from emmatch import (EdgeParams, ForceParams, GrayImage, Vec2, build_current,
+                     classification_rgb, classify_map, current_tsv, discretize8,
+                     extract_current, force_map_fast, force_map_tsv, mask_image, match_images,
+                     match_result_json, nms_mask, save_pgm, save_ppm, shift_image, sobel_field,
+                     summarize_map, synth_shape, threshold_mask, total_force)
+from emmatch.cli import build_parser, main, render_direction_glyphs
+from emmatch.edgecurrent import _cut
 
 ERROR_LINE = re.compile(r"^emmatch(?: [a-z]+)?: error: ", re.M)  # cli.main's or argparse's
 
@@ -41,16 +50,18 @@ def run_in(work: Path, argv: list) -> tuple:
     return code, out.getvalue(), err.getvalue()
 
 
+RECT = synth_shape("rectangle", 32, 32)
+IMAGES = {"rect": RECT, "moved": shift_image(RECT, 5, -4), "moved_3_m2": shift_image(RECT, 3, -2),
+          "c": synth_shape("circle", 32, 32), "ellipse": synth_shape("ellipse", 32, 32),
+          **{name: GrayImage(n, n, np.zeros((n, n), dtype=np.uint8))
+             for name, n in (("blank", 32), ("tiny", 2))}}
+
+
 @pytest.fixture(scope="module")
 def sandbox(tmp_path_factory):
-    """Every input and obstacle the refusals need; each row runs in its own copy."""
+    """Every input and obstacle the rows need; each row runs in its own copy."""
     d = tmp_path_factory.mktemp("sandbox")
-    rect = synth_shape("rectangle", 32, 32)
-    for name, img in [("rect", rect), ("moved", shift_image(rect, 5, -4)),
-                      ("moved_3_m2", shift_image(rect, 3, -2)),
-                      ("c", synth_shape("circle", 32, 32)),
-                      *[(name, GrayImage(n, n, np.zeros((n, n), dtype=np.uint8)))
-                        for name, n in (("blank", 32), ("tiny", 2))]]:
+    for name, img in IMAGES.items():
         (d / f"{name}.pgm").write_bytes(save_pgm(img))
     (d / "bad.pgm").write_bytes(b"P5\n9 9\n255\nshort")
     (d / "afile").write_bytes(b"")
@@ -146,6 +157,161 @@ def test_refusal_writes_nothing(sandbox, tmp_path, argv, code, fragment):
     assert (got, out) == (code, "")
     assert fragment in err and ERROR_LINE.search(err), err
     assert tree(work) == before
+
+
+def json_bytes(payload: dict) -> bytes:
+    return (json.dumps(payload, indent=2, sort_keys=True) + "\n").encode()
+
+
+def wrote(files: dict, detail: str) -> tuple:
+    """The stdout line and the files of a command that reports what it wrote."""
+    return f"wrote {' and '.join(files)} ({detail})\n", files
+
+
+def currents(one: str, two: str) -> tuple:
+    return extract_current(IMAGES[one]), extract_current(IMAGES[two])
+
+
+def force_line(fx: float, fy: float, fz: float) -> str:
+    return json.dumps({"fx": fx, "fy": fy, "fz": fz}, sort_keys=True) + "\n"
+
+
+def force(one: str, two: str, shift: tuple) -> tuple:
+    f = total_force(*currents(one, two), Vec2(*shift))
+    return force_line(f.x, f.y, f.z), {}
+
+
+def force_from_map(one: str, two: str, shift: tuple, fp: ForceParams) -> tuple:
+    """fx and fy read off the map's cell at shift; fz, which the map lacks, from total_force."""
+    c1, c2 = currents(one, two)
+    fmap = force_map_fast(c1, c2, fp)
+    cell = fmap.cell(fmap.ox + shift[0], fmap.oy + shift[1])
+    return force_line(cell.x, cell.y, total_force(c1, c2, Vec2(*shift), fp).z), {}
+
+
+def edges(name: str, p: EdgeParams, smooth: bool) -> tuple:
+    """edges' outputs by the staged route."""
+    img = IMAGES[name]
+    field = sobel_field(img, smooth)
+    coarse = threshold_mask(field, p)
+    mask = nms_mask(field, coarse, p)
+    c, top = build_current(field, mask), float(field.magnitude.max())
+    return wrote({"out/edges.pgm": save_pgm(mask_image(mask)), "out/edges.json": json_bytes({
+        "width": img.width, "height": img.height, "max_magnitude": top,
+        "threshold": _cut(p, top), "thresholded_points": coarse.count,
+        "edge_points": mask.count, "elements": len(c), "dropped_zero_gradient": c.dropped,
+    })}, f"{mask.count} edge points")
+
+
+def current(name: str, smooth: bool) -> tuple:
+    """current's outputs; the glyph of each element's tangent, "." where none."""
+    c = extract_current(IMAGES[name], smooth=smooth)
+    rows = [["."] * c.width for _ in range(c.height)]
+    for x, y, tx, ty in zip(c.xs.tolist(), c.ys.tolist(), c.tx.tolist(), c.ty.tolist()):
+        rows[y][x] = GLYPHS[discretize8(Vec2(tx, ty))]
+    glyphs = "".join("".join(row) + "\n" for row in rows)
+    return wrote({"out/current.tsv": current_tsv(c).encode(), "out/current.txt": glyphs.encode()},
+                 f"{len(c)} elements, {c.dropped} dropped")
+
+
+def map_outputs(one: str, two: str, fp: ForceParams) -> tuple:
+    """map's outputs; the glyphs are the unit-strength map's."""
+    c1, c2 = currents(one, two)
+    fmap, unit = force_map_fast(c1, c2, fp), force_map_fast(c1, c2, replace(fp, strength=1.0))
+    return wrote({"out/force_map.tsv": force_map_tsv(fmap).encode(),
+                  "out/force_map.txt": render_direction_glyphs(unit).encode()},
+                 f"{fmap.width}x{fmap.height}, origin {fmap.origin}")
+
+
+def classify(one: str, two: str, fp: ForceParams) -> tuple:
+    cls = classify_map(force_map_fast(*currents(one, two), fp))
+    counts = summarize_map(cls)
+    return wrote({"out/classification.ppm": save_ppm(classification_rgb(cls)),
+                  "out/classification.json": json_bytes({
+                      "width": cls.width, "height": cls.height, "origin": [cls.ox, cls.oy],
+                      "counts": counts})},
+                 ", ".join(f"{label} {n}" for label, n in counts.items()))
+
+
+def match(one: str, two: str, start=(0, 0), smooth=False) -> tuple:
+    payload = match_result_json(match_images(IMAGES[one], IMAGES[two], start_offset=start,
+                                             smooth=smooth))
+    return json.dumps(payload, sort_keys=True) + "\n", {"out/match.json": json_bytes(payload)}
+
+
+LONG = "a" * 250  # a legal name, too long for a temporary name built around it
+H8 = ForceParams(height_px=8.0)
+# (id, argv, stdout, {path: bytes}); an id names a success, then its case.
+SUCCESSES = [
+    ("synth_writes_matching_pgm", "synth --kind square --size 32 --side 12 --out out/sq.pgm",
+     "wrote out/sq.pgm (32x32, 144 foreground px)\n",
+     {"out/sq.pgm": save_pgm(synth_shape("square", 32, 32, side=12))}),
+    *[(f"synth_{case}", f"synth --kind rectangle --rect 16x8 --shift {dx},{dy} --out out/m.pgm",
+       "wrote out/m.pgm (32x32, 128 foreground px)\n",
+       {"out/m.pgm": save_pgm(shift_image(synth_shape("rectangle", 32, 32, rect=(16, 8)),
+                                          dx, dy))})
+      for case, dx, dy in (("applies_shift", 5, -4), ("accepts_negative_leading_shift", -3, 2))],
+    ("synth_with_a_tiny_radius_writes_a_blank_image_quietly",
+     "synth --kind circle --radius 1e-200 --out out/c.pgm",
+     "wrote out/c.pgm (32x32, 0 foreground px)\n",
+     {"out/c.pgm": save_pgm(synth_shape("circle", 32, 32, radius=1e-200))}),
+    ("synth_writes_a_long_name", f"synth --kind circle --out {LONG}",
+     f"wrote {LONG} (32x32, 316 foreground px)\n", {LONG: save_pgm(IMAGES["c"])}),
+    ("force_accepts_negative_pair_shift", f"force {SAME} --shift -6,-6",
+     *force("rect", "rect", (-6, -6))),
+    ("force_reports_restoring_pull", f"force {SAME} --shift 5,-4", *force("rect", "rect", (5, -4))),
+    *[(f"force_equals_the_map_row_of_its_shift-{dx},{dy}",
+       f"force {PAIR} --height 8 --strength 2.5 --shift {dx},{dy}",
+       *force_from_map("moved", "rect", (dx, dy), ForceParams(strength=2.5, height_px=8.0)))
+      for dx, dy in ((-5, 4), (3, -7))],
+    *[(f"edges_outputs-{kind}-{case}", f"edges {kind}.pgm {flags} --out-dir out",
+       *edges(kind, p, "--smooth" in flags))
+      for kind in ("rect", "ellipse") for case, flags, p in (
+        ("plain", "", EdgeParams()), ("smooth", "--smooth", EdgeParams()),
+        ("strict-0.35", "--strict-nms --threshold 0.35", EdgeParams(0.35, strict_nms=True)))],
+    ("current_outputs", "current rect.pgm --out-dir out", *current("rect", False)),
+    ("current_smooth_writes_the_smoothed_current", "current rect.pgm --smooth --out-dir out",
+     *current("rect", True)),
+    ("map_outputs", f"map {PAIR} --out-dir out", *map_outputs("moved", "rect", ForceParams())),
+    *[(f"map_glyphs_ignore_strength-{s}", f"map {SAME} --height 8 --strength {s} --out-dir out",
+       *map_outputs("rect", "rect", replace(H8, strength=float(s)))) for s in ("1", "1e-20")],
+    ("classify_outputs", f"classify {SAME} --height 8 --out-dir out",
+     *classify("rect", "rect", H8)),
+    *[(f"classify_ignores_strength-{s}",
+       f"classify {SAME} --height 8 --strength {s} --out-dir out",
+       *classify("rect", "rect", replace(H8, strength=float(s)))) for s in ("1", "1e-20")],
+    # Cells with G = 0 and their feeders are locally trapped, the origin at min_r 30.
+    *[(f"classify_traps_cells_that_sum_nothing-{r}", f"classify {NEAR} --min-r {r} --out-dir out",
+       *classify("moved_3_m2", "rect", ForceParams(min_r=float(r)))) for r in ("20", "30", "40")],
+    ("match_outputs", f"match {PAIR} --out-dir out", *match("moved", "rect")),
+    ("match_smooth_equals_the_library_match", f"match {PAIR} --smooth --out-dir out",
+     *match("moved", "rect", smooth=True)),
+    ("match_accepts_negative_start", f"match {SAME} --start -2,-2 --out-dir out",
+     *match("rect", "rect", start=(-2, -2))),
+]
+
+
+@pytest.mark.parametrize("argv, stdout, files", [row[1:] for row in SUCCESSES],
+                         ids=[row[0] for row in SUCCESSES])
+def test_success_writes_the_library_output(sandbox, tmp_path, argv, stdout, files):
+    work = Path(shutil.copytree(sandbox, tmp_path / "work"))
+    want = tree(work)
+    for name, data in files.items():
+        want.update({parent.as_posix(): None for parent in Path(name).parents[:-1]})
+        want[name] = data
+    assert run_in(work, argv.split()) == (0, stdout, "")
+    assert tree(work) == want
+
+
+def test_success_rows_keep_their_flags_apart():
+    # --smooth changes the current; --strength changes no label and no glyph,
+    # and not every glyph is a balance.
+    files = {row[0]: row[3] for row in SUCCESSES}
+    assert (files["current_smooth_writes_the_smoothed_current"]["out/current.tsv"]
+            != files["current_outputs"]["out/current.tsv"])
+    assert files["classify_ignores_strength-1"] == files["classify_ignores_strength-1e-20"]
+    glyphs = [files[f"map_glyphs_ignore_strength-{s}"]["out/force_map.txt"] for s in ("1", "1e-20")]
+    assert glyphs[0] == glyphs[1] and set(glyphs[0].decode()) - set(".\n")
 
 
 (COMMANDS,) = [a.choices for a in build_parser()._actions

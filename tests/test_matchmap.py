@@ -7,6 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from conftest import GLYPHS
 from emmatch import (Direction8, ForceMap, ForceParams, Label, MatchStatus,
                      PathStatus, PathTrace, Vec2, classification_rgb,
                      classify_map, discretize8, extract_current, follow_path,
@@ -406,11 +407,6 @@ def constructed_maps(draw):
     g = draw(st.none() | st.lists(CELL_GROSS, min_size=w * h, max_size=w * h))
     g = None if g is None else np.reshape(g, (h, w))
     return ForceMap(w, h, ox, oy, forces[..., 0], forces[..., 1], g)
-
-
-GLYPHS = {Direction8.E: ">", Direction8.SE: "\\", Direction8.S: "v", Direction8.SW: "/",
-          Direction8.W: "<", Direction8.NW: ",", Direction8.N: "^", Direction8.NE: "`",
-          None: "."}
 
 
 @given(constructed_maps())

@@ -10,6 +10,7 @@ import emmatch
 
 PACKAGE = sorted(Path(emmatch.__file__).parent.glob("*.py"))
 MODULES = [p for p in PACKAGE if p.name != "__init__.py"]  # __init__ imports names to re-export them
+TESTS = Path(__file__).resolve().parent
 
 # Private module-level names that no module of the package reads, and why each stays.
 UNREAD_PRIVATE = {
@@ -37,7 +38,7 @@ def test_guard_sees_an_unused_import():
     assert unused_imports("from __future__ import annotations\nimport a.b\na.b.c()\n") == []
 
 
-@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+@pytest.mark.parametrize("path", MODULES + sorted(TESTS.rglob("*.py")), ids=lambda p: p.name)
 def test_module_uses_every_import(path):
     assert unused_imports(path.read_text()) == []
 
@@ -154,7 +155,6 @@ def test_public_names_are_unchanged():
         assert getattr(emmatch, name) is getattr(emmatch.edgecurrent, name), name
 
 
-TESTS = Path(__file__).resolve().parent
 README = TESTS.parent / "README.md"
 
 # A test id as pytest prints it: tests/FILE.py::name or tests/FILE.py::Class::name.
