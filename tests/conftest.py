@@ -4,6 +4,7 @@ from hypothesis import settings
 from hypothesis import strategies as st
 
 from emmatch import Direction8, EdgeCurrent, GrayImage, extract_current, synth_shape
+from emmatch import emforce
 
 # `pytest --hypothesis-profile=ci` (the CI run): the same examples on every
 # run, and a failing one printed as a blob that @reproduce_failure replays.
@@ -45,6 +46,10 @@ def ellipse_current(ellipse_img):
     return extract_current(ellipse_img)
 
 
+# The shapes the matching tests use, as perfbench's workloads do.
+KINDS = ("rectangle", "square", "ellipse", "circle")
+
+
 def random_current(rng: np.random.Generator, width: int = 16, height: int = 16,
                    n: int = 12) -> EdgeCurrent:
     """A small synthetic current with distinct positions and nonzero tangents."""
@@ -56,6 +61,53 @@ def random_current(rng: np.random.Generator, width: int = 16, height: int = 16,
     # nudge any (0, 0) tangent off zero
     tx = np.where((tx == 0.0) & (ty == 0.0), 1.0, tx)
     return EdgeCurrent(width, height, xs, ys, tx, ty)
+
+
+def single(x, y, tx, ty, w=8, h=8):
+    return EdgeCurrent(w, h, np.array([x]), np.array([y]), np.array([tx]), np.array([ty]))
+
+
+@st.composite
+def dyadic_currents(draw, width, height):
+    """Up to 8 elements on a small grid, so positions repeat, with tangent
+    components in sixteenths up to 2**20, zero and negative ones included."""
+    n = draw(st.integers(1, 8))
+    cells = st.lists(st.integers(0, width * height - 1), min_size=n, max_size=n)
+    sixteenths = st.lists(st.one_of(st.integers(-64, 64), st.integers(-2 ** 24, 2 ** 24))
+                          .map(lambda k: k / 16), min_size=n, max_size=n)
+    xs, ys = np.divmod(np.array(draw(cells), dtype=np.int64), height)
+    return EdgeCurrent(width, height, xs, ys, np.array(draw(sixteenths)),
+                       np.array(draw(sixteenths)))
+
+
+def field_lattice(c1, c2, params, product=True):
+    """c2's field lattice for c1, in the direct form unless product."""
+    built = emforce._FieldLattice(c1, c2, params)
+    if not product:
+        built._operands = None
+    return built
+
+
+# (h, min_r, the h^2 the product rows hold, whether the product form masks)
+CLOSE_PAIR_RULES = [
+    (0.0, 1e-9, 0.0, False),   # coincident pairs only, r^2 floored at 1
+    (0.0, 1.0, 0.0, False),    # min_r^2 = h^2 + 1: still coincident pairs only
+    (3.0, 3.1, 9.0, True),     # h < min_r above h 0: only coincident pairs are close
+    (8.0, 1e-9, 64.0, False),  # h >= min_r: no close pair
+    (8.0, 8.06, 64.0, True),
+    (0.5, 0.6, 0.0, True),     # h^2 is no integer, so the rows leave it out
+    (2.5, 2.6, 0.0, True),
+    (1.0, 2.0, 1.0, True),     # pairs 1 apart in the plane are close too
+    (0.0, 1.5, 0.0, True),
+]
+
+
+def dyadic_current(rng, width, height, n):
+    """n elements anywhere on the grid, positions repeating, with tangent
+    components in sixteenths up to 2**20."""
+    tx, ty = rng.integers(-2 ** 24, 2 ** 24, size=(2, n)) / 16
+    return EdgeCurrent(width, height, rng.integers(0, width, n), rng.integers(0, height, n),
+                       tx, ty)
 
 
 # Whitespace between tokens: whitespace bytes and '#' comments, each comment

@@ -260,6 +260,7 @@ SUCCESSES = [
     ("force_accepts_negative_pair_shift", f"force {SAME} --shift -6,-6",
      *force("rect", "rect", (-6, -6))),
     ("force_reports_restoring_pull", f"force {SAME} --shift 5,-4", *force("rect", "rect", (5, -4))),
+    ("force_defaults_to_the_zero_shift", f"force {SAME}", *force("rect", "rect", (0, 0))),
     *[(f"force_equals_the_map_row_of_its_shift-{dx},{dy}",
        f"force {PAIR} --height 8 --strength 2.5 --shift {dx},{dy}",
        *force_from_map("moved", "rect", (dx, dy), ForceParams(strength=2.5, height_px=8.0)))

@@ -2,27 +2,22 @@ import json
 import math
 import sys
 import threading
-from collections import Counter
+from concurrent.futures import ThreadPoolExecutor
+from dataclasses import astuple, is_dataclass
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from emmatch import (CurrentElement, EdgeCurrent, ForceParams, Vec2, Vec3, bz_at,
-                     extract_current, force_map, force_map_fast, force_map_tsv,
-                     force_on_element, match_images, match_result_json, pair_force,
-                     shift_image, synth_shape, total_force)
+from emmatch import (CurrentElement, EdgeCurrent, ForceParams, Vec2, Vec3, bz_at, force_map,
+                     force_map_fast, force_map_tsv, force_on_element, match_images,
+                     match_result_json, pair_force, shift_image, synth_shape, total_force)
 from emmatch import emforce
 from emmatch.emforce import _BLOCK_TERMS
-from conftest import random_current
+from conftest import CLOSE_PAIR_RULES, dyadic_current, field_lattice, random_current, single
 
 T_EAST = CurrentElement(0, 0, 1.0, 0.0)
-
-
-def single(x, y, tx, ty, w=8, h=8):
-    return EdgeCurrent(w, h, np.array([x]), np.array([y]),
-                       np.array([tx]), np.array([ty]))
 
 
 def empty_current(w=8, h=8):
@@ -131,83 +126,6 @@ def test_force_on_element_sums_pairs(seed):
     assert abs(got.z - fz) <= tol
 
 
-def _small_case():
-    rng = np.random.default_rng(7)
-    return (random_current(rng), random_current(rng), Vec2(3.0, -1.0),
-            ForceParams(height_px=2.0))
-
-
-def _multi_block_case():
-    # 100 elements in c2 give blocks of _BLOCK_TERMS // 100 c1 rows; 401 c1
-    # elements span several blocks and leave a partial last one.
-    rng = np.random.default_rng(31)
-    c1 = random_current(rng, width=32, height=32, n=401)
-    c2 = random_current(rng, width=32, height=32, n=100)
-    assert len(c1) * len(c2) > 2 * _BLOCK_TERMS
-    assert len(c1) % (_BLOCK_TERMS // len(c2)) != 0
-    return c1, c2, Vec2(-2.0, 1.0), ForceParams(height_px=0.5)
-
-
-def _wide_c2_case():
-    # c2 alone exceeds a block, so every block holds a single c1 row.
-    rng = np.random.default_rng(37)
-    c2 = random_current(rng, width=140, height=140, n=_BLOCK_TERMS + 300)
-    return random_current(rng, n=5), c2, Vec2(40.0, 50.0), ForceParams()
-
-
-def _close_guard_case():
-    rng = np.random.default_rng(41)
-    c1, c2 = random_current(rng, n=40), random_current(rng, n=40)
-    shift, params = Vec2(1.0, 0.0), ForceParams(min_r=4.0)
-    d2 = ((c1.xs[:, None] + shift.x - c2.xs) ** 2
-          + (c1.ys[:, None] + shift.y - c2.ys) ** 2)
-    assert (d2 < params.min_r ** 2).any()
-    return c1, c2, shift, params
-
-
-def _negative_zero_case():
-    # Zero tangents with signs chosen so every x and y pair term is -0.0.
-    # Whatever sign the element sums carry, the running total starts at +0.0
-    # and must stay there.
-    c1 = EdgeCurrent(8, 8, np.array([1, 4, 6]), np.array([3, 5, 7]),
-                     np.array([0.0, 0.0, 0.0]), np.array([-0.0, -0.0, -0.0]))
-    c2 = single(2, 0, 1.0, 0.0)
-    params = ForceParams()
-    for el in c1:
-        f = pair_force(el, c2.element(0), Vec2(0.0, 0.0), params)
-        assert math.copysign(1.0, f.x) == math.copysign(1.0, f.y) == -1.0
-    return c1, c2, Vec2(0.0, 0.0), params
-
-
-def test_total_force_accumulates_element_forces_exactly():
-    for case in (_small_case, _multi_block_case, _wide_c2_case, _close_guard_case,
-                 _negative_zero_case):
-        c1, c2, shift, params = case()
-        total = total_force(c1, c2, shift, params)
-        fx = fy = fz = 0.0
-        for i in range(len(c1)):
-            f = force_on_element(c1.element(i), c2, shift, params)
-            fx += f.x
-            fy += f.y
-            fz += f.z
-        # Compare bytes, so the sign of a zero counts too.
-        got = np.array([total.x, total.y, total.z]).tobytes()
-        assert got == np.array([fx, fy, fz]).tobytes(), case.__name__
-
-
-def test_lattice_cells_of_signed_zero_terms_are_positive_zero():
-    # Every weighted term of every cell is +-0.0, and at the origin cell all
-    # are -0.0 (see _negative_zero_case).  A cell's fold and the whole map's
-    # window sums start at +0.0, so every fx and fy is +0.0.
-    c1, c2, _, params = _negative_zero_case()
-    zero = np.zeros((c2.height, c2.width)).tobytes()
-    fmap = emforce._FieldLattice(c1, c2, params).force_map()
-    assert fmap.fx.tobytes() == fmap.fy.tobytes() == zero
-    lattice = emforce._FieldLattice(c1, c2, params)
-    cells = [lattice.cell(x, y)[:2] for y in range(c2.height) for x in range(c2.width)]
-    assert _byte_tuple(cells) == _byte_tuple(np.zeros((len(cells), 2)))
-
-
 def test_bz_at_drives_planar_force():
     rng = np.random.default_rng(11)
     c2 = random_current(rng)
@@ -233,7 +151,7 @@ def test_force_on_element_weighs_bz_at():
         shift = Vec2(float(rng.integers(-4, 5)), float(rng.uniform(-4, 4)))
         f = force_on_element(el, c2, shift, params)
         b = bz_at(c2, el.x + shift.x, el.y + shift.y, params)
-        assert _byte_tuple((f.x, f.y)) == _byte_tuple((el.ty * b, -el.tx * b))
+        assert _bytes((f.x, f.y)) == _bytes((el.ty * b, -el.tx * b))
 
 
 def test_empty_second_current_gives_zero():
@@ -254,189 +172,9 @@ def test_map_grid_comes_from_second_current():
     assert fmap.origin == (12, 10)
 
 
-def test_map_cells_hold_total_force():
-    rng = np.random.default_rng(5)
-    c1 = random_current(rng, width=10, height=10, n=8)
-    c2 = random_current(rng, width=10, height=10, n=8)
-    params = ForceParams(height_px=1.0)
-    fmap = force_map(c1, c2, params)
-    for x, y in [(0, 0), (5, 5), (9, 3), (2, 9)]:
-        want = total_force(c1, c2, Vec2(float(x - 5), float(y - 5)), params)
-        got = fmap.cell(x, y)
-        assert (got.x, got.y) == (want.x, want.y)
-        # G adds the magnitudes of the element sums, so it bounds |F|
-        assert fmap.g[y, x] >= math.hypot(got.x, got.y) > 0.0
-
-
-def test_fast_map_matches_naive_map():
-    rng = np.random.default_rng(17)
-    c1 = random_current(rng)
-    c2 = random_current(rng)
-    params = ForceParams(strength=2.0, height_px=3.0)
-    naive = force_map(c1, c2, params)
-    fast = force_map_fast(c1, c2, params)
-    assert (fast.width, fast.height, fast.origin) == (naive.width, naive.height, naive.origin)
-    for name in ("fx", "fy", "g"):
-        assert getattr(fast, name).tobytes() == getattr(naive, name).tobytes(), name
-
-
-@pytest.mark.parametrize("kind, n, heights, strengths, cells", [
-    *(pytest.param(kind, n, (0.0, 5.0, 8.0), (1.0, 1.7), None, id=f"{n}-{kind}")
-      for n in (32, 64) for kind in ("circle", "ellipse", "rectangle", "square")),
-    # Above the sizes the golden files (64 px) and the oracle (19 px) pin:
-    # 16 seeded cells of a 256 px ellipse pair's fast map, at h 0 and 8.
-    pytest.param("ellipse", 256, (0.0, 8.0), (1.0,),
-                 np.random.default_rng(256).integers(0, 256, size=(16, 2)).tolist(),
-                 id="256-ellipse"),
-])
-def test_total_force_equals_the_fast_map_cell(kind, n, heights, strengths, cells):
-    # total_force at an integer shift weighs and folds the field values that
-    # the fast map's cell does, so the two agree bit for bit.
-    ref = synth_shape(kind, n, n)
-    c1, c2 = extract_current(shift_image(ref, n // 8, -(n // 10))), extract_current(ref)
-    for h in heights:
-        for strength in strengths:
-            params = ForceParams(strength=strength, height_px=h)
-            fmap = force_map_fast(c1, c2, params)
-            for x, y in cells or ((fmap.ox, fmap.oy), (fmap.ox - n // 8, fmap.oy + n // 10),
-                                  (0, 0), (n - 1, 3), (5, n - 2)):
-                f = total_force(c1, c2, Vec2(float(x - fmap.ox), float(y - fmap.oy)), params)
-                cell = fmap.cell(x, y)
-                assert _byte_tuple((f.x, f.y)) == _byte_tuple((cell.x, cell.y)), (h, x, y)
-
-
-def test_fast_map_folds_bz_at_over_first_current():
-    # A c2 of 200 elements makes the field lattice span several blocks.
-    rng = np.random.default_rng(29)
-    c1 = random_current(rng)
-    c2 = random_current(rng, width=20, height=20, n=200)
-    params = ForceParams(height_px=1.5)
-    fmap = force_map_fast(c1, c2, params)
-    for y in range(fmap.height):
-        for x in range(fmap.width):
-            fx = fy = g = 0.0
-            for i in range(len(c1)):
-                el = c1.element(i)
-                b = bz_at(c2, float(el.x + x - fmap.ox), float(el.y + y - fmap.oy), params)
-                fx += el.ty * b
-                fy += -el.tx * b
-                g += (abs(el.ty) + abs(el.tx)) * abs(b)
-            assert (float(fmap.fx[y, x]), float(fmap.fy[y, x]), float(fmap.g[y, x])) == (fx, fy, g)
-
-
-def test_lattice_cells_equal_the_fast_map(monkeypatch):
-    # Cells read one at a time, in any order, fill only the lattice points
-    # they need, and no point in two calls.  Within its one call a cell
-    # evaluates a point once for each element of c1 on it: twice where the
-    # appended copy of element 3 shares that element's point, once
-    # elsewhere.  c2's tangents in sixteenths, as image currents have, take
-    # the product form.  100 elements of c2 make blocks of 163 points, so
-    # the fast map's whole-lattice fill spans four blocks, the last one
-    # shorter.
-    rng = np.random.default_rng(31)
-    c = random_current(rng)
-    c1 = EdgeCurrent(c.width, c.height, np.append(c.xs, c.xs[3]), np.append(c.ys, c.ys[3]),
-                     np.append(c.tx, 2.5), np.append(c.ty, -1.0))
-    on = Counter(zip(c1.xs.tolist(), c1.ys.tolist()))  # elements of c1 on each point
-    assert sorted(on.values())[-2:] == [1, 2]
-    c2 = random_current(rng, width=12, height=10, n=100)
-    sixteenths = EdgeCurrent(12, 10, c2.xs, c2.ys, np.round(16 * c2.tx) / 16,
-                             np.round(16 * c2.ty) / 16)
-    params = ForceParams(height_px=2.0)
-    calls, products = [], []
-    real = emforce._field_sums
-
-    def recording(c2, px, py, params, operands=None, **kwargs):
-        products.append(operands is not None)
-        calls.append(Counter(zip(px.tolist(), py.tolist())))
-        return real(c2, px, py, params, operands, **kwargs)
-
-    for current, product in ((c2, False), (sixteenths, True)):
-        fmap = force_map_fast(c1, current, params)
-        calls.clear()
-        products.clear()
-        with monkeypatch.context() as m:
-            m.setattr(emforce, "_field_sums", recording)
-            lattice = emforce._FieldLattice(c1, current, params)
-            rows = _BLOCK_TERMS // len(current)
-            assert rows == 163 and lattice.values.size % rows and lattice.values.size > 2 * rows
-            cells = [(x, y) for y in range(fmap.height) for x in range(fmap.width)]
-            for k in rng.permutation(len(cells)):
-                x, y = cells[k]
-                first = len(calls)
-                assert lattice.cell(x, y) == (fmap.fx[y, x], fmap.fy[y, x], fmap.g[y, x])
-                assert len(calls) - first <= 1
-                dx, dy = x - fmap.ox, y - fmap.oy
-                for call in calls[first:]:
-                    assert all(n == on[px - dx, py - dy] for (px, py), n in call.items())
-        assert sum(map(len, calls)) == len(set().union(*calls))  # no point in two calls
-        assert 2 in set().union(*(call.values() for call in calls))
-        assert products and set(products) == {product}
-
-
-@st.composite
-def dyadic_currents(draw, width, height):
-    """Up to 8 elements on a small grid, so positions repeat, with tangent
-    components in sixteenths up to 2**20, zero and negative ones included."""
-    n = draw(st.integers(1, 8))
-    cells = st.lists(st.integers(0, width * height - 1), min_size=n, max_size=n)
-    sixteenths = st.lists(st.one_of(st.integers(-64, 64), st.integers(-2 ** 24, 2 ** 24))
-                          .map(lambda k: k / 16), min_size=n, max_size=n)
-    xs, ys = np.divmod(np.array(draw(cells), dtype=np.int64), height)
-    return EdgeCurrent(width, height, xs, ys, np.array(draw(sixteenths)),
-                       np.array(draw(sixteenths)))
-
-
-def dyadic_current(rng, width, height, n):
-    """n elements anywhere on the grid, positions repeating, with tangent
-    components in sixteenths up to 2**20."""
-    tx, ty = rng.integers(-2 ** 24, 2 ** 24, size=(2, n)) / 16
-    return EdgeCurrent(width, height, rng.integers(0, width, n), rng.integers(0, height, n),
-                       tx, ty)
-
-
-# 2000 elements of c2 make blocks of 8 lattice points, so lattices span blocks
-MANY = dyadic_current(np.random.default_rng(43), 6, 5, 2000)
-
-
-def _byte_tuple(values):
-    return np.array(values, dtype=np.float64).tobytes()
-
-
-@given(dyadic_currents(7, 6), dyadic_currents(6, 5), st.sampled_from([0.0, 0.3, 8.0]),
-       st.sampled_from([1e-9, 2.5]))
-# a zero numerator that the two forms sign differently
-@example(single(2, 1, 0.5, 0.0), single(3, 2, -1.0, 0.0, 6, 5), 0.0, 1e-9)
-@example(dyadic_current(np.random.default_rng(53), 7, 6, 5), MANY, 0.3, 2.5)
-@settings(max_examples=60, deadline=None)
-def test_product_form_equals_the_direct_kernel(c1, c2, h, min_r):
-    params = ForceParams(height_px=h, min_r=min_r)
-
-    def lattice(product):
-        built = emforce._FieldLattice(c1, c2, params)
-        assert built._operands is not None
-        if not product:
-            built._operands = None
-        return built
-
-    product, direct = lattice(True), lattice(False)
-    fast, reference = product.force_map(), direct.force_map()
-    # Equal lattice values; where the bytes differ, both are zeros.
-    assert np.array_equal(product.values, direct.values)
-    differ = product.values.view(np.int64) != direct.values.view(np.int64)
-    assert not product.values[differ].any()
-    for name in ("fx", "fy", "g"):
-        assert getattr(fast, name).tobytes() == getattr(reference, name).tobytes()
-    if reference.g.any():
-        assert force_map_fast(c1, c2, params).fx.tobytes() == reference.fx.tobytes()
-    else:  # no cell sums anything: every tangent is zero, or every pair lies within min_r
-        for build in (force_map_fast, force_map):
-            with pytest.raises(ValueError, match="sums nothing at any shift"):
-                build(c1, c2, params)
-    product, direct = lattice(True), lattice(False)
-    for y in range(fast.height):
-        for x in range(fast.width):
-            assert _byte_tuple(product.cell(x, y)) == _byte_tuple(direct.cell(x, y))
+def _bytes(value):
+    """The float64 bytes of values, a force, or a map's fx, fy and g."""
+    return np.array(astuple(value)[-3:] if is_dataclass(value) else value, np.float64).tobytes()
 
 
 def test_product_form_guard():
@@ -470,32 +208,6 @@ def test_product_form_guard():
     want = [[bz_at(c2, float(lattice._x0 + col), float(lattice._y0 + row), params)
              for col in range(lw)] for row in range(lh)]
     assert lattice.values.tobytes() == np.array(want).tobytes()
-
-
-@pytest.mark.parametrize("h, min_r", [(0.3, 1.5), (8.0, 1e-9)])
-def test_blocks_share_no_state(h, min_r):
-    # About 2000 elements of c2 make blocks of 8 points, and 43 points leave a
-    # shorter last block; with min_r 1.5 some blocks hold close terms and
-    # others none.  Every point must read as if evaluated alone.
-    rng = np.random.default_rng(47)
-    c2 = dyadic_current(rng, 40, 40, 2000)
-    n = 43
-    assert _BLOCK_TERMS // len(c2) == 8 and n % 8
-    px, py = rng.integers(-5, 45, size=(2, n)).astype(np.float64)
-    txs, tys = rng.normal(size=(2, n))
-    params = ForceParams(height_px=h, min_r=min_r)
-    operands = emforce._product_operands(c2, 0.0)
-    assert operands is not None
-    for form in (None, operands):
-        alone = [emforce._field_sums(c2, px[i:i + 1], py[i:i + 1], params, form)
-                 for i in range(n)]
-        assert emforce._field_sums(c2, px, py, params, form).tobytes() == \
-            np.concatenate(alone).tobytes()
-        # with the z row of the force sums
-        alone = [emforce._field_sums(c2, px[i:i + 1], py[i:i + 1], params, form,
-                                     (txs[i:i + 1], tys[i:i + 1])) for i in range(n)]
-        assert emforce._field_sums(c2, px, py, params, form, (txs, tys)).tobytes() == \
-            np.concatenate(alone, axis=1).tobytes()
 
 
 def _block_masks(monkeypatch, c2, px, py, params, operands=None):
@@ -546,20 +258,6 @@ def test_min_r_mask_on_both_sides_of_the_height(h, masked, monkeypatch):
             assert (whole.fx[y, x], whole.fy[y, x], whole.g[y, x]) == cell
 
 
-# (h, min_r, the h^2 the product rows hold, whether the product form masks)
-CLOSE_PAIR_RULES = [
-    (0.0, 1e-9, 0.0, False),   # coincident pairs only, r^2 floored at 1
-    (0.0, 1.0, 0.0, False),    # min_r^2 = h^2 + 1: still coincident pairs only
-    (3.0, 3.1, 9.0, True),     # h < min_r above h 0: only coincident pairs are close
-    (8.0, 1e-9, 64.0, False),  # h >= min_r: no close pair
-    (8.0, 8.06, 64.0, True),
-    (0.5, 0.6, 0.0, True),     # h^2 is no integer, so the rows leave it out
-    (2.5, 2.6, 0.0, True),
-    (1.0, 2.0, 1.0, True),     # pairs 1 apart in the plane are close too
-    (0.0, 1.5, 0.0, True),
-]
-
-
 @pytest.mark.parametrize("h, min_r, folded, masked", CLOSE_PAIR_RULES)
 def test_close_pair_rule_of_the_product_form(h, min_r, folded, masked, monkeypatch):
     # No mask runs where h >= min_r, nor at h 0 with min_r <= 1, where the
@@ -581,67 +279,17 @@ def test_close_pair_rule_of_the_product_form(h, min_r, folded, masked, monkeypat
     closes = _block_masks(monkeypatch, c2, px, py, params, operands)
     assert closes and all((close is not None) is masked for close in closes)
     t1, pair = c1.element(0), (c2.element(0), c2.element(1))
-    walked, direct = (emforce._FieldLattice(c1, c2, params) for _ in range(2))
+    walked, direct = field_lattice(c1, c2, params), field_lattice(c1, c2, params, False)
     assert walked._operands[2] == folded
-    direct._operands = None
-    whole = emforce._FieldLattice(c1, c2, params).force_map()
+    whole = field_lattice(c1, c2, params).force_map()
     for y in range(8):
         for x in range(8):
             a, b = (pair_force(t1, t2, Vec2(float(x - 4), float(y - 4)), params) for t2 in pair)
             fx = a.x + b.x
             cell = walked.cell(x, y)
             assert cell == (fx, 0.5 * fx, 1.5 * abs(fx))
-            assert _byte_tuple(cell) == _byte_tuple(direct.cell(x, y))
-            assert _byte_tuple(cell) == _byte_tuple((whole.fx[y, x], whole.fy[y, x],
-                                                     whole.g[y, x]))
-    # Many coincident pairs: both currents on one 7 x 6 grid.
-    rng = np.random.default_rng(61)
-    c1, c2 = dyadic_current(rng, 7, 6, 30), dyadic_current(rng, 7, 6, 40)
-    product, direct = (emforce._FieldLattice(c1, c2, params) for _ in range(2))
-    direct._operands = None
-    fast, reference = product.force_map(), direct.force_map()
-    for name in ("fx", "fy", "g"):
-        assert getattr(fast, name).tobytes() == getattr(reference, name).tobytes()
-    product, direct = (emforce._FieldLattice(c1, c2, params) for _ in range(2))
-    direct._operands = None
-    for y in range(6):
-        for x in range(7):
-            assert _byte_tuple(product.cell(x, y)) == _byte_tuple(direct.cell(x, y))
-
-
-@pytest.mark.parametrize("h, min_r", [(0.0, 1e-9), (8.0, 1e-9), (1.0, 2.0)])
-def test_lattice_buffers_carry_no_state_between_cells(h, min_r, monkeypatch):
-    # 1000 elements of c2 give blocks of 16 points.  Walking every cell in
-    # row-major order, the first cell evaluates all of c1's points across
-    # several blocks and later ones fewer, the last block of a call partly
-    # filled; each value must be as a fresh lattice's whole-map fill computes it.
-    rng = np.random.default_rng(59)
-    c1, c2 = dyadic_current(rng, 12, 10, 80), dyadic_current(rng, 9, 7, 1000)
-    params = ForceParams(height_px=h, min_r=min_r)
-    sizes = []
-    real = emforce._field_sums
-
-    def recording(c2, px, py, params, operands=None, **kwargs):
-        sizes.append(len(px))
-        return real(c2, px, py, params, operands, **kwargs)
-
-    for product in (True, False):
-        walked, fresh = (emforce._FieldLattice(c1, c2, params) for _ in range(2))
-        if not product:
-            walked._operands = fresh._operands = None
-        fmap = fresh.force_map()
-        rows = _BLOCK_TERMS // len(c2)
-        sizes.clear()
-        with monkeypatch.context() as m:
-            m.setattr(emforce, "_field_sums", recording)
-            for y in range(c2.height):
-                for x in range(c2.width):
-                    assert _byte_tuple(walked.cell(x, y)) == \
-                        _byte_tuple((fmap.fx[y, x], fmap.fy[y, x], fmap.g[y, x]))
-        assert rows == 16 and max(sizes) > 2 * rows and len(set(sizes)) > 2
-        filled = walked._filled
-        assert filled.any()
-        assert walked.values[filled].tobytes() == fresh.values[filled].tobytes()
+            assert _bytes(cell) == _bytes(direct.cell(x, y))
+            assert _bytes(cell) == _bytes((whole.fx[y, x], whole.fy[y, x], whole.g[y, x]))
 
 
 def test_lattice_cell_whose_fold_overflows_is_an_error():
@@ -656,97 +304,69 @@ def test_lattice_cell_whose_fold_overflows_is_an_error():
     assert np.isfinite(lattice.values[lattice._filled]).all()
 
 
-def test_threads_evaluate_side_by_side():
-    # Three threads match, map and sum forces on different inputs at once,
-    # a few rounds each.  Each result must equal a serial run's bytes.
-    rect, ellipse = synth_shape("rectangle", 32, 32), synth_shape("ellipse", 32, 32)
-    moved = shift_image(rect, 5, -4)
-    c = extract_current(ellipse)
-    tf_case = _multi_block_case()
-    jobs = [
-        lambda: json.dumps(match_result_json(match_images(moved, rect))).encode(),
-        lambda: b"".join(getattr(force_map_fast(c, c, ForceParams(height_px=8.0)), name)
-                         .tobytes() for name in ("fx", "fy", "g")),
-        lambda: np.array(list(vars(total_force(*tf_case)).values())).tobytes(),
-    ]
-    serial = [job() for job in jobs]
-    rounds = 3
-    start = threading.Barrier(len(jobs), timeout=60)
-    results, errors = [[] for _ in jobs], []
+@pytest.mark.parametrize("h, min_r", [(0.0, 1e-9), (0.3, 1.5), (1.0, 2.0), (8.0, 1e-9)])
+def test_evaluations_share_no_state(h, min_r, monkeypatch):
+    # Each evaluation blocks in buffers of its own, so in both forms each reads the bytes
+    # it reads alone: two lattices walked in turn, against fresh whole-map fills; nested in
+    # another's block, between its |r|^3 and sums (this once gave plausible wrong sums); and
+    # on three threads switching every 10 us.  c2's 1000 and 2000 elements make blocks of 16
+    # and 8 points, several of which a walk's first cell spans, later calls ending mid-block.
+    rng = np.random.default_rng(59)
+    pairs = [(dyadic_current(rng, 12, 10, 80), dyadic_current(rng, 9, 7, 1000)),
+             (dyadic_current(rng, 10, 9, 50), dyadic_current(rng, 9, 8, 2000))]
+    assert [_BLOCK_TERMS // len(c2) for _, c2 in pairs] == [16, 8]
+    (c1, c2), (d1, d2) = pairs
+    params = ForceParams(height_px=h, min_r=min_r)
+    for product in (True, False):
+        fills = [field_lattice(*pair, params, product) for pair in pairs]
+        maps = [np.array(astuple(fill.force_map())[-3:]) for fill in fills]
+        walked = [field_lattice(*pair, params, product) for pair in pairs]
+        assert all(lat._operands is not None for lat in walked) is product
+        for y, x in np.ndindex(8, 9):
+            for lat, grid in zip(walked, maps):
+                assert y >= lat.height or _bytes(lat.cell(x, y)) == grid[:, y, x].tobytes()
+        for lat, fill in zip(walked, fills):
+            assert lat.values[lat._filled].tobytes() == fill.values[lat._filled].tobytes()
+        # The inner evaluations' c2 has as many elements as the outer ones'.
+        outer = [lambda: total_force(c1, c2, Vec2(0.5, -0.25), params),
+                 lambda: bz_at(c2, 2.5, 4.25, params),
+                 lambda: field_lattice(c1, c2, params, product).cell(4, 3)]
+        inner = [lambda: total_force(d1, c2, Vec2(-1.0, 2.0), params),
+                 lambda: field_lattice(d1, c2, params, product).cell(5, 3)]
+        alone, real = [_bytes(evaluate()) for evaluate in outer + inner], emforce._row_sums
+        for k, evaluate in enumerate(outer):
+            nested = []
 
-    def work(k):
-        try:
-            for _ in range(rounds):
-                start.wait()
-                results[k].append(jobs[k]())
-        except BaseException as e:  # re-raised below, in the test's thread
-            start.abort()
-            errors.append(e)
+            def spy(num, r3, close, out):
+                if not nested:
+                    nested.append(None)  # the inner evaluations' own blocks nest nothing
+                    nested[:] = [_bytes(f()) for f in inner]
+                real(num, r3, close, out)
 
-    threads = [threading.Thread(target=work, args=(k,)) for k in range(len(jobs))]
+            with monkeypatch.context() as m:
+                m.setattr(emforce, "_row_sums", spy)
+                assert [_bytes(evaluate())] + nested == [alone[k]] + alone[len(outer):]
+    rect = synth_shape("rectangle", 32, 32)
+    jobs = [lambda: json.dumps(match_result_json(match_images(shift_image(rect, 5, -4), rect))),
+            lambda: _bytes(force_map_fast(c1, c2, params)),
+            lambda: _bytes(total_force(d1, d2, Vec2(0.5, -0.25), params))]
+    serial, start = [job() for job in jobs], threading.Barrier(len(jobs), timeout=60)
+
+    def rounds(job):
+        got = []
+        for _ in range(3):
+            start.wait()
+            got.append(job())
+        return got
+
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)  # switch threads often, inside the blocks too
     try:
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join(timeout=120)
+        with ThreadPoolExecutor(len(jobs)) as pool:
+            results = [f.result(timeout=120) for f in [pool.submit(rounds, job) for job in jobs]]
     finally:
         sys.setswitchinterval(interval)
-    assert not any(t.is_alive() for t in threads)
-    if errors:
-        raise errors[0]
-    assert results == [[want] * rounds for want in serial]
-
-
-def test_evaluations_may_nest(monkeypatch):
-    # While an evaluation is in the middle of a block, between forming its
-    # numerators and |r|^3 and summing them, a total_force on another pair
-    # with as many elements in c2, and a lattice cell, run on the same
-    # thread.  The outer total_force, bz_at and lattice cell must each read
-    # the bytes they read without the nesting, and so must the inner ones.
-    ellipse, rect = synth_shape("ellipse", 32, 32), synth_shape("rectangle", 32, 32)
-    c1, c2 = extract_current(shift_image(ellipse, 3, -2)), extract_current(ellipse)
-    turned = EdgeCurrent(c2.width, c2.height, c2.xs, c2.ys, -c2.ty, c2.tx)
-    other, params = extract_current(rect), ForceParams(height_px=8.0)
-    outer = [lambda: tuple(vars(total_force(c1, c2, Vec2(0.5, -0.25), params)).values()),
-             lambda: (bz_at(c2, 12.5, 20.25, params),),
-             lambda: emforce._FieldLattice(c1, c2, params).cell(14, 17)]
-    inner = [lambda: tuple(vars(total_force(other, turned, Vec2(-1.0, 2.0))).values()),
-             lambda: emforce._FieldLattice(other, c2, ForceParams()).cell(15, 17)]
-    alone = [_byte_tuple(evaluate()) for evaluate in outer + inner]
-    real = emforce._row_sums
-    for k, evaluate in enumerate(outer):
-        nested = []
-
-        def spy(num, r3, close, out):
-            if not nested:
-                nested.append(None)  # the inner evaluations' own blocks nest nothing
-                nested[:] = [_byte_tuple(f()) for f in inner]
-            real(num, r3, close, out)
-
-        with monkeypatch.context() as m:
-            m.setattr(emforce, "_row_sums", spy)
-            got = _byte_tuple(evaluate())
-        assert [got] + nested == [alone[k]] + alone[len(outer):]
-
-
-def test_interleaved_lattices_read_their_own_maps():
-    # Two lattices for pairs of different sizes, alive on one thread, read
-    # their cells in turn: each must equal its own whole map's bytes.
-    rect, ellipse = synth_shape("rectangle", 32, 32), synth_shape("ellipse", 32, 32)
-    pairs = [(extract_current(shift_image(rect, 3, -2)), extract_current(rect),
-              ForceParams(height_px=8.0)),
-             (extract_current(shift_image(ellipse, -2, 1)), extract_current(ellipse),
-              ForceParams())]
-    assert len(pairs[0][0]) != len(pairs[1][0])
-    walked = [emforce._FieldLattice(*pair) for pair in pairs]
-    maps = [emforce._FieldLattice(*pair).force_map() for pair in pairs]
-    for y in range(32):
-        for x in range(32):
-            for lattice, fmap in zip(walked, maps):
-                assert _byte_tuple(lattice.cell(x, y)) == \
-                    _byte_tuple((fmap.fx[y, x], fmap.fy[y, x], fmap.g[y, x]))
+    assert results == [[want] * 3 for want in serial]
 
 
 @given(st.integers(0, 2 ** 32 - 1))

@@ -7,18 +7,15 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import GLYPHS
+from conftest import GLYPHS, KINDS
 from emmatch import (Direction8, ForceMap, ForceParams, Label, MatchStatus,
                      PathStatus, PathTrace, Vec2, classification_rgb,
                      classify_map, discretize8, extract_current, follow_path,
-                     force_map, force_map_fast, match_images, match_result_json,
+                     force_map_fast, match_images, match_result_json,
                      shift_image, summarize_map, synth_shape)
 from emmatch import emforce, matchmap
 from emmatch.cli import render_direction_glyphs
 from emmatch.matchmap import BALANCE_RTOL, ZERO_FORCE_EPS, _sectors
-
-# The shapes the matching tests use, as perfbench's workloads do.
-KINDS = ("rectangle", "square", "ellipse", "circle")
 
 C = math.cos(math.radians(22.5))
 S = math.sin(math.radians(22.5))
@@ -596,24 +593,6 @@ class TestShapeBasins:
         assert summarize_map(cls) == {"convergence": 1016, "divergence": 8,
                                       "locally_trapped": 0}
 
-    def test_fast_and_reference_maps_classify_identically(self, rect_current):
-        square = extract_current(synth_shape("square", 16, 16, side=6))
-        for current, params in ((rect_current, ForceParams(height_px=8.0)),
-                                (square, ForceParams())):
-            a = classify_map(force_map(current, current, params))
-            b = classify_map(force_map_fast(current, current, params))
-            assert np.array_equal(a.codes, b.codes)
-
-    @pytest.mark.parametrize("h", [0.0, 8.0])
-    @pytest.mark.parametrize("kind", KINDS)
-    def test_fast_and_reference_maps_discretize_identically(self, kind, h):
-        c = extract_current(synth_shape(kind, 32, 32))
-        params = ForceParams(height_px=h)
-        glyphs = render_direction_glyphs(force_map_fast(c, c, params))
-        assert render_direction_glyphs(force_map(c, c, params)) == glyphs
-        # the self-pair match is rounding residue of both sums: a balance
-        assert glyphs.splitlines()[16][16] == "."
-
 
 class TestRendering:
     def test_radial_map_renders_black_with_marked_origin(self):
@@ -650,34 +629,14 @@ class TestMatchImages:
         assert result.path.terminal == (11, 20)
         assert match_images(shift_image(rect_img, 3, -2), rect_img).detected_shift == (3, -2)
 
-    def test_identity_match_settles_at_zero(self, rect_img):
-        result = match_images(rect_img, rect_img)
+    @pytest.mark.parametrize("kind, h", [(kind, h) for kind in KINDS for h in (0.0, 8.0)])
+    def test_identity_match_settles_at_zero(self, kind, h):
+        # the self-pair match is rounding residue of both sums: a balance
+        img = synth_shape(kind, 32, 32)
+        result = match_images(img, img, force_params=ForceParams(height_px=h))
         assert result.status is MatchStatus.MATCHED
         assert result.detected_shift == (0, 0)
         assert result.steps == 0
-
-    def test_walk_equals_reference_map_walk(self, rect_img):
-        moved = shift_image(rect_img, 5, -4)
-        result = match_images(moved, rect_img)
-        fmap = force_map(extract_current(moved), extract_current(rect_img))
-        trace = follow_path(fmap, fmap.origin, stop_at_origin=False)
-        assert trace.positions == result.path.positions
-        assert trace.terminal == result.path.terminal
-
-    @pytest.mark.parametrize("h", [0.0, 8.0])
-    @pytest.mark.parametrize("kind", KINDS)
-    def test_walk_equals_fast_map_walk(self, kind, h):
-        # match reads force_map_fast's lattice, so it walks the fast map exactly
-        img = synth_shape(kind, 32, 32)
-        params = ForceParams(height_px=h)
-        for shift, start in (((5, -4), (0, 0)), ((-6, -6), (0, 0)), ((3, -2), (0, 0)),
-                             ((0, 0), (0, 0)), ((2, 1), (-9, 7))):
-            moved = shift_image(img, *shift)
-            result = match_images(moved, img, force_params=params, start_offset=start)
-            fmap = force_map_fast(extract_current(moved), extract_current(img), params)
-            ox, oy = fmap.origin
-            trace = follow_path(fmap, (ox + start[0], oy + start[1]), stop_at_origin=False)
-            assert result.path == trace
 
     def test_ellipse_recovers_every_small_shift(self, ellipse_img):
         # at h 0 every walk used to bounce on rounding noise around the match

@@ -13,6 +13,9 @@ from emmatch import (GrayImage, PnmFormatError, load_pgm, save_pgm, save_ppm,
 
 def test_gray_image_is_not_equal_to_other_types():
     assert (GrayImage(1, 1, np.zeros((1, 1), dtype=np.uint8)) == 3) is False
+    img = GrayImage(2, 1, np.zeros((1, 2), dtype=np.uint8))
+    assert img != GrayImage(2, 2, np.zeros((2, 2), dtype=np.uint8))  # same width
+    assert img != GrayImage(2, 1, np.array([[0, 1]], dtype=np.uint8))  # same size
 
 
 def test_save_pgm_canonical_bytes():
@@ -254,6 +257,8 @@ def test_square_pixel_count():
 def test_rectangle_pixel_count():
     img = synth_shape("rectangle", 32, 32, rect=(16, 8))
     assert int(np.count_nonzero(img.pixels)) == 128
+    low = synth_shape("rectangle", 8, 8, rect=(4, 2), center=(4.0, 7.0))  # ends on the last row
+    assert low.pixels[6:, 2:6].all() and np.count_nonzero(low.pixels) == 8
 
 
 def test_rectangle_defaults_match_explicit():

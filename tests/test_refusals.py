@@ -61,6 +61,8 @@ REFUSALS = [
          r"ellipse \(10.0, 3.0\) at \(8.0, 8.0\) exceeds 16x16 image"),
         ("center", "square", 32, {"side": 8, "center": (30.0, 16.0)},
          r"8x8 box at \(30.0, 16.0\) exceeds 32x32 image"),
+        ("bottom", "rectangle", 8, {"rect": (4, 2), "center": (4.0, 7.5)},
+         r"4x2 box at \(4.0, 7.5\) exceeds 8x8 image"),
         # NaN fails every bounds comparison; it must not draw an empty image.
         ("radius-nan", "circle", 32, {"radius": NAN}, "must be finite"),
         ("radius-inf", "circle", 32, {"radius": INF}, "must be finite"),
@@ -83,6 +85,8 @@ REFUSALS = [
         ("side", "square", (32, 32), {"side": 0}, "box dimensions must be positive"),
         ("rect", "rectangle", (32, 32), {"rect": (8, 0)}, "box dimensions must be positive"),
         ("semi-axes", "ellipse", (32, 32), {"semi_axes": (0.0, 5.0)},
+         "semi-axes must be positive"),
+        ("second-semi-axis", "ellipse", (32, 32), {"semi_axes": (5.0, 0.0)},
          "semi-axes must be positive"))],
     ("unknown_kind_rejected", partial(synth_shape, "blob", 32, 32), ValueError,
      "unknown shape kind 'blob'"),
