@@ -3,8 +3,8 @@
 Each AGREEMENTS row names two routes and the relation between their results.
 test_routes_agree checks every row on random small image pairs and random
 dyadic current pairs (positions that repeat, tangents in sixteenths up to
-2**20), and the fixed inputs of earlier tests, named after them, on the rows
-those tests checked.  Where the pipeline refuses (no edge points, or a force
+2**20); test_fixed_routes_agree checks the fixed inputs of earlier tests, one
+case each, named after them, on the rows those tests checked.  Where the pipeline refuses (no edge points, or a force
 model that sums nothing), both routes raise the same error class, and a
 per-cell route, which cannot refuse, reads zero wherever it evaluated.
 """
@@ -14,7 +14,7 @@ from dataclasses import astuple, replace
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import (CLOSE_PAIR_RULES, KINDS, dyadic_current, dyadic_currents, field_lattice,
@@ -317,9 +317,8 @@ def fixed_cases():
     yield image_case("dot", None, dot, dot, ForceParams(min_r=3.0), ep=EdgeParams(0.2))
 
 
-@given(cases())
-@settings(max_examples=100, deadline=None)
-def test_routes_agree(case):
+@pytest.mark.parametrize("case", [pytest.param(case, id=case.name) for case in fixed_cases()])
+def test_fixed_routes_agree(case):
     outcomes = {}
 
     def result(route):
@@ -341,5 +340,7 @@ def test_routes_agree(case):
             assert RELATIONS[AGREEMENTS[row][2]](a, b), row
 
 
-for _case in fixed_cases():
-    test_routes_agree = example(_case)(test_routes_agree)
+@given(cases())
+@settings(max_examples=100, deadline=None)
+def test_routes_agree(case):
+    test_fixed_routes_agree(case)
