@@ -215,3 +215,15 @@ def test_readme_documents_the_cli(tmp_path, monkeypatch, capsys):
     assert set(want) == {"detected_shift", "status", "steps"}
     got = json.loads(stdout)
     assert {key: got[key] for key in want} == want
+
+
+def test_readme_library_usage_runs(capsys):
+    text = README.read_text(encoding="utf-8")
+    block = re.search(r"## Library usage\n+```python\n(.*?)```", text, re.S).group(1)
+    exec(compile(block, "README.md", "exec"), {})
+    shown, counts = capsys.readouterr().out.splitlines()
+    # the first print's comment is its output; the second prints the label counts
+    assert shown == re.search(r"^print\(.*?\)\s+# (.*)$", block, re.M).group(1)
+    counts = ast.literal_eval(counts)
+    assert set(counts) == {"convergence", "divergence", "locally_trapped"}
+    assert sum(counts.values()) == 32 * 32

@@ -288,23 +288,6 @@ def test_nms_output_within_input_mask():
     assert np.array_equal(out.mask & tm.mask, out.mask)
 
 
-def test_square_current_element_count(square_current):
-    assert len(square_current) == 84
-    assert square_current.dropped == 0
-
-
-def test_rotation_is_quarter_turn_ccw(square_img):
-    field = sobel_field(square_img)
-    current = extract_current(square_img)
-    for el in current:
-        gx = field.gx[el.y, el.x]
-        gy = field.gy[el.y, el.x]
-        assert (el.tx, el.ty) == (gy, -gx)
-        # rotation preserves length and produces a perpendicular vector
-        assert el.tx * gx + el.ty * gy == 0.0
-        assert np.hypot(el.tx, el.ty) == np.hypot(gx, gy)
-
-
 def test_square_current_circulates_one_way(square_current):
     # cross product of position-offset-from-center with tangent keeps one sign
     cx = (31 - 0) / 2.0
@@ -312,11 +295,6 @@ def test_square_current_circulates_one_way(square_current):
     cross = ((square_current.xs - cx) * square_current.ty
              - (square_current.ys - cy) * square_current.tx)
     assert np.all(cross > 0) or np.all(cross < 0)
-
-
-def test_elements_in_row_major_order(square_current):
-    keys = [(int(y), int(x)) for x, y in zip(square_current.xs, square_current.ys)]
-    assert keys == sorted(keys)
 
 
 def test_zero_gradient_points_dropped():

@@ -25,74 +25,50 @@ def empty_current(w=8, h=8):
     return EdgeCurrent(w, h, z, z, np.array([]), np.array([]))
 
 
-def test_stacked_parallel_elements_attract_vertically():
-    f = pair_force(T_EAST, T_EAST, Vec2(0.0, 0.0), ForceParams(height_px=2.0))
-    assert (f.x, f.y, f.z) == (0.0, 0.0, -0.25)
+T_EAST_2 = CurrentElement(0, 2, 1.0, 0.0)  # T_EAST two cells south
+SKEW_1, SKEW_2 = CurrentElement(2, 3, 1.0, 2.0), CurrentElement(0, 0, -1.0, 3.0)  # r^3 343 at h 6
+NO_SHIFT = Vec2(0.0, 0.0)
+
+# pair_force(t1, t2, shift1, params) exactly, params None for pair_force's default; each
+# row's id names the test it replaced.  The last rows read against earlier ones: at twice the
+# distance a quarter of the force, at twice the strength twice, moved with its shift the
+# same, and lifted by h weaker in the plane.
+PAIR_FORCES = [
+    pytest.param(T_EAST, T_EAST, NO_SHIFT, ForceParams(height_px=2.0), Vec3(0.0, 0.0, -0.25),
+                 id="stacked_parallel_elements_attract_vertically"),
+    pytest.param(T_EAST, T_EAST_2, NO_SHIFT, None, Vec3(0.0, 0.25, 0.0),  # pulled toward +y
+                 id="parallel_elements_attract_in_plane"),
+    pytest.param(T_EAST, CurrentElement(0, 2, -1.0, 0.0), NO_SHIFT, None,
+                 Vec3(0.0, -0.25, 0.0), id="antiparallel_elements_repel_in_plane"),
+    pytest.param(CurrentElement(0, 0, 0.0, 1.0), CurrentElement(3, 0, 0.0, 1.0), NO_SHIFT, None,
+                 Vec3(3.0 / 27.0, 0.0, 0.0), id="side_by_side_parallel_wires_attract"),
+    pytest.param(T_EAST, T_EAST, NO_SHIFT, None, Vec3(0.0, 0.0, 0.0),
+                 id="coincident_elements_contribute_exactly_zero"),
+    pytest.param(T_EAST, T_EAST_2, NO_SHIFT, ForceParams(min_r=2.0), Vec3(0.0, 0.25, 0.0),
+                 id="min_r_cutoff_is_strict-at-the-cut"),
+    pytest.param(T_EAST, CurrentElement(0, 1, 1.0, 0.0), NO_SHIFT, ForceParams(min_r=2.0),
+                 Vec3(0.0, 0.0, 0.0), id="min_r_cutoff_is_strict-inside"),
+    pytest.param(T_EAST, CurrentElement(0, 4, 1.0, 0.0), NO_SHIFT, None, Vec3(0.0, 0.0625, 0.0),
+                 id="planar_force_falls_off_as_inverse_square"),
+    pytest.param(SKEW_1, SKEW_2, NO_SHIFT, ForceParams(height_px=6.0),
+                 Vec3(-18 / 343, 9 / 343, -30 / 343), id="strength_scales_pair_force_exactly-1"),
+    pytest.param(SKEW_1, SKEW_2, NO_SHIFT, ForceParams(strength=2.0, height_px=6.0),
+                 Vec3(-36 / 343, 18 / 343, -60 / 343), id="strength_scales_pair_force_exactly-2"),
+    pytest.param(CurrentElement(7, -1, 1.0, 2.0), SKEW_2, Vec2(-5.0, 4.0),
+                 ForceParams(height_px=6.0), Vec3(-18 / 343, 9 / 343, -30 / 343),
+                 id="shift_moves_the_first_element"),
+    pytest.param(T_EAST, T_EAST_2, NO_SHIFT, ForceParams(height_px=1.5),  # r 2.5: 0.128 < 0.25
+                 Vec3(0.0, 2.0 / 15.625, -1.5 / 15.625), id="height_weakens_planar_pull"),
+]
 
 
-def test_parallel_elements_attract_in_plane():
-    t2 = CurrentElement(0, 2, 1.0, 0.0)
-    f = pair_force(T_EAST, t2, Vec2(0.0, 0.0))
-    assert (f.x, f.y, f.z) == (0.0, 0.25, 0.0)  # pulled toward t2 at +y
-
-
-def test_antiparallel_elements_repel_in_plane():
-    t2 = CurrentElement(0, 2, -1.0, 0.0)
-    f = pair_force(T_EAST, t2, Vec2(0.0, 0.0))
-    assert (f.x, f.y, f.z) == (0.0, -0.25, 0.0)  # pushed away from t2
-
-
-def test_side_by_side_parallel_wires_attract():
-    t1 = CurrentElement(0, 0, 0.0, 1.0)
-    t2 = CurrentElement(3, 0, 0.0, 1.0)
-    f = pair_force(t1, t2, Vec2(0.0, 0.0))
-    assert (f.x, f.y, f.z) == (3.0 / 27.0, 0.0, 0.0)
-
-
-def test_planar_force_falls_off_as_inverse_square():
-    near = pair_force(T_EAST, CurrentElement(0, 2, 1.0, 0.0), Vec2(0.0, 0.0))
-    far = pair_force(T_EAST, CurrentElement(0, 4, 1.0, 0.0), Vec2(0.0, 0.0))
-    assert near.y == 0.25 and far.y == 0.0625
-    assert near.y / far.y == 4.0
-
-
-def test_coincident_elements_contribute_exactly_zero():
-    p = ForceParams()  # the default, whose min_r keeps out only coincident pairs
-    assert (p.strength, p.height_px, p.min_r) == (1.0, 0.0, 1e-9)
-    f = pair_force(T_EAST, T_EAST, Vec2(0.0, 0.0))
-    assert (f.x, f.y, f.z) == (0.0, 0.0, 0.0)
-
-
-def test_min_r_cutoff_is_strict():
-    params = ForceParams(min_r=2.0)
-    at_cut = pair_force(T_EAST, CurrentElement(0, 2, 1.0, 0.0), Vec2(0.0, 0.0), params)
-    assert at_cut.y == 0.25  # r == min_r still contributes
-    inside = pair_force(T_EAST, CurrentElement(0, 1, 1.0, 0.0), Vec2(0.0, 0.0), params)
-    assert (inside.x, inside.y, inside.z) == (0.0, 0.0, 0.0)
-
-
-def test_strength_scales_pair_force_exactly():
-    t2 = CurrentElement(2, 3, -0.7, 1.9)
-    base = pair_force(T_EAST, t2, Vec2(1.0, -1.0), ForceParams(height_px=1.5))
-    double = pair_force(T_EAST, t2, Vec2(1.0, -1.0),
-                        ForceParams(strength=2.0, height_px=1.5))
-    assert (double.x, double.y, double.z) == (2 * base.x, 2 * base.y, 2 * base.z)
-
-
-def test_shift_moves_the_first_element():
-    t1 = CurrentElement(5, 3, 0.4, -0.2)
-    t2 = CurrentElement(1, -2, -0.9, 0.6)
-    moved = pair_force(t1, t2, Vec2(-5.0, -3.0))
-    fixed = pair_force(CurrentElement(0, 0, 0.4, -0.2), t2, Vec2(0.0, 0.0))
-    assert (moved.x, moved.y, moved.z) == (fixed.x, fixed.y, fixed.z)
-
-
-def test_height_weakens_planar_pull():
-    t2 = CurrentElement(0, 2, 1.0, 0.0)
-    flat = pair_force(T_EAST, t2, Vec2(0.0, 0.0), ForceParams(height_px=0.0))
-    lifted = pair_force(T_EAST, t2, Vec2(0.0, 0.0), ForceParams(height_px=8.0))
-    assert 0.0 < lifted.y < flat.y
-    assert lifted.z < 0.0  # planes still pull toward each other
+@pytest.mark.parametrize("t1, t2, shift1, params, force", PAIR_FORCES)
+def test_pair_force(t1, t2, shift1, params, force):
+    if params is None:  # unit strength, no height, and a min_r that keeps out coincident pairs
+        assert astuple(ForceParams()) == (1.0, 0.0, 1e-9)
+        assert pair_force(t1, t2, shift1) == force
+    else:
+        assert pair_force(t1, t2, shift1, params) == force
 
 
 def test_force_on_single_element_matches_pair_force():
@@ -156,6 +132,7 @@ def test_force_on_element_weighs_bz_at():
 
 def test_empty_second_current_gives_zero():
     c2 = empty_current()
+    assert c2.dropped == 0  # a current built without a count drops nothing
     f = force_on_element(T_EAST, c2, Vec2(0.0, 0.0))
     assert (f.x, f.y, f.z) == (0.0, 0.0, 0.0)
     assert bz_at(c2, 1.0, 2.0) == 0.0
@@ -177,6 +154,30 @@ def _bytes(value):
     return np.array(astuple(value)[-3:] if is_dataclass(value) else value, np.float64).tobytes()
 
 
+def two_at(x, tx, width=8):
+    return EdgeCurrent(width, 8, np.array([1, x]), np.array([2, 5]),
+                       np.array([1.0, tx]), np.array([-0.5, 3.0]))
+
+
+# a c2 whose last column is 2**24 is exact; a 1/32 quantum, |t| = 2**21 and a
+# column past 2**24 keep the direct kernel
+@pytest.mark.parametrize("x, tx, width, product", [
+    (3, 2.0 ** 20, 8, True), (2 ** 24, 1.0, 2 ** 24 + 1, True), (3, 1 / 32, 8, False),
+    (3, 2.0 ** 21, 8, False), (2 ** 24 + 1, 1.0, 2 ** 24 + 2, False)], ids=[
+    "exact", "last-column-2**24", "quantum-1/32", "tangent-2**21", "last-column-past-2**24"])
+def test_product_operands_guard(x, tx, width, product):
+    assert (emforce._product_operands(two_at(x, tx, width), 0.0) is not None) is product
+
+
+# One element of c1 at x spans lattice columns x - 4 to x + 3 against an 8 px c2.
+@pytest.mark.parametrize("x, product", [(2 ** 24 - 3, True), (2 ** 24 - 2, False)],
+                         ids=["last-column-2**24", "last-column-past-2**24"])
+def test_lattice_product_form_bound(x, product):
+    lattice = emforce._FieldLattice(single(x, 1, 1.0, 0.5, x + 1, 4), two_at(3, 2.0 ** 20),
+                                    ForceParams(height_px=0.3))
+    assert (lattice._operands is not None) is product
+
+
 def test_product_form_guard():
     coord, tangent, quantum = emforce._EXACT_COORD, emforce._EXACT_TANGENT, emforce._EXACT_QUANTUM
     assert emforce._is_exact([-2 ** 24, 0, 2 ** 24], coord, 1.0)
@@ -188,19 +189,11 @@ def test_product_form_guard():
     assert not emforce._is_exact([2.0 ** 21], tangent, quantum)
     assert not emforce._is_exact([1e308], tangent, quantum)
 
-    def current(x, tx, width=8):
-        return EdgeCurrent(width, 8, np.array([1, x]), np.array([2, 5]),
-                           np.array([1.0, tx]), np.array([-0.5, 3.0]))
-
-    assert emforce._product_operands(current(3, 2.0 ** 20), 0.0) is not None
-    # a 1/32 quantum, |t| = 2**21 and a coordinate past 2**24 keep the direct kernel
-    for c in (current(3, 1 / 32), current(3, 2.0 ** 21), current(2 ** 24 + 1, 1.0, 2 ** 24 + 2)):
-        assert emforce._product_operands(c, 0.0) is None
-    lattice = emforce._FieldLattice(current(3, 1 / 32), current(4, 1 / 32), ForceParams())
+    lattice = emforce._FieldLattice(two_at(3, 1 / 32), two_at(4, 1 / 32), ForceParams())
     assert lattice._operands is None
     # An exact c2 keeps the direct form where the lattice reaches past 2**24:
     # at x = 2**27 the product form rounds r^2 otherwise.
-    c2, params = current(3, 2.0 ** 20), ForceParams(height_px=0.3)
+    c2, params = two_at(3, 2.0 ** 20), ForceParams(height_px=0.3)
     lattice = emforce._FieldLattice(single(2 ** 27, 1, 1.0, 0.5, 2 ** 27 + 1, 4), c2, params)
     assert lattice._operands is None
     lattice.force_map()
@@ -292,11 +285,13 @@ def test_close_pair_rule_of_the_product_form(h, min_r, folded, masked, monkeypat
             assert _bytes(cell) == _bytes((whole.fx[y, x], whole.fy[y, x], whole.g[y, x]))
 
 
-def test_lattice_cell_whose_fold_overflows_is_an_error():
+@pytest.mark.parametrize("t1x, t1y", [(0.0, 100.0), (100.0, 0.0)])
+def test_lattice_cell_whose_fold_overflows_is_an_error(t1x, t1y):
     # c2's huge tangent leaves the lattice value at the zero shift finite
-    # (1e307 at distance 1), but c1's t1y of 100 overflows the fold there;
-    # a cell farther away stays finite.
-    c1, c2 = single(3, 3, 0.0, 100.0), single(3, 2, 1e307, 0.0)
+    # (1e307 at distance 1), but c1's tangent of 100 overflows the fold
+    # there: G with fx, or G with fy while fx stays 0; a cell farther away
+    # stays finite.
+    c1, c2 = single(3, 3, t1x, t1y), single(3, 2, 1e307, 0.0)
     lattice = emforce._FieldLattice(c1, c2, ForceParams())
     assert all(math.isfinite(v) for v in lattice.cell(0, 0))
     with pytest.raises(ValueError, match=r"force at cell \(4, 4\) is not finite"):
