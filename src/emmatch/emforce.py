@@ -24,9 +24,9 @@ elements it forms the Bz numerators and guarded |r|^3 and sums the field,
 and given the first elements' tangents, their z terms from the same |r|^3
 too.  Each evaluation blocks in buffers of its own, allocated per call,
 so evaluations may nest and threads run side by side.  _field_sums alone
-keeps close pairs out, by one of three rules that _close_rule picks: no
-mask where h >= min_r; on the product form (below) at h 0 with
-min_r <= 1, a floor of 1 under r^2; otherwise, the mask.
+keeps close pairs out, by one rule: where h < min_r, every r^2 below
+min_r^2 becomes +inf before the cube, so that pair's terms divide to +-0
+and add nothing; where h >= min_r no pair is close.
 pair_force is the scalar reference for one pair, and force_map, which
 weighs the field at each shift's points in turn, the reference for the
 map.  Sums run in element storage order, and one shift's sums over the
@@ -96,10 +96,12 @@ class ForceParams:
 
     strength is the overall force scale (it absorbs all physical unit
     constants); height_px separates the two current planes vertically;
-    pairs closer than min_r contribute exactly zero.  All three must be
-    finite, strength and min_r positive, and min_r's square nonzero, since
-    the close-pair rules compare against it; anything else raises
-    ValueError.  A whole number past float's range counts as not finite.
+    pairs closer than min_r contribute exactly zero: the evaluations give
+    such a pair an infinite r^2.  A numerator that overflows still makes
+    the sum not finite, wherever its pair lies.  All three must be finite,
+    strength and min_r positive, and min_r's square nonzero, since the
+    close-pair rule compares against it; anything else raises ValueError.
+    A whole number past float's range counts as not finite.
     """
 
     strength: float = 1.0
@@ -269,25 +271,9 @@ def _product_operands(c2: EdgeCurrent, height_px: float):
             np.array((-c2.ty, c2.tx, c2.ty * x - c2.tx * y)), h2)
 
 
-def _close_rule(h2: float, cut: float, product: bool) -> tuple[bool, bool]:
-    """Whether _field_sums floors r^2 at 1, and whether it masks, at h^2 h2 and min_r^2 cut.
-
-    product says whether the product form runs.  Where h >= min_r no pair
-    is closer than min_r, and nothing is masked.  On the product form at
-    h 0 with min_r <= 1, r^2 is the exact integer square of a planar
-    distance, so only coincident pairs are closer, and the product form
-    gives each of them a numerator of +-0: a floor of 1 under r^2 keeps
-    their 0 / 0 out and changes no other r^2.  Every other case masks.
-    """
-    floor = product and h2 == 0.0 and cut <= 1.0
-    return floor, h2 < cut and not floor
-
-
-def _row_sums(num: np.ndarray, r3: np.ndarray, close, out: np.ndarray) -> None:
-    """Row sums of num / r3 into out, without the close terms; num is overwritten."""
+def _row_sums(num: np.ndarray, r3: np.ndarray, out: np.ndarray) -> None:
+    """Row sums of num / r3 into out; num is overwritten."""
     num /= r3
-    if close is not None:
-        np.copyto(num, 0.0, where=close)
     np.add.reduce(num, axis=1, out=out)
 
 
@@ -323,8 +309,10 @@ def _field_sums(c2: EdgeCurrent, px: np.ndarray, py: np.ndarray, params: ForcePa
 
     Sums Bz / |r|^3 over c2's elements in storage order, a block of about
     _BLOCK_TERMS pair terms at a time in buffers this call allocates, so
-    evaluations may nest and threads run side by side; _close_rule keeps
-    close pairs out.  operands, when given, are c2's _product_operands for
+    evaluations may nest and threads run side by side.  Where h < min_r,
+    each r^2 below min_r^2 becomes +inf before the cube, so a close pair's
+    terms are +-0, and not finite only where a numerator overflows, as at
+    any distance.  operands, when given, are c2's _product_operands for
     params.height_px or for height 0, and every point must then be an
     integer within _EXACT_COORD: r^2 and the numerators come from two
     matrix products of the points' rows (X, Y, 1, X^2 + Y^2), built once
@@ -338,11 +326,10 @@ def _field_sums(c2: EdgeCurrent, px: np.ndarray, py: np.ndarray, params: ForcePa
     """
     m = len(c2)
     step = max(1, _BLOCK_TERMS // max(m, 1))
-    # One fixed shape whatever the form and rule, so that the allocator reuses the memory.
+    # One fixed shape whatever the form and h, so that the allocator reuses the memory.
     r3, root, num, square = np.empty((4, min(step, len(px)), m))
     close = np.empty(r3.shape, dtype=bool)
     h2, cut = params.height_px * params.height_px, params.min_r * params.min_r
-    floor, masked = _close_rule(h2, cut, operands is not None)
     add_h2 = h2 and not (operands is not None and operands[2] == h2)  # the rows lack h^2
     if operands is None:
         xs, ys = c2.xs.astype(np.float64), c2.ys.astype(np.float64)
@@ -372,17 +359,14 @@ def _field_sums(c2: EdgeCurrent, px: np.ndarray, py: np.ndarray, params: ForcePa
             np.matmul(points[b, :3], operands[1], out=numk)
         if add_h2:
             r3k += h2  # r^2, cubed in place below
-        if floor:
-            np.maximum(r3k, 1.0, out=r3k)
-        closek = np.less(r3k, cut, out=close[:k]) if masked else None
+        if h2 < cut:  # a close pair's r^2 becomes +inf
+            np.copyto(r3k, np.inf, where=np.less(r3k, cut, out=close[:k]))
         r3k *= np.sqrt(r3k, out=rootk)
-        if closek is not None:
-            np.copyto(r3k, 1.0, where=closek)  # placeholder, the term is zeroed below
-        _row_sums(numk, r3k, closek, out[0, b])
+        _row_sums(numk, r3k, out[0, b])
         if t1 is not None:  # z terms t1x By - t1y Bx, in the buffers that Bz and the root free
             fz = np.multiply(txs[b, None], by, out=numk)
             fz -= np.multiply(tys[b, None], bx, out=rootk)
-            _row_sums(fz, r3k, closek, out[2, b])
+            _row_sums(fz, r3k, out[2, b])
     if t1 is None:
         return out[0]
     out[:2] = _weights(txs, tys)[:2] * out[0]

@@ -88,17 +88,19 @@ def field_lattice(c1, c2, params, product=True):
     return built
 
 
-# (h, min_r, the h^2 the product rows hold, whether the product form masks)
+# (h, min_r, the h^2 the product rows hold): where h < min_r, pairs closer than min_r get an
+# infinite r^2; where h >= min_r, no pair is that close
 CLOSE_PAIR_RULES = [
-    (0.0, 1e-9, 0.0, False),   # coincident pairs only, r^2 floored at 1
-    (0.0, 1.0, 0.0, False),    # min_r^2 = h^2 + 1: still coincident pairs only
-    (3.0, 3.1, 9.0, True),     # h < min_r above h 0: only coincident pairs are close
-    (8.0, 1e-9, 64.0, False),  # h >= min_r: no close pair
-    (8.0, 8.06, 64.0, True),
-    (0.5, 0.6, 0.0, True),     # h^2 is no integer, so the rows leave it out
-    (2.5, 2.6, 0.0, True),
-    (1.0, 2.0, 1.0, True),     # pairs 1 apart in the plane are close too
-    (0.0, 1.5, 0.0, True),
+    (0.0, 1e-9, 0.0),   # coincident pairs only
+    (0.0, 1.0, 0.0),    # min_r^2 = h^2 + 1: still coincident pairs only
+    (3.0, 3.1, 9.0),    # h < min_r above h 0: only coincident pairs are close
+    (8.0, 1e-9, 64.0),  # h >= min_r: no close pair
+    (8.0, 8.06, 64.0),
+    (0.5, 0.6, 0.0),    # h^2 is no integer, so the rows leave it out
+    (2.5, 2.6, 0.0),
+    (1.0, 2.0, 1.0),    # pairs 1 apart in the plane are close too
+    (2.0, 2.0, 4.0),    # h = min_r: a coincident pair lies on min_r and counts
+    (0.0, 1.5, 0.0),
 ]
 
 

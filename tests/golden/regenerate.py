@@ -43,15 +43,15 @@ HERE = Path(__file__).resolve().parent
 KINDS = ("rectangle", "square", "ellipse", "circle")
 SIZES = (32, 64)
 HEIGHTS = (0.0, 8.0)
-# (height_px, min_r): no mask where h >= min_r, the floor of 1 under r^2 at
-# h 0 with min_r <= 1, and the mask otherwise.
+# (height_px, min_r): no close pair where h >= min_r; otherwise pairs closer
+# than min_r, at h 0 with min_r <= 1 coincident pairs only, add nothing.
 CLOSE_PAIR_SETTINGS = ((0.0, 1e-9), (5.0, 1e-9), (8.0, 1e-9), (3.0, 3.1), (8.0, 8.06),
                        (0.0, 1.5), (2.5, 2.6))
 # The CLI pair: the moved image at the first planted shift against the reference.
 CLI_HEIGHT = "8"
 CLI_MATCH = "rectangle-32-match.json"
 # force's shift and its (listing key, force flags) settings: the h^2 fold
-# with no mask, and the direct form's mask rule.
+# with no close pair, and the direct form with close pairs.
 FORCE_SHIFT = "0.5,-0.25"
 FORCE_SETTINGS = (("force/h8.json", ("--height", "8")),
                   ("force/h3-min-r3.1.json", ("--height", "3", "--min-r", "3.1")))

@@ -12,6 +12,7 @@ import tempfile
 import warnings
 from contextlib import redirect_stderr, redirect_stdout
 from dataclasses import replace
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -168,6 +169,11 @@ def wrote(files: dict, detail: str) -> tuple:
     return f"wrote {' and '.join(files)} ({detail})\n", files
 
 
+def synth(out: str, detail: str, kind: str, shift=(0, 0), **kw) -> tuple:
+    """synth's outputs: the 32 px shape, moved by shift."""
+    return wrote({out: save_pgm(shift_image(synth_shape(kind, 32, 32, **kw), *shift))}, detail)
+
+
 def currents(one: str, two: str) -> tuple:
     return extract_current(IMAGES[one]), extract_current(IMAGES[two])
 
@@ -241,60 +247,63 @@ def match(one: str, two: str, start=(0, 0), smooth=False) -> tuple:
 
 LONG = "a" * 250  # a legal name, too long for a temporary name built around it
 H8 = ForceParams(height_px=8.0)
-# (id, argv, stdout, {path: bytes}); an id names a success, then its case.
+# (id, argv, a call giving the stdout and {path: bytes}); an id names a success, then its case.
 SUCCESSES = [
     ("synth_writes_matching_pgm", "synth --kind square --size 32 --side 12 --out out/sq.pgm",
-     "wrote out/sq.pgm (32x32, 144 foreground px)\n",
-     {"out/sq.pgm": save_pgm(synth_shape("square", 32, 32, side=12))}),
+     partial(synth, "out/sq.pgm", "32x32, 144 foreground px", "square", side=12)),
     *[(f"synth_{case}", f"synth --kind rectangle --rect 16x8 --shift {dx},{dy} --out out/m.pgm",
-       "wrote out/m.pgm (32x32, 128 foreground px)\n",
-       {"out/m.pgm": save_pgm(shift_image(synth_shape("rectangle", 32, 32, rect=(16, 8)),
-                                          dx, dy))})
+       partial(synth, "out/m.pgm", "32x32, 128 foreground px", "rectangle", (dx, dy),
+               rect=(16, 8)))
       for case, dx, dy in (("applies_shift", 5, -4), ("accepts_negative_leading_shift", -3, 2))],
     ("synth_with_a_tiny_radius_writes_a_blank_image_quietly",
      "synth --kind circle --radius 1e-200 --out out/c.pgm",
-     "wrote out/c.pgm (32x32, 0 foreground px)\n",
-     {"out/c.pgm": save_pgm(synth_shape("circle", 32, 32, radius=1e-200))}),
+     partial(synth, "out/c.pgm", "32x32, 0 foreground px", "circle", radius=1e-200)),
     ("synth_writes_a_long_name", f"synth --kind circle --out {LONG}",
-     f"wrote {LONG} (32x32, 316 foreground px)\n", {LONG: save_pgm(IMAGES["c"])}),
+     partial(synth, LONG, "32x32, 316 foreground px", "circle")),
     ("force_accepts_negative_pair_shift", f"force {SAME} --shift -6,-6",
-     *force("rect", "rect", (-6, -6))),
-    ("force_reports_restoring_pull", f"force {SAME} --shift 5,-4", *force("rect", "rect", (5, -4))),
-    ("force_defaults_to_the_zero_shift", f"force {SAME}", *force("rect", "rect", (0, 0))),
+     partial(force, "rect", "rect", (-6, -6))),
+    ("force_reports_restoring_pull", f"force {SAME} --shift 5,-4",
+     partial(force, "rect", "rect", (5, -4))),
+    ("force_defaults_to_the_zero_shift", f"force {SAME}", partial(force, "rect", "rect", (0, 0))),
     *[(f"force_equals_the_map_row_of_its_shift-{dx},{dy}",
        f"force {PAIR} --height 8 --strength 2.5 --shift {dx},{dy}",
-       *force_from_map("moved", "rect", (dx, dy), ForceParams(strength=2.5, height_px=8.0)))
+       partial(force_from_map, "moved", "rect", (dx, dy),
+               ForceParams(strength=2.5, height_px=8.0)))
       for dx, dy in ((-5, 4), (3, -7))],
     *[(f"edges_outputs-{kind}-{case}", f"edges {kind}.pgm {flags} --out-dir out",
-       *edges(kind, p, "--smooth" in flags))
+       partial(edges, kind, p, "--smooth" in flags))
       for kind in ("rect", "ellipse") for case, flags, p in (
         ("plain", "", EdgeParams()), ("smooth", "--smooth", EdgeParams()),
         ("strict-0.35", "--strict-nms --threshold 0.35", EdgeParams(0.35, strict_nms=True)))],
-    ("current_outputs", "current rect.pgm --out-dir out", *current("rect", False)),
+    ("current_outputs", "current rect.pgm --out-dir out", partial(current, "rect", False)),
     ("current_smooth_writes_the_smoothed_current", "current rect.pgm --smooth --out-dir out",
-     *current("rect", True)),
-    ("map_outputs", f"map {PAIR} --out-dir out", *map_outputs("moved", "rect", ForceParams())),
+     partial(current, "rect", True)),
+    ("map_outputs", f"map {PAIR} --out-dir out",
+     partial(map_outputs, "moved", "rect", ForceParams())),
     *[(f"map_glyphs_ignore_strength-{s}", f"map {SAME} --height 8 --strength {s} --out-dir out",
-       *map_outputs("rect", "rect", replace(H8, strength=float(s)))) for s in ("1", "1e-20")],
+       partial(map_outputs, "rect", "rect", replace(H8, strength=float(s))))
+      for s in ("1", "1e-20")],
     ("classify_outputs", f"classify {SAME} --height 8 --out-dir out",
-     *classify("rect", "rect", H8)),
+     partial(classify, "rect", "rect", H8)),
     *[(f"classify_ignores_strength-{s}",
        f"classify {SAME} --height 8 --strength {s} --out-dir out",
-       *classify("rect", "rect", replace(H8, strength=float(s)))) for s in ("1", "1e-20")],
+       partial(classify, "rect", "rect", replace(H8, strength=float(s)))) for s in ("1", "1e-20")],
     # Cells with G = 0 and their feeders are locally trapped, the origin at min_r 30.
     *[(f"classify_traps_cells_that_sum_nothing-{r}", f"classify {NEAR} --min-r {r} --out-dir out",
-       *classify("moved_3_m2", "rect", ForceParams(min_r=float(r)))) for r in ("20", "30", "40")],
-    ("match_outputs", f"match {PAIR} --out-dir out", *match("moved", "rect")),
+       partial(classify, "moved_3_m2", "rect", ForceParams(min_r=float(r))))
+      for r in ("20", "30", "40")],
+    ("match_outputs", f"match {PAIR} --out-dir out", partial(match, "moved", "rect")),
     ("match_smooth_equals_the_library_match", f"match {PAIR} --smooth --out-dir out",
-     *match("moved", "rect", smooth=True)),
+     partial(match, "moved", "rect", smooth=True)),
     ("match_accepts_negative_start", f"match {SAME} --start -2,-2 --out-dir out",
-     *match("rect", "rect", start=(-2, -2))),
+     partial(match, "rect", "rect", start=(-2, -2))),
 ]
 
 
-@pytest.mark.parametrize("argv, stdout, files", [row[1:] for row in SUCCESSES],
+@pytest.mark.parametrize("argv, expected", [row[1:] for row in SUCCESSES],
                          ids=[row[0] for row in SUCCESSES])
-def test_success_writes_the_library_output(sandbox, tmp_path, argv, stdout, files):
+def test_success_writes_the_library_output(sandbox, tmp_path, argv, expected):
+    stdout, files = expected()
     work = Path(shutil.copytree(sandbox, tmp_path / "work"))
     want = tree(work)
     for name, data in files.items():
@@ -307,11 +316,15 @@ def test_success_writes_the_library_output(sandbox, tmp_path, argv, stdout, file
 def test_success_rows_keep_their_flags_apart():
     # --smooth changes the current; --strength changes no label and no glyph,
     # and not every glyph is a balance.
-    files = {row[0]: row[3] for row in SUCCESSES}
-    assert (files["current_smooth_writes_the_smoothed_current"]["out/current.tsv"]
-            != files["current_outputs"]["out/current.tsv"])
-    assert files["classify_ignores_strength-1"] == files["classify_ignores_strength-1e-20"]
-    glyphs = [files[f"map_glyphs_ignore_strength-{s}"]["out/force_map.txt"] for s in ("1", "1e-20")]
+    expected = {row[0]: row[2] for row in SUCCESSES}
+
+    def files(name):
+        return expected[name]()[1]
+
+    assert (files("current_smooth_writes_the_smoothed_current")["out/current.tsv"]
+            != files("current_outputs")["out/current.tsv"])
+    assert files("classify_ignores_strength-1") == files("classify_ignores_strength-1e-20")
+    glyphs = [files(f"map_glyphs_ignore_strength-{s}")["out/force_map.txt"] for s in ("1", "1e-20")]
     assert glyphs[0] == glyphs[1] and set(glyphs[0].decode()) - set(".\n")
 
 

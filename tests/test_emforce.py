@@ -203,84 +203,28 @@ def test_product_form_guard():
     assert lattice.values.tobytes() == np.array(want).tobytes()
 
 
-def _block_masks(monkeypatch, c2, px, py, params, operands=None):
-    """The min_r mask each of _field_sums' blocks hands _row_sums, None where it masks nothing."""
-    masks, real = [], emforce._row_sums
-
-    def recording(num, r3, close, out):
-        masks.append(close)
-        real(num, r3, close, out)
-
-    with monkeypatch.context() as m:
-        m.setattr(emforce, "_row_sums", recording)
-        emforce._field_sums(c2, px, py, params, operands)
-    return masks
-
-
-@pytest.mark.parametrize("h, masked", [(1.0, True), (2.0, False)])
-def test_min_r_mask_on_both_sides_of_the_height(h, masked, monkeypatch):
-    # min_r 2: at h 1 a pair 1 apart in the plane is masked (r^2 = 2 < 4); at
-    # h 2 no pair is (r^2 >= h^2 = 4), so the mask is skipped, and a pair at
-    # planar distance 0 sits exactly on r^2 = min_r^2 and counts.  With t1y = 1
-    # and power-of-two tangents, every sum below is exactly the pair_force sum.
-    params = ForceParams(height_px=h, min_r=2.0)
-    c1 = single(3, 3, -0.5, 1.0)
-    c2 = EdgeCurrent(8, 8, np.array([4, 3]), np.array([3, 5]),
-                     np.array([1.0, 0.5]), np.array([0.25, -1.0]))
-    for form in (None, emforce._product_operands(c2, h)):
-        assert emforce._close_rule(h * h, 4.0, form is not None) == (False, masked)
-        (close,) = _block_masks(monkeypatch, c2, np.array([3.0]), np.array([3.0]), params, form)
-        assert (close is None) is not masked
-    t1, pair = c1.element(0), (c2.element(0), c2.element(1))
-    assert (pair_force(t1, pair[0], Vec2(0.0, 0.0), params) == Vec3(0.0, 0.0, 0.0)) is masked
-
-    def want(sx, sy):
-        a, b = (pair_force(t1, t2, Vec2(float(sx), float(sy)), params) for t2 in pair)
-        return a.x + b.x, a.y + b.y, a.z + b.z
-
-    walked = emforce._FieldLattice(c1, c2, params)
-    whole = emforce._FieldLattice(c1, c2, params).force_map()
-    for y in range(8):
-        for x in range(8):
-            fx, fy, fz = want(x - 4, y - 4)
-            assert bz_at(c2, float(x - 1), float(y - 1), params) == fx  # t1 at 3 + (x - 4)
-            assert total_force(c1, c2, Vec2(float(x - 4), float(y - 4)), params) == \
-                Vec3(fx, fy, fz)
-            cell = (fx, fy, 1.5 * abs(fx))  # L = fx, G = (|t1y| + |t1x|) |L|
-            assert walked.cell(x, y) == cell
-            assert (whole.fx[y, x], whole.fy[y, x], whole.g[y, x]) == cell
-
-
-@pytest.mark.parametrize("h, min_r, folded, masked", CLOSE_PAIR_RULES)
-def test_close_pair_rule_of_the_product_form(h, min_r, folded, masked, monkeypatch):
-    # No mask runs where h >= min_r, nor at h 0 with min_r <= 1, where the
-    # product form floors r^2 at 1.  Cells, with element positions of c1
-    # landing on c2's at many shifts, stay byte-equal to the masked direct
-    # form and equal to pair_force sums (exact here: one element of c1 with
-    # t1y = 1, two of c2 with power-of-two tangents).
+@pytest.mark.parametrize("h, min_r, folded", CLOSE_PAIR_RULES)
+def test_close_pairs_add_nothing(h, min_r, folded):
+    # c1's element lands on each of c2's at some shift, and near it at others.  With t1y = 1
+    # and power-of-two tangents, bz_at, total_force, the walked cells and the whole map
+    # equal pair_force sums exactly, and the walked cells the direct form's bytes.
     params = ForceParams(height_px=h, min_r=min_r)
     c1 = single(3, 3, -0.5, 1.0)
     c2 = EdgeCurrent(8, 8, np.array([4, 3]), np.array([3, 5]),
                      np.array([1.0, 0.5]), np.array([0.25, -1.0]))
-    operands = emforce._product_operands(c2, h)
-    assert operands[2] == folded
-    px, py = np.array([4.0, 3.0, 0.0, 4.0]), np.array([3.0, 5.0, 0.0, 4.0])
-    # the product form floors r^2 where it does not mask below min_r; the direct form masks
-    floored = h < min_r and not masked
-    assert emforce._close_rule(h * h, min_r * min_r, True) == (floored, masked)
-    assert emforce._close_rule(h * h, min_r * min_r, False) == (False, h < min_r)
-    closes = _block_masks(monkeypatch, c2, px, py, params, operands)
-    assert closes and all((close is not None) is masked for close in closes)
     t1, pair = c1.element(0), (c2.element(0), c2.element(1))
     walked, direct = field_lattice(c1, c2, params), field_lattice(c1, c2, params, False)
     assert walked._operands[2] == folded
     whole = field_lattice(c1, c2, params).force_map()
     for y in range(8):
         for x in range(8):
-            a, b = (pair_force(t1, t2, Vec2(float(x - 4), float(y - 4)), params) for t2 in pair)
-            fx = a.x + b.x
+            shift = Vec2(float(x - 4), float(y - 4))
+            a, b = (pair_force(t1, t2, shift, params) for t2 in pair)
+            fx, fy, fz = a.x + b.x, a.y + b.y, a.z + b.z
+            assert bz_at(c2, float(x - 1), float(y - 1), params) == fx  # t1 at 3 + (x - 4)
+            assert total_force(c1, c2, shift, params) == Vec3(fx, fy, fz)
             cell = walked.cell(x, y)
-            assert cell == (fx, 0.5 * fx, 1.5 * abs(fx))
+            assert cell == (fx, fy, 1.5 * abs(fx))  # L = fx, G = (|t1y| + |t1x|) |L|
             assert _bytes(cell) == _bytes(direct.cell(x, y))
             assert _bytes(cell) == _bytes((whole.fx[y, x], whole.fy[y, x], whole.g[y, x]))
 
@@ -332,11 +276,11 @@ def test_evaluations_share_no_state(h, min_r, monkeypatch):
         for k, evaluate in enumerate(outer):
             nested = []
 
-            def spy(num, r3, close, out):
+            def spy(num, r3, out):
                 if not nested:
                     nested.append(None)  # the inner evaluations' own blocks nest nothing
                     nested[:] = [_bytes(f()) for f in inner]
-                real(num, r3, close, out)
+                real(num, r3, out)
 
             with monkeypatch.context() as m:
                 m.setattr(emforce, "_row_sums", spy)

@@ -257,7 +257,7 @@ def fixed_cases():
         yield Case(f"test_lattice_cells_equal_the_fast_map[{name}]", c1, current,
                    ForceParams(height_px=2.0), ("cells",), cells, product=product)
     # Product and direct forms: a zero numerator that the two forms sign differently;
-    # 2000 elements of c2, which make blocks of 8 lattice points; and each close pair rule
+    # 2000 elements of c2, which make blocks of 8 lattice points; and each close-pair setting
     # on many coincident pairs, both currents on one 7 x 6 grid.
     rng, kernel = np.random.default_rng(61), "test_product_form_equals_the_direct_kernel"
     close = dyadic_current(rng, 7, 6, 30), dyadic_current(rng, 7, 6, 40)
@@ -266,7 +266,7 @@ def fixed_cases():
              0.0, 1e-9),
             (f"{kernel}[many]", dyadic_current(np.random.default_rng(53), 7, 6, 5),
              dyadic_current(np.random.default_rng(43), 6, 5, 2000), 0.3, 2.5),
-            *((f"test_close_pair_rule_of_the_product_form[{h}-{min_r}]", *close, h, min_r)
+            *((f"test_close_pairs_add_nothing[{h}-{min_r}]", *close, h, min_r)
               for h, min_r, *_ in CLOSE_PAIR_RULES)]:
         yield Case(name, c1, c2, ForceParams(height_px=h, min_r=min_r),
                    ("fast map", "direct values", "direct map", "cells", "direct cells"),

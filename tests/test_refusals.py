@@ -146,6 +146,11 @@ REFUSALS = [
        ValueError, "^force sum is not finite$") for evaluate, args in (
         (total_force, (OVERFLOWING, OVERFLOWING, Vec2(1.0, -1.0))),
         (force_on_element, (OVERFLOWING.element(1), OVERFLOWING, Vec2(1.0, -1.0))))],
+    # A pair within min_r adds nothing unless a numerator overflows: here the z one,
+    # t1x t2x h = 1e300 * 1e300, whose +-inf over the close pair's infinite |r|^3 is NaN.
+    ("overflowing_force_sum_is_named-within-min_r",
+     partial(total_force, OVERFLOWING, OVERFLOWING, Vec2(0.0, 0.0),
+             ForceParams(height_px=1.0, min_r=1e3)), ValueError, "^force sum is not finite$"),
     # matchmap
     *[(f"non_finite_force_has_no_direction-{x}-{y}", partial(discretize8, Vec2(x, y)),
        ValueError, "not finite")
