@@ -36,16 +36,28 @@ def test_kernels_are_transposes():
     assert np.array_equal(SOBEL_Y, SOBEL_X.T)
     assert SOBEL_X[1, 2] == 2.0 and SOBEL_X[1, 0] == -2.0
     for kernel in (SOBEL_X, SOBEL_Y):
+        # an outer product of its 3-tap factors, so the passes can be separable
+        assert np.linalg.matrix_rank(kernel) == 1
         with pytest.raises(ValueError, match="read-only"):
             kernel[0, 0] = 5.0
 
 
-def test_constant_image_has_zero_gradient():
-    img = GrayImage(8, 5, np.full((5, 8), 77, dtype=np.uint8))
-    field = sobel_field(img)
-    assert not field.gx.any()
-    assert not field.gy.any()
-    assert not field.magnitude.any()
+# (id, value, smooth) of a flat 8x5 image; an id after a folded test names it.
+FLAT = [
+    ("extract_blank_image_yields_empty_current", 0, False), ("0-smooth", 0, True),
+    ("all_zero_field_gives_empty_mask", 9, False), ("9-smooth", 9, True),
+    ("constant_image_has_zero_gradient", 77, False), ("77-smooth", 77, True),
+    ("200-plain", 200, False), ("smoothing_preserves_constant_regions", 200, True),
+]
+
+
+@pytest.mark.parametrize("value, smooth", [row[1:] for row in FLAT], ids=[row[0] for row in FLAT])
+def test_flat_image_has_no_edge(value, smooth):
+    img = GrayImage(8, 5, np.full((5, 8), value, dtype=np.uint8))
+    field = sobel_field(img, smooth)
+    assert not field.gx.any() and not field.gy.any() and not field.magnitude.any()
+    assert threshold_mask(field).count == 0
+    assert len(extract_current(img, smooth=smooth)) == 0
 
 
 def test_vertical_step_gradient():
@@ -59,15 +71,6 @@ def test_vertical_step_gradient():
     assert not field.gy.any()
 
 
-def test_horizontal_step_is_transposed_vertical_step():
-    px = np.zeros((8, 6), dtype=np.uint8)
-    px[4:, :] = 255
-    field = sobel_field(GrayImage(6, 8, px))
-    assert np.all(field.gy[3, :] == 1020.0)
-    assert np.all(field.gy[4, :] == 1020.0)
-    assert not field.gx.any()
-
-
 def random_pixels(w, h, seed):
     rng = np.random.default_rng(seed)
     px = rng.integers(0, 256, size=(h, w), dtype=np.uint8)
@@ -75,41 +78,42 @@ def random_pixels(w, h, seed):
     return px
 
 
-BRIGHT_PIXEL = np.zeros((5, 5), dtype=np.uint8)
-BRIGHT_PIXEL[2, 2] = 200
-
-
-@given(st.builds(random_pixels, st.integers(3, 9), st.integers(3, 9),
-                 st.integers(0, 2 ** 32 - 1)), st.booleans())
-@example(BRIGHT_PIXEL, False)
-@settings(max_examples=80, deadline=None)
-def test_matches_brute_force_on_random_images(px, smooth):
+def assert_matches_reference(px, smooth):
     # Every term is a multiple of 1/16, so both sums are exact: the bytes,
     # sign of zero included, must agree, with smoothing or without.
     field = sobel_field(GrayImage(px.shape[1], px.shape[0], px), smooth=smooth)
     gx, gy = reference_sobel(px, smooth)
     assert field.gx.tobytes() == gx.tobytes()
     assert field.gy.tobytes() == gy.tobytes()
+    # Sixteenths of magnitude at most 1020, so 256 |g|^2 is an integer, summed
+    # exactly here; the length is its correctly rounded root, so equal squared
+    # lengths give equal lengths, and only a zero vector has length zero.
+    ix, iy = (np.asarray(16 * g, dtype=np.int64) for g in (gx, gy))
+    assert np.array_equal(ix, 16 * gx) and np.array_equal(iy, 16 * gy)
+    want = np.sqrt((ix * ix + iy * iy).astype(np.float64) / 256.0)
+    assert field.magnitude.tobytes() == want.tobytes()
 
 
-def test_separable_passes_equal_the_2d_correlation():
-    # The kernels are outer products of their 3-tap factors.
-    for kernel in (SOBEL_X, SOBEL_Y):
-        assert np.linalg.matrix_rank(kernel) == 1
-    images = [synth_shape(kind, n, n).pixels
-              for kind in ("square", "rectangle", "ellipse", "circle", "line") for n in (32, 64)]
-    rng = np.random.default_rng(5)
-    for _ in range(20):
-        h, w = rng.integers(3, 65, size=2)
-        px = rng.integers(0, 256, size=(h, w), dtype=np.uint8)
-        px[rng.random((h, w)) < 0.3] = 0
-        images.append(px)
-    for px in images:
-        for smooth in (False, True):
-            field = sobel_field(GrayImage(px.shape[1], px.shape[0], px), smooth=smooth)
-            gx, gy = reference_sobel(px, smooth)
-            assert field.gx.tobytes() == gx.tobytes()
-            assert field.gy.tobytes() == gy.tobytes()
+@given(st.builds(random_pixels, st.integers(3, 9), st.integers(3, 9),
+                 st.integers(0, 2 ** 32 - 1)), st.booleans())
+@settings(max_examples=80, deadline=None)
+def test_matches_brute_force_on_random_images(px, smooth):
+    assert_matches_reference(px, smooth)
+
+
+# (id, pixels): one bright pixel, the test shapes at 32 and 64 px, and random images
+# of 3 to 64 px a side.
+IMAGES = [("bright-pixel", np.pad(np.array([[200]], dtype=np.uint8), 2))]
+IMAGES += [(f"{kind}-{n}", synth_shape(kind, n, n).pixels)
+           for kind in ("square", "rectangle", "ellipse", "circle", "line") for n in (32, 64)]
+IMAGES += [(f"random-{i}", random_pixels(w, h, i))
+           for i, (w, h) in enumerate(np.random.default_rng(5).integers(3, 65, size=(20, 2)))]
+
+
+@pytest.mark.parametrize("smooth", [False, True], ids=["plain", "smooth"])
+@pytest.mark.parametrize("px", [row[1] for row in IMAGES], ids=[row[0] for row in IMAGES])
+def test_separable_passes_equal_the_2d_correlation(px, smooth):
+    assert_matches_reference(px, smooth)
 
 
 @given(st.integers(3, 9), st.integers(3, 9), st.integers(0, 2 ** 32 - 1))
@@ -123,33 +127,8 @@ def test_transpose_swaps_components(w, h, seed):
     assert np.array_equal(a.gy, b.gx.T)
 
 
-def test_magnitude_is_the_root_of_the_exact_squared_length():
-    # Image gradients are sixteenths of magnitude at most 1020, so 256 |g|^2
-    # is an integer, summed exactly here; the length is its correctly
-    # rounded root, so equal squared lengths give equal lengths.
-    rng = np.random.default_rng(11)
-    images = [synth_shape(kind, n, n).pixels
-              for kind in ("square", "rectangle", "ellipse", "circle", "line") for n in (16, 32)]
-    images += [rng.integers(0, 256, size=(h, w), dtype=np.uint8)
-               for h, w in rng.integers(3, 40, size=(10, 2))]
-    for px in images:
-        for smooth in (False, True):
-            field = sobel_field(GrayImage(px.shape[1], px.shape[0], px), smooth=smooth)
-            ix, iy = (np.asarray(16 * g, dtype=np.int64) for g in (field.gx, field.gy))
-            assert np.array_equal(ix, 16 * field.gx) and np.array_equal(iy, 16 * field.gy)
-            want = np.sqrt((ix * ix + iy * iy).astype(np.float64) / 256.0)
-            assert field.magnitude.tobytes() == want.tobytes()
-            assert np.array_equal(field.magnitude == 0.0,
-                                  (field.gx == 0.0) & (field.gy == 0.0))
-    # A length just below the root of float's largest value is finite.
+def test_length_just_below_the_root_of_float_max_is_finite():
     assert np.isfinite(VectorField(2, 1, [[1.0, 1.3e154]], [[0.0, 0.0]]).magnitude).all()
-
-
-def test_smoothing_preserves_constant_regions():
-    img = GrayImage(8, 8, np.full((8, 8), 200, dtype=np.uint8))
-    field = sobel_field(img, smooth=True)
-    assert not field.gx.any()
-    assert not field.gy.any()
 
 
 def test_smoothing_lowers_peak_response():
@@ -180,21 +159,6 @@ def test_threshold_is_strict():
         at_cut = field.magnitude == cut
         assert at_cut.any() and mask.count > 0
         assert not (mask.mask & at_cut).any()
-
-
-def test_all_zero_field_gives_empty_mask():
-    field = sobel_field(GrayImage(8, 8, np.full((8, 8), 9, dtype=np.uint8)))
-    assert threshold_mask(field).count == 0
-
-
-def test_nms_survivor_beats_two_pairs():
-    # single bright pixel: its center beats all four pairs, the halo does not
-    px = np.zeros((7, 7), dtype=np.uint8)
-    px[3, 3] = 255
-    field = sobel_field(GrayImage(7, 7, px))
-    mask = nms_mask(field, threshold_mask(field, EdgeParams(threshold_pct=0.05)))
-    assert not mask.mask[3, 3]  # gradient at the peak itself is zero
-    assert mask.count > 0
 
 
 def brute_nms(mag, inmask, strict):
@@ -239,7 +203,14 @@ def thinning_inputs(draw):
     return field, EdgeMask(w, h, rng.random((h, w)) < share)
 
 
+ELLIPSE_FIELD = sobel_field(synth_shape("ellipse", 32, 32))
+DOT_FIELD = sobel_field(GrayImage(7, 7, np.pad(np.array([[255]], dtype=np.uint8), 3)))
+
+
 @given(thinning_inputs(), st.booleans())
+@example((ELLIPSE_FIELD, threshold_mask(ELLIPSE_FIELD)), False)  # keeps only masked pixels
+# one bright pixel: its zero-gradient center is no candidate, and some of its halo survives
+@example((DOT_FIELD, threshold_mask(DOT_FIELD, EdgeParams(threshold_pct=0.05))), False)
 @settings(max_examples=120, deadline=None)
 def test_nms_matches_brute_force(inputs, strict):
     field, tm = inputs
@@ -281,13 +252,6 @@ def test_strict_nms_is_subset_of_lenient():
     assert strict.count < lenient.count
 
 
-def test_nms_output_within_input_mask():
-    field = sobel_field(synth_shape("ellipse", 32, 32))
-    tm = threshold_mask(field)
-    out = nms_mask(field, tm)
-    assert np.array_equal(out.mask & tm.mask, out.mask)
-
-
 def test_square_current_circulates_one_way(square_current):
     # cross product of position-offset-from-center with tangent keeps one sign
     cx = (31 - 0) / 2.0
@@ -304,11 +268,6 @@ def test_zero_gradient_points_dropped():
     assert current.dropped == 256 - len(current)
     assert current.dropped > 0
     assert not ((current.tx == 0.0) & (current.ty == 0.0)).any()
-
-
-def test_extract_blank_image_yields_empty_current():
-    blank = GrayImage(16, 16, np.zeros((16, 16), dtype=np.uint8))
-    assert len(extract_current(blank)) == 0
 
 
 def test_element_accessor(square_current):

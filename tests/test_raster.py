@@ -18,105 +18,81 @@ def test_gray_image_is_not_equal_to_other_types():
     assert img != GrayImage(2, 1, np.array([[0, 1]], dtype=np.uint8))  # same size
 
 
-def test_save_pgm_canonical_bytes():
-    img = GrayImage(1, 1, np.array([[0]], dtype=np.uint8))
-    assert save_pgm(img) == b"P5\n1 1\n255\n\x00"
-
-
 def test_save_ppm_canonical_bytes():
     rgb = np.array([[[64, 64, 64]]], dtype=np.uint8)
     assert save_ppm(rgb) == b"P6\n1 1\n255\n\x40\x40\x40"
 
 
 def test_save_ppm_writes_in_range_int64_as_uint8():
-    rgb = np.arange(24, dtype=np.int64).reshape(2, 4, 3) * 11
-    assert rgb.max() == 253
+    rgb = np.append(np.arange(23, dtype=np.int64) * 11, 255).reshape(2, 4, 3)
+    assert (rgb.min(), rgb.max()) == (0, 255)
     assert save_ppm(rgb) == save_ppm(rgb.astype(np.uint8))
 
 
-def test_binary_round_trip():
-    img = synth_shape("ellipse", 32, 32)
-    assert load_pgm(save_pgm(img)) == img
+INTP_MAX = int(np.iinfo(np.intp).max)
 
-
-def test_load_resaves_to_canonical_form():
+# (id, stream, its pixel rows, or the (message, offset) of its PnmFormatError); an id
+# names the test the row replaces, then its case.
+STREAMS = [
     # same raster, scruffier header
-    raw = b"P5 # binary\n# shape\n 3\t2 \n255\n" + bytes(6)
-    img = load_pgm(raw)
-    assert save_pgm(img) == b"P5\n3 2\n255\n" + bytes(6)
-    assert load_pgm(save_pgm(img)) == img
-
-
-def test_ascii_pgm_parses_with_comments():
-    img = load_pgm(b"P2\n# a comment\n3 2\n255\n0 10 20\n30 40 255\n")
-    assert img.pixels.tolist() == [[0, 10, 20], [30, 40, 255]]
-
-
-def test_maxval_below_255_keeps_exact_values():
-    img = load_pgm(b"P2\n2 1\n100\n0 100\n")
-    assert img.pixels.tolist() == [[0, 100]]
-
-
-def test_trailing_bytes_after_raster_ignored():
-    img = load_pgm(b"P5\n2 1\n255\n\x01\x02\n")
-    assert img.pixels.tolist() == [[1, 2]]
-
-
-@pytest.mark.parametrize("raw, offset_at_least", [
-    (b"P6\n1 1\n255\n\x00\x00\x00", 0),       # color stream
-    (b"P4\n1 1\n", 0),                         # unknown magic
-    (b"P5\n2 2\n255\n\x00\x00", 12),           # truncated raster
-    (b"P5\n2 2\n300\n" + bytes(4), 7),         # maxval too large
-    (b"P5\n-2 2\n255\n", 3),                   # negative width
-    (b"P5\n2\n", 5),                           # header ends early
-    (b"P2\n2 1\n255\n0\n", 13),                # too few ASCII samples
-])
-def test_malformed_streams_report_byte_offset(raw, offset_at_least):
-    with pytest.raises(PnmFormatError) as exc:
-        load_pgm(raw)
-    assert exc.value.offset >= offset_at_least
-    assert "byte offset" in str(exc.value)
-
-
-@pytest.mark.parametrize("raw, message, offset", [
-    (b"P2\n2 1\n255\n0 x\n", "expected ASCII sample, got b'x'", 13),
-    (b"P2\n2 1\n100\n101 0\n", "sample 101 exceeds maxval 100", 11),
-    # A binary sample above maxval is rejected at its byte, as a plain one is.
-    (b"P5\n2 1\n100\n" + bytes([200, 50]), "sample 200 exceeds maxval 100", 11),
-    (b"P5\n3 1\n100\n" + bytes([0, 101, 255]), "sample 101 exceeds maxval 100", 12),
-    (b"P5\n1 1\n255#c\n\x00", "expected single whitespace byte after maxval", 10),
-    (b"P5\n2 2\n255\n\x00\x00", "truncated raster, expected 4 bytes, got 2", 13),
-    # A plain raster that ends early says so, as a binary one does.
-    (b"P2\n2 1\n255\n0\n", "truncated raster, expected 2 samples, got 1", 13),
-])
-def test_malformed_streams_report_message_and_offset(raw, message, offset):
-    with pytest.raises(PnmFormatError) as exc:
-        load_pgm(raw)
-    assert str(exc.value) == f"{message} (byte offset {offset})"
-    assert exc.value.offset == offset
-
-
-@pytest.mark.parametrize("raw, message, offset", [
+    ("load_resaves_to_canonical_form", b"P5 # binary\n# shape\n 3\t2 \n255\n" + bytes(6),
+     [[0, 0, 0], [0, 0, 0]]),
+    ("ascii_pgm_parses_with_comments", b"P2\n# a comment\n3 2\n255\n0 10 20\n30 40 255\n",
+     [[0, 10, 20], [30, 40, 255]]),
+    ("maxval_below_255_keeps_exact_values", b"P2\n2 1\n100\n0 100\n", [[0, 100]]),
+    ("trailing_bytes_after_raster_ignored", b"P5\n2 1\n255\n\x01\x02\n", [[1, 2]]),
+    ("leading_zeros_keep_their_value_at_any_length",
+     b"P2\n2 1\n255\n007 " + b"0" * 5000 + b"\n", [[7, 0]]),
+    ("plain_sample_may_touch_a_comment-sample", b"P2\n2 1\n255\n1#c\n2", [[1, 2]]),
+    ("plain_sample_may_touch_a_comment-every-token", b"P2#c\n2#c\r1#c\n255#\n1#c\n2#c", [[1, 2]]),
+    ("ascii_sample_above_maxval_rejected", b"P2\n2 1\n100\n0 101\n",
+     ("sample 101 exceeds maxval 100", 13)),
+    *[(f"malformed_streams_report_byte_offset-{case}", data, want) for case, data, want in (
+        ("color", b"P6\n1 1\n255\n\x00\x00\x00",
+         ("P6 is a color PPM, expected grayscale PGM (P5 or P2)", 0)),
+        ("magic", b"P4\n1 1\n", ("not a PGM stream, magic b'P4'", 0)),
+        ("maxval", b"P5\n2 2\n300\n" + bytes(4), ("maxval 300 exceeds supported maximum 255", 7)),
+        ("width", b"P5\n-2 2\n255\n", ("expected unsigned integer for width, got b'-2'", 3)),
+        ("header-ends", b"P5\n2\n", ("unexpected end of data in header", 5)))],
+    *[(f"malformed_streams_report_message_and_offset-{case}", data, want)
+      for case, data, want in (
+        ("short-p5", b"P5\n2 2\n255\n\x00\x00", ("truncated raster, expected 4 bytes, got 2", 13)),
+        # A plain raster that ends early says so, as a binary one does.
+        ("short-p2", b"P2\n2 1\n255\n0\n", ("truncated raster, expected 2 samples, got 1", 13)),
+        ("ascii-sample", b"P2\n2 1\n255\n0 x\n", ("expected ASCII sample, got b'x'", 13)),
+        ("p2-over-maxval", b"P2\n2 1\n100\n101 0\n", ("sample 101 exceeds maxval 100", 11)),
+        # A binary sample above maxval is rejected at its byte, as a plain one is.
+        ("p5-over-maxval", b"P5\n2 1\n100\n" + bytes([200, 50]),
+         ("sample 200 exceeds maxval 100", 11)),
+        ("p5-later-over-maxval", b"P5\n3 1\n100\n" + bytes([0, 101, 255]),
+         ("sample 101 exceeds maxval 100", 12)),
+        ("maxval-whitespace", b"P5\n1 1\n255#c\n\x00",
+         ("expected single whitespace byte after maxval", 10)))],
     # A number too long for int() is reported at its token like any other.
-    (b"P2\n" + b"1" * 5000 + b" 1\n255\n0\n",
-     f"width of 5000 digits exceeds supported maximum {np.iinfo(np.intp).max}", 3),
-    (b"P2\n2 1\n255\n0 " + b"7" * 5000 + b"\n", "sample of 5000 digits exceeds maxval 255", 13),
-    (b"P2\n1 1\n" + b"0" * 5000 + b"256\n0\n", "maxval 256 exceeds supported maximum 255", 7),
-], ids=["width", "sample", "zero-padded maxval"])
-def test_overlong_numbers_report_their_offset(raw, message, offset):
-    with pytest.raises(PnmFormatError) as exc:
-        load_pgm(raw)
-    assert str(exc.value) == f"{message} (byte offset {offset})"
-    assert exc.value.offset == offset
+    *[(f"overlong_numbers_report_their_offset-{case}", data, want) for case, data, want in (
+        ("width", b"P2\n" + b"1" * 5000 + b" 1\n255\n0\n",
+         (f"width of 5000 digits exceeds supported maximum {INTP_MAX}", 3)),
+        ("sample", b"P2\n2 1\n255\n0 " + b"7" * 5000 + b"\n",
+         ("sample of 5000 digits exceeds maxval 255", 13)),
+        ("zero-padded-maxval", b"P2\n1 1\n" + b"0" * 5000 + b"256\n0\n",
+         ("maxval 256 exceeds supported maximum 255", 7)))],
+]
 
 
-def test_leading_zeros_keep_their_value_at_any_length():
-    assert load_pgm(b"P2\n2 1\n255\n007 " + b"0" * 5000 + b"\n").pixels.tolist() == [[7, 0]]
-
-
-def test_plain_sample_may_touch_a_comment():
-    assert load_pgm(b"P2\n2 1\n255\n1#c\n2").pixels.tolist() == [[1, 2]]
-    assert load_pgm(b"P2#c\n2#c\r1#c\n255#\n1#c\n2#c").pixels.tolist() == [[1, 2]]
+@pytest.mark.parametrize("data, want", [row[1:] for row in STREAMS],
+                         ids=[row[0] for row in STREAMS])
+def test_fixed_streams(data, want):
+    if isinstance(want, list):
+        img = load_pgm(data)
+        assert img.pixels.tolist() == want
+        assert save_pgm(img) == b"P5\n%d %d\n255\n" % (img.width, img.height) + bytes(sum(want, []))
+    else:
+        with pytest.raises(PnmFormatError) as caught:
+            load_pgm(data)
+        message, offset = want
+        assert str(caught.value) == f"{message} (byte offset {offset})"
+        assert caught.value.offset == offset
+    assert_reads_as_reference(data)
 
 
 _WS = frozenset(b" \t\n\r\x0b\x0c")
@@ -127,6 +103,8 @@ def reference_load_pgm(data):
 
     It reports a plain raster that ends early as "unexpected end of data in
     header", at the offset where the regex reader reports "truncated raster".
+    A number of more digits than the largest intp, leading zeros aside, is
+    above every bound and shown by its length: int() refuses the longest.
     """
     def next_token(pos):
         n = len(data)
@@ -146,16 +124,22 @@ def reference_load_pgm(data):
             pos += 1
         return data[start:pos], pos
 
-    def header_int(pos, what, upper=None):
+    def number(tok):
+        digits = tok.lstrip(b"0") or b"0"
+        if len(digits) > len(str(INTP_MAX)):
+            return INTP_MAX + 1, f"of {len(digits)} digits"
+        return int(digits), digits.decode()
+
+    def header_int(pos, what, upper=INTP_MAX):
         tok, end = next_token(pos)
         if not tok.isdigit():
             raise PnmFormatError(f"expected unsigned integer for {what}, got {tok!r}",
                                  end - len(tok))
-        value = int(tok)
+        value, shown = number(tok)
         if value <= 0:
             raise PnmFormatError(f"{what} must be positive, got {value}", end - len(tok))
-        if upper is not None and value > upper:
-            raise PnmFormatError(f"{what} {value} exceeds supported maximum {upper}",
+        if value > upper:
+            raise PnmFormatError(f"{what} {shown} exceeds supported maximum {upper}",
                                  end - len(tok))
         return value, end
 
@@ -163,9 +147,9 @@ def reference_load_pgm(data):
         tok, end = next_token(pos)
         if not tok.isdigit():
             raise PnmFormatError(f"expected ASCII sample, got {tok!r}", end - len(tok))
-        value = int(tok)
+        value, shown = number(tok)
         if value > maxval:
-            raise PnmFormatError(f"sample {value} exceeds maxval {maxval}", end - len(tok))
+            raise PnmFormatError(f"sample {shown} exceeds maxval {maxval}", end - len(tok))
         return value, end
 
     data = bytes(data)
@@ -248,17 +232,26 @@ def test_round_trip_random_images(w, h, seed):
     assert save_pgm(again) == save_pgm(img)
 
 
-def test_square_pixel_count():
-    img = synth_shape("square", 32, 32, side=12)
-    assert int(np.count_nonzero(img.pixels)) == 144
+# (id, kind, keyword arguments, foreground pixels of the 32x32 image); an id that
+# starts with a folded test's name holds that test's case.
+SHAPES = [
+    ("square_pixel_count", "square", {"side": 12}, 144),
+    ("rectangle_pixel_count", "rectangle", {"rect": (16, 8)}, 128),
+    ("rectangle_pixel_count-full-width-on-the-last-row", "rectangle",
+     {"rect": (32, 2), "center": (16.0, 31.0)}, 64),
+    ("ellipse-touching-every-edge", "ellipse", {"semi_axes": (16.0, 16.0)}, 812),
+    ("line_kinds-horizontal", "line", {}, 16),  # half the image side by default
+    ("line_kinds-vertical", "line", {"length": 32, "thickness": 2, "horizontal": False}, 64),
+    ("line-vertical-default-length", "line", {"horizontal": False}, 16),
+]
+
+
+@pytest.mark.parametrize("kind, kw, count", [row[1:] for row in SHAPES],
+                         ids=[row[0] for row in SHAPES])
+def test_shape_pixel_count(kind, kw, count):
+    img = synth_shape(kind, 32, 32, **kw)
+    assert int(np.count_nonzero(img.pixels)) == count
     assert set(np.unique(img.pixels)) == {0, 255}
-
-
-def test_rectangle_pixel_count():
-    img = synth_shape("rectangle", 32, 32, rect=(16, 8))
-    assert int(np.count_nonzero(img.pixels)) == 128
-    low = synth_shape("rectangle", 8, 8, rect=(4, 2), center=(4.0, 7.0))  # ends on the last row
-    assert low.pixels[6:, 2:6].all() and np.count_nonzero(low.pixels) == 8
 
 
 def test_rectangle_defaults_match_explicit():
@@ -297,13 +290,6 @@ def test_tiny_ellipse_is_blank_without_a_warning(kind, kw):
     assert not img.pixels.any()
 
 
-def test_line_kinds():
-    h = synth_shape("line", 32, 32, length=16)
-    assert int(np.count_nonzero(h.pixels)) == 16
-    v = synth_shape("line", 32, 32, length=10, thickness=2, horizontal=False)
-    assert int(np.count_nonzero(v.pixels)) == 20
-
-
 @pytest.mark.parametrize("kind", ["square", "rectangle", "ellipse", "circle"])
 def test_centered_shapes_are_mirror_symmetric(kind):
     p = synth_shape(kind, 32, 32).pixels
@@ -325,6 +311,7 @@ def test_shift_image_clips_and_fills_zero():
     assert shift_image(img, 2, 0).pixels.tolist() == [[0, 0, 10]]
     assert shift_image(img, -1, 0).pixels.tolist() == [[20, 30, 0]]
     assert shift_image(img, 0, 5).pixels.tolist() == [[0, 0, 0]]
+    assert shift_image(img, 4, 0).pixels.tolist() == [[0, 0, 0]]  # not two columns via [0:-1]
 
 
 def test_shift_image_round_trip_without_clipping():

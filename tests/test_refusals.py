@@ -15,10 +15,10 @@ import pytest
 
 from conftest import random_current
 from emmatch import (ClassificationMap, EdgeCurrent, EdgeMask, EdgeParams, EmptyCurrentError,
-                     ForceMap, ForceParams, GrayImage, PnmFormatError, Vec2, VectorField,
-                     build_current, bz_at, classify_map, discretize8, extract_current,
-                     follow_path, force_map, force_map_fast, force_on_element, load_pgm,
-                     match_images, save_ppm, shift_image, sobel_field, synth_shape, total_force)
+                     ForceMap, ForceParams, GrayImage, Vec2, VectorField, build_current, bz_at,
+                     classify_map, discretize8, extract_current, follow_path, force_map,
+                     force_map_fast, force_on_element, match_images, save_ppm, shift_image,
+                     sobel_field, synth_shape, total_force)
 
 NAN, INF = math.nan, math.inf
 HUGE = 10 ** 400  # a whole number past float's range
@@ -52,8 +52,6 @@ REFUSALS = [
         ("float", np.zeros((1, 1, 3)), "integers in \\[0, 255\\]"),
         ("no-rows", np.zeros((0, 5, 3), dtype=np.uint8), "width and height must be positive"),
         ("no-columns", np.zeros((2, 0, 3), dtype=np.int16), "width and height must be positive"))],
-    ("ascii_sample_above_maxval_rejected", partial(load_pgm, b"P2\n2 1\n100\n0 101\n"),
-     PnmFormatError, "sample 101 exceeds maxval 100"),
     *[(f"shape_exceeding_bounds_rejected-{case}", partial(synth_shape, kind, n, n, **kw),
        ValueError, message) for case, kind, n, kw, message in (
         ("side", "square", 16, {"side": 20}, r"20x20 box at \(8.0, 8.0\) exceeds 16x16 image"),
@@ -63,6 +61,10 @@ REFUSALS = [
          r"8x8 box at \(30.0, 16.0\) exceeds 32x32 image"),
         ("bottom", "rectangle", 8, {"rect": (4, 2), "center": (4.0, 7.5)},
          r"4x2 box at \(4.0, 7.5\) exceeds 8x8 image"),
+        # past one edge only, so that each of the four bounds decides alone
+        *[(f"circle-{side}", "circle", 16, {"radius": 4.0, "center": c}, "exceeds 16x16 image")
+          for side, c in (("left", (3.0, 8.0)), ("right", (13.0, 8.0)), ("top", (8.0, 3.0)),
+                          ("bottom", (8.0, 13.0)))],
         # NaN fails every bounds comparison; it must not draw an empty image.
         ("radius-nan", "circle", 32, {"radius": NAN}, "must be finite"),
         ("radius-inf", "circle", 32, {"radius": INF}, "must be finite"),
@@ -84,6 +86,7 @@ REFUSALS = [
         ("image", "square", (0, 8), {}, "image dimensions must be positive"),
         ("side", "square", (32, 32), {"side": 0}, "box dimensions must be positive"),
         ("rect", "rectangle", (32, 32), {"rect": (8, 0)}, "box dimensions must be positive"),
+        ("rect-width", "rectangle", (32, 32), {"rect": (0, 8)}, "box dimensions must be positive"),
         ("semi-axes", "ellipse", (32, 32), {"semi_axes": (0.0, 5.0)},
          "semi-axes must be positive"),
         ("second-semi-axis", "ellipse", (32, 32), {"semi_axes": (5.0, 0.0)},
