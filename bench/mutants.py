@@ -67,6 +67,19 @@ EQUIVALENT = {
     ("raster.py", "if width > _MAX_SIDE or height > _MAX_SIDE:", ">", ">="),
     # Where start and end meet, both slices are empty and the copy writes nothing.
     ("raster.py", "if sx0 < sx1 and sy0 < sy1:", "<", "<="),
+    # No point's value depends on the points evaluated with it, so any number of lattice
+    # rows per fill gives the same values; only the fill's memory changes.
+    ("emforce.py", "run = max(1, _BLOCK_TERMS // 4 // lw)  # lattice rows per fill", "1", "2"),
+    ("emforce.py", "run = max(1, _BLOCK_TERMS // 4 // lw)  # lattice rows per fill", "//", "*"),
+    # Lifting a vector whose larger component is exactly 2**-500 by 2**600 scales each
+    # rotated component exactly, or leaves it below half an ulp of the other, so the
+    # sector counts see the same signs and ties either way.
+    ("matchmap.py", "lift = np.where(np.maximum(np.abs(fx), np.abs(fy)) < 2.0 ** -500, "
+     "2.0 ** 600, 1.0)", "<", "<="),
+    ("matchmap.py", "lift = 2.0 ** 600 if max(abs(fx), abs(fy)) < 2.0 ** -500 else 1.0",
+     "<", "<="),
+    # argparse exits with an int status only, so e.code is never None.
+    ("cli.py", "return int(e.code) if e.code is not None else 0", "0", "1"),
 }
 
 WORKERS = 2

@@ -38,13 +38,15 @@ Map shifts and element positions are integers, so every shifted element of
 the first current lands on one small lattice of points; _FieldLattice holds
 the second current's field there, evaluating a point when a cell first
 needs it, once for each element on it, and an extracted current has one
-per pixel.  force_map_fast fills the whole lattice, a run of rows at a
-time; match_images walks it and fills only the points its path reaches, so
-its forces equal the fast map's bit for bit.  A walk cell's fixed cost is
-kept to a few array calls: the lattice sets up its points and weights once,
-and a cell adds its shift to the points, fills the missing ones, and weighs
-and folds its values.  Every map also carries, per cell, the gross sum G of
-the magnitudes its force summed, which sets the scale of its rounding residue.
+per pixel.  force_map_fast runs a fill step over the whole lattice, a run of
+rows at a time, then a window step that adds each first element's weighted
+window to every cell; match_images walks the lattice and fills only the
+points its path reaches, so its forces equal the fast map's bit for bit.
+A walk cell's fixed cost is kept to a few array calls: the lattice sets up
+its points and weights once, and a cell adds its shift to the points, fills
+the missing ones, and weighs and folds its values.  Every map also carries,
+per cell, the gross sum G of the magnitudes its force summed, which sets
+the scale of its rounding residue.
 
 The evaluator's first step, r^2 - h^2 and the Bz numerators, has two
 forms; the rest is shared.  The direct form subtracts coordinates
@@ -453,8 +455,8 @@ class _FieldLattice:
     evaluated with _field_sums into the row-major values: by cell, which
     adds its own x and y to each element's planar point at cell (0, 0),
     evaluates those not yet filled, a point once per element on it, and
-    marks them in _filled; or by force_map, the whole lattice a run of rows
-    at a time, which writes values only.  No point's value depends on which
+    marks them in _filled; or by _fill, the whole lattice a run of rows at
+    a time, which writes values only.  No point's value depends on which
     others it is evaluated with.  Without the strength factor, a cell's
     force is (sum t1y_i L_i, -sum t1x_i L_i) over its lattice values L_i,
     and its gross sum is G = sum (|t1y_i| + |t1x_i|) |L_i|, each added left
@@ -504,16 +506,20 @@ class _FieldLattice:
             raise ValueError(f"force at cell ({x}, {y}) is not finite")
         return fx, fy, g
 
-    @np.errstate(**_UNCHECKED)
     def force_map(self) -> ForceMap:
-        """The unscaled map of every cell, from the whole lattice.
+        """The unscaled map of every cell: the fill step, then the window step."""
+        self._fill()
+        w, h = self.width, self.height
+        return ForceMap(w, h, *_grid_origin(w, h), *self._windows())
+
+    @np.errstate(**_UNCHECKED)
+    def _fill(self) -> None:
+        """The fill step: evaluate every lattice point into values.
 
         The lattice fills in runs of whole rows, a slice of at most
         _BLOCK_TERMS / 4 points where a row is shorter, so that a run's
         points and their product form rows take about as much memory as one
-        block's terms.  Then each element adds its
-        weighted window of lattice values to all cells at once; the cells'
-        sums run in element order, as cell()'s do.
+        block's terms.
         """
         lh, lw = self.values.shape
         xs = np.arange(self._x0, self._x0 + lw, dtype=np.float64)
@@ -522,16 +528,24 @@ class _FieldLattice:
             ys = np.arange(self._y0 + r, self._y0 + min(r + run, lh), dtype=np.float64)
             self.values.ravel()[r * lw:(r + len(ys)) * lw] = _field_sums(
                 self.c2, np.tile(xs, len(ys)), np.repeat(ys, lw), self.params, self._operands)
+
+    @np.errstate(**_UNCHECKED)
+    def _windows(self) -> np.ndarray:
+        """The window step: every cell's unscaled fx, fy and G, (3, H, W), from the filled values.
+
+        Each element adds its weighted window of lattice values to all cells
+        at once; the cells' sums run in element order, as cell()'s do.
+        """
         h, w = self.height, self.width
         magnitudes = np.abs(self.values)
         f = np.zeros((3, h, w), dtype=np.float64)  # fx, fy, g
-        rows, cols = np.divmod(self._flat, lw)
+        rows, cols = np.divmod(self._flat, self.values.shape[1])
         for r, c, (wx, wy, wg) in zip(rows.tolist(), cols.tolist(), self._weights.T.tolist()):
             win = self.values[r:r + h, c:c + w]
             f[0] += wx * win
             f[1] += wy * win
             f[2] += wg * magnitudes[r:r + h, c:c + w]
-        return ForceMap(w, h, *_grid_origin(w, h), *f)
+        return f
 
 
 def force_map_fast(c1: EdgeCurrent, c2: EdgeCurrent,

@@ -1,14 +1,28 @@
+import os
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import settings
 from hypothesis import strategies as st
 
+import emmatch
 from emmatch import Direction8, EdgeCurrent, GrayImage, extract_current, synth_shape
 from emmatch import emforce
 
 # `pytest --hypothesis-profile=ci` (the CI run): the same examples on every
 # run, and a failing one printed as a blob that @reproduce_failure replays.
 settings.register_profile("ci", derandomize=True, print_blob=True)
+
+def package_env():
+    """This environment for a child interpreter that imports this process's emmatch."""
+    # Lead the child's path with the directory this process imported emmatch
+    # from, so it runs the same code as the in-process tests.
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join([str(Path(emmatch.__file__).resolve().parents[1])]
+                                        + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    return env
+
 
 # The README's glyph per discretized direction, None (balanced) included.
 GLYPHS = {Direction8.E: ">", Direction8.SE: "\\", Direction8.S: "v", Direction8.SW: "/",

@@ -13,6 +13,7 @@ from pathlib import Path
 import pytest
 
 import emmatch
+from conftest import package_env
 from emmatch import load_pgm, save_pgm, shift_image, synth_shape
 from emmatch.cli import build_parser, main
 
@@ -90,13 +91,7 @@ def declared_console_script(name):
 
 def run_python(code, argv=(), cwd=None):
     """Run `code` in a fresh interpreter that imports this process's emmatch."""
-    # Lead the child's path with the directory this process imported emmatch
-    # from, so it runs the same code as the in-process tests.
-    package_root = str(Path(emmatch.__file__).resolve().parents[1])
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        [package_root] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
-    return subprocess.run([sys.executable, "-c", code, *argv], cwd=cwd, env=env,
+    return subprocess.run([sys.executable, "-c", code, *argv], cwd=cwd, env=package_env(),
                           capture_output=True, text=True)
 
 

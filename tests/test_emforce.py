@@ -169,11 +169,14 @@ def test_product_operands_guard(x, tx, width, product):
     assert (emforce._product_operands(two_at(x, tx, width), 0.0) is not None) is product
 
 
-# One element of c1 at x spans lattice columns x - 4 to x + 3 against an 8 px c2.
-@pytest.mark.parametrize("x, product", [(2 ** 24 - 3, True), (2 ** 24 - 2, False)],
-                         ids=["last-column-2**24", "last-column-past-2**24"])
-def test_lattice_product_form_bound(x, product):
-    lattice = emforce._FieldLattice(single(x, 1, 1.0, 0.5, x + 1, 4), two_at(3, 2.0 ** 20),
+# One element of c1 at (x, y) spans lattice columns x - 4 to x + 3 and rows y - 4 to
+# y + 3 against an 8 x 8 px c2.
+@pytest.mark.parametrize("x, y, product", [
+    (2 ** 24 - 3, 1, True), (2 ** 24 - 2, 1, False), (1, 2 ** 24 - 3, True),
+    (1, 2 ** 24 - 2, False)], ids=[
+    "last-column-2**24", "last-column-past-2**24", "last-row-2**24", "last-row-past-2**24"])
+def test_lattice_product_form_bound(x, y, product):
+    lattice = emforce._FieldLattice(single(x, y, 1.0, 0.5, x + 1, y + 1), two_at(3, 2.0 ** 20),
                                     ForceParams(height_px=0.3))
     assert (lattice._operands is not None) is product
 
@@ -196,7 +199,7 @@ def test_product_form_guard():
     c2, params = two_at(3, 2.0 ** 20), ForceParams(height_px=0.3)
     lattice = emforce._FieldLattice(single(2 ** 27, 1, 1.0, 0.5, 2 ** 27 + 1, 4), c2, params)
     assert lattice._operands is None
-    lattice.force_map()
+    lattice._fill()
     lh, lw = lattice.values.shape
     want = [[bz_at(c2, float(lattice._x0 + col), float(lattice._y0 + row), params)
              for col in range(lw)] for row in range(lh)]

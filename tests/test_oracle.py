@@ -53,8 +53,16 @@ def _stack(f):
 
 
 def _filled(case, product):
+    """c2's lattice for case after the fill step alone."""
     fill = field_lattice(case.c1, case.c2, case.params, product)
-    return fill.values, _stack(fill.force_map().scaled(case.params.strength))
+    fill._fill()
+    return fill
+
+
+def _windowed(fill, strength):
+    """The window step's map of a filled lattice, scaled as force_map_fast scales it."""
+    w, h = fill.width, fill.height
+    return _stack(ForceMap(w, h, w // 2, h // 2, *fill._windows()).scaled(strength))
 
 
 def _grid(case, evaluate):
@@ -125,9 +133,9 @@ ROUTES = {
     "force_map": lambda case, _: force_map(case.c1, case.c2, case.params),
     "force_map_fast": lambda case, _: force_map_fast(case.c1, case.c2, case.params),
     "direct lattice": lambda case, _: _filled(case, False),
-    "product values": lambda case, _: _filled(case, True)[0],
-    "direct values": lambda case, result: result("direct lattice")[0],
-    "direct map": lambda case, result: result("direct lattice")[1],
+    "product values": lambda case, _: _filled(case, True).values,
+    "direct values": lambda case, result: result("direct lattice").values,
+    "direct map": lambda case, result: _windowed(result("direct lattice"), case.params.strength),
     "lattice cells": lambda case, _: _cells(case, True),
     "direct cells": lambda case, _: _cells(case, False),
     "total_force": lambda case, _: _grid(case, lambda dx, dy: np.insert(astuple(total_force(

@@ -232,24 +232,28 @@ def test_round_trip_random_images(w, h, seed):
     assert save_pgm(again) == save_pgm(img)
 
 
-# (id, kind, keyword arguments, foreground pixels of the 32x32 image); an id that
+# (id, kind, (width, height), keyword arguments, foreground pixels); an id that
 # starts with a folded test's name holds that test's case.
 SHAPES = [
-    ("square_pixel_count", "square", {"side": 12}, 144),
-    ("rectangle_pixel_count", "rectangle", {"rect": (16, 8)}, 128),
-    ("rectangle_pixel_count-full-width-on-the-last-row", "rectangle",
+    ("square_pixel_count", "square", (32, 32), {"side": 12}, 144),
+    ("rectangle_pixel_count", "rectangle", (32, 32), {"rect": (16, 8)}, 128),
+    ("rectangle_pixel_count-full-width-on-the-last-row", "rectangle", (32, 32),
      {"rect": (32, 2), "center": (16.0, 31.0)}, 64),
-    ("ellipse-touching-every-edge", "ellipse", {"semi_axes": (16.0, 16.0)}, 812),
-    ("line_kinds-horizontal", "line", {}, 16),  # half the image side by default
-    ("line_kinds-vertical", "line", {"length": 32, "thickness": 2, "horizontal": False}, 64),
-    ("line-vertical-default-length", "line", {"horizontal": False}, 16),
+    ("ellipse-touching-every-edge", "ellipse", (32, 32), {"semi_axes": (16.0, 16.0)}, 812),
+    ("line_kinds-horizontal", "line", (32, 32), {}, 16),  # half the image side by default
+    ("line_kinds-vertical", "line", (32, 32),
+     {"length": 32, "thickness": 2, "horizontal": False}, 64),
+    ("line-vertical-default-length", "line", (32, 32), {"horizontal": False}, 16),
+    ("line-1px-wide", "line", (1, 8), {"horizontal": False}, 4),
+    ("line-1px-high", "line", (8, 1), {}, 4),
 ]
 
 
-@pytest.mark.parametrize("kind, kw, count", [row[1:] for row in SHAPES],
+@pytest.mark.parametrize("kind, size, kw, count", [row[1:] for row in SHAPES],
                          ids=[row[0] for row in SHAPES])
-def test_shape_pixel_count(kind, kw, count):
-    img = synth_shape(kind, 32, 32, **kw)
+def test_shape_pixel_count(kind, size, kw, count):
+    img = synth_shape(kind, *size, **kw)
+    assert (img.width, img.height) == size
     assert int(np.count_nonzero(img.pixels)) == count
     assert set(np.unique(img.pixels)) == {0, 255}
 
