@@ -19,13 +19,14 @@ the commit a change starts from.
 
 It first runs the unmutated suite, which must pass. Then each sampled mutant
 gets a fresh copy of the tree (``--root``, default this repository) in a new
-temporary directory and one ``pytest -x -q`` there, two at a time, under the
-suite's ``ci`` hypothesis profile, so a rerun draws the same examples. A mutant is
-killed when pytest exits nonzero or times out. The JSON record holds, per
-mutant, the site, the line's text, killed or survived, the first failing test
-id and the seconds taken. Mutants on the EQUIVALENT list still run, but the
-score leaves them out. The sample depends only on the seed, the count and the
-modules' sources, so two trees with the same sources run the same mutants.
+temporary directory and one ``pytest -x -q`` there, less STALE_CHECK, two at a
+time, under the suite's ``ci`` hypothesis profile, so a rerun draws the same
+examples. A mutant is killed when pytest exits nonzero or times out. The JSON
+record holds, per mutant, the site, the line's text, killed or survived, the
+first failing test id and the seconds taken. Mutants on the EQUIVALENT list
+still run, but the score leaves them out. The sample depends only on the seed,
+the count and the modules' sources, so two trees with the same sources run the
+same mutants.
 """
 
 from __future__ import annotations
@@ -44,6 +45,7 @@ import sys
 import tempfile
 import time
 import tokenize
+from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from functools import partial
 from pathlib import Path
@@ -59,8 +61,10 @@ BINARY_ONLY = {"*", "/", "//", "%", "**"}  # sites only after an operand
 
 # Mutants that no test can tell from the source, keyed by (module, the line's
 # text stripped, token, replacement): line numbers drift, the text rarely does.
-# sample() refuses an entry that matches no site. No test may check that against
-# the package's own source: it would kill every mutant of the entry's line.
+# A fifth item n names only the line's n-th site of that token, counted from 1.
+# sample() refuses an entry that matches no site. STALE_CHECK checks that against
+# the package's own source, so a mutant run deselects it: it would kill every
+# mutant of an entry's line.
 EQUIVALENT = {
     # A side of exactly the largest intp is refused either way, by this check or by
     # numpy's allocation after it, with ValueError.
@@ -80,6 +84,28 @@ EQUIVALENT = {
      "<", "<="),
     # argparse exits with an int status only, so e.code is never None.
     ("cli.py", "return int(e.code) if e.code is not None else 0", "0", "1"),
+    # |F| is at least each component, so once either exceeds the cutoff, np.hypot's |F|
+    # leaves the vector unbalanced just as math.inf does.
+    ("matchmap.py", "if not (abs(fx) > cut or abs(fy) > cut):", "or", "and"),
+    # On the axis (wy == 0) with wx <= 0 the count is -4 instead of 4; (k + 1) % 8 is 5 either way.
+    ("matchmap.py", "k = (wy > 0.0) * above + (wy < 0.0) * below + (wy == 0.0) * 4 * (wx <= 0.0)",
+     "+", "-", 2),
+    # wx == wy == 0 only for a zero vector, which every cutoff balances, g being nonnegative.
+    ("matchmap.py", "k = (wy > 0.0) * above + (wy < 0.0) * below + (wy == 0.0) * 4 * (wx <= 0.0)",
+     "<=", "<"),
+    # The sinks point at themselves, so a further pointer-jumping round moves no pointer on or
+    # off a sink, and the labels read only the sinks.
+    ("matchmap.py", "for _ in range(n.bit_length() + 1):  # 2**rounds > n moves, the longest path "
+     "to a sink", "1", "2"),
+    # The only caller's bound, _EXACT_TANGENT, is at least 1, so a maximum raised to 1.0
+    # passes or fails it the same.
+    ("emforce.py", "if not np.maximum.reduce(magnitudes, axis=None, initial=0.0) <= bound:  "
+     "# nan fails too", "0.0", "1.0"),
+    # No point's sums depend on the other points of its block, so the points per block
+    # change only the memory that a call takes.
+    ("emforce.py", "step = max(1, _BLOCK_TERMS // max(m, 1))", "1", "2"),
+    # Without t1 only out[0] is written and returned; a second row is never read.
+    ("emforce.py", "out = np.empty((1 if t1 is None else 3, len(px)), dtype=np.float64)", "1", "2"),
 }
 
 WORKERS = 2
@@ -87,8 +113,9 @@ WORKERS = 2
 ADDRESS_SPACE = 3 << 30
 IGNORED = shutil.ignore_patterns(".git", "__pycache__", ".hypothesis", ".pytest_cache",
                                  ".benchmarks", ".perfbench_work")
+STALE_CHECK = "tests/test_mutants.py::test_every_equivalent_entry_matches_a_site"
 PYTEST = [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider",
-          "--hypothesis-profile=ci"]
+          "--hypothesis-profile=ci", "--deselect", STALE_CHECK]
 
 
 def sites(source: str) -> list[tuple[int, int, str, str]]:
@@ -126,18 +153,21 @@ def sample(root: Path, modules: list[str], seed: int, count: int) -> list[dict]:
     for module in modules:
         source = (root / module).read_text()
         lines = source.splitlines()
-        population += [(module, source, lines[site[0] - 1].strip(), site) for site in sites(source)]
-    keys = {(Path(module).name, text, *site[2:]) for module, _, text, site in population}
+        seen = Counter()  # sites so far per (line, token)
+        for site in sites(source):
+            key = (Path(module).name, lines[site[0] - 1].strip(), *site[2:])
+            seen[site[0], site[2]] += 1
+            population.append((module, source, key, site, {key, (*key, seen[site[0], site[2]])}))
+    keys = set().union(*(names for *_, names in population))
     stale = {key for key in EQUIVALENT if key[0] in {Path(m).name for m in modules}} - keys
     if stale:
         raise ValueError(f"EQUIVALENT entries that match no site: {sorted(stale)}")
     chosen = sorted(random.Random(seed).sample(range(len(population)), min(count, len(population))))
     drawn = []
-    for module, source, text, site in (population[i] for i in chosen):
+    for module, source, key, site, names in (population[i] for i in chosen):
         compile(mutate(source, site), f"{module} mutated at {site}", "exec")
-        drawn.append({"module": module, "line": site[0], "column": site[1], "text": text,
-                      "change": f"{site[2]} -> {site[3]}",
-                      "equivalent": (Path(module).name, text, *site[2:]) in EQUIVALENT})
+        drawn.append({"module": module, "line": site[0], "column": site[1], "text": key[1],
+                      "change": f"{site[2]} -> {site[3]}", "equivalent": bool(names & EQUIVALENT)})
     return drawn
 
 

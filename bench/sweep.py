@@ -31,7 +31,9 @@ emmatch is imported from the environment: the sweep never puts ``src/`` on the
 path, and its children import the package this process imported. The
 environment record comes from ``perfbench/run.py``'s ``environment()``, which
 reads the checkout's sources; importing that file pins the BLAS threads to 1
-before numpy loads.
+before numpy loads. Beside it, ``src_modified`` says whether ``git status``
+finds ``src/`` changed from ``git_revision``: true, false, or null outside a git
+work tree.
 """
 
 from __future__ import annotations
@@ -147,6 +149,17 @@ def run_case(kind: str, n: int, height: float, repeats: int) -> dict:
             "counts": counts}
 
 
+def src_modified() -> bool | None:
+    """Whether git status lists a change under src/, or None outside a git work tree."""
+    try:
+        proc = subprocess.run(["git", "status", "--porcelain", "--", "src"], cwd=ROOT,
+                              capture_output=True, text=True,
+                              env=dict(os.environ, GIT_CEILING_DIRECTORIES=str(ROOT.parent)))
+    except OSError:
+        return None
+    return bool(proc.stdout.strip()) if proc.returncode == 0 else None
+
+
 def child_env() -> dict:
     """This environment, with the directory this process imported emmatch from leading the path."""
     package_root = str(Path(emmatch.__file__).resolve().parents[1])
@@ -189,8 +202,8 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
     cases = [run_case(kind, n, height, args.repeats)
              for n in args.sizes for kind in KINDS for height in HEIGHTS]
-    record = {"environment": perfbench_run.environment(), "repeats": args.repeats,
-              "cases": cases, "cli": run_commands(args.repeats)}
+    record = {"environment": perfbench_run.environment(), "src_modified": src_modified(),
+              "repeats": args.repeats, "cases": cases, "cli": run_commands(args.repeats)}
     args.out.write_text(json.dumps(record, indent=1) + "\n")
     for case in cases:
         stages = case["stages_ms"]

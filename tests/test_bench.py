@@ -20,6 +20,7 @@ def test_sweep_runs_every_stage_and_counts(tmp_path):
     record = json.loads(out.read_text())
     assert {"git_revision", "source_sha256", "python", "numpy", "nproc"} <= set(
         record["environment"])
+    assert record["src_modified"] in (True, False, None)
     assert record["repeats"] == 1
     assert sorted((c["kind"], c["n"], c["height_px"]) for c in record["cases"]) == [
         (kind, n, h) for kind in ("ellipse", "rectangle") for n in (16, 32) for h in (0.0, 8.0)]

@@ -95,7 +95,16 @@ REFUSALS = [
     *[(f"map_and_classify_with_a_force_model_that_sums_nothing_fail-{cmd}-{flag}-{value}",
        f"{cmd} {NEAR} --{flag} {value} --out-dir out", 1, "sums nothing at any shift")
       for flag, value in (("min-r", "60"), ("height", "1e200")) for cmd in ("map", "classify")],
-    ("match_start_must_stay_on_grid", f"match {SAME} --start 40,0", 2, "--start"),
+    # a start one cell past each edge of the grid; SUCCESSES starts on two corners
+    *[(f"match_start_must_stay_on_grid-{start}", f"match {SAME} --start {start}", 2,
+       "leaves the 32x32 shift grid") for start in ("16,0", "-17,0", "0,16", "0,-17")],
+    # a negative pair value is fused to its flag only where it starts like a number
+    *[(f"malformed_shift_is_an_argument_error-{case}", f"synth --kind line --shift {value}", 2,
+       fragment) for case, value, fragment in (
+        ("dot", "-. --out x.pgm", "--shift must be two numbers joined by ','"),
+        ("dash", "- --out x.pgm", "--shift must be two numbers joined by ','"),
+        ("missing", "--out x.pgm", "argument --shift: expected one argument"))],
+    ("negative_command_is_an_argument_error", "-1", 2, "invalid choice: '-1'"),
     ("missing_input_is_an_argument_error", "force --img1 nope.pgm --img2 rect.pgm", 2,
      "cannot read"),
     ("malformed_image_is_a_processing_error", "edges bad.pgm --out-dir out", 1, "byte offset"),
@@ -255,6 +264,8 @@ SUCCESSES = [
        partial(synth, "out/m.pgm", "32x32, 128 foreground px", "rectangle", (dx, dy),
                rect=(16, 8)))
       for case, dx, dy in (("applies_shift", 5, -4), ("accepts_negative_leading_shift", -3, 2))],
+    ("synth_draws_a_line_one_pixel_thick", "synth --kind line --out out/l.pgm",
+     partial(synth, "out/l.pgm", "32x32, 16 foreground px", "line")),
     ("synth_with_a_tiny_radius_writes_a_blank_image_quietly",
      "synth --kind circle --radius 1e-200 --out out/c.pgm",
      partial(synth, "out/c.pgm", "32x32, 0 foreground px", "circle", radius=1e-200)),
@@ -297,6 +308,9 @@ SUCCESSES = [
      partial(match, "moved", "rect", smooth=True)),
     ("match_accepts_negative_start", f"match {SAME} --start -2,-2 --out-dir out",
      partial(match, "rect", "rect", start=(-2, -2))),
+    *[(f"match_accepts_a_start_in_a_corner-{dx},{dy}",
+       f"match {SAME} --start {dx},{dy} --out-dir out",
+       partial(match, "rect", "rect", start=(dx, dy))) for dx, dy in ((-16, -16), (15, 15))],
 ]
 
 

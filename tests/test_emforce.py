@@ -170,14 +170,15 @@ def test_product_operands_guard(x, tx, width, product):
 
 
 # One element of c1 at (x, y) spans lattice columns x - 4 to x + 3 and rows y - 4 to
-# y + 3 against an 8 x 8 px c2.
-@pytest.mark.parametrize("x, y, product", [
-    (2 ** 24 - 3, 1, True), (2 ** 24 - 2, 1, False), (1, 2 ** 24 - 3, True),
-    (1, 2 ** 24 - 2, False)], ids=[
-    "last-column-2**24", "last-column-past-2**24", "last-row-2**24", "last-row-past-2**24"])
-def test_lattice_product_form_bound(x, y, product):
-    lattice = emforce._FieldLattice(single(x, y, 1.0, 0.5, x + 1, y + 1), two_at(3, 2.0 ** 20),
-                                    ForceParams(height_px=0.3))
+# y + 3 against an 8 x 8 px c2; against a 16 px wide c2, columns x - 8 to x + 7.
+@pytest.mark.parametrize("x, y, width, product", [
+    (2 ** 24 - 3, 1, 8, True), (2 ** 24 - 2, 1, 8, False), (1, 2 ** 24 - 3, 8, True),
+    (1, 2 ** 24 - 2, 8, False), (1, 2 ** 24 - 3, 16, True)], ids=[
+    "last-column-2**24", "last-column-past-2**24", "last-row-2**24", "last-row-past-2**24",
+    "last-row-2**24-wide"])
+def test_lattice_product_form_bound(x, y, width, product):
+    lattice = emforce._FieldLattice(single(x, y, 1.0, 0.5, x + 1, y + 1),
+                                    two_at(3, 2.0 ** 20, width), ForceParams(height_px=0.3))
     assert (lattice._operands is not None) is product
 
 
@@ -191,6 +192,9 @@ def test_product_form_guard():
     assert not emforce._is_exact([1 / 32], tangent, quantum)
     assert not emforce._is_exact([2.0 ** 21], tangent, quantum)
     assert not emforce._is_exact([1e308], tangent, quantum)
+    # h^2 joins the rows only as an integer below 2**50
+    h2 = [emforce._product_operands(two_at(3, 1.0), h)[2] for h in (2.0 ** 25 - 1, 2.0 ** 25)]
+    assert h2 == [(2.0 ** 25 - 1) ** 2, 0.0]
 
     lattice = emforce._FieldLattice(two_at(3, 1 / 32), two_at(4, 1 / 32), ForceParams())
     assert lattice._operands is None
@@ -232,12 +236,12 @@ def test_close_pairs_add_nothing(h, min_r, folded):
             assert _bytes(cell) == _bytes((whole.fx[y, x], whole.fy[y, x], whole.g[y, x]))
 
 
-@pytest.mark.parametrize("t1x, t1y", [(0.0, 100.0), (100.0, 0.0)])
+@pytest.mark.parametrize("t1x, t1y", [(0.0, 100.0), (100.0, 0.0), (10.0, 10.0)])
 def test_lattice_cell_whose_fold_overflows_is_an_error(t1x, t1y):
     # c2's huge tangent leaves the lattice value at the zero shift finite
-    # (1e307 at distance 1), but c1's tangent of 100 overflows the fold
-    # there: G with fx, or G with fy while fx stays 0; a cell farther away
-    # stays finite.
+    # (1e307 at distance 1), but c1's tangent overflows the fold there: G
+    # with fx, G with fy while fx stays 0, or G alone while fx and fy are
+    # 1e308 and -1e308; a cell farther away stays finite.
     c1, c2 = single(3, 3, t1x, t1y), single(3, 2, 1e307, 0.0)
     lattice = emforce._FieldLattice(c1, c2, ForceParams())
     assert all(math.isfinite(v) for v in lattice.cell(0, 0))

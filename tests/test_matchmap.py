@@ -21,53 +21,51 @@ C = math.cos(math.radians(22.5))
 S = math.sin(math.radians(22.5))
 
 
-def manual_map(fx, fy):
+def manual_map(fx, fy=None):
+    """A map of forces alone, with its origin in the middle; fy is 0 unless given."""
     fx = np.asarray(fx, dtype=np.float64)
     h, w = fx.shape
-    return ForceMap(w, h, w // 2, h // 2, fx, np.asarray(fy, dtype=np.float64))
+    return ForceMap(w, h, w // 2, h // 2, fx, np.zeros((h, w)) if fy is None else fy)
 
 
-def uniform_east(w=5, h=5):
-    return manual_map(np.ones((h, w)), np.zeros((h, w)))
+EAST = manual_map(np.ones((5, 5)))  # uniform east flow
 
 
 def rotor_map():
     """A four-cell clockwise cycle in the top-left corner, balance elsewhere."""
-    fx = np.zeros((5, 5)); fy = np.zeros((5, 5))
-    fx[0, 0] = 1.0   # E
-    fy[0, 1] = 1.0   # S
-    fx[1, 1] = -1.0  # W
-    fy[1, 0] = -1.0  # N
+    fx, fy = np.zeros((2, 5, 5))
+    fx[0, 0], fy[0, 1], fx[1, 1], fy[1, 0] = 1.0, 1.0, -1.0, -1.0  # E, S, W, N
     return manual_map(fx, fy)
 
 
-def radial_inward(w=5, h=5):
-    ox, oy = w // 2, h // 2
-    xs = np.arange(w)[None, :].repeat(h, axis=0)
-    ys = np.arange(h)[:, None].repeat(w, axis=1)
-    return manual_map(ox - xs, oy - ys)
+# discretize8(Vec2(fx, fy)) by hand: (fx, fy, direction, or None at balance).
+DIRECTIONS = [
+    # the eight unit moves, each along its step
+    (1.0, 0.0, Direction8.E), (1.0, 1.0, Direction8.SE), (0.0, 1.0, Direction8.S),
+    (-1.0, 1.0, Direction8.SW), (-1.0, 0.0, Direction8.W), (-1.0, -1.0, Direction8.NW),
+    (0.0, -1.0, Direction8.N), (1.0, -1.0, Direction8.NE),
+    # without G, a force below the 1e-12 cutoff is balanced, and one at it is not
+    (0.0, 0.0, None), (5e-13, -5e-13, None), (1e-12, 0.0, Direction8.E),
+    # a boundary belongs to the sector it opens; these four rotate onto an axis exactly
+    (C, S, Direction8.SE), (-S, C, Direction8.SW), (-C, -S, Direction8.NW), (S, -C, Direction8.NE),
+    # just inside east
+    (C, S - 1e-9, Direction8.E), (C, -S + 1e-9, Direction8.E),
+]
 
 
 class TestDiscretize8:
-    def test_steps_point_along_direction(self):
-        assert Direction8.E.step == (1, 0)
-        assert Direction8.SW.step == (-1, 1)
-        for d in Direction8:
-            dx, dy = d.step
-            assert discretize8(Vec2(float(dx), float(dy))) is d
-
-    def test_balance_threshold(self):
-        assert discretize8(Vec2(0.0, 0.0)) is None
-        assert discretize8(Vec2(5e-13, -5e-13)) is None
-        assert discretize8(Vec2(1e-12, 0.0)) is Direction8.E  # at eps: a force
-        assert ZERO_FORCE_EPS == 1e-12
+    @pytest.mark.parametrize("fx, fy, direction", DIRECTIONS)
+    def test_direction(self, fx, fy, direction):
+        assert discretize8(Vec2(fx, fy)) is direction
+        if direction is not None and {abs(fx), abs(fy)} <= {0.0, 1.0}:
+            assert direction.step == (fx, fy)
 
     def test_balance_is_relative_to_g(self):
         # with G, a force is balanced at |F| <= 1e-12 * G, whatever its size
         fx = np.array([[1e-13, 1e-6, 2e-6, 0.0]])
         g = np.array([[1e-3, 1e6, 1e6, 0.0]])
         fmap = ForceMap(4, 1, 0, 0, fx, np.zeros((1, 4)), g)
-        assert BALANCE_RTOL == 1e-12
+        assert BALANCE_RTOL == ZERO_FORCE_EPS == 1e-12
         assert render_direction_glyphs(fmap) == ">.>.\n"
         assert render_direction_glyphs(ForceMap(4, 1, 0, 0, fx, np.zeros((1, 4)))) == ".>>.\n"
         assert follow_path(fmap, (1, 0)).status is PathStatus.BALANCE_OSCILLATION
@@ -76,18 +74,6 @@ class TestDiscretize8:
         flipped = fmap.scaled(-1.0)  # G sums magnitudes, so it scales by |factor|
         assert render_direction_glyphs(flipped) == "<.<.\n"
         assert flipped.g.tobytes() == fmap.g.tobytes()
-
-    def test_sector_boundaries_open_clockwise(self):
-        # vectors exactly on a boundary belong to the sector the boundary
-        # opens; these four rotate onto a frame axis with zero rounding
-        assert discretize8(Vec2(C, S)) is Direction8.SE
-        assert discretize8(Vec2(-S, C)) is Direction8.SW
-        assert discretize8(Vec2(-C, -S)) is Direction8.NW
-        assert discretize8(Vec2(S, -C)) is Direction8.NE
-
-    def test_just_inside_east_sector(self):
-        assert discretize8(Vec2(C, S - 1e-9)) is Direction8.E
-        assert discretize8(Vec2(C, -S + 1e-9)) is Direction8.E
 
     def test_matches_angle_arithmetic_on_random_vectors(self):
         names = ["E", "SE", "S", "SW", "W", "NW", "N", "NE"]
@@ -222,30 +208,33 @@ def pair_map(east, west):
     """Balance on 5 x 5 except cells (1, 1), pushing east, and (2, 1), pushing west."""
     fx = np.zeros((5, 5))
     fx[1, 1], fx[1, 2] = east, -west
-    return manual_map(fx, np.zeros((5, 5)))
+    return manual_map(fx)
 
 
-def balanced_start():
-    """Uniform east flow on 5 x 5 except a balanced cell (0, 2)."""
-    fx = np.ones((5, 5))
-    fx[2, 0] = 0.0
-    return manual_map(fx, np.zeros((5, 5)))
+def no_force_map(origin_sums=True):
+    """Uniform east flow on 5 x 5 with G = 1, except cell (3, 2), which sums
+    nothing (F = G = 0), and the origin (2, 2) too unless origin_sums."""
+    fx, g = np.ones((5, 5)), np.ones((5, 5))
+    fx[2, 3] = g[2, 3] = 0.0
+    if not origin_sums:
+        fx[2, 2] = g[2, 2] = 0.0
+    return ForceMap(5, 5, 2, 2, fx, np.zeros((5, 5)), g)
 
 
 ROW_2 = ((0, 2), (1, 2), (2, 2), (3, 2), (4, 2))  # row 2, west to east
-BALANCE, OUT = PathStatus.BALANCE_OSCILLATION, PathStatus.OUT_OF_BOUNDS
+ROTOR = ((0, 0), (1, 0), (1, 1), (0, 1))  # rotor_map's cycle
+PLAIN = manual_map(no_force_map().fx)  # no_force_map's forces without G: (3, 2) balances
+ARRIVED, BALANCE, OUT, LIMIT, NONE = PathStatus  # in the order of its members
 
-# follow_path(map, start, stop_at_origin) by hand: (positions, status, terminal).  Each
-# row's id names the test it replaced.
+# follow_path(map, start, stop_at_origin) by hand: (positions, status, terminal), in
+# Python ints.  Each row's id names the test it replaced.
 WALKS = [
-    pytest.param(uniform_east(), (0, 2), True, ROW_2[:3], PathStatus.ARRIVED_AT_ORIGIN, (2, 2),
-                 id="arrives_at_origin"),
+    pytest.param(EAST, (0, 2), True, ROW_2[:3], ARRIVED, (2, 2), id="arrives_at_origin"),
     # the departing move is not recorded; the last in-grid cell terminates
-    pytest.param(uniform_east(), (3, 2), True, ROW_2[3:], OUT, (4, 2), id="walks_off_the_grid"),
-    pytest.param(uniform_east(), (0, 2), False, ROW_2, OUT, (4, 2),
+    pytest.param(EAST, (3, 2), True, ROW_2[3:], OUT, (4, 2), id="walks_off_the_grid"),
+    pytest.param(EAST, (0, 2), False, ROW_2, OUT, (4, 2),
                  id="passes_through_origin_when_not_stopping"),
-    pytest.param(balanced_start(), (0, 2), True, ((0, 2),), BALANCE, (0, 2),
-                 id="balance_at_start"),
+    pytest.param(PLAIN, (3, 2), True, ROW_2[3:4], BALANCE, (3, 2), id="balance_at_start"),
     # a bounce ends on the cell of the smaller force, from either side
     pytest.param(pair_map(2.0, 1.0), (1, 1), True, ((1, 1), (2, 1), (1, 1)), BALANCE, (2, 1),
                  id="oscillation_terminal_has_smaller_force-strong-side"),
@@ -256,29 +245,31 @@ WALKS = [
                  id="oscillation_tie_keeps_earlier_cell-1-1"),
     pytest.param(pair_map(1.0, 1.0), (2, 1), True, ((2, 1), (1, 1), (2, 1)), BALANCE, (2, 1),
                  id="oscillation_tie_keeps_earlier_cell-2-1"),
+    # criterion 11's rotor: each walk traces the four cells once and stops before its start
+    *[pytest.param(rotor_map(), ROTOR[i], True, ROTOR[i:] + ROTOR[:i], LIMIT, ROTOR[i - 1],
+                   id=f"rotor_stops_at_first_revisit-{i}") for i in range(4)],
+    pytest.param(EAST, (np.int64(0), np.int64(2)), True, ROW_2[:3], ARRIVED, (2, 2),
+                 id="numpy_integer_start_walks_in_python_ints"),
+    # a walk stops on a cell that sums nothing, also where it starts or is the origin
+    pytest.param(no_force_map(), (0, 2), False, ROW_2[:4], NONE, (3, 2),
+                 id="walk_stops_on_a_cell_that_sums_nothing"),
+    pytest.param(no_force_map(), (3, 2), True, ROW_2[3:4], NONE, (3, 2),
+                 id="walk_stops_on_a_cell_that_sums_nothing-start"),
+    pytest.param(PLAIN, (0, 2), False, ROW_2[:4], BALANCE, (3, 2),
+                 id="walk_stops_on_a_cell_that_sums_nothing-without-g"),
+    pytest.param(no_force_map(origin_sums=False), (0, 2), True, ROW_2[:3], NONE, (2, 2),
+                 id="a_step_onto_an_origin_that_sums_nothing_does_not_arrive"),
+    pytest.param(no_force_map(), (0, 2), True, ROW_2[:3], ARRIVED, (2, 2),
+                 id="a_step_onto_an_origin_that_sums_nothing_does_not_arrive-sums"),
 ]
 
 
 class TestFollowPath:
     @pytest.mark.parametrize("fmap, start, stop_at_origin, positions, status, terminal", WALKS)
     def test_walk(self, fmap, start, stop_at_origin, positions, status, terminal):
-        assert follow_path(fmap, start, stop_at_origin) == PathTrace(positions, status, terminal)
-
-    def test_rotor_stops_at_first_revisit(self):
-        # criterion 11's rotor: with no budget, each walk traces the four
-        # cells once and stops before re-entering its start
-        cycle = [(0, 0), (1, 0), (1, 1), (0, 1)]
-        for i, start in enumerate(cycle):
-            trace = follow_path(rotor_map(), start)
-            assert trace.status is PathStatus.STEP_LIMIT
-            assert trace.positions == tuple(cycle[i:] + cycle[:i])
-            assert trace.terminal == trace.positions[-1]
-
-    def test_numpy_integer_start_walks_in_python_ints(self):
-        trace = follow_path(uniform_east(), (np.int64(0), np.int64(2)))
-        assert trace == follow_path(uniform_east(), (0, 2))
-        assert all(type(v) is int for cell in trace.positions for v in cell)
-        assert classify_map(uniform_east()).label(np.int64(0), np.uint8(2)) is Label.CONVERGENCE
+        trace = follow_path(fmap, start, stop_at_origin)
+        assert trace == PathTrace(positions, status, terminal)
+        assert all(type(v) is int for cell in (*trace.positions, trace.terminal) for v in cell)
 
 
 def reference_direction(fmap, x, y):
@@ -416,41 +407,12 @@ def test_walks_agree_with_reference_loop(fmap):
         for y in range(fmap.height))
 
 
-def no_force_map(origin_sums=True):
-    """Uniform east flow on 5 x 5 with G = 1, except cell (3, 2), which sums
-    nothing (F = G = 0), and the origin (2, 2) too unless origin_sums."""
-    fx, g = np.ones((5, 5)), np.ones((5, 5))
-    fx[2, 3] = g[2, 3] = 0.0
-    if not origin_sums:
-        fx[2, 2] = g[2, 2] = 0.0
-    return ForceMap(5, 5, 2, 2, fx, np.zeros((5, 5)), g)
-
-
 class TestNoForce:
     """A computed cell with G = 0 summed nothing: no force, and no balance."""
 
-    def test_walk_stops_on_a_cell_that_sums_nothing(self):
-        fmap = no_force_map()
-        trace = follow_path(fmap, (0, 2), stop_at_origin=False)
-        assert trace.status is PathStatus.NO_FORCE
-        assert trace.positions == ((0, 2), (1, 2), (2, 2), (3, 2))
-        assert trace.terminal == (3, 2)
-        start = follow_path(fmap, (3, 2))
-        assert (start.status, start.steps, start.terminal) == (PathStatus.NO_FORCE, 0, (3, 2))
-        # the same forces without G: the cell balances
-        plain = ForceMap(5, 5, 2, 2, fmap.fx, fmap.fy)
-        assert follow_path(plain, (0, 2), stop_at_origin=False).status is \
-            PathStatus.BALANCE_OSCILLATION
-
-    def test_a_step_onto_an_origin_that_sums_nothing_does_not_arrive(self):
-        trace = follow_path(no_force_map(origin_sums=False), (0, 2))
-        assert trace.status is PathStatus.NO_FORCE
-        assert trace.positions == ((0, 2), (1, 2), (2, 2))
-        assert follow_path(no_force_map(), (0, 2)).status is PathStatus.ARRIVED_AT_ORIGIN
-
     def test_classify_traps_cells_that_sum_nothing_and_their_feeders(self):
-        cls = classify_map(no_force_map())
-        assert [cls.label(x, 2) for x in range(5)] == [
+        cls = classify_map(no_force_map())  # cells may be numpy integers
+        assert [cls.label(np.int64(x), np.uint8(2)) for x in range(5)] == [
             Label.CONVERGENCE, Label.CONVERGENCE, Label.LOCALLY_TRAPPED, Label.LOCALLY_TRAPPED,
             Label.DIVERGENCE]
         # an origin that sums nothing is no balance: it and its feeders are trapped
@@ -518,49 +480,63 @@ class TestClassifyMap:
         assert summarize_map(classify_map(fmap)) == {"convergence": w * h, "divergence": 0,
                                                      "locally_trapped": 0}
 
-class TestRendering:
-    def test_radial_map_renders_black_with_marked_origin(self):
-        cls = classify_map(radial_inward())
-        rgb = classification_rgb(cls)
-        assert rgb.shape == (5, 5, 3)
-        assert tuple(rgb[2, 2]) == (64, 64, 64)
-        others = np.delete(rgb.reshape(-1, 3), 2 * 5 + 2, axis=0)
-        assert not others.any()  # plain convergence cells are black
 
-    def test_divergent_origin_is_not_marked(self):
-        cls = classify_map(uniform_east())
-        rgb = classification_rgb(cls)
-        assert tuple(rgb[2, 2]) == (255, 255, 255)
-        assert tuple(rgb[2, 0]) == (0, 0, 0)
+# classification_rgb(classify_map(map)) by hand, {cell: RGB}: a convergent origin is marked
+# and other convergent cells are black, a divergent origin is not marked, trapped cells are gray.
+RADIAL = manual_map(*(2.0 - np.indices((5, 5))[::-1]))  # each cell's force points at (2, 2)
+COLOURS = [
+    (RADIAL, {(2, 2): (64, 64, 64), **{c: (0, 0, 0) for c in np.ndindex(5, 5) if c != (2, 2)}}),
+    (EAST, {(2, 2): (255, 255, 255), (0, 2): (0, 0, 0)}),
+    (pair_map(1.0, 1.0), {(1, 1): (128, 128, 128), (2, 1): (128, 128, 128)}),
+]
 
-    def test_trapped_cells_render_gray(self):
-        fx = np.zeros((5, 5)); fx[0, 0] = 1.0; fx[0, 1] = -1.0
-        rgb = classification_rgb(classify_map(manual_map(fx, np.zeros((5, 5)))))
-        assert tuple(rgb[0, 0]) == (128, 128, 128)
+
+@pytest.mark.parametrize("fmap, colours", COLOURS)
+def test_colour(fmap, colours):
+    image = classification_rgb(classify_map(fmap))
+    assert image.shape == (fmap.height, fmap.width, 3)
+    assert {(x, y): tuple(image[y, x]) for x, y in colours} == colours
+
+
+RECT = synth_shape("rectangle", 32, 32)
+MATCHED, DIVERGED, TRAPPED = MatchStatus  # in the order of its members
+# match_images(moved, reference, force_params=params, start_offset=start) by hand:
+# (status, detected shift, steps, path).  Each row's id names the test it replaced.
+MATCHES = [
+    # the walk stops on the match cell, where the force is rounding residue
+    pytest.param(shift_image(RECT, 5, -4), RECT, ForceParams(), (0, 0), MATCHED, (5, -4), 9, (
+        (16, 16), (16, 17), (16, 18), (16, 19), (16, 20), (15, 20), (14, 20), (13, 20), (12, 20),
+        (11, 20)), id="recovers_rectangle_shift"),
+    pytest.param(shift_image(RECT, 3, -2), RECT, ForceParams(), (0, 0), MATCHED, (3, -2), 5,
+                 ((16, 16), (16, 17), (16, 18), (15, 18), (14, 18), (13, 18)),
+                 id="recovers_rectangle_shift-3-m2"),
+    # the self-pair match is rounding residue of both sums: a balance
+    *[pytest.param(img, img, ForceParams(height_px=h), (0, 0), MATCHED, (0, 0), 0, ((16, 16),),
+                   id=f"identity_match_settles_at_zero-{kind}-{h}")
+      for kind in KINDS for img in [synth_shape(kind, 32, 32)] for h in (0.0, 8.0)],
+    pytest.param(RECT, RECT, ForceParams(height_px=8.0), (-16, -16), DIVERGED, (16, 16), 0,
+                 ((0, 0),), id="divergent_start_reports_diverged"),
+    pytest.param(synth_shape("line", 32, 32), synth_shape("square", 32, 32), ForceParams(),
+                 (-3, -6), TRAPPED, (2, 4), 5,
+                 ((13, 10), (13, 11), (14, 11), (15, 12), (15, 11), (14, 12)),
+                 id="trapped_walk_stops_in_its_cycle"),
+]
 
 
 class TestMatchImages:
-    def test_recovers_rectangle_shift(self, rect_img):
-        moved = shift_image(rect_img, 5, -4)
-        result = match_images(moved, rect_img)
-        assert result.status is MatchStatus.MATCHED
-        assert result.detected_shift == (5, -4)
-        # the walk stops on the match cell, where the force is rounding residue
-        assert result.steps == 9
-        assert result.path.positions == (
-            (16, 16), (16, 17), (16, 18), (16, 19), (16, 20), (15, 20),
-            (14, 20), (13, 20), (12, 20), (11, 20))
-        assert result.path.terminal == (11, 20)
-        assert match_images(shift_image(rect_img, 3, -2), rect_img).detected_shift == (3, -2)
-
-    @pytest.mark.parametrize("kind, h", [(kind, h) for kind in KINDS for h in (0.0, 8.0)])
-    def test_identity_match_settles_at_zero(self, kind, h):
-        # the self-pair match is rounding residue of both sums: a balance
-        img = synth_shape(kind, 32, 32)
-        result = match_images(img, img, force_params=ForceParams(height_px=h))
-        assert result.status is MatchStatus.MATCHED
-        assert result.detected_shift == (0, 0)
-        assert result.steps == 0
+    @pytest.mark.parametrize("moved, reference, params, start, status, shift, steps, path", MATCHES)
+    def test_match(self, moved, reference, params, start, status, shift, steps, path):
+        result = match_images(moved, reference, force_params=params, start_offset=start)
+        assert (result.status, result.detected_shift, result.steps) == (status, shift, steps)
+        assert result.path.positions == path
+        assert result.path.terminal == (16 - shift[0], 16 - shift[1])
+        if status is TRAPPED:
+            # the next move would re-enter the path: a cycle, not a spent budget
+            assert len(set(path)) == len(path)
+            fmap = force_map_fast(extract_current(moved), extract_current(reference), params)
+            x, y = path[-1]
+            dx, dy = discretize8(fmap.cell(x, y)).step
+            assert (x + dx, y + dy) in path[:-2]
 
     def test_ellipse_recovers_every_small_shift(self, ellipse_img):
         # at h 0 every walk used to bounce on rounding noise around the match
@@ -606,26 +582,6 @@ class TestMatchImages:
             assert len(points) == len(set(points))
             # the first cell reads n points; a step never needs more than n new ones
             assert n <= len(points) <= n * len(result.path.positions)
-
-    def test_trapped_walk_stops_in_its_cycle(self):
-        line, square = synth_shape("line", 32, 32), synth_shape("square", 32, 32)
-        result = match_images(line, square, start_offset=(-3, -6))
-        assert result.status is MatchStatus.TRAPPED
-        path = result.path.positions
-        assert path == ((13, 10), (13, 11), (14, 11), (15, 12), (15, 11), (14, 12))
-        assert len(set(path)) == len(path)
-        assert result.path.terminal == path[-1]
-        # the next move would re-enter the path: a cycle, not a spent budget
-        fmap = force_map_fast(extract_current(line), extract_current(square))
-        x, y = path[-1]
-        dx, dy = discretize8(fmap.cell(x, y)).step
-        assert (x + dx, y + dy) in path[:-2]
-
-    def test_divergent_start_reports_diverged(self, rect_img):
-        result = match_images(rect_img, rect_img,
-                              force_params=ForceParams(height_px=8.0),
-                              start_offset=(-16, -16))
-        assert result.status is MatchStatus.DIVERGED
 
     def test_numpy_integer_start_offset_gives_json_ready_result(self, rect_img):
         moved = shift_image(rect_img, 5, -4)

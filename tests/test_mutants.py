@@ -60,7 +60,20 @@ def test_the_sample_is_seeded_and_marks_equivalent_mutants(tmp_path, monkeypatch
     every = mutants.sample(tmp_path, modules, 0, 100)
     assert len(every) == 13
     assert [(m["line"], m["change"]) for m in every if m["equivalent"]] == [(1, "+ -> -")]
+    # a fifth item names one of a line's sites of the same token
+    (tmp_path / "c.py").write_text("z = 1 + 2 + 3\n")
+    monkeypatch.setattr(mutants, "EQUIVALENT", {("c.py", "z = 1 + 2 + 3", "+", "-", 2)})
+    assert [m["equivalent"] for m in mutants.sample(tmp_path, ["c.py"], 0, 5)
+            if m["change"] == "+ -> -"] == [False, True]
     # an entry whose line has changed is named, not silently ignored
     monkeypatch.setattr(mutants, "EQUIVALENT", {("a.py", "x = 1 + 2", "+", "-")})
     with pytest.raises(ValueError, match="match no site"):
         mutants.sample(tmp_path, modules, 0, 5)
+
+
+def test_every_equivalent_entry_matches_a_site():
+    # A count of 0 draws no mutant, but sample still refuses a stale entry.  Mutant
+    # runs deselect this test by name, since it fails on any mutant of an entry's line.
+    modules = ["raster.py", "edgecurrent.py", "emforce.py", "matchmap.py", "cli.py"]
+    assert mutants.sample(PACKAGE, modules, 0, 0) == []
+    assert mutants.STALE_CHECK.endswith("::" + test_every_equivalent_entry_matches_a_site.__name__)
