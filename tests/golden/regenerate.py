@@ -4,7 +4,7 @@ From the repository root, with the package importable:
 
     PYTHONPATH=src python tests/golden/regenerate.py
 
-It writes three plain JSON files:
+It writes two plain JSON files:
 
 - matches.json: match_images' shift, status, steps and path, and the
   classify_map counts of the moved image's self-pair, for each bundled kind
@@ -15,7 +15,6 @@ It writes three plain JSON files:
   current, map, classify and match) for one 32 px pair per kind, and of
   what force prints for that pair at a fractional shift, once at each of
   FORCE_SETTINGS.
-- rectangle-32-match.json: the 32 px rectangle pair's match.json, verbatim.
 
 tests/test_golden.py builds the same bytes in process and compares them with
 the committed files exactly.  CI runs it, with the rest of the suite,
@@ -49,7 +48,6 @@ CLOSE_PAIR_SETTINGS = ((0.0, 1e-9), (5.0, 1e-9), (8.0, 1e-9), (3.0, 3.1), (8.0, 
                        (0.0, 1.5), (2.5, 2.6))
 # The CLI pair: the moved image at the first planted shift against the reference.
 CLI_HEIGHT = "8"
-CLI_MATCH = "rectangle-32-match.json"
 # force's shift and its (listing key, force flags) settings: the h^2 fold
 # with no close pair, and the direct form with close pairs.
 FORCE_SHIFT = "0.5,-0.25"
@@ -105,8 +103,8 @@ def _cli(*argv: str) -> bytes:
     return out.getvalue().encode("utf-8")
 
 
-def cli_outputs() -> tuple[bytes, bytes]:
-    """The sha256 listing of every CLI output file, and the rectangle's match.json."""
+def cli_outputs() -> bytes:
+    """The sha256 listing of every CLI output file."""
     digests = {}
     with tempfile.TemporaryDirectory() as tmp:
         for kind in KINDS:
@@ -129,15 +127,12 @@ def cli_outputs() -> tuple[bytes, bytes]:
                                     "--shift", FORCE_SHIFT, *flags)
             for key, data in outputs.items():
                 digests[f"{kind}/{key}"] = hashlib.sha256(data).hexdigest()
-        match_json = (Path(tmp) / "rectangle" / "match" / "match.json").read_bytes()
-    listing = json.dumps(digests, indent=1, sort_keys=True) + "\n"
-    return listing.encode("utf-8"), match_json
+    return (json.dumps(digests, indent=1, sort_keys=True) + "\n").encode("utf-8")
 
 
 def golden_files() -> dict[str, bytes]:
     """Every golden file's name and bytes, computed afresh."""
-    listing, match_json = cli_outputs()
-    return {"matches.json": matches(), "cli-sha256.json": listing, CLI_MATCH: match_json}
+    return {"matches.json": matches(), "cli-sha256.json": cli_outputs()}
 
 
 if __name__ == "__main__":

@@ -3,16 +3,16 @@ import math
 import sys
 import threading
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import astuple, is_dataclass
+from dataclasses import astuple, is_dataclass, replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from emmatch import (CurrentElement, EdgeCurrent, ForceParams, Vec2, Vec3, bz_at, force_map,
-                     force_map_fast, force_map_tsv, force_on_element, match_images,
-                     match_result_json, pair_force, shift_image, synth_shape, total_force)
+from emmatch import (CurrentElement, EdgeCurrent, ForceParams, Vec2, Vec3, bz_at, force_map_fast,
+                     force_map_tsv, force_on_element, match_images, match_result_json,
+                     pair_force, shift_image, synth_shape, total_force)
 from emmatch import emforce
 from emmatch.emforce import _BLOCK_TERMS
 from conftest import CLOSE_PAIR_RULES, dyadic_current, field_lattice, random_current, single
@@ -29,10 +29,10 @@ T_EAST_2 = CurrentElement(0, 2, 1.0, 0.0)  # T_EAST two cells south
 SKEW_1, SKEW_2 = CurrentElement(2, 3, 1.0, 2.0), CurrentElement(0, 0, -1.0, 3.0)  # r^3 343 at h 6
 NO_SHIFT = Vec2(0.0, 0.0)
 
-# pair_force(t1, t2, shift1, params) exactly, params None for pair_force's default; each
-# row's id names the test it replaced.  The last rows read against earlier ones: at twice the
-# distance a quarter of the force, at twice the strength twice, moved with its shift the
-# same, and lifted by h weaker in the plane.
+# pair_force(t1, t2, shift1, params), and force_on_element on a current of t2 alone, exactly,
+# params None for their default; each row's id names the test it replaced.  Four rows read
+# against earlier ones: at twice the distance a quarter of the force, at twice the strength
+# twice, moved with its shift the same, and lifted by h weaker in the plane.
 PAIR_FORCES = [
     pytest.param(T_EAST, T_EAST, NO_SHIFT, ForceParams(height_px=2.0), Vec3(0.0, 0.0, -0.25),
                  id="stacked_parallel_elements_attract_vertically"),
@@ -59,64 +59,25 @@ PAIR_FORCES = [
                  id="shift_moves_the_first_element"),
     pytest.param(T_EAST, T_EAST_2, NO_SHIFT, ForceParams(height_px=1.5),  # r 2.5: 0.128 < 0.25
                  Vec3(0.0, 2.0 / 15.625, -1.5 / 15.625), id="height_weakens_planar_pull"),
+    pytest.param(T_EAST, CurrentElement(4, 1, -0.3, 2.0), Vec2(2.0, -1.0),  # r^3 27, Bz 4.6
+                 ForceParams(strength=3.0, height_px=1.0),
+                 Vec3(0.0, -(0.3 * 2 + 4) / 27 * 3, 0.3 / 27 * 3),
+                 id="force_on_single_element_matches_pair_force"),
 ]
 
 
 @pytest.mark.parametrize("t1, t2, shift1, params, force", PAIR_FORCES)
 def test_pair_force(t1, t2, shift1, params, force):
-    if params is None:  # unit strength, no height, and a min_r that keeps out coincident pairs
-        assert astuple(ForceParams()) == (1.0, 0.0, 1e-9)
-        assert pair_force(t1, t2, shift1) == force
-    else:
-        assert pair_force(t1, t2, shift1, params) == force
-
-
-def test_force_on_single_element_matches_pair_force():
-    c2 = single(4, 1, -0.3, 2.0)
-    params = ForceParams(strength=3.0, height_px=1.0)
-    got = force_on_element(T_EAST, c2, Vec2(2.0, -1.0), params)
-    want = pair_force(T_EAST, c2.element(0), Vec2(2.0, -1.0), params)
-    assert (got.x, got.y, got.z) == (want.x, want.y, want.z)
-
-
-@given(st.integers(0, 2 ** 32 - 1))
-@settings(max_examples=25, deadline=None)
-def test_force_on_element_sums_pairs(seed):
-    rng = np.random.default_rng(seed)
-    c2 = random_current(rng)
-    params = ForceParams(height_px=float(rng.uniform(0.0, 4.0)))
-    el = CurrentElement(2, 3, float(rng.uniform(-5, 5)), float(rng.uniform(-5, 5)))
-    shift = Vec2(1.0, -2.0)
-    got = force_on_element(el, c2, shift, params)
-    fx = fy = fz = 0.0
-    scale = 0.0
-    for j in range(len(c2)):
-        f = pair_force(el, c2.element(j), shift, params)
-        fx += f.x
-        fy += f.y
-        fz += f.z
-        scale += abs(f.x) + abs(f.y) + abs(f.z)
-    tol = 1e-12 * max(scale, 1e-30)
-    assert abs(got.x - fx) <= tol
-    assert abs(got.y - fy) <= tol
-    assert abs(got.z - fz) <= tol
-
-
-def test_bz_at_drives_planar_force():
-    rng = np.random.default_rng(11)
-    c2 = random_current(rng)
-    params = ForceParams(strength=2.5, height_px=1.0)
-    el = CurrentElement(5, 9, 1.7, -0.4)
-    shift = Vec2(-2.0, 4.0)
-    f = force_on_element(el, c2, shift, params)
-    b = bz_at(c2, el.x + shift.x, el.y + shift.y, params)
-    assert math.isclose(f.x, el.ty * b, rel_tol=1e-12)
-    assert math.isclose(f.y, -el.tx * b, rel_tol=1e-12)
+    # params None: unit strength, no height, and a min_r that keeps out coincident pairs
+    assert params is not None or astuple(ForceParams()) == (1.0, 0.0, 1e-9)
+    rest = (shift1,) if params is None else (shift1, params)
+    assert pair_force(t1, t2, *rest) == force
+    assert force_on_element(t1, single(t2.x, t2.y, t2.tx, t2.ty), *rest) == force
 
 
 def test_force_on_element_weighs_bz_at():
-    # At unit strength the in-plane force is (t1y, -t1x) times the field,
-    # exactly: both read the same field sum.
+    # The in-plane force is (t1y, -t1x) times the field: exactly at unit strength, where
+    # both read the same field sum, and up to the rounding of the strength factor at 2.5.
     rng = np.random.default_rng(13)
     for _ in range(20):
         c2 = random_current(rng)
@@ -128,6 +89,11 @@ def test_force_on_element_weighs_bz_at():
         f = force_on_element(el, c2, shift, params)
         b = bz_at(c2, el.x + shift.x, el.y + shift.y, params)
         assert _bytes((f.x, f.y)) == _bytes((el.ty * b, -el.tx * b))
+        params = replace(params, strength=2.5)
+        f = force_on_element(el, c2, shift, params)
+        b = bz_at(c2, el.x + shift.x, el.y + shift.y, params)
+        assert math.isclose(f.x, el.ty * b, rel_tol=1e-12)
+        assert math.isclose(f.y, -el.tx * b, rel_tol=1e-12)
 
 
 def test_empty_second_current_gives_zero():
@@ -138,15 +104,6 @@ def test_empty_second_current_gives_zero():
     assert bz_at(c2, 1.0, 2.0) == 0.0
     t = total_force(empty_current(), single(1, 1, 1.0, 0.0), Vec2(0.0, 0.0))
     assert (t.x, t.y, t.z) == (0.0, 0.0, 0.0)
-
-
-def test_map_grid_comes_from_second_current():
-    rng = np.random.default_rng(3)
-    c1 = random_current(rng, width=16, height=16)
-    c2 = random_current(rng, width=24, height=20)
-    fmap = force_map(c1, c2)
-    assert (fmap.width, fmap.height) == (24, 20)
-    assert fmap.origin == (12, 10)
 
 
 def _bytes(value):

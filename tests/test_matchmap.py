@@ -50,6 +50,8 @@ DIRECTIONS = [
     (C, S, Direction8.SE), (-S, C, Direction8.SW), (-C, -S, Direction8.NW), (S, -C, Direction8.NE),
     # just inside east
     (C, S - 1e-9, Direction8.E), (C, -S + 1e-9, Direction8.E),
+    # components far above 2**-500, which a lift by 2**600 would overflow
+    (-2.0 ** 450, 2.0 ** 450, Direction8.SW),
 ]
 
 

@@ -1,12 +1,16 @@
 """Whole-pipeline oracle: every route through the force model agrees with its reference.
 
 Each AGREEMENTS row names two routes and the relation between their results.
+Every array route runs the one blocked kernel, _field_sums; the pair sums
+route adds pair_force, the law for one pair, over every pair instead, so
+the kernel itself answers to that law, within a bound on rounding.
 test_routes_agree checks every row on random small image pairs and random
 dyadic current pairs (positions that repeat, tangents in sixteenths up to
-2**20); test_fixed_routes_agree checks the fixed inputs of earlier tests, one
-case each, named after them, on the rows those tests checked.  Where the pipeline refuses (no edge points, or a force
-model that sums nothing), both routes raise the same error class, and a
-per-cell route, which cannot refuse, reads zero wherever it evaluated.
+2**20); test_fixed_routes_agree checks the fixed inputs of earlier tests,
+one case each, named after them, on the rows those tests checked.  Where
+the pipeline refuses (no edge points, or a force model that sums nothing),
+both routes raise the same error class, and a per-cell route, which cannot
+refuse, reads zero wherever it evaluated.
 """
 
 from collections import Counter, namedtuple
@@ -20,18 +24,15 @@ from hypothesis import strategies as st
 from conftest import (CLOSE_PAIR_RULES, KINDS, dyadic_current, dyadic_currents, field_lattice,
                       random_current, single)
 from emmatch import (EdgeCurrent, EdgeParams, ForceMap, ForceParams, GrayImage, Vec2, bz_at,
-                     classify_map, extract_current, follow_path, force_map, force_map_fast,
-                     force_on_element, match_images, pair_force, shift_image, synth_shape,
-                     total_force)
+                     extract_current, follow_path, force_map, force_map_fast, force_on_element,
+                     match_images, pair_force, shift_image, synth_shape, total_force)
 from emmatch import emforce
 from emmatch.emforce import _BLOCK_TERMS
-from emmatch.matchmap import PathStatus, _sectors
+from emmatch.matchmap import PathStatus
 
 # id: (route A, route B, relation)
 AGREEMENTS = {
     "fast map": ("force_map_fast", "force_map", "bytes"),
-    "fast sectors": ("force_map_fast", "force_map", "sectors"),
-    "fast labels": ("force_map_fast", "force_map", "labels"),
     "direct values": ("direct values", "product values", "values"),
     "direct map": ("direct map", "force_map_fast", "bytes"),
     "cells": ("lattice cells", "force_map_fast", "bytes"),
@@ -39,8 +40,8 @@ AGREEMENTS = {
     "sums": ("total_force", "force_map_fast", "bytes"),
     "element sums": ("total_force", "element sums", "bytes"),
     "bz_at fold": ("bz_at fold", "force_map_fast", "bytes"),
+    "pair sums": ("total_force", "pair sums", "near"),
     "match path": ("match_images", "fast walk", "path"),
-    "reference path": ("match_images", "reference walk", "path"),
 }
 # c1 over c2's shift grid for the rows named.  Per-cell routes read cells in order,
 # match_images match, (img1, img2, EdgeParams, smooth, start), at strength 1; product
@@ -65,9 +66,10 @@ def _windowed(fill, strength):
     return _stack(ForceMap(w, h, w // 2, h // 2, *fill._windows()).scaled(strength))
 
 
-def _grid(case, evaluate):
-    """(fx, fy, g, fz) from evaluate(shift) at case's cells; NaN elsewhere and where not given."""
-    grid = np.full((4, case.c2.height, case.c2.width), np.nan)
+def _grid(case, evaluate, depth=4):
+    """(fx, fy, g, fz), or depth values, from evaluate(shift) at case's cells; NaN elsewhere
+    and where not given."""
+    grid = np.full((depth, case.c2.height, case.c2.width), np.nan)
     for x, y in case.cells:
         grid[:, y, x] = evaluate(x - case.c2.width // 2, y - case.c2.height // 2)
     return grid
@@ -118,6 +120,24 @@ def _element_sums(case, dx, dy):
     return fx, fy, np.nan, fz
 
 
+def _pair_sums(case, dx, dy):
+    """pair_force summed over c2 for each element of c1, then over c1, in storage order from
+    +0.0, as total_force nests them; then near's bound on each sum, (len(c1) + len(c2) + 4)
+    2**-52 times its gross sum of |term| (Higham, Accuracy and Stability of Numerical
+    Algorithms, ch. 4)."""
+    shift, c2 = Vec2(float(dx), float(dy)), list(case.c2)
+    fx = fy = fz = gx = gy = gz = 0.0
+    for t1 in case.c1:
+        ex = ey = ez = 0.0
+        for t2 in c2:
+            f = pair_force(t1, t2, shift, case.params)
+            ex, ey, ez = ex + f.x, ey + f.y, ez + f.z
+            gx, gy, gz = gx + abs(f.x), gy + abs(f.y), gz + abs(f.z)
+        fx, fy, fz = fx + ex, fy + ey, fz + ez
+    bound = (len(case.c1) + len(c2) + 4) * 2.0 ** -52
+    return fx, fy, np.nan, fz, bound * gx, bound * gy, np.nan, bound * gz
+
+
 def _walk(fmap, start):
     """follow_path from the origin moved by start; refused as match_images refuses."""
     if isinstance(fmap, type):
@@ -142,10 +162,10 @@ ROUTES = {
         case.c1, case.c2, Vec2(float(dx), float(dy)), case.params)), 2, np.nan)),
     "element sums": lambda case, _: _grid(case, lambda dx, dy: _element_sums(case, dx, dy)),
     "bz_at fold": lambda case, _: _grid(case, lambda dx, dy: _bz_at_fold(case, dx, dy)),
+    "pair sums": lambda case, _: _grid(case, lambda dx, dy: _pair_sums(case, dx, dy), 8),
     "match_images": lambda case, _: match_images(
         *case.match[:3], case.params, smooth=case.match[3], start_offset=case.match[4]).path,
     "fast walk": lambda case, result: _walk(result("force_map_fast"), case.match[4]),
-    "reference walk": lambda case, result: _walk(result("force_map"), case.match[4]),
 }
 
 
@@ -160,13 +180,20 @@ def _same_bytes(a, b):
             and not any((np.hypot(f[0], f[1]) > f[2]).any() for f in (a, b)))
 
 
+def _near(a, b):
+    """a within bounds of sums where both hold a value, b stacking sums and bounds; a bound
+    of 0 asks for equal values."""
+    sums, bounds = b[:4], b[4:]
+    both = ~np.isnan(a) & ~np.isnan(sums)
+    return both.any() and bool((np.abs(a - sums)[both] <= bounds[both]).all())
+
+
 RELATIONS = {
     "bytes": _same_bytes,
     # equal lattice values; where the bytes differ, both are zeros
     "values": lambda a, b: (np.array_equal(a, b)
                             and not a[a.view(np.int64) != b.view(np.int64)].any()),
-    "sectors": lambda a, b: np.array_equal(*(_sectors(f.fx, f.fy, f.g) for f in (a, b))),
-    "labels": lambda a, b: np.array_equal(classify_map(a).codes, classify_map(b).codes),
+    "near": _near,
     "path": lambda a, b: a == b,
 }
 
@@ -205,11 +232,13 @@ def cases(draw):
         c1, c2 = draw(dyadic_currents(7, 6)), draw(dyadic_currents(6, 5))
     params = ForceParams(height_px=draw(st.sampled_from([0.0, 0.3, 3.0, 8.0])),
                          min_r=draw(st.sampled_from([1e-9, 0.5, 1.0, 1.5, 2.5, 3.0])))
-    rows = ([row for row in AGREEMENTS if match or "path" not in row] if len(c1) and len(c2)
-            else ["fast map", "match path"])  # public routes refuse a current without elements
     cell = st.tuples(st.integers(0, c2.width - 1), st.integers(0, c2.height - 1))
-    return Case("generated", c1, c2, params, rows,
-                tuple(draw(st.lists(cell, min_size=1, max_size=3, unique=True))), match)
+    cells = tuple(draw(st.lists(cell, min_size=1, max_size=3, unique=True)))
+    few = len(c1) * len(c2) * len(cells) <= 20_000  # pairs that pair sums add one at a time
+    rows = ([row for row in AGREEMENTS if (match or "path" not in row)
+             and (few or row != "pair sums")] if len(c1) and len(c2)
+            else ["fast map", "match path"])  # public routes refuse a current without elements
+    return Case("generated", c1, c2, params, rows, cells, match)
 
 
 def every_cell(c2):
@@ -224,8 +253,9 @@ def image_case(name, rows, img1, img2, params=ForceParams(), start=(0, 0), ep=Ed
 
 
 def fixed_cases():
-    # 32 and 64 px at h 0, 5 and 8 and strengths 1 and 1.7; above the sizes the golden
-    # files (64 px) and the generated pairs (19 px) pin, 16 seeded cells of a 256 px ellipse.
+    # 32 and 64 px at h 0, 5 and 8 and strengths 1 and 1.7, 32 px at h 5 and strength 1.7
+    # against pair_force too; above the sizes the golden files (64 px) and the generated
+    # pairs (19 px) pin, 16 seeded cells of a 256 px ellipse.
     big = tuple(map(tuple, np.random.default_rng(256).integers(0, 256, (16, 2)).tolist()))
     for kind, n in [(kind, n) for n in (32, 64) for kind in KINDS] + [("ellipse", 256)]:
         ref, o = synth_shape(kind, n, n), n // 2
@@ -233,19 +263,20 @@ def fixed_cases():
         cells = ((o, o), (o - n // 8, o + n // 10), (0, 0), (n - 1, 3), (5, n - 2))
         for h, s in ([(0.0, 1.0), (8.0, 1.0)] if n == 256 else
                      [(h, s) for h in (0.0, 5.0, 8.0) for s in (1.0, 1.7)]):
+            rows = ("sums",) + ("pair sums",) * ((n, h, s) == (32, 5.0, 1.7))
             yield Case(f"test_total_force_equals_the_fast_map_cell[{n}-{kind}-{h}-{s}]", c1, c2,
-                       ForceParams(strength=s, height_px=h), ("sums",), big if n == 256 else cells)
-    # test_walk_equals_fast_map_walk; self-pairs also take the rows of ..._discretize_ and
-    # ..._classify_identically, the rectangle moved by (5, -4) at h 0 the reference walk's.
+                       ForceParams(strength=s, height_px=h), rows, big if n == 256 else cells)
+    # test_walk_equals_fast_map_walk; self-pairs and the rectangle moved by (5, -4) at h 0
+    # also take the fast map's row, whose equal bytes give equal sectors, labels and walks.
     for kind, h in [(kind, h) for kind in KINDS for h in (0.0, 8.0)]:
         img = synth_shape(kind, 32, 32)
         for shift, start in (((5, -4), (0, 0)), ((-6, -6), (0, 0)), ((3, -2), (0, 0)),
                              ((0, 0), (0, 0)), ((2, 1), (-9, 7))):
-            rows = ("match path",) + {(0, 0): ("fast sectors", "fast labels")}.get(shift, ())
-            rows += ("reference path",) * ((kind, h, shift) == ("rectangle", 0.0, (5, -4)))
-            yield image_case(f"test_walk_equals_fast_map_walk[{kind}-{h}-{shift}-{start}]", rows,
+            both = shift == (0, 0) or (kind, h, shift) == ("rectangle", 0.0, (5, -4))
+            yield image_case(f"test_walk_equals_fast_map_walk[{kind}-{h}-{shift}-{start}]",
+                             ("match path",) + ("fast map",) * both,
                              shift_image(img, *shift), img, ForceParams(height_px=h), start)
-    yield image_case("test_fast_and_reference_maps_classify_identically[square]", ("fast labels",),
+    yield image_case("test_fast_and_reference_maps_classify_identically[square]", ("fast map",),
                      *[synth_shape("square", 16, 16, side=6)] * 2)
     # test_lattice_cells_equal_the_fast_map: cells in a random order; a copy of element 3
     # shares its point, which a call then evaluates twice; c2's tangents in sixteenths take
@@ -282,7 +313,11 @@ def fixed_cases():
     rng = np.random.default_rng(5)
     c1, c2 = (random_current(rng, width=10, height=10, n=8) for _ in range(2))
     yield Case("test_map_cells_hold_total_force", c1, c2, ForceParams(height_px=1.0),
-               ("fast map", "sums"), ((0, 0), (5, 5), (9, 3), (2, 9)), product=False)
+               ("fast map", "sums", "pair sums"), ((0, 0), (5, 5), (9, 3), (2, 9)), product=False)
+    rng = np.random.default_rng(3)  # the map's grid and origin are c2's
+    c1, c2 = random_current(rng, width=16, height=16), random_current(rng, width=24, height=20)
+    yield Case("test_map_grid_comes_from_second_current", c1, c2, ForceParams(),
+               ("fast map", "sums"), ((0, 0), (12, 10), (23, 19), (3, 17)), product=False)
     rng = np.random.default_rng(17)
     yield Case("test_fast_map_matches_naive_map", random_current(rng), random_current(rng),
                ForceParams(strength=2.0, height_px=3.0), ("fast map",), product=False)
@@ -294,23 +329,32 @@ def fixed_cases():
     # 163 rows, which 401 of c1 span with a shorter last one; a c2 longer than a block;
     # pairs within min_r; and x and y terms that are all -0.0.
     name = "test_total_force_accumulates_element_forces_exactly"
+    rows = ("element sums", "pair sums")
     rng = np.random.default_rng(7)
     yield Case(f"{name}[small]", random_current(rng), random_current(rng),
-               ForceParams(height_px=2.0), ("element sums",), ((11, 7),), product=False)
+               ForceParams(height_px=2.0), rows, ((11, 7),), product=False)
     rng = np.random.default_rng(31)
     c1, c2 = random_current(rng, 32, 32, 401), random_current(rng, 32, 32, 100)
     assert len(c1) * len(c2) > 2 * _BLOCK_TERMS and len(c1) % (_BLOCK_TERMS // len(c2))
-    yield Case(f"{name}[multi-block]", c1, c2, ForceParams(height_px=0.5), ("element sums",),
-               ((14, 17),), product=False)
+    yield Case(f"{name}[multi-block]", c1, c2, ForceParams(height_px=0.5), rows, ((14, 17),),
+               product=False)
     rng = np.random.default_rng(37)
     c2 = random_current(rng, 140, 140, _BLOCK_TERMS + 300)
-    yield Case(f"{name}[wide-c2]", random_current(rng, n=5), c2, ForceParams(),
-               ("element sums",), ((110, 120),), product=False)
+    yield Case(f"{name}[wide-c2]", random_current(rng, n=5), c2, ForceParams(), rows,
+               ((110, 120),), product=False)
     rng = np.random.default_rng(41)
     c1, c2 = random_current(rng, n=40), random_current(rng, n=40)
     assert ((c1.xs[:, None] + 1 - c2.xs) ** 2 + (c1.ys[:, None] - c2.ys) ** 2 < 16).any()
-    yield Case(f"{name}[close-guard]", c1, c2, ForceParams(min_r=4.0), ("element sums",),
-               ((9, 8),), product=False)
+    yield Case(f"{name}[close-guard]", c1, c2, ForceParams(min_r=4.0), rows, ((9, 8),),
+               product=False)
+    # test_force_on_element_sums_pairs: uniform tangents at a non-integer h, on one element
+    # of c1 and on twelve, at h < min_r with pairs in the plane within min_r
+    rng = np.random.default_rng(19)
+    for n, h, min_r in ((1, 2.7, 1e-9), (12, 0.45, 1.5)):
+        yield Case(f"test_force_on_element_sums_pairs[{n}-{h}-{min_r}]",
+                   random_current(rng, n=n), random_current(rng),
+                   ForceParams(height_px=h, min_r=min_r), rows,
+                   ((9, 6), (0, 0), (15, 15), (3, 11), (8, 8)), product=False)
     # Zero tangents whose signs make every x and y pair term -0.0: whatever sign the
     # element sums carry, every total and cell, which start at +0.0, stays +0.0.
     c1 = EdgeCurrent(8, 8, [1, 4, 6], [3, 5, 7], [0.0] * 3, [-0.0] * 3)
@@ -319,7 +363,7 @@ def fixed_cases():
                for el in c1)
     yield Case(f"{name}[negative-zero] test_lattice_cells_of_signed_zero_terms_are_positive_zero",
                c1, c2, ForceParams(), ("element sums", "sums", "fast map", "cells", "direct cells",
-                                       "bz_at fold"), every_cell(c2))
+                                       "bz_at fold", "pair sums"), every_cell(c2))
     # One bright pixel: its eight edge points lie within 3 px, so the start sums nothing.
     dot = GrayImage(7, 7, np.pad([[255]], 3).astype(np.uint8))
     yield image_case("dot", None, dot, dot, ForceParams(min_r=3.0), ep=EdgeParams(0.2))

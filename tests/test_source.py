@@ -38,7 +38,8 @@ def test_guard_sees_an_unused_import():
     assert unused_imports("from __future__ import annotations\nimport a.b\na.b.c()\n") == []
 
 
-@pytest.mark.parametrize("path", MODULES + sorted(TESTS.rglob("*.py")), ids=lambda p: p.name)
+@pytest.mark.parametrize("path", MODULES + sorted(TESTS.rglob("*.py"))
+                         + sorted((TESTS.parent / "bench").glob("*.py")), ids=lambda p: p.name)
 def test_module_uses_every_import(path):
     assert unused_imports(path.read_text()) == []
 
