@@ -69,6 +69,11 @@ EQUIVALENT = {
     # A side of exactly the largest intp is refused either way, by this check or by
     # numpy's allocation after it, with ValueError.
     ("raster.py", "if width > _MAX_SIDE or height > _MAX_SIDE:", ">", ">="),
+    # A number of more digits than the largest intp has is above every bound either way,
+    # and the messages show its digit count, not this value.
+    ("raster.py", 'return _MAX_SIDE + 1, f"of {len(digits)} digits"', "1", "2"),
+    # Every caller's columns have one length, so the second column's is the first's.
+    ("raster.py", "for i in range(0, len(columns[0]), _TSV_ROWS):", "0", "1", 2),
     # Where start and end meet, both slices are empty and the copy writes nothing.
     ("raster.py", "if sx0 < sx1 and sy0 < sy1:", "<", "<="),
     # No point's value depends on the points evaluated with it, so any number of lattice
@@ -106,6 +111,13 @@ EQUIVALENT = {
     ("emforce.py", "step = max(1, _BLOCK_TERMS // max(m, 1))", "1", "2"),
     # Without t1 only out[0] is written and returned; a second row is never read.
     ("emforce.py", "out = np.empty((1 if t1 is None else 3, len(px)), dtype=np.float64)", "1", "2"),
+    # Where h equals min_r, every r^2 is at least h^2: the sum of h^2 and squares, rounded
+    # upward if at all, or exact in the product form. So the pass finds no close pair.
+    ("emforce.py", "if h2 < cut:  # a close pair's r^2 becomes +inf", "<", "<="),
+    # Negating the dy steps swaps N with S, NW with SW and NE with SE: the rows name the
+    # same four opposite pairs, in another order, and the rule counts the pairs.
+    ("edgecurrent.py", "v = bordered.ravel()[(_NEIGHBORS[0] + stride * _NEIGHBORS[1])[:, None] "
+     "+ at]  # (9, len(k))", "+", "-", 1),
 }
 
 WORKERS = 2

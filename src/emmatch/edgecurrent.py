@@ -359,5 +359,4 @@ def mask_image(mask: EdgeMask) -> GrayImage:
 
 def current_tsv(current: EdgeCurrent) -> str:
     """Tab-separated element dump, one row per element in storage order."""
-    return _tsv("x y tx ty", current.xs.tolist(), current.ys.tolist(),
-                current.tx.tolist(), current.ty.tolist())
+    return _tsv("x y tx ty", current.xs, current.ys, current.tx, current.ty)

@@ -564,5 +564,5 @@ def force_map_fast(c1: EdgeCurrent, c2: EdgeCurrent,
 
 def force_map_tsv(fmap: ForceMap) -> str:
     """Tab-separated map dump, one row per cell in row-major order."""
-    ys, xs = np.indices(fmap.fx.shape).reshape(2, fmap.fx.size).tolist()
-    return _tsv("x y fx fy", xs, ys, fmap.fx.ravel().tolist(), fmap.fy.ravel().tolist())
+    ys, xs = np.indices(fmap.fx.shape).reshape(2, fmap.fx.size)
+    return _tsv("x y fx fy", xs, ys, fmap.fx.ravel(), fmap.fy.ravel())

@@ -2,7 +2,9 @@
 
 A PGM header and a plain (P2) raster are read through one token regex, so
 a '#' comment may stand wherever whitespace may.  The package's TSV dumps
-share one writer, _tsv.
+share one writer, _tsv, which formats a fixed number of rows at a time from
+slices of the array columns and joins the chunks: its memory beside the
+text is one chunk's, not one Python string per row.
 
 Screen coordinates throughout: x grows to the right, y grows downward,
 pixel (0, 0) is the top-left corner.
@@ -85,11 +87,22 @@ def _store_grid_origin(value) -> None:
     object.__setattr__(value, "oy", oy)
 
 
-def _tsv(names: str, *columns: list) -> str:
-    """Header of space-separated names, then one tab-separated line per row of tolist() columns."""
-    rows = ["\t".join(names.split())]
-    rows += ["\t".join(map(repr, row)) for row in zip(*columns)]
-    return "\n".join(rows) + "\n"
+# _tsv formats this many rows at a time: few enough that one chunk's Python
+# ints, floats and row strings stay small, enough to amortise the slicing.
+_TSV_ROWS = 64
+
+
+def _tsv(names: str, *columns: np.ndarray) -> str:
+    """Header of space-separated names, then one tab-separated line per row of the 1-d columns.
+
+    Each value is the repr of its tolist() item.  Rows are formatted _TSV_ROWS
+    at a time, so only one chunk's Python objects are alive beside the text.
+    """
+    chunks = ["\t".join(names.split()) + "\n"]
+    for i in range(0, len(columns[0]), _TSV_ROWS):
+        rows = zip(*(c[i:i + _TSV_ROWS].tolist() for c in columns))
+        chunks.append("".join("\t".join(map(repr, row)) + "\n" for row in rows))
+    return "".join(chunks)
 
 
 @dataclass(frozen=True, eq=False)

@@ -6,9 +6,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from emmatch import (SOBEL_X, SOBEL_Y, EdgeMask, EdgeParams, GrayImage, VectorField,
+from emmatch import (SOBEL_X, SOBEL_Y, EdgeCurrent, EdgeMask, EdgeParams, GrayImage, VectorField,
                      build_current, current_tsv, extract_current, mask_image, nms_mask,
                      sobel_field, synth_shape, threshold_mask)
+from emmatch import raster
 from emmatch.edgecurrent import _least_above
 
 
@@ -284,8 +285,14 @@ def test_mask_image_round_trip():
     assert set(np.unique(img.pixels)) <= {0, 255}
 
 
-def test_current_tsv_layout(square_current):
+@pytest.mark.parametrize("chunk", [1, 5], ids=["one-row-chunks", "partial-last-chunk"])
+def test_current_tsv_layout(square_current, monkeypatch, chunk):
     text = current_tsv(square_current)
+    # 84 elements: 64 + 20 at the default chunk size, 84 of 1 row, or 16 of 5 + 4
+    monkeypatch.setattr(raster, "_TSV_ROWS", chunk)
+    assert current_tsv(square_current) == text
+    z = np.array([], dtype=np.int64)
+    assert current_tsv(EdgeCurrent(8, 8, z, z, [], [])) == "x\ty\ttx\tty\n"
     lines = text.splitlines()
     assert lines[0] == "x\ty\ttx\tty"
     assert len(lines) == len(square_current) + 1

@@ -2,6 +2,7 @@ import json
 import math
 import sys
 import threading
+import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import astuple, is_dataclass, replace
 
@@ -10,10 +11,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from emmatch import (CurrentElement, EdgeCurrent, ForceParams, Vec2, Vec3, bz_at, force_map_fast,
-                     force_map_tsv, force_on_element, match_images, match_result_json,
-                     pair_force, shift_image, synth_shape, total_force)
-from emmatch import emforce
+from emmatch import (CurrentElement, EdgeCurrent, ForceParams, Vec2, Vec3, bz_at,
+                     extract_current, force_map_fast, force_map_tsv, force_on_element,
+                     match_images, match_result_json, pair_force, shift_image, synth_shape,
+                     total_force)
+from emmatch import emforce, raster
 from emmatch.emforce import _BLOCK_TERMS
 from conftest import CLOSE_PAIR_RULES, dyadic_current, field_lattice, random_current, single
 
@@ -285,10 +287,15 @@ def test_strength_scales_whole_maps(seed):
     assert np.array_equal(scaled.g, 4.0 * base.g)
 
 
-def test_force_map_tsv_layout():
+@pytest.mark.parametrize("chunk", [1, 100], ids=["one-row-chunks", "partial-last-chunk"])
+def test_force_map_tsv_layout(monkeypatch, chunk):
     rng = np.random.default_rng(23)
     fmap = force_map_fast(random_current(rng, n=5), random_current(rng, n=5))
-    lines = force_map_tsv(fmap).splitlines()
+    whole = force_map_tsv(fmap)
+    # 256 rows: whole chunks at the default size, 256 of 1 row, or 100 + 100 + 56
+    monkeypatch.setattr(raster, "_TSV_ROWS", chunk)
+    assert force_map_tsv(fmap) == whole
+    lines = whole.splitlines()
     assert lines[0] == "x\ty\tfx\tfy"
     assert len(lines) == 1 + fmap.width * fmap.height
     x, y, fx, fy = lines[1].split("\t")
@@ -298,3 +305,20 @@ def test_force_map_tsv_layout():
     assert fmap.cell(np.int64(1), 0) == fmap.cell(1, 0)
     # row-major: second row of output is the next cell to the east
     assert lines[2].split("\t")[:2] == ["1", "0"]
+
+
+@pytest.mark.parametrize("n", [64, 128])
+def test_force_map_tsv_peak_memory(n):
+    # Rows are formatted a chunk at a time, so the writer holds its chunks, the
+    # joined text and the index columns: about 2.4 times the text here, where one
+    # string per row took about 6.1.
+    c = extract_current(synth_shape("ellipse", n, n))
+    fmap = force_map_fast(c, c, ForceParams(height_px=8.0))
+    size = len(force_map_tsv(fmap))
+    tracemalloc.start()
+    try:
+        force_map_tsv(fmap)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3 * size

@@ -75,7 +75,10 @@ STREAMS = [
         ("sample", b"P2\n2 1\n255\n0 " + b"7" * 5000 + b"\n",
          ("sample of 5000 digits exceeds maxval 255", 13)),
         ("zero-padded-maxval", b"P2\n1 1\n" + b"0" * 5000 + b"256\n0\n",
-         ("maxval 256 exceeds supported maximum 255", 7)))],
+         ("maxval 256 exceeds supported maximum 255", 7)),
+        # as many digits as the largest intp has: the message still shows the value
+        ("sample-of-19-digits", b"P2\n1 1\n255\n1" + b"0" * 18 + b"\n",
+         ("sample 1000000000000000000 exceeds maxval 255", 11)))],
 ]
 
 
@@ -240,6 +243,9 @@ SHAPES = [
     ("rectangle_pixel_count-full-width-on-the-last-row", "rectangle", (32, 32),
      {"rect": (32, 2), "center": (16.0, 31.0)}, 64),
     ("ellipse-touching-every-edge", "ellipse", (32, 32), {"semi_axes": (16.0, 16.0)}, 812),
+    # the 29 pixels within 3 of (3, 3), four of them exactly on the rim
+    ("circle-centres-on-the-rim-are-inside", "circle", (7, 7),
+     {"radius": 3.0, "center": (3.5, 3.5)}, 29),
     ("line_kinds-horizontal", "line", (32, 32), {}, 16),  # half the image side by default
     ("line_kinds-vertical", "line", (32, 32),
      {"length": 32, "thickness": 2, "horizontal": False}, 64),

@@ -84,6 +84,7 @@ REFUSALS = [
     *[(f"degenerate_shape_rejected-{case}", partial(synth_shape, kind, *size, **kw), ValueError,
        message) for case, kind, size, kw, message in (
         ("image", "square", (0, 8), {}, "image dimensions must be positive"),
+        ("image-height", "square", (8, 0), {}, "image dimensions must be positive"),
         ("side", "square", (32, 32), {"side": 0}, "box dimensions must be positive"),
         ("rect", "rectangle", (32, 32), {"rect": (8, 0)}, "box dimensions must be positive"),
         ("rect-width", "rectangle", (32, 32), {"rect": (0, 8)}, "box dimensions must be positive"),
@@ -214,10 +215,13 @@ REFUSALS = [
        partial(EdgeCurrent, 4, 4, [0, 2], [0, 1], [tx, 1.0], [ty, 1.0]), ValueError,
        "tangents tx and ty must be finite")
       for tx, ty in ((INF, 1.0), (1.0, NAN), (-INF, NAN))],
-    # Such a field thresholds to an empty mask, or builds a non-finite current.
+    # Such a field thresholds to an empty mask, or builds a non-finite current. Only
+    # finite vectors, every one of them, have a squared length to blame.
     *[(f"vector_field_rejects_non_finite_vectors_and_lengths-{gx}-{gy}",
-       partial(VectorField, 2, 1, [[1.0, gx]], [[0.0, gy]]), ValueError, "lengths must be finite")
-      for gx, gy in ((NAN, 0.0), (0.0, INF), (1.7e308, 1.7e308))],
+       partial(VectorField, 2, 1, [[1.0, gx]], [[0.0, gy]]), ValueError,
+       f"lengths must be finite{tail}$")
+      for gx, gy, tail in ((NAN, 0.0, ""), (0.0, INF, ""),
+                           (1.7e308, 1.7e308, ": a squared length overflows"))],
     # The length is the root of gx^2 + gy^2, which must be finite: a finite
     # vector longer than about 1.34e154 is refused with that reason.
     *[(f"vector_field_names_an_overflowing_squared_length-{gx}-{gy}",
