@@ -25,7 +25,14 @@ that classify as convergent, and whether the match recovered the planted shift.
 Then the ``match``, ``map`` and ``classify`` commands run at 128 px (ellipse,
 ``--height 8``) as fresh children, --repeats times each. Each child starts from
 a small launcher process, because a child reports at least its parent's peak
-RSS; the launcher times the child and reads its peak RSS from ``wait4``.
+RSS; the launcher times the child and reads its peak RSS from ``wait4``. Two
+baselines run the same way: a bare interpreter (``-c pass``) and
+``-m emmatch.cli --help``, which imports the package and builds the parser.
+Start-up is the first; import and parser, the second less the first; a
+command's own work, its wall less the second. As ``perfbench/run.py`` does, the
+sweep byte-compiles the package before the first child, so that no child
+compiles a module whose bytecode is missing or stale and cannot write it
+(``PYTHONDONTWRITEBYTECODE``, or a read-only install).
 
 emmatch is imported from the environment: the sweep never puts ``src/`` on the
 path, and its children import the package this process imported. The
@@ -39,6 +46,7 @@ work tree.
 from __future__ import annotations
 
 import argparse
+import compileall
 import importlib.util
 import json
 import os
@@ -69,6 +77,9 @@ STAGES = ("load_pgm", "extract_current", "lattice_setup", "fill", "windows", "fo
           "classify_map", "force_map_tsv", "match_images", "walk_field_sums")
 COMMANDS = ("match", "map", "classify")
 CLI_CASE = ("ellipse", 128, 8.0)
+# Children that do none of a command's work: interpreter start-up and exit, and that
+# plus importing emmatch.cli and building its parser.
+BASELINES = {"interpreter": ["-c", "pass"], "help": ["-m", "emmatch.cli", "--help"]}
 
 # Runs the rest of its argv as its child, and prints the child's wall seconds, exit
 # code and peak RSS in KiB.  A child's peak RSS starts at its parent's, so this
@@ -167,29 +178,36 @@ def child_env() -> dict:
     return dict(os.environ, PYTHONPATH=os.pathsep.join([package_root] + ([path] if path else [])))
 
 
+def launched(args: list, env: dict, repeats: int) -> dict:
+    """Wall time and peak RSS of `repeats` fresh children ``python ARGS``, each from LAUNCHER."""
+    walls, peaks = [], []
+    for _ in range(repeats):
+        proc = subprocess.run([sys.executable, "-c", LAUNCHER, *args], env=env,
+                              capture_output=True, text=True, check=True)
+        wall, code, peak_kib = proc.stdout.split()
+        if code != "0":
+            raise RuntimeError(f"{' '.join(args)} exited {code}: {proc.stderr.strip()}")
+        walls.append(float(wall))
+        peaks.append(int(peak_kib))
+    return {"wall_ms": spread(walls, 1e3), "peak_rss_mib": spread(peaks, 1 / 1024)}
+
+
 def run_commands(repeats: int) -> dict:
     kind, n, height = CLI_CASE
     ref = synth_shape(kind, n, n)
-    record = {"kind": kind, "n": n, "height_px": height, "commands": {}}
     env = child_env()
+    compileall.compile_dir(str(Path(emmatch.__file__).parent), quiet=1)
+    record = {"kind": kind, "n": n, "height_px": height,
+              "baselines": {name: launched(args, env, repeats) for name, args in BASELINES.items()},
+              "commands": {}}
     with tempfile.TemporaryDirectory(prefix="sweep-") as work:
         img1, img2 = Path(work, "img1.pgm"), Path(work, "img2.pgm")
         img1.write_bytes(save_pgm(shift_image(ref, n // 8, -(n // 10))))
         img2.write_bytes(save_pgm(ref))
         for command in COMMANDS:
-            walls, peaks = [], []
-            for _ in range(repeats):
-                argv = [sys.executable, "-c", LAUNCHER, "-m", "emmatch.cli", command,
-                        "--img1", str(img1), "--img2", str(img2), "--height", str(height),
-                        "--out-dir", work]
-                proc = subprocess.run(argv, env=env, capture_output=True, text=True, check=True)
-                wall, code, peak_kib = proc.stdout.split()
-                if code != "0":
-                    raise RuntimeError(f"{command} exited {code}: {proc.stderr.strip()}")
-                walls.append(float(wall))
-                peaks.append(int(peak_kib))
-            record["commands"][command] = {"wall_ms": spread(walls, 1e3),
-                                           "peak_rss_mib": spread(peaks, 1 / 1024)}
+            record["commands"][command] = launched(
+                ["-m", "emmatch.cli", command, "--img1", str(img1), "--img2", str(img2),
+                 "--height", str(height), "--out-dir", work], env, repeats)
     return record
 
 
@@ -209,8 +227,9 @@ def main(argv=None) -> int:
         stages = case["stages_ms"]
         print(f"{case['kind']:9} {case['n']:4} px h {case['height_px']:g}: "
               + ", ".join(f"{s} {stages[s]['median']:.2f}" for s in STAGES) + " ms")
-    for command, times in record["cli"]["commands"].items():
-        print(f"{command}: {times['wall_ms']['median']:.0f} ms, "
+    cli = record["cli"]
+    for name, times in {**cli["baselines"], **cli["commands"]}.items():
+        print(f"{name}: {times['wall_ms']['median']:.0f} ms, "
               f"{times['peak_rss_mib']['median']:.1f} MiB")
     return 0
 

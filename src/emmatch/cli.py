@@ -9,11 +9,16 @@ result exists.  Exit codes: 0 success, 2 bad arguments, unreadable input
 or an unusable output path (checked before any write), 1 processing
 failure, running out of memory and write errors included.  A command that
 fails writes nothing: a failed write leaves no file and no directory it made.
+Run as the emmatch script or as ``python -m emmatch.cli``, a finished command
+calls gc.freeze() before exit, so the collection that the interpreter's shutdown
+runs skips the tens of thousands of objects the imports made, which die with the
+process anyway.  main() itself never freezes.
 """
 
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import math
 import os
@@ -426,5 +431,12 @@ def main(argv=None) -> int:
         return 1
 
 
+def console_main() -> int:
+    """main() on sys.argv, then freeze the collector: the emmatch script's entry point."""
+    code = main()
+    gc.freeze()
+    return code
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(console_main())

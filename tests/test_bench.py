@@ -44,7 +44,8 @@ def test_sweep_runs_every_stage_and_counts(tmp_path):
     cli = record["cli"]
     assert (cli["kind"], cli["n"], cli["height_px"]) == ("ellipse", 128, 8.0)
     assert set(cli["commands"]) == {"match", "map", "classify"}
-    for times in cli["commands"].values():
+    assert set(cli["baselines"]) == {"interpreter", "help"}
+    for times in (*cli["baselines"].values(), *cli["commands"].values()):
         assert times["wall_ms"]["median"] > 0.0
         assert math.isfinite(times["peak_rss_mib"]["median"])
         assert times["peak_rss_mib"]["median"] > 1.0

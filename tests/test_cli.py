@@ -1,5 +1,6 @@
 import ast
 import errno
+import gc
 import importlib.metadata
 import json
 import os
@@ -95,10 +96,22 @@ def run_python(code, argv=(), cwd=None):
                           capture_output=True, text=True)
 
 
+# Prints, once the interpreter starts to exit, how many objects the collector has frozen.
+FREEZE_PROBE = ("import atexit, gc\n"
+                "atexit.register(lambda: print('frozen objects:', gc.get_freeze_count()))\n")
+
+
+def frozen_at_exit(stdout):
+    """stdout without the freeze probe's last line, and the count that line reports."""
+    head, _, last = stdout.rpartition("frozen objects: ")
+    return head, int(last)
+
+
 def run_console_script(target, argv, cwd):
     """Run `target` in a fresh interpreter the way pip's console-script wrapper does."""
     module, _, attr = target.partition(":")
-    wrapper = (f"import sys\n"
+    wrapper = (f"{FREEZE_PROBE}"
+               f"import sys\n"
                f"from {module} import {attr}\n"
                f"sys.argv[0] = 'emmatch'\n"
                f"sys.exit({attr}())\n")
@@ -106,15 +119,52 @@ def run_console_script(target, argv, cwd):
 
 
 def test_console_entry_point(tmp_path):
+    # The script exits with main's code, and its finished command froze the collector.
     target = declared_console_script("emmatch")
     out = tmp_path / "c.pgm"
     proc = run_console_script(target, ["synth", "--kind", "circle", "--radius", "10",
                                        "--out", str(out)], cwd=tmp_path)
     assert proc.returncode == 0, proc.stderr
     assert load_pgm(out.read_bytes()) == synth_shape("circle", 32, 32, radius=10.0)
+    assert frozen_at_exit(proc.stdout)[1] > 0
     bad = run_console_script(target, ["synth", "--kind", "blob", "--out", str(out)],
                              cwd=tmp_path)
     assert bad.returncode == 2, bad.stderr
+    assert frozen_at_exit(bad.stdout)[1] > 0
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["match", "--img1", "moved.pgm", "--img2", "rect.pgm", "--out-dir", "out"], 0),
+    (["map", "--img1", "blank.pgm", "--img2", "rect.pgm", "--out-dir", "out"], 1),
+    (["map", "--img1", "moved.pgm", "--out-dir", "out"], 2),
+], ids=["success", "processing-failure", "bad-argument"])
+def test_module_run_as_main(shapes, tmp_path, capsys, monkeypatch, argv, code):
+    # `python -m emmatch.cli` exits as main does, with main's output, and freezes the
+    # collector once the command returns; main itself never freezes.
+    inputs = {name: (shapes / name).read_bytes() for name in ("rect.pgm", "moved.pgm")}
+    inputs["blank.pgm"] = b"P5\n32 32\n255\n" + bytes(32 * 32)
+    trees = {side: tmp_path / side for side in ("module", "main")}
+    for tree in trees.values():
+        tree.mkdir()
+        for name, data in inputs.items():
+            (tree / name).write_bytes(data)
+    proc = run_python(FREEZE_PROBE + "import runpy\n"
+                      "runpy.run_module('emmatch.cli', run_name='__main__')\n",
+                      argv, cwd=trees["module"])
+    monkeypatch.chdir(trees["main"])
+    frozen = gc.get_freeze_count()
+    expected = run(capsys, *argv)
+    assert gc.get_freeze_count() == frozen
+    stdout, frozen_by_module = frozen_at_exit(proc.stdout)
+    assert proc.returncode == code
+    assert (proc.returncode, stdout, proc.stderr) == expected
+    assert frozen_by_module > 0
+
+    def written(tree):
+        return {path.relative_to(tree): path.read_bytes()
+                for path in tree.rglob("*") if path.is_file()}
+
+    assert written(trees["module"]) == written(trees["main"])
 
 
 @pytest.mark.skipif(shutil.which("emmatch") is None,
