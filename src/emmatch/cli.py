@@ -9,6 +9,8 @@ result exists.  Exit codes: 0 success, 2 bad arguments, unreadable input
 or an unusable output path (checked before any write), 1 processing
 failure, running out of memory and write errors included.  A command that
 fails writes nothing: a failed write leaves no file and no directory it made.
+The writer takes each file as text or bytes and encodes text a slice at a
+time as it writes, so a map's TSV is never held as text and bytes at once.
 Run as the emmatch script or as ``python -m emmatch.cli``, a finished command
 calls gc.freeze() before exit, so the collection that the interpreter's shutdown
 runs skips the tens of thousands of objects the imports made, which die with the
@@ -40,6 +42,9 @@ from .raster import (GrayImage, load_pgm, save_pgm, save_ppm, shift_image, synth
 
 # Glyph per matchmap._sectors index: the eight directions clockwise from east, then balanced.
 _GLYPHS = np.array(list(">\\v/<,^`."))
+
+# _emit writes a file this many characters or bytes at a time.
+_WRITE_SLICE = 1 << 20
 
 
 class ArgumentCheckError(ValueError):
@@ -110,20 +115,21 @@ def _load_image(path: str) -> GrayImage:
     return load_pgm(data)
 
 
-def _json(payload: dict) -> bytes:
-    return (json.dumps(payload, indent=2, sort_keys=True) + "\n").encode("utf-8")
+def _json(payload: dict) -> str:
+    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
 def _emit(out_dir, files: dict, detail: str | None = None) -> int:
-    """Write each named file's bytes into out_dir, then report them if given a detail.
+    """Write each named file, text or bytes, into out_dir, then report them if given a detail.
 
     Every path is checked before any byte is written, and an unusable one
     exits 2: a name that is empty (as a trailing separator leaves it), "."
     or "..", an out_dir that cannot be created, or a file path taken by a
     directory.
 
-    Each file is written under a temporary sibling name and renamed into
-    place only once every write has succeeded.  The temporary name,
+    Each file is written under a temporary sibling name, _WRITE_SLICE
+    characters or bytes at a time (text encoded as UTF-8 slice by slice), and
+    renamed into place only once every write has succeeded.  The temporary name,
     ".emmatch-PID-INDEX.tmp", does not depend on the file's name, so any
     name the file system accepts can be written.  If a write or rename fails,
     the temporaries and the directories this call made are removed and the
@@ -151,7 +157,10 @@ def _emit(out_dir, files: dict, detail: str | None = None) -> int:
              for index, path in enumerate(paths)}
     try:
         for temp, data in zip(temps, paths.values()):
-            temp.write_bytes(data)
+            with temp.open("wb") as fh:
+                for i in range(0, len(data), _WRITE_SLICE):
+                    part = data[i:i + _WRITE_SLICE]
+                    fh.write(part.encode("utf-8") if isinstance(part, str) else part)
         for temp, path in temps.items():
             temp.replace(path)
     except BaseException:
@@ -233,8 +242,8 @@ def _cmd_edges(args) -> int:
 def _cmd_current(args) -> int:
     img = _load_image(args.image)
     current = extract_current(img, _edge_params(args), smooth=args.smooth)
-    return _emit(args.out_dir, {"current.tsv": current_tsv(current).encode("utf-8"),
-                                "current.txt": render_current_glyphs(current).encode("utf-8")},
+    return _emit(args.out_dir, {"current.tsv": current_tsv(current),
+                                "current.txt": render_current_glyphs(current)},
                  f"{len(current)} elements, {current.dropped} dropped")
 
 
@@ -253,9 +262,10 @@ def _cmd_map(args) -> int:
     # Glyphs come from the unit-strength map, as classify's labels do, so the
     # rounding or underflow of scaled forces cannot move one.
     unit = force_map_fast(c1, c2, replace(fp, strength=1.0))
+    glyphs = render_direction_glyphs(unit)
     fmap = unit.scaled(fp.strength)  # force_map_fast's own last step
-    return _emit(args.out_dir, {"force_map.tsv": force_map_tsv(fmap).encode("utf-8"),
-                                "force_map.txt": render_direction_glyphs(unit).encode("utf-8")},
+    del unit  # so that its planes are freed before the TSV's text is made
+    return _emit(args.out_dir, {"force_map.tsv": force_map_tsv(fmap), "force_map.txt": glyphs},
                  f"{fmap.width}x{fmap.height}, origin {fmap.origin}")
 
 

@@ -19,9 +19,11 @@ the step limit: its next move would close a cycle of three or more cells.
 A move depends only on the cell, so the outcome is a function of the
 successor graph, and classification labels every cell from that graph in
 one array pass: the grid splits into a convergence basin, divergent cells,
-and locally trapped cells.  Matching two images is the same walk, from
-shift zero, on the field lattice of force_map_fast, filled only where the
-walk goes; it equals the walk on the fast map.
+and locally trapped cells.  The pass finds successors a block of whole rows
+at a time, into one array of them, so its float temporaries span a block,
+not the map.  Matching two images is the same walk, from shift zero, on the
+field lattice of force_map_fast, filled only where the walk goes; it equals
+the walk on the fast map.
 """
 
 from __future__ import annotations
@@ -79,6 +81,9 @@ _BALANCED = 8
 
 # Move per _sectors index; a balanced cell stays put.
 _MOVES = np.array([d.step for d in _SECTORS] + [(0, 0)])
+
+# classify_map finds successors for about this many cells at a time, in whole rows.
+_CLASSIFY_CELLS = 1 << 15
 
 
 def _sectors(fx, fy, g=None):
@@ -292,22 +297,26 @@ def classify_map(fmap: ForceMap) -> ClassificationMap:
     w, h = fmap.width, fmap.height
     n = w * h
     off, home = n, n + 1
-    ys, xs = np.indices((h, w))
-    sectors = _sectors(fmap.fx, fmap.fy, fmap.g)
-    if fmap.g is not None:
-        sectors[fmap.g == 0.0] = _BALANCED  # no force: the cell keeps itself
-    move = _MOVES[sectors]
-    nx, ny = xs + move[..., 0], ys + move[..., 1]
-    nxt = np.where((0 <= nx) & (nx < w) & (0 <= ny) & (ny < h), ny * w + nx, off).ravel()
+    nxt = np.empty(n + 2, dtype=np.intp)
+    nxt[n:] = off, home
+    xs, rows = np.arange(w), max(1, _CLASSIFY_CELLS // w)
+    for y0 in range(0, h, rows):
+        y1 = min(y0 + rows, h)
+        g = None if fmap.g is None else fmap.g[y0:y1]
+        sectors = _sectors(fmap.fx[y0:y1], fmap.fy[y0:y1], g)
+        if g is not None:
+            sectors[g == 0.0] = _BALANCED  # no force: the cell keeps itself
+        nx, ny = xs + _MOVES[sectors, 0], np.arange(y0, y1)[:, None] + _MOVES[sectors, 1]
+        nxt[y0 * w:y1 * w] = np.where(
+            (0 <= nx) & (nx < w) & (0 <= ny) & (ny < h), ny * w + nx, off).ravel()
     if fmap.g is None or fmap.g[fmap.oy, fmap.ox] != 0.0:
         nxt[nxt == fmap.oy * w + fmap.ox] = home
-    nxt = np.append(nxt, [off, home])
     for _ in range(n.bit_length() + 1):  # 2**rounds > n moves, the longest path to a sink
         nxt = nxt[nxt]
-    codes = np.full(n, _LABEL_CODES[Label.LOCALLY_TRAPPED])
+    codes = np.full(n, _LABEL_CODES[Label.LOCALLY_TRAPPED], dtype=np.uint8)
     codes[nxt[:n] == off] = _LABEL_CODES[Label.DIVERGENCE]
     codes[nxt[:n] == home] = _LABEL_CODES[Label.CONVERGENCE]
-    return ClassificationMap(w, h, fmap.ox, fmap.oy, codes.reshape(h, w).astype(np.uint8))
+    return ClassificationMap(w, h, fmap.ox, fmap.oy, codes.reshape(h, w))
 
 
 def summarize_map(cls_map: ClassificationMap) -> dict[str, int]:

@@ -1,4 +1,5 @@
 import os
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -22,6 +23,16 @@ def package_env():
     env["PYTHONPATH"] = os.pathsep.join([str(Path(emmatch.__file__).resolve().parents[1])]
                                         + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
     return env
+
+
+def traced_peak(call) -> int:
+    """The tracemalloc peak, in bytes, of call()."""
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 # The README's glyph per discretized direction, None (balanced) included.

@@ -14,8 +14,8 @@ from pathlib import Path
 import pytest
 
 import emmatch
-from conftest import package_env
-from emmatch import load_pgm, save_pgm, shift_image, synth_shape
+from conftest import package_env, traced_peak
+from emmatch import cli, load_pgm, save_pgm, shift_image, synth_shape
 from emmatch.cli import build_parser, main
 
 
@@ -54,26 +54,62 @@ def test_running_out_of_memory_is_a_processing_error(tmp_path, capsys, monkeypat
     assert not out.exists()
 
 
-def test_a_failed_write_leaves_nothing(shapes, tmp_path, capsys, monkeypatch):
-    # A disk that fills at map's second file: no new out-dir, and an old TSV keeps its bytes.
+class DiskFull:
+    """A binary file whose write number fail_at finds the disk full."""
+
+    def __init__(self, fh, fail_at):
+        self.fh, self.fail_at, self.writes = fh, fail_at, 0
+
+    def write(self, data):
+        self.writes += 1
+        if self.writes == self.fail_at:
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+        return self.fh.write(data)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.fh.close()
+
+
+# (map's file that the disk fills at, counted from 1, the write that fails, _emit's slice)
+@pytest.mark.parametrize("file, write, write_slice", [
+    pytest.param(2, 1, cli._WRITE_SLICE, id="second-file"),
+    pytest.param(1, 2, 64, id="second-text-slice"),  # the TSV, once 64 characters are on disk
+])
+def test_a_failed_write_leaves_nothing(shapes, tmp_path, capsys, monkeypatch, file, write,
+                                       write_slice):
+    # No new out-dir, no temporary or truncated file, and an old TSV keeps its bytes.
     old = tmp_path / "old"
     old.mkdir()
     (old / "force_map.tsv").write_bytes(b"earlier bytes")
-    write_bytes, writes = Path.write_bytes, []
+    monkeypatch.setattr(cli, "_WRITE_SLICE", write_slice)
+    path_open, written = Path.open, []
 
-    def disk_full_at_the_second_file(path, data):
-        writes.append(path)
-        if len(writes) % 2 == 0:  # each run's second file
-            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
-        return write_bytes(path, data)
+    def disk_full(path, mode="r", *args, **kwargs):
+        fh = path_open(path, mode, *args, **kwargs)
+        if "w" not in mode:
+            return fh
+        written.append(path)
+        return DiskFull(fh, write) if len(written) == file else fh
 
-    monkeypatch.setattr(Path, "write_bytes", disk_full_at_the_second_file)
+    monkeypatch.setattr(Path, "open", disk_full)
     for out in (tmp_path / "new", old):
+        written.clear()
         code, stdout, err = run(capsys, "map", "--img1", str(shapes / "moved.pgm"),
                                 "--img2", str(shapes / "rect.pgm"), "--out-dir", str(out))
         assert (code, stdout) == (1, "") and "No space left on device" in err
     assert sorted(tmp_path.rglob("*")) == [old, old / "force_map.tsv"]
     assert (old / "force_map.tsv").read_bytes() == b"earlier bytes"
+
+
+def test_emit_peak_memory(tmp_path):
+    # Text goes out a 1 MiB slice at a time, each encoded as it is written, so _emit
+    # holds a slice and its bytes (2 MiB here), never the whole file's bytes.
+    text = "0\t1.5\n" * (4 * 2 ** 20 // 6)
+    assert traced_peak(lambda: cli._emit(tmp_path, {"a.tsv": text})) <= 3 * 2 ** 20
+    assert (tmp_path / "a.tsv").read_bytes() == text.encode("utf-8")
 
 
 ROOT = Path(__file__).resolve().parents[1]

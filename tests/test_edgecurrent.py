@@ -1,11 +1,11 @@
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from conftest import traced_peak
 from emmatch import (SOBEL_X, SOBEL_Y, EdgeCurrent, EdgeMask, EdgeParams, GrayImage, VectorField,
                      build_current, current_tsv, extract_current, mask_image, nms_mask,
                      sobel_field, synth_shape, threshold_mask)
@@ -357,13 +357,7 @@ def test_extraction_peak_memory(smooth):
     # peaks at about 0.69 MiB here (0.82 MiB smoothed).
     img = synth_shape("ellipse", 128, 128)
     extract_current(img, smooth=smooth)
-    tracemalloc.start()
-    try:
-        extract_current(img, smooth=smooth)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= 0.45 * 2 ** 20
+    assert traced_peak(lambda: extract_current(img, smooth=smooth)) <= 0.45 * 2 ** 20
 
 
 @given(st.integers(0, 2 ** 31 - 1), st.integers(-2, 2), st.sampled_from([1.0, 0.0625]))

@@ -2,7 +2,6 @@ import json
 import math
 import sys
 import threading
-import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import astuple, is_dataclass, replace
 
@@ -17,7 +16,8 @@ from emmatch import (CurrentElement, EdgeCurrent, ForceParams, Vec2, Vec3, bz_at
                      total_force)
 from emmatch import emforce, raster
 from emmatch.emforce import _BLOCK_TERMS
-from conftest import CLOSE_PAIR_RULES, dyadic_current, field_lattice, random_current, single
+from conftest import (CLOSE_PAIR_RULES, dyadic_current, field_lattice, random_current, single,
+                      traced_peak)
 
 T_EAST = CurrentElement(0, 0, 1.0, 0.0)
 
@@ -315,10 +315,4 @@ def test_force_map_tsv_peak_memory(n):
     c = extract_current(synth_shape("ellipse", n, n))
     fmap = force_map_fast(c, c, ForceParams(height_px=8.0))
     size = len(force_map_tsv(fmap))
-    tracemalloc.start()
-    try:
-        force_map_tsv(fmap)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= 3 * size
+    assert traced_peak(lambda: force_map_tsv(fmap)) <= 3 * size

@@ -1,13 +1,14 @@
 import json
 import math
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import GLYPHS, KINDS
+from conftest import GLYPHS, KINDS, traced_peak
 from emmatch import (Direction8, ForceMap, ForceParams, Label, MatchStatus,
                      PathStatus, PathTrace, Vec2, classification_rgb,
                      classify_map, discretize8, extract_current, follow_path,
@@ -59,6 +60,7 @@ class TestDiscretize8:
     @pytest.mark.parametrize("fx, fy, direction", DIRECTIONS)
     def test_direction(self, fx, fy, direction):
         assert discretize8(Vec2(fx, fy)) is direction
+        assert render_direction_glyphs(manual_map([[fx]], [[fy]])) == GLYPHS[direction] + "\n"
         if direction is not None and {abs(fx), abs(fy)} <= {0.0, 1.0}:
             assert direction.step == (fx, fy)
 
@@ -381,11 +383,17 @@ def constructed_maps(draw):
     return ForceMap(w, h, ox, oy, forces[..., 0], forces[..., 1], g)
 
 
+# classify_map's default row blocks, and blocks of one row, so that a small map runs in several.
+BLOCKS = [pytest.param(matchmap._CLASSIFY_CELLS, id="default-block"),
+          pytest.param(1, id="one-row-block")]
+
+
+@pytest.mark.parametrize("block", BLOCKS)
 @given(constructed_maps())
 # a force of 5e-324 south: rotating it unscaled rounds its east part to 0, a boundary
 @example(ForceMap(1, 2, 0, 1, np.zeros((2, 1)), [[5e-324], [0.0]], [[5e-324], [1.0]]))
 @settings(max_examples=100, deadline=None)
-def test_walks_agree_with_reference_loop(fmap):
+def test_walks_agree_with_reference_loop(block, fmap):
     want_labels = {}
     for stop_at_origin in (True, False):
         for y in range(fmap.height):
@@ -402,7 +410,8 @@ def test_walks_agree_with_reference_loop(fmap):
                 assert want.positions[:len(got.positions)] == got.positions
                 assert got.terminal == got.positions[-1]
     # classify_map reads the labels off the successor graph, not from walks
-    cls = classify_map(fmap)
+    with mock.patch.object(matchmap, "_CLASSIFY_CELLS", block):
+        cls = classify_map(fmap)
     assert {cell: cls.label(*cell) for cell in want_labels} == want_labels
     assert render_direction_glyphs(fmap) == "".join(
         "".join(GLYPHS[reference_direction(fmap, x, y)] for x in range(fmap.width)) + "\n"
@@ -412,7 +421,9 @@ def test_walks_agree_with_reference_loop(fmap):
 class TestNoForce:
     """A computed cell with G = 0 summed nothing: no force, and no balance."""
 
-    def test_classify_traps_cells_that_sum_nothing_and_their_feeders(self):
+    @pytest.mark.parametrize("block", BLOCKS)
+    def test_classify_traps_cells_that_sum_nothing_and_their_feeders(self, monkeypatch, block):
+        monkeypatch.setattr(matchmap, "_CLASSIFY_CELLS", block)
         cls = classify_map(no_force_map())  # cells may be numpy integers
         assert [cls.label(np.int64(x), np.uint8(2)) for x in range(5)] == [
             Label.CONVERGENCE, Label.CONVERGENCE, Label.LOCALLY_TRAPPED, Label.LOCALLY_TRAPPED,
@@ -481,6 +492,19 @@ class TestClassifyMap:
         assert follow_path(fmap, (0, 0)).steps == w * h - 1
         assert summarize_map(classify_map(fmap)) == {"convergence": w * h, "divergence": 0,
                                                      "locally_trapped": 0}
+
+
+def test_classify_map_peak_memory():
+    # Successors are found a block of rows at a time, into one intp array, so the pass
+    # holds about the map's three planes: 1.04 times them here.
+    n = 512
+    rng = np.random.default_rng(0)
+    fx, fy = rng.normal(size=(2, n, n))
+    g = np.abs(fx) + np.abs(fy) + rng.random((n, n))
+    fx[::7, ::5] = fy[::7, ::5] = 0.0  # balanced
+    fx[::11, ::3] = fy[::11, ::3] = g[::11, ::3] = 0.0  # sums nothing
+    fmap = ForceMap(n, n, n // 2, n // 2, fx, fy, g)
+    assert traced_peak(lambda: classify_map(fmap)) <= 1.25 * 3 * fmap.fx.nbytes
 
 
 # classification_rgb(classify_map(map)) by hand, {cell: RGB}: a convergent origin is marked

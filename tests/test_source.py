@@ -128,7 +128,7 @@ def test_guard_sees_a_writing_call():
 def test_only_the_cli_writer_writes():
     cli = Path(emmatch.__file__).parent / "cli.py"
     assert writing_calls(cli.read_text()) == {
-        "_emit": {"mkdir", "write_bytes", "replace", "unlink", "rmdir"}}
+        "_emit": {"mkdir", "open", "replace", "unlink", "rmdir"}}
 
 
 # emmatch.__all__ as published; a module merge or split must leave it as it is.
