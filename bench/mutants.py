@@ -98,10 +98,10 @@ EQUIVALENT = {
     # wx == wy == 0 only for a zero vector, which every cutoff balances, g being nonnegative.
     ("matchmap.py", "k = (wy > 0.0) * above + (wy < 0.0) * below + (wy == 0.0) * 4 * (wx <= 0.0)",
      "<=", "<"),
-    # No cell's successor depends on the other cells of its block, so any number of rows per
-    # block gives the same labels; at least two rows changes only the memory of a map wider
-    # than _CLASSIFY_CELLS // 2.
-    ("matchmap.py", "xs, rows = np.arange(w), max(1, _CLASSIFY_CELLS // w)", "1", "2"),
+    # No cell's sector depends on the other cells of its block, so any number of rows per
+    # block gives the same labels and glyphs; at least two rows changes only the memory of
+    # a map wider than _CLASSIFY_CELLS // 2.
+    ("matchmap.py", "rows = max(1, _CLASSIFY_CELLS // fmap.width)", "1", "2"),
     # The sinks point at themselves, so a further pointer-jumping round moves no pointer on or
     # off a sink, and the labels read only the sinks.
     ("matchmap.py", "for _ in range(n.bit_length() + 1):  # 2**rounds > n moves, the longest path "

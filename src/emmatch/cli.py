@@ -36,7 +36,7 @@ from .edgecurrent import (EdgeCurrent, EdgeParams, EmptyCurrentError, build_curr
 from .emforce import (ForceMap, ForceParams, Vec2, force_map_fast, force_map_tsv,
                       total_force)
 from .matchmap import (ClassificationMap, classification_rgb, classify_map, match_images,
-                       match_result_json, summarize_map, _BALANCED, _sectors)
+                       match_result_json, summarize_map, _BALANCED, _map_sectors, _sectors)
 from .raster import (GrayImage, load_pgm, save_pgm, save_ppm, shift_image, synth_shape,
                      _grid_origin)
 
@@ -57,8 +57,8 @@ def _glyph_grid(sectors: np.ndarray) -> str:
 
 
 def render_direction_glyphs(fmap: ForceMap) -> str:
-    """Character grid of the map's discretized force directions."""
-    return _glyph_grid(_sectors(fmap.fx, fmap.fy, fmap.g))
+    """Character grid of the map's discretized force directions, a block of rows at a time."""
+    return "".join(_glyph_grid(sectors) for _, sectors in _map_sectors(fmap))
 
 
 def render_current_glyphs(current: EdgeCurrent) -> str:

@@ -81,12 +81,16 @@ from .raster import _frozen_copy, _grid_cell, _grid_origin, _store_grid_origin, 
 
 @dataclass(frozen=True)
 class Vec2:
+    """A planar vector in screen coordinates: a shift, or a force's in-plane part."""
+
     x: float
     y: float
 
 
 @dataclass(frozen=True)
 class Vec3:
+    """A force: x and y in screen coordinates, z along the planes' vertical separation h."""
+
     x: float
     y: float
     z: float

@@ -19,11 +19,13 @@ the step limit: its next move would close a cycle of three or more cells.
 A move depends only on the cell, so the outcome is a function of the
 successor graph, and classification labels every cell from that graph in
 one array pass: the grid splits into a convergence basin, divergent cells,
-and locally trapped cells.  The pass finds successors a block of whole rows
-at a time, into one array of them, so its float temporaries span a block,
-not the map.  Matching two images is the same walk, from shift zero, on the
-field lattice of force_map_fast, filled only where the walk goes; it equals
-the walk on the fast map.
+and locally trapped cells.  Both readers of a whole map's directions, that
+pass and the map command's glyphs, take them from one row-block pass,
+_map_sectors, a block of whole rows at a time, so their float temporaries
+span a block, not the map; classification writes each block's successors
+into one array of them.  Matching two images is the same walk, from shift
+zero, on the field lattice of force_map_fast, filled only where the walk
+goes; it equals the walk on the fast map.
 """
 
 from __future__ import annotations
@@ -82,7 +84,7 @@ _BALANCED = 8
 # Move per _sectors index; a balanced cell stays put.
 _MOVES = np.array([d.step for d in _SECTORS] + [(0, 0)])
 
-# classify_map finds successors for about this many cells at a time, in whole rows.
+# _map_sectors reads the directions of about this many cells at a time, in whole rows.
 _CLASSIFY_CELLS = 1 << 15
 
 
@@ -282,6 +284,14 @@ class ClassificationMap:
         return _CODE_LABELS[int(self.codes[y, x])]
 
 
+def _map_sectors(fmap: ForceMap):
+    """Yield (first row, its _sectors) per block of whole rows, about _CLASSIFY_CELLS cells."""
+    rows = max(1, _CLASSIFY_CELLS // fmap.width)
+    for y0 in range(0, fmap.height, rows):
+        g = None if fmap.g is None else fmap.g[y0:y0 + rows]
+        yield y0, _sectors(fmap.fx[y0:y0 + rows], fmap.fy[y0:y0 + rows], g)
+
+
 def classify_map(fmap: ForceMap) -> ClassificationMap:
     """Label every cell by the outcome of its force-guided walk (follow_path's).
 
@@ -299,13 +309,11 @@ def classify_map(fmap: ForceMap) -> ClassificationMap:
     off, home = n, n + 1
     nxt = np.empty(n + 2, dtype=np.intp)
     nxt[n:] = off, home
-    xs, rows = np.arange(w), max(1, _CLASSIFY_CELLS // w)
-    for y0 in range(0, h, rows):
-        y1 = min(y0 + rows, h)
-        g = None if fmap.g is None else fmap.g[y0:y1]
-        sectors = _sectors(fmap.fx[y0:y1], fmap.fy[y0:y1], g)
-        if g is not None:
-            sectors[g == 0.0] = _BALANCED  # no force: the cell keeps itself
+    xs = np.arange(w)
+    for y0, sectors in _map_sectors(fmap):
+        y1 = y0 + len(sectors)
+        if fmap.g is not None:
+            sectors[fmap.g[y0:y1] == 0.0] = _BALANCED  # no force: the cell keeps itself
         nx, ny = xs + _MOVES[sectors, 0], np.arange(y0, y1)[:, None] + _MOVES[sectors, 1]
         nxt[y0 * w:y1 * w] = np.where(
             (0 <= nx) & (nx < w) & (0 <= ny) & (ny < h), ny * w + nx, off).ravel()
@@ -335,9 +343,8 @@ def classification_rgb(cls_map: ClassificationMap) -> np.ndarray:
     Black convergence, white divergence, gray locally trapped.  The origin
     cell is marked dark gray when it converges.
     """
-    rgb = np.empty((cls_map.height, cls_map.width, 3), dtype=np.uint8)
-    for label, color in LABEL_COLORS.items():
-        rgb[cls_map.codes == _LABEL_CODES[label]] = color
+    palette = np.array([LABEL_COLORS[_CODE_LABELS[code]] for code in range(3)], np.uint8)
+    rgb = palette[cls_map.codes]
     ox, oy = cls_map.origin
     if cls_map.label(ox, oy) is Label.CONVERGENCE:
         rgb[oy, ox] = ORIGIN_COLOR

@@ -1,7 +1,12 @@
 """Grayscale raster type, PGM/PPM serialization, and synthetic test shapes.
 
 A PGM header and a plain (P2) raster are read through one token regex, so
-a '#' comment may stand wherever whitespace may.  The package's TSV dumps
+a '#' comment may stand wherever whitespace may.  A plain raster takes a
+fast path instead when no '#' follows its maxval, its first width * height
+tokens are numbers of at most 3 digits, and none exceeds maxval: one split,
+one digit check and one conversion over the whole stream.  Any other
+raster goes through the token loop, which gives the same pixels or reports
+the first sample it cannot read, at its byte.  The package's TSV dumps
 share one writer, _tsv, which formats a fixed number of rows at a time from
 slices of the array columns and joins the chunks: its memory beside the
 text is one chunk's, not one Python string per row.
@@ -204,7 +209,13 @@ def load_pgm(data: bytes) -> GrayImage:
                                  pos + 1 + int(over[0]))
         return GrayImage(width, height, px.reshape(height, width))
 
-    px = []
+    rest = data[pos:]
+    samples = [] if b"#" in rest else rest.split(None, need)[:need]
+    if len(samples) == need and max(map(len, samples)) <= 3 and b"".join(samples).isdigit():
+        px = np.fromstring(b" ".join(samples), np.uint16, sep=" ")
+        if px.max() <= maxval:
+            return GrayImage(width, height, px.reshape(height, width))
+    px = []  # the token loop reports the first sample it cannot read, at its byte
     for tok, at in itertools.islice(tokens, need):
         if tok is None:
             raise PnmFormatError(f"truncated raster, expected {need} samples, got {len(px)}", at)

@@ -412,8 +412,9 @@ def test_walks_agree_with_reference_loop(block, fmap):
     # classify_map reads the labels off the successor graph, not from walks
     with mock.patch.object(matchmap, "_CLASSIFY_CELLS", block):
         cls = classify_map(fmap)
+        glyphs = render_direction_glyphs(fmap)
     assert {cell: cls.label(*cell) for cell in want_labels} == want_labels
-    assert render_direction_glyphs(fmap) == "".join(
+    assert glyphs == "".join(
         "".join(GLYPHS[reference_direction(fmap, x, y)] for x in range(fmap.width)) + "\n"
         for y in range(fmap.height))
 
@@ -494,17 +495,29 @@ class TestClassifyMap:
                                                      "locally_trapped": 0}
 
 
-def test_classify_map_peak_memory():
-    # Successors are found a block of rows at a time, into one intp array, so the pass
-    # holds about the map's three planes: 1.04 times them here.
+def random_force_map():
+    """A 512 px map of random forces, with balanced cells and cells that sum nothing."""
     n = 512
     rng = np.random.default_rng(0)
     fx, fy = rng.normal(size=(2, n, n))
     g = np.abs(fx) + np.abs(fy) + rng.random((n, n))
     fx[::7, ::5] = fy[::7, ::5] = 0.0  # balanced
     fx[::11, ::3] = fy[::11, ::3] = g[::11, ::3] = 0.0  # sums nothing
-    fmap = ForceMap(n, n, n // 2, n // 2, fx, fy, g)
+    return ForceMap(n, n, n // 2, n // 2, fx, fy, g)
+
+
+def test_classify_map_peak_memory():
+    # Successors are found a block of rows at a time, into one intp array, so the pass
+    # holds about the map's three planes: 1.04 times them here.
+    fmap = random_force_map()
     assert traced_peak(lambda: classify_map(fmap)) <= 1.25 * 3 * fmap.fx.nbytes
+
+
+def test_direction_glyphs_peak_memory():
+    # Sectors are read a block of rows at a time, so the renderer holds a block's
+    # temporaries and the text: 0.50 times the map's three planes here.
+    fmap = random_force_map()
+    assert traced_peak(lambda: render_direction_glyphs(fmap)) <= 3 * fmap.fx.nbytes
 
 
 # classification_rgb(classify_map(map)) by hand, {cell: RGB}: a convergent origin is marked

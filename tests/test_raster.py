@@ -1,5 +1,6 @@
 import re
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -7,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import MUTATION, mutate, pgm_streams
-from emmatch import (GrayImage, PnmFormatError, load_pgm, save_pgm, save_ppm,
+from emmatch import (GrayImage, PnmFormatError, load_pgm, raster, save_pgm, save_ppm,
                      shift_image, synth_shape)
 
 
@@ -30,6 +31,37 @@ def test_save_ppm_writes_in_range_int64_as_uint8():
 
 
 INTP_MAX = int(np.iinfo(np.intp).max)
+
+ELLIPSE_ROWS = synth_shape("ellipse", 64, 64).pixels.tolist()
+ELLIPSE_SAMPLES = [b"%d" % v for v in sum(ELLIPSE_ROWS, [])]  # 0 and 255 only
+
+
+def plain_ellipse(samples=ELLIPSE_SAMPLES, tail=b"\n"):
+    """The 64 px ellipse as a P2 stream of the given sample tokens, 64 to a line."""
+    lines = (b" ".join(samples[i:i + 64]) for i in range(0, len(samples), 64))
+    return b"P2\n64 64\n255\n" + b"\n".join(lines) + tail
+
+
+def with_sample(i, token):
+    """The ELLIPSE_SAMPLES with the i-th replaced by token."""
+    return ELLIPSE_SAMPLES[:i] + [token] + ELLIPSE_SAMPLES[i + 1:]
+
+
+OVER_MAXVAL = plain_ellipse(with_sample(2080, b"256"))
+TRUNCATED = plain_ellipse(ELLIPSE_SAMPLES[:-1])
+
+# (id, stream, its pixel rows or its error, whether load_pgm reads it on the fast path):
+# 64 px plain rasters, one on the fast path, and one for each way off it.
+PLAIN_64 = [
+    ("fast_path", plain_ellipse(), ELLIPSE_ROWS, True),
+    ("comment_after_samples", plain_ellipse(tail=b"\n# end\n"), ELLIPSE_ROWS, False),
+    ("four_digit_sample", plain_ellipse(with_sample(ELLIPSE_SAMPLES.index(b"255"), b"0255")),
+     ELLIPSE_ROWS, False),
+    ("sample_over_maxval", OVER_MAXVAL,
+     ("sample 256 exceeds maxval 255", OVER_MAXVAL.index(b"256")), False),
+    ("truncated", TRUNCATED,
+     ("truncated raster, expected 4096 samples, got 4095", len(TRUNCATED)), False),
+]
 
 # (id, stream, its pixel rows, or the (message, offset) of its PnmFormatError); an id
 # names the test the row replaces, then its case.
@@ -79,6 +111,7 @@ STREAMS = [
         # as many digits as the largest intp has: the message still shows the value
         ("sample-of-19-digits", b"P2\n1 1\n255\n1" + b"0" * 18 + b"\n",
          ("sample 1000000000000000000 exceeds maxval 255", 11)))],
+    *[(f"plain_64_px-{case}", data, want) for case, data, want, _ in PLAIN_64],
 ]
 
 
@@ -96,6 +129,15 @@ def test_fixed_streams(data, want):
         assert str(caught.value) == f"{message} (byte offset {offset})"
         assert caught.value.offset == offset
     assert_reads_as_reference(data)
+
+
+@pytest.mark.parametrize("data, fast", [(row[1], row[3]) for row in PLAIN_64],
+                         ids=[row[0] for row in PLAIN_64])
+def test_plain_raster_takes_the_fast_path_only_when_it_may(data, fast):
+    # The token loop reads each sample through _digits_value; the header takes three calls.
+    with mock.patch.object(raster, "_digits_value", wraps=raster._digits_value) as digits:
+        outcome(load_pgm, data)
+    assert (digits.call_count == 3) is fast
 
 
 _WS = frozenset(b" \t\n\r\x0b\x0c")
