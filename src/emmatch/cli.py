@@ -2,10 +2,12 @@
 
 Subcommands cover the full pipeline: synthesize test shapes, extract edge
 masks and currents, evaluate forces and force maps, classify the shift
-grid, and match image pairs.  Maps come from force_map_fast; the library's
-force_map is its reference.  Glyphs draw through one grid; every command
-writes its files, synth's --out included, through one writer once the
-result exists.  Exit codes: 0 success, 2 bad arguments, unreadable input
+grid, and match image pairs.  build_parser declares each argument group
+that image commands share once, as a parent parser.  Maps come from
+force_map_fast; the library's force_map is its reference.  A glyph grid is
+a byte per cell and row end, made text by one byte translation.  Every
+command writes its files, synth's --out included, through one writer once
+the result exists.  Exit codes: 0 success, 2 bad arguments, unreadable input
 or an unusable output path (checked before any write), 1 processing
 failure, running out of memory and write errors included.  A command that
 fails writes nothing: a failed write leaves no file and no directory it made.
@@ -40,8 +42,8 @@ from .matchmap import (ClassificationMap, classification_rgb, classify_map, matc
 from .raster import (GrayImage, load_pgm, save_pgm, save_ppm, shift_image, synth_shape,
                      _grid_origin)
 
-# Glyph per matchmap._sectors index: the eight directions clockwise from east, then balanced.
-_GLYPHS = np.array(list(">\\v/<,^`."))
+# Glyph per matchmap._sectors index: eight directions clockwise from east, balanced, row end.
+_GLYPHS = bytes.maketrans(bytes(range(10)), b">\\v/<,^`.\n")
 
 # _emit writes a file this many characters or bytes at a time.
 _WRITE_SLICE = 1 << 20
@@ -53,7 +55,9 @@ class ArgumentCheckError(ValueError):
 
 def _glyph_grid(sectors: np.ndarray) -> str:
     """One line of glyphs per row of a (height, width) array of sector indices."""
-    return "".join("".join(row) + "\n" for row in _GLYPHS[sectors].tolist())
+    grid = np.full((sectors.shape[0], sectors.shape[1] + 1), 9, dtype=np.uint8)
+    grid[:, :-1] = sectors
+    return grid.tobytes().translate(_GLYPHS).decode("ascii")
 
 
 def render_direction_glyphs(fmap: ForceMap) -> str:
@@ -63,7 +67,7 @@ def render_direction_glyphs(fmap: ForceMap) -> str:
 
 def render_current_glyphs(current: EdgeCurrent) -> str:
     """Character grid of element tangent directions, '.' where no element."""
-    sectors = np.full((current.height, current.width), _BALANCED)
+    sectors = np.full((current.height, current.width), _BALANCED, dtype=np.uint8)
     sectors[current.ys, current.xs] = _sectors(current.tx, current.ty)
     return _glyph_grid(sectors)
 
@@ -304,35 +308,6 @@ def _cmd_match(args) -> int:
     return 0
 
 
-def _add_edge_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--threshold", type=float, default=0.20,
-                   help="edge threshold as a fraction of the max gradient magnitude "
-                        "(default 0.20)")
-    p.add_argument("--strict-nms", action="store_true",
-                   help="thin with strict > comparisons (suppresses plateau edges)")
-    p.add_argument("--smooth", action="store_true",
-                   help="apply 3x3 binomial smoothing before the gradient")
-
-
-def _add_force_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--strength", type=float, default=1.0,
-                   help="overall force scale constant (default 1)")
-    p.add_argument("--height", type=float, default=0.0,
-                   help="vertical separation between the current planes in pixels "
-                        "(default 0)")
-    p.add_argument("--min-r", type=float, default=1e-9,
-                   help="pairs closer than this contribute no force (default 1e-9)")
-
-
-def _add_pair_inputs(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--img1", required=True, help="moving image (PGM)")
-    p.add_argument("--img2", required=True, help="reference image (PGM)")
-
-
-def _add_out_dir(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--out-dir", default=".", help="directory for output files (default .)")
-
-
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="emmatch",
@@ -360,46 +335,41 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--out", required=True, help="output PGM path")
     s.set_defaults(func=_cmd_synth)
 
-    e = sub.add_parser("edges", help="extract the edge mask of an image")
-    e.add_argument("image", help="input PGM")
-    _add_edge_flags(e)
-    _add_out_dir(e)
-    e.set_defaults(func=_cmd_edges)
-
-    c = sub.add_parser("current", help="extract the edge current of an image")
-    c.add_argument("image", help="input PGM")
-    _add_edge_flags(c)
-    _add_out_dir(c)
-    c.set_defaults(func=_cmd_current)
-
-    f = sub.add_parser("force", help="total force between two images at one shift")
-    _add_pair_inputs(f)
-    f.add_argument("--shift", help="translation of img1's current as DX,DY (default 0,0)")
-    _add_edge_flags(f)
-    _add_force_flags(f)
-    f.set_defaults(func=_cmd_force)
-
-    m = sub.add_parser("map", help="force map over every integer shift")
-    _add_pair_inputs(m)
-    _add_edge_flags(m)
-    _add_force_flags(m)
-    _add_out_dir(m)
-    m.set_defaults(func=_cmd_map)
-
-    k = sub.add_parser("classify", help="classify every shift cell by path outcome")
-    _add_pair_inputs(k)
-    _add_edge_flags(k)
-    _add_force_flags(k)
-    _add_out_dir(k)
-    k.set_defaults(func=_cmd_classify)
-
-    t = sub.add_parser("match", help="estimate the shift between two images")
-    _add_pair_inputs(t)
-    _add_edge_flags(t)
-    _add_force_flags(t)
-    t.add_argument("--start", help="initial offset on the shift grid as DX,DY (default 0,0)")
-    _add_out_dir(t)
-    t.set_defaults(func=_cmd_match)
+    # The argument groups that the image commands share, each declared once.
+    image, pair, shift, edge, force, start, out_dir = (
+        argparse.ArgumentParser(add_help=False) for _ in range(7))
+    image.add_argument("image", help="input PGM")
+    pair.add_argument("--img1", required=True, help="moving image (PGM)")
+    pair.add_argument("--img2", required=True, help="reference image (PGM)")
+    shift.add_argument("--shift", help="translation of img1's current as DX,DY (default 0,0)")
+    edge.add_argument("--threshold", type=float, default=0.20,
+                      help="edge threshold as a fraction of the max gradient magnitude "
+                           "(default 0.20)")
+    edge.add_argument("--strict-nms", action="store_true",
+                      help="thin with strict > comparisons (suppresses plateau edges)")
+    edge.add_argument("--smooth", action="store_true",
+                      help="apply 3x3 binomial smoothing before the gradient")
+    force.add_argument("--strength", type=float, default=1.0,
+                       help="overall force scale constant (default 1)")
+    force.add_argument("--height", type=float, default=0.0,
+                       help="vertical separation between the current planes in pixels "
+                            "(default 0)")
+    force.add_argument("--min-r", type=float, default=1e-9,
+                       help="pairs closer than this contribute no force (default 1e-9)")
+    start.add_argument("--start", help="initial offset on the shift grid as DX,DY (default 0,0)")
+    out_dir.add_argument("--out-dir", default=".", help="directory for output files (default .)")
+    for name, func, summary, parents in (
+            ("edges", _cmd_edges, "extract the edge mask of an image", (image, edge, out_dir)),
+            ("current", _cmd_current, "extract the edge current of an image",
+             (image, edge, out_dir)),
+            ("force", _cmd_force, "total force between two images at one shift",
+             (pair, shift, edge, force)),
+            ("map", _cmd_map, "force map over every integer shift", (pair, edge, force, out_dir)),
+            ("classify", _cmd_classify, "classify every shift cell by path outcome",
+             (pair, edge, force, out_dir)),
+            ("match", _cmd_match, "estimate the shift between two images",
+             (pair, edge, force, start, out_dir))):
+        sub.add_parser(name, help=summary, parents=parents).set_defaults(func=func)
 
     return p
 

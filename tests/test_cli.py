@@ -15,7 +15,8 @@ import pytest
 
 import emmatch
 from conftest import package_env, traced_peak
-from emmatch import cli, load_pgm, save_pgm, shift_image, synth_shape
+from emmatch import (EdgeParams, cli, extract_current, load_pgm, save_pgm, shift_image,
+                     synth_shape)
 from emmatch.cli import build_parser, main
 
 
@@ -110,6 +111,13 @@ def test_emit_peak_memory(tmp_path):
     text = "0\t1.5\n" * (4 * 2 ** 20 // 6)
     assert traced_peak(lambda: cli._emit(tmp_path, {"a.tsv": text})) <= 3 * 2 ** 20
     assert (tmp_path / "a.tsv").read_bytes() == text.encode("utf-8")
+
+
+def test_current_glyphs_peak_memory():
+    # The grid holds a byte per pixel and row end until one translation makes the text,
+    # about 4 bytes per pixel in all.
+    current = extract_current(synth_shape("ellipse", 256, 256), EdgeParams())
+    assert traced_peak(lambda: cli.render_current_glyphs(current)) <= 8 * 256 * 256
 
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -221,6 +229,58 @@ def test_help_exits_cleanly(capsys):
     code, stdout, _ = run(capsys, "--help")
     assert code == 0
     assert "synth" in stdout and "match" in stdout
+
+
+# Each subcommand's arguments in order, -h aside: option string or positional dest,
+# required, default, type and help.  Actions rather than help text, whose layout
+# varies between Python versions.
+IMAGE = [("image", True, None, None, "input PGM")]
+PAIR = [("--img1", True, None, None, "moving image (PGM)"),
+        ("--img2", True, None, None, "reference image (PGM)")]
+EDGE = [("--threshold", False, 0.2, float,
+         "edge threshold as a fraction of the max gradient magnitude (default 0.20)"),
+        ("--strict-nms", False, False, None,
+         "thin with strict > comparisons (suppresses plateau edges)"),
+        ("--smooth", False, False, None, "apply 3x3 binomial smoothing before the gradient")]
+FORCE = [("--strength", False, 1.0, float, "overall force scale constant (default 1)"),
+         ("--height", False, 0.0, float,
+          "vertical separation between the current planes in pixels (default 0)"),
+         ("--min-r", False, 1e-9, float,
+          "pairs closer than this contribute no force (default 1e-9)")]
+OUT_DIR = [("--out-dir", False, ".", None, "directory for output files (default .)")]
+ARGUMENTS = {
+    "synth": [("--kind", True, None, None, None),
+              ("--size", False, 32, int, "image side length (default 32)"),
+              ("--width", False, None, int, "image width (overrides --size)"),
+              ("--height", False, None, int, "image height (overrides --size)"),
+              ("--side", False, None, int, "square side length"),
+              ("--rect", False, None, None, "rectangle size as WxH"),
+              ("--semi-axes", False, None, None, "ellipse semi-axes as AxB"),
+              ("--radius", False, None, float, "circle radius"),
+              ("--length", False, None, int, "line length"),
+              ("--thickness", False, 1, int, "line thickness (default 1)"),
+              ("--vertical", False, False, None, "draw the line vertically"),
+              ("--center", False, None, None, "shape center as X,Y (default image center)"),
+              ("--shift", False, None, None, "translate the result by DX,DY before writing"),
+              ("--out", True, None, None, "output PGM path")],
+    "edges": IMAGE + EDGE + OUT_DIR,
+    "current": IMAGE + EDGE + OUT_DIR,
+    "force": PAIR + [("--shift", False, None, None,
+                      "translation of img1's current as DX,DY (default 0,0)")] + EDGE + FORCE,
+    "map": PAIR + EDGE + FORCE + OUT_DIR,
+    "classify": PAIR + EDGE + FORCE + OUT_DIR,
+    "match": PAIR + EDGE + FORCE + [("--start", False, None, None,
+                                     "initial offset on the shift grid as DX,DY (default 0,0)")]
+    + OUT_DIR,
+}
+
+
+def test_subcommand_arguments():
+    (subparsers,) = [a for a in build_parser()._actions if a.dest == "command"]
+    assert list(subparsers.choices) == list(ARGUMENTS)
+    for command, parser in subparsers.choices.items():
+        assert [(*(a.option_strings or [a.dest]), a.required, a.default, a.type, a.help)
+                for a in parser._actions if a.dest != "help"] == ARGUMENTS[command], command
 
 
 def test_cli_imports_no_undeclared_dependency():
